@@ -13,7 +13,7 @@ from .features import APPROACHES, FeatureBuilder
 from .heuristics import HEURISTICS
 from .ingest import Dataset, load_dataset
 from .predict import predict_scorelines, round_goals
-from .regress import NUMBA_ENABLED, fit_model
+from .regress import fit_model
 from .schema import FeatureSchema, default_schema, load_schema
 
 __version__ = "0.1.0"
@@ -24,7 +24,6 @@ __all__ = [
     "FeatureBuilder",
     "FeatureSchema",
     "HEURISTICS",
-    "NUMBA_ENABLED",
     "default_schema",
     "fit_model",
     "load_dataset",

@@ -363,15 +363,3 @@ def _attributed_team(fixture: Fixture, player_id: str) -> str | None:
     if fixture.away_lineup and player_id in fixture.away_lineup:
         return fixture.away_team
     return None
-
-
-def save_matrix_csv(matrix: FeatureMatrix, path) -> None:
-    """Export a matrix for inspection: fixture_id, side, target, features."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fixture_id", "side", "target", *matrix.feature_names])
-        for row in matrix.rows:
-            target = "" if row.target is None else row.target
-            writer.writerow([row.fixture_id, row.side, target, *[repr(v) for v in row.values]])

@@ -187,12 +187,6 @@ class Dataset:
     def test_fixtures(self) -> tuple[Fixture, ...]:
         return self.fixtures[self.split_index :]
 
-    def fixture_by_id(self, fixture_id: str) -> Fixture | None:
-        for f in self.fixtures:
-            if f.fixture_id == fixture_id:
-                return f
-        return None
-
 
 def _require(row: Mapping[str, str], col: str, rownum: int) -> str:
     value = row.get(col)

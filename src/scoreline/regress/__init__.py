@@ -12,7 +12,6 @@ from .base import (
     standardize_fit,
 )
 from .forest import ForestModel, fit_rfr, resolve_max_features
-from .kernels import NUMBA_ENABLED
 from .knn import KnnModel, fit_knn
 from .linear import LinearModel, fit_lr
 from .store import BadArtifact, StoreError, UnsupportedVersion, load_model, save_model
@@ -47,7 +46,6 @@ __all__ = [
     "KnnModel",
     "LinearModel",
     "ModelBase",
-    "NUMBA_ENABLED",
     "NotConvergedWarning",
     "RegressError",
     "Scaler",

@@ -89,6 +89,6 @@ def fit_rfr(X, y, n_trees: int = 100, max_depth: int = 6, min_leaf: int = 5,
 
 
 def forest_from_payload(payload: dict, n_features: int, feature_names=None) -> ForestModel:
-    roots = [node_from_dict(blob) for blob in payload["trees"]]
+    roots = [node_from_dict(blob, n_features) for blob in payload["trees"]]
     return ForestModel(roots, n_features, payload["params"],
                        feature_names=feature_names)

@@ -1,135 +1,147 @@
 """Hot numeric kernels behind the regression engines.
 
-Each kernel is single-source: the same function body is compiled with
-numba's ``@njit`` when available and runs as plain NumPy otherwise, so both
-paths return identical results. Set ``SCORELINE_NO_NUMBA=1`` before import
-to force the fallback (the flag is read once, at import time). The
-``benchmarks/bench_kernels.py`` script times one path against the other.
+Every kernel is whole-array NumPy. Where a result depends on the order of
+a floating-point sum, the kernels add left to right (``np.cumsum``), never
+pairwise (``np.sum``), so each result equals that of a plain scalar loop
+bit for bit. The tests pin the outputs as hex goldens and compare them
+with scalar-loop references.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
 
-_FLAG = "SCORELINE_NO_NUMBA"
+
+def left_sum(a: np.ndarray) -> np.ndarray:
+    """Sum along the last axis, left to right, starting from 0.0.
+
+    Bit-identical to ``acc = 0.0; for v in a: acc += v``; the trailing
+    ``+ 0.0`` turns an all-negative-zero sum into 0.0, as the loop does.
+    """
+    return np.cumsum(a, axis=-1)[..., -1] + 0.0
 
 
-def _jit_factory():
-    if os.environ.get(_FLAG, "") == "1":
-        return None
-    try:
-        from numba import njit
-    except ImportError:
-        return None
-    return njit
+def tube_loss(r: np.ndarray, epsilon: float) -> float:
+    """Epsilon-insensitive loss sum(max(0, |r| - eps)), summed left to right.
+
+    ``np.fmax`` maps a NaN excess to 0.0, so NaN residuals drop out of the
+    sum as they do from a loop that adds only positive excesses.
+    """
+    return left_sum(np.fmax(np.abs(r) - epsilon, 0.0))
 
 
-_njit = _jit_factory()
-NUMBA_ENABLED = _njit is not None
-
-
-def _maybe_jit(fn):
-    if _njit is None:
-        return fn
-    return _njit(cache=True)(fn)
-
-
-@_maybe_jit
 def best_split(X, y, feat_idx, min_leaf):
     """Exhaustive CART split search for one node.
 
-    Scans the given features in order; candidate thresholds are midpoints
-    between consecutive distinct sorted values. Returns
+    Candidate thresholds are midpoints between consecutive distinct sorted
+    values of each feature in ``feat_idx``. Returns
     ``(feature, threshold, children_sse)`` minimizing the summed child SSE,
     or feature ``-1`` when no split keeps both children at ``min_leaf``
-    rows. Ties resolve to the earliest feature in ``feat_idx`` and then the
-    lowest threshold, guaranteed by the strict-improvement scan order.
+    (at least 1) rows. Ties resolve to the earliest feature in ``feat_idx``
+    and then the lowest threshold: the first minimum of the feature-major
+    SSE matrix.
     """
     n = X.shape[0]
-    best_feat = -1
-    best_thr = 0.0
-    best_sse = np.inf
-    for fi in range(feat_idx.shape[0]):
-        j = feat_idx[fi]
-        v = X[:, j].copy()
-        order = np.argsort(v)
-        vs = v[order]
-        ys = y[order]
-        cs = np.cumsum(ys)
-        cs2 = np.cumsum(ys * ys)
-        total = cs[n - 1]
-        total2 = cs2[n - 1]
-        for i in range(min_leaf, n - min_leaf + 1):
-            if vs[i] <= vs[i - 1]:
-                continue
-            sl = cs[i - 1]
-            sse_left = cs2[i - 1] - sl * sl / i
-            sr = total - sl
-            nr = n - i
-            sse_right = (total2 - cs2[i - 1]) - sr * sr / nr
-            sse = sse_left + sse_right
-            if sse < best_sse:
-                best_sse = sse
-                best_feat = j
-                thr = 0.5 * (vs[i - 1] + vs[i])
-                # adjacent floats can round the midpoint up to vs[i]; keep
-                # "value <= threshold goes left" consistent with this scan
-                if thr >= vs[i]:
-                    thr = vs[i - 1]
-                best_thr = thr
-    return best_feat, best_thr, best_sse
+    lo, hi = min_leaf, n - min_leaf + 1  # split before sorted row i, lo <= i < hi
+    if hi <= lo:
+        return -1, 0.0, np.inf
+    cols = X[:, feat_idx]
+    order = np.argsort(cols, axis=0)
+    vs = np.take_along_axis(cols, order, axis=0)
+    ys = y[order]
+    cs = np.cumsum(ys, axis=0)
+    cs2 = np.cumsum(ys * ys, axis=0)
+    i = np.arange(lo, hi, dtype=np.float64)[:, None]
+    sl = cs[lo - 1:hi - 1]
+    sq = cs2[lo - 1:hi - 1]
+    sr = cs[n - 1] - sl
+    sse = (sq - sl * sl / i) + ((cs2[n - 1] - sq) - sr * sr / (n - i))
+    below, above = vs[lo - 1:hi - 1], vs[lo:hi]
+    sse[above <= below] = np.inf
+    flat = int(np.argmin(sse.T))
+    fi, row = divmod(flat, hi - lo)
+    best_sse = sse[row, fi]
+    if not best_sse < np.inf:
+        return -1, 0.0, np.inf
+    left, right = below[row, fi], above[row, fi]
+    thr = 0.5 * (left + right)
+    # adjacent floats can round the midpoint up to the right value; keep
+    # "value <= threshold goes left" consistent with the split scored here
+    if thr >= right:
+        thr = left
+    return feat_idx[fi], thr, best_sse
 
 
-@_maybe_jit
 def knn_neighbor_means(train_X, train_y, query_X, k):
     """Mean target of the k nearest training rows per query row.
 
-    Euclidean distance on the given (already standardized) features.
-    Distance ties prefer the lower training-row index: selection scans
-    rows in index order with strict improvement.
+    Euclidean distance on the given (already standardized) features,
+    accumulated one column at a time. Distance ties prefer the lower
+    training-row index (a stable sort), and the k targets are summed in
+    pick order.
     """
-    n, p = train_X.shape
-    m = query_X.shape[0]
-    out = np.empty(m, dtype=np.float64)
-    d2 = np.empty(n, dtype=np.float64)
-    taken = np.zeros(n, dtype=np.bool_)
-    for qi in range(m):
-        for i in range(n):
-            acc = 0.0
-            for j in range(p):
-                diff = train_X[i, j] - query_X[qi, j]
-                acc += diff * diff
-            d2[i] = acc
-            taken[i] = False
-        total = 0.0
-        for _pick in range(k):
-            best = -1
-            best_d = np.inf
-            for i in range(n):
-                if not taken[i] and d2[i] < best_d:
-                    best_d = d2[i]
-                    best = i
-            taken[best] = True
-            total += train_y[best]
-        out[qi] = total / k
-    return out
+    d2 = np.zeros((query_X.shape[0], train_X.shape[0]), dtype=np.float64)
+    for j in range(train_X.shape[1]):
+        diff = train_X[:, j][None, :] - query_X[:, j][:, None]
+        d2 += diff * diff
+    picks = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return left_sum(train_y[picks]) / k
 
 
-@_maybe_jit
 def svr_objective(X, y, w, b, c_reg, epsilon):
     """Primal objective 0.5*||w||^2 + C * sum(max(0, |y - Xw - b| - eps))."""
-    r = y - (X @ w + b)
-    excess = np.abs(r) - epsilon
-    loss = 0.0
-    for i in range(excess.shape[0]):
-        if excess[i] > 0.0:
-            loss += excess[i]
-    return 0.5 * (w @ w) + c_reg * loss
+    return 0.5 * (w @ w) + c_reg * tube_loss(y - (X @ w + b), epsilon)
 
 
-@_maybe_jit
+def svr_kernel_objective(K, y, beta, b, c_reg, epsilon):
+    """Kernelized objective 0.5*beta'Kbeta + C * sum(max(0, |y - Kbeta - b| - eps))."""
+    k_beta = K @ beta
+    return 0.5 * (beta @ k_beta) + c_reg * tube_loss(y - (k_beta + b), epsilon)
+
+
+def _subgradient_descent(y, coef, b, c_reg, epsilon, lr, max_iter, tol,
+                         check_every, predict, gradient, penalty):
+    """The loop shared by both SVR trainers.
+
+    ``predict(coef)`` returns the model part of the fit without the bias
+    (``X @ w`` or ``K @ beta``); it is evaluated once per iterate and serves
+    that iterate's objective and the next step's residual.
+    ``gradient(coef, s)`` is the n-scaled subgradient of the coefficients
+    for residual signs ``s``, and ``penalty(coef, fit)`` the regularizer.
+    """
+    n = y.shape[0]
+    fit = predict(coef)
+    r = y - (fit + b)
+    best_coef = coef.copy()
+    best_b = b
+    best_obj = 0.5 * penalty(coef, fit) + c_reg * tube_loss(r, epsilon)
+    window_best = best_obj
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        s = np.subtract(r > epsilon, r < -epsilon, dtype=np.float64)
+        gcoef = gradient(coef, s) / n
+        gb = -c_reg * np.sum(s) / n
+        step = lr / math.sqrt(it)
+        coef = coef - step * gcoef
+        b = b - step * gb
+        fit = predict(coef)
+        r = y - (fit + b)
+        obj = 0.5 * penalty(coef, fit) + c_reg * tube_loss(r, epsilon)
+        if obj < best_obj:
+            best_obj = obj
+            best_coef = coef.copy()
+            best_b = b
+        if it % check_every == 0:
+            if window_best - best_obj < tol:
+                converged = True
+                break
+            window_best = best_obj
+    return best_coef, best_b, best_obj, it, converged
+
+
 def svr_linear_train(X, y, c_reg, epsilon, lr, max_iter, tol, check_every):
     """Full-batch subgradient descent on the linear epsilon-tube objective.
 
@@ -139,94 +151,28 @@ def svr_linear_train(X, y, c_reg, epsilon, lr, max_iter, tol, check_every):
     across a ``check_every``-iteration window. Returns
     ``(w, b, best_objective, iterations, converged)``.
     """
-    n, p = X.shape
-    w = np.zeros(p, dtype=np.float64)
-    b = 0.0
-    for i in range(n):
-        b += y[i]
-    b /= n
-
-    best_w = w.copy()
-    best_b = b
-    best_obj = svr_objective(X, y, w, b, c_reg, epsilon)
-    window_best = best_obj
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        r = y - (X @ w + b)
-        s = np.where(r > epsilon, 1.0, 0.0) - np.where(r < -epsilon, 1.0, 0.0)
-        gw = (w - c_reg * (X.T @ s)) / n
-        gb = -c_reg * np.sum(s) / n
-        step = lr / np.sqrt(it)
-        w = w - step * gw
-        b = b - step * gb
-        obj = svr_objective(X, y, w, b, c_reg, epsilon)
-        if obj < best_obj:
-            best_obj = obj
-            best_w = w.copy()
-            best_b = b
-        if it % check_every == 0:
-            if window_best - best_obj < tol:
-                converged = True
-                break
-            window_best = best_obj
-    return best_w, best_b, best_obj, it, converged
+    return _subgradient_descent(
+        y, np.zeros(X.shape[1], dtype=np.float64), left_sum(y) / y.shape[0],
+        c_reg, epsilon, lr, max_iter, tol, check_every,
+        predict=lambda w: X @ w,
+        gradient=lambda w, s: w - c_reg * (X.T @ s),
+        penalty=lambda w, _fit: w @ w)
 
 
-@_maybe_jit
-def svr_kernel_objective(K, y, beta, b, c_reg, epsilon):
-    """Kernelized objective 0.5*beta'Kbeta + C * sum(max(0, |y - Kbeta - b| - eps))."""
-    f = K @ beta + b
-    r = y - f
-    excess = np.abs(r) - epsilon
-    loss = 0.0
-    for i in range(excess.shape[0]):
-        if excess[i] > 0.0:
-            loss += excess[i]
-    return 0.5 * (beta @ (K @ beta)) + c_reg * loss
-
-
-@_maybe_jit
 def svr_kernel_train(K, y, c_reg, epsilon, lr, max_iter, tol, check_every):
     """Subgradient descent on the kernel-expansion coefficients.
 
     Same schedule and stopping rule as :func:`svr_linear_train`; ``K`` is
-    the precomputed train-by-train kernel matrix. Returns
-    ``(beta, b, best_objective, iterations, converged)``.
+    the precomputed train-by-train kernel matrix, so each iteration does
+    two n-by-n mat-vecs. Returns ``(beta, b, best_objective, iterations,
+    converged)``.
     """
-    n = K.shape[0]
-    beta = np.zeros(n, dtype=np.float64)
-    b = 0.0
-    for i in range(n):
-        b += y[i]
-    b /= n
-
-    best_beta = beta.copy()
-    best_b = b
-    best_obj = svr_kernel_objective(K, y, beta, b, c_reg, epsilon)
-    window_best = best_obj
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        f = K @ beta + b
-        r = y - f
-        s = np.where(r > epsilon, 1.0, 0.0) - np.where(r < -epsilon, 1.0, 0.0)
-        gbeta = (K @ (beta - c_reg * s)) / n
-        gb = -c_reg * np.sum(s) / n
-        step = lr / np.sqrt(it)
-        beta = beta - step * gbeta
-        b = b - step * gb
-        obj = svr_kernel_objective(K, y, beta, b, c_reg, epsilon)
-        if obj < best_obj:
-            best_obj = obj
-            best_beta = beta.copy()
-            best_b = b
-        if it % check_every == 0:
-            if window_best - best_obj < tol:
-                converged = True
-                break
-            window_best = best_obj
-    return best_beta, best_b, best_obj, it, converged
+    return _subgradient_descent(
+        y, np.zeros(K.shape[0], dtype=np.float64), left_sum(y) / y.shape[0],
+        c_reg, epsilon, lr, max_iter, tol, check_every,
+        predict=lambda beta: K @ beta,
+        gradient=lambda beta, s: K @ (beta - c_reg * s),
+        penalty=lambda beta, k_beta: beta @ k_beta)
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:

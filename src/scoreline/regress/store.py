@@ -41,12 +41,65 @@ def save_model(model: ModelBase, path) -> None:
     Path(path).write_text(json.dumps(envelope, sort_keys=True, indent=1) + "\n")
 
 
-def _scaler_from(payload: dict) -> Scaler:
-    return Scaler(mean=np.asarray(payload["scaler_mean"], dtype=np.float64),
-                  std=np.asarray(payload["scaler_std"], dtype=np.float64))
+def _vector(payload: dict, key: str, length: int) -> np.ndarray:
+    arr = np.asarray(payload[key], dtype=np.float64)
+    if arr.shape != (length,):
+        raise BadArtifact(f"{key} has shape {arr.shape}, expected ({length},)")
+    return arr
+
+
+def _matrix(payload: dict, key: str, width: int) -> np.ndarray:
+    arr = np.asarray(payload[key], dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise BadArtifact(f"{key} has shape {arr.shape}, expected (rows, {width})")
+    return arr
+
+
+def _scaler_from(payload: dict, n_features: int) -> Scaler:
+    return Scaler(mean=_vector(payload, "scaler_mean", n_features),
+                  std=_vector(payload, "scaler_std", n_features))
+
+
+def _model_from(technique: str, payload: dict, n_features: int, names) -> ModelBase:
+    """Rebuild one model, checking the payload's indices and array shapes."""
+    if technique == "lr":
+        return LinearModel(coef=_vector(payload, "coef", n_features),
+                           intercept=payload["intercept"], ridged=payload["ridged"],
+                           feature_names=names)
+    if technique == "knn":
+        train_X = _matrix(payload, "train_X", n_features)
+        rows = train_X.shape[0]
+        k = int(payload["k"])
+        if not 1 <= k <= rows:
+            raise BadArtifact(f"k={k} outside 1..{rows} training rows")
+        return KnnModel(train_X=train_X, train_y=_vector(payload, "train_y", rows), k=k,
+                        scaler=_scaler_from(payload, n_features), feature_names=names)
+    if technique == "dtr":
+        return TreeModel(root=node_from_dict(payload["root"], n_features),
+                         n_features=n_features,
+                         max_depth=payload["max_depth"], min_leaf=payload["min_leaf"],
+                         feature_names=names)
+    if technique == "rfr":
+        return forest_from_payload(payload, n_features, feature_names=names)
+    if technique == "svr":
+        kernel = payload["kernel"]
+        common = dict(kernel=kernel, scaler=_scaler_from(payload, n_features),
+                      params=payload["params"], status=payload["status"],
+                      n_features=n_features, feature_names=names, b=payload["b"])
+        if kernel == "linear":
+            return SvrModel(**common, w=_vector(payload, "w", n_features))
+        if kernel == "rbf":
+            train_X = _matrix(payload, "train_X", n_features)
+            return SvrModel(**common, beta=_vector(payload, "beta", train_X.shape[0]),
+                            train_X=train_X, gamma=payload["gamma"])
+        raise BadArtifact(f"unknown SVR kernel {kernel!r}")
+    raise BadArtifact(f"unknown technique {technique!r}")
 
 
 def load_model(path) -> ModelBase:
+    """Read a saved model; a payload whose structure does not fit its
+    declared feature count raises BadArtifact instead of failing later in
+    predict."""
     try:
         envelope = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -58,42 +111,13 @@ def load_model(path) -> ModelBase:
         raise UnsupportedVersion(
             f"{path} uses format_version={version}, this build reads {FORMAT_VERSION}")
     try:
-        technique = envelope["technique"]
-        names = envelope["feature_names"]
-        payload = envelope["payload"]
         n_features = int(envelope["n_features"])
-        if technique == "lr":
-            model = LinearModel(
-                coef=np.asarray(payload["coef"], dtype=np.float64),
-                intercept=payload["intercept"], ridged=payload["ridged"],
-                feature_names=names)
-        elif technique == "knn":
-            model = KnnModel(
-                train_X=np.asarray(payload["train_X"], dtype=np.float64),
-                train_y=np.asarray(payload["train_y"], dtype=np.float64),
-                k=payload["k"], scaler=_scaler_from(payload),
-                feature_names=names)
-        elif technique == "dtr":
-            model = TreeModel(
-                root=node_from_dict(payload["root"]), n_features=n_features,
-                max_depth=payload["max_depth"], min_leaf=payload["min_leaf"],
-                feature_names=names)
-        elif technique == "rfr":
-            model = forest_from_payload(payload, n_features, feature_names=names)
-        elif technique == "svr":
-            kernel = payload["kernel"]
-            model = SvrModel(
-                kernel, _scaler_from(payload), payload["params"],
-                payload["status"], n_features, feature_names=names,
-                w=payload.get("w"), b=payload["b"], beta=payload.get("beta"),
-                train_X=payload.get("train_X"), gamma=payload.get("gamma"))
-        else:
-            raise BadArtifact(f"{path} holds unknown technique {technique!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BadArtifact(f"{path} is missing fields: {exc}") from exc
-    if model.n_features != n_features:
-        raise BadArtifact(
-            f"{path} declares {n_features} features but payload encodes {model.n_features}")
+        model = _model_from(envelope["technique"], envelope["payload"], n_features,
+                            envelope["feature_names"])
+    except BadArtifact as exc:
+        raise BadArtifact(f"{path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise BadArtifact(f"{path} is missing or malformed fields: {exc}") from exc
     if envelope.get("fingerprint") != model.fingerprint:
         raise BadArtifact(f"{path} fingerprint does not match its feature layout")
     return model

@@ -95,17 +95,23 @@ def node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def node_from_dict(blob: dict) -> TreeNode:
+def node_from_dict(blob: dict, n_features: int) -> TreeNode:
+    """Rebuild a tree; a split node must name a feature in [0, n_features)
+    and hold both children (KeyError or TypeError when one is missing)."""
     if "feature" not in blob:
         return TreeNode(feature=-1, threshold=0.0, value=float(blob["value"]),
                         n=int(blob["n"]))
+    feature = int(blob["feature"])
+    if not 0 <= feature < n_features:
+        raise ValueError(f"a tree node splits on feature {feature}, "
+                         f"outside 0..{n_features - 1}")
     return TreeNode(
-        feature=int(blob["feature"]),
+        feature=feature,
         threshold=float(blob["threshold"]),
         value=float(blob["value"]),
         n=int(blob["n"]),
-        left=node_from_dict(blob["left"]),
-        right=node_from_dict(blob["right"]),
+        left=node_from_dict(blob["left"], n_features),
+        right=node_from_dict(blob["right"], n_features),
     )
 
 

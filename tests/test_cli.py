@@ -180,6 +180,46 @@ def test_predict_usage_and_missing_artifacts(tmp_path):
                "--fixtures", Path(SAMPLE_DIR) / "upcoming.csv") == 1
 
 
+def _split_root(tree):
+    assert "feature" in tree, "the tree is a single leaf"
+    return tree
+
+
+def _break_knn(payload):
+    payload["k"] = len(payload["train_y"]) + 1
+
+
+def _break_forest(payload):
+    del _split_root(payload["trees"][0])["right"]
+
+
+CORRUPTIONS = {
+    "lr": lambda payload: payload["coef"].pop(),
+    "knn": _break_knn,
+    "dtr": lambda payload: _split_root(payload["root"]).update(feature=10**6),
+    "rfr": _break_forest,
+    "svr": lambda payload: payload["w"].pop(),
+    "svr-rbf": lambda payload: payload["beta"].pop(),
+}
+
+
+@pytest.mark.parametrize("technique", sorted(CORRUPTIONS))
+def test_predict_rejects_corrupted_artifact(tmp_path, technique, capsys):
+    artifacts = tmp_path / "artifacts"
+    assert run("train", *base_args(artifacts), "--approach", "team_stats",
+               "--technique", technique, "--forest-trees", 3,
+               "--svr-max-iter", 200) == 0
+    path = artifacts / "model_home.json"
+    blob = json.loads(path.read_text())
+    CORRUPTIONS[technique](blob["payload"])
+    path.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert run("predict", "--out-dir", tmp_path, "--artifacts", artifacts,
+               "--fixtures", Path(SAMPLE_DIR) / "upcoming.csv") == 1
+    err = capsys.readouterr().err
+    assert "model_home.json" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------- evaluate
 
 

@@ -1,102 +1,304 @@
-"""The numba kernels and the pure-NumPy fallback must agree bitwise.
+"""The numeric kernels return pinned results, bit for bit.
 
-Both paths run in subprocesses because the flag is read once at import.
-Floats travel as hex strings so the comparison is exact, not approximate.
+Each golden was taken from the scalar-loop implementation the vectorised
+kernels replaced. Floats travel as ``float.hex()`` strings, so every
+comparison is exact, not approximate. The inputs lean on the cases where a
+reordered sum or a different tie rule would show: tied and integer-valued
+columns, constant targets, equal distances and nodes at the edge of
+``min_leaf``. The scalar loops themselves stay below as references for a
+randomized bit-for-bit comparison.
 """
 
-import json
-import os
-import subprocess
-import sys
-
-import pytest
-
-PROBE = r"""
-import json
 import numpy as np
 
 from scoreline.regress.kernels import (
-    NUMBA_ENABLED,
     best_split,
     knn_neighbor_means,
     rbf_kernel,
+    svr_kernel_objective,
     svr_kernel_train,
     svr_linear_train,
+    svr_objective,
 )
 
+
 def hexify(value):
-    arr = np.asarray(value, dtype=np.float64)
-    return [v.hex() for v in arr.ravel().tolist()]
+    return [v.hex() for v in np.asarray(value, dtype=np.float64).ravel().tolist()]
 
-rng = np.random.default_rng(2024)
-out = {"numba_enabled": NUMBA_ENABLED}
 
-X = rng.normal(size=(60, 8))
-y = rng.normal(size=60)
-feat, thr, sse = best_split(X, y, np.arange(8, dtype=np.int64), 2)
-out["best_split"] = [int(feat), float(thr).hex(), float(sse).hex()]
+# ------------------------------------------------------------------ inputs
 
-train_X = rng.normal(size=(50, 5))
-train_y = rng.normal(size=50)
-queries = rng.normal(size=(20, 5))
-out["knn"] = hexify(knn_neighbor_means(train_X, train_y, queries, 5))
+def split_cases():
+    """name -> (X, y, feat_idx, min_leaf) for best_split."""
+    rng = np.random.default_rng(7)
+    cases = {}
+    X = rng.integers(0, 4, size=(40, 5)).astype(np.float64)
+    X[:, 3] = X[:, 1]  # an exact duplicate column: ties across features
+    cases["tied_integer_columns"] = (X, X[:, 1] + rng.normal(size=40), np.arange(5), 3)
+    cases["constant_targets"] = (rng.integers(0, 3, size=(24, 4)).astype(np.float64),
+                                 np.full(24, 2.0), np.arange(4), 2)
+    cases["exactly_two_min_leaf"] = (rng.normal(size=(10, 3)), rng.normal(size=10),
+                                     np.arange(3), 5)
+    cases["too_few_rows"] = (rng.normal(size=(9, 3)), rng.normal(size=9),
+                             np.arange(3), 5)
+    feat_idx = np.sort(rng.choice(12, size=4, replace=False))
+    cases["random_feature_subset"] = (rng.normal(size=(60, 12)), rng.normal(size=60),
+                                      feat_idx, 4)
+    # the midpoint of 1.0 and the float just below it rounds up to 1.0
+    col = np.array([np.nextafter(1.0, 0.0)] * 5 + [1.0] * 5)
+    cases["adjacent_float_midpoint"] = (col[:, None], np.arange(10.0), np.arange(1), 2)
+    return {name: (X, y, np.asarray(f, dtype=np.int64), m)
+            for name, (X, y, f, m) in cases.items()}
 
-Xs = rng.normal(size=(40, 4))
-ys = Xs @ np.array([1.0, -0.5, 2.0, 0.0]) + rng.normal(scale=0.2, size=40)
-w, b, obj, it, conv = svr_linear_train(Xs, ys, 1.0, 0.1, 0.5, 2000, 1e-9, 100)
-out["svr_linear"] = {
-    "w": hexify(w), "b": float(b).hex(), "obj": float(obj).hex(),
-    "it": int(it), "conv": bool(conv),
+
+def knn_cases():
+    """name -> (train_X, train_y, query_X, k) for knn_neighbor_means."""
+    rng = np.random.default_rng(11)
+    grid = rng.integers(-1, 2, size=(30, 3)).astype(np.float64)
+    equal = (grid, rng.normal(size=30), np.vstack([grid[:6], np.zeros((2, 3))]), 4)
+    train_X = rng.normal(size=(12, 4))
+    k_is_n = (train_X, rng.normal(size=12), rng.normal(size=(5, 4)), 12)
+    return {"equal_distances": equal, "k_equals_n": k_is_n}
+
+
+def svr_data():
+    rng = np.random.default_rng(2024)
+    X = rng.normal(size=(30, 4))
+    y = X @ np.array([1.0, -0.5, 2.0, 0.0]) + rng.normal(scale=0.2, size=30)
+    return X, y
+
+
+# Arguments after (X, y): C, epsilon, lr, max_iter, tol, check_every.
+LINEAR_RUNS = {"stops_early": (1.0, 0.1, 0.5, 20_000, 1e-6, 100),
+               "hits_cap": (1.0, 0.1, 0.5, 250, 1e-9, 100)}
+KERNEL_RUN = (1.0, 0.1, 0.5, 400, 1e-12, 100)
+GAMMA = 0.3
+
+
+# ----------------------------------------------------------------- goldens
+
+GOLDEN_SPLIT = {
+    "tied_integer_columns": [1, "0x1.8000000000000p+0", "0x1.8b5cbe1e0f8aap+5"],
+    "constant_targets": [0, "0x1.0000000000000p-1", "0x0.0p+0"],
+    "exactly_two_min_leaf": [2, "0x1.7f559bcdb6f58p-1", "0x1.7d007ebd51549p+1"],
+    "too_few_rows": [-1, "0x0.0p+0", "inf"],
+    "random_feature_subset": [8, "0x1.7dafc2fd02290p-1", "0x1.947490446634cp+5"],
+    "adjacent_float_midpoint": [0, "0x1.fffffffffffffp-1", "0x1.4000000000000p+4"],
 }
 
-K = rbf_kernel(Xs, Xs, 0.3)
-out["rbf"] = hexify(K[:3])
-beta, kb, kobj, kit, kconv = svr_kernel_train(K, ys, 1.0, 0.1, 0.5, 500, 1e-9, 100)
-out["svr_kernel"] = {
-    "beta": hexify(beta), "b": float(kb).hex(), "obj": float(kobj).hex(),
-    "it": int(kit), "conv": bool(kconv),
+GOLDEN_KNN = {
+    "equal_distances": [
+        "0x1.2f80e37e14cc0p-7", "-0x1.7197b837f59f0p-2", "0x1.3d8dddd720702p-3",
+        "0x1.14ab91a83fcf6p-1", "-0x1.b80ffb049d42cp-2", "0x1.051a72bda1574p-5",
+        "-0x1.7197b837f59f0p-2", "-0x1.7197b837f59f0p-2",
+    ],
+    "k_equals_n": [
+        "-0x1.5b05c8dfab465p-4", "-0x1.5b05c8dfab467p-4", "-0x1.5b05c8dfab468p-4",
+        "-0x1.5b05c8dfab468p-4", "-0x1.5b05c8dfab465p-4",
+    ],
 }
 
-print(json.dumps(out))
-"""
+GOLDEN_LINEAR = {
+    "stops_early": {
+        "coef": [
+            "0x1.0615ba7c4af81p+0", "-0x1.11919c7ff8d70p-1", "0x1.f9d3db21764b1p+0",
+            "-0x1.9f2d7ad3fcd42p-5",
+        ],
+        "b": "-0x1.a3d7e9ab61686p-7",
+        "obj": "0x1.321871239ee54p+2",
+        "it": 500,
+        "conv": True,
+    },
+    "hits_cap": {
+        "coef": [
+            "0x1.05d8674d32938p+0", "-0x1.10eb0c9b2747ap-1", "0x1.f9d91ff89a9ccp+0",
+            "-0x1.a92043172a5c2p-5",
+        ],
+        "b": "-0x1.a5546bcf22477p-7",
+        "obj": "0x1.321d096761264p+2",
+        "it": 250,
+        "conv": False,
+    },
+}
+
+GOLDEN_RBF_ROWS = [
+    "0x1.0000000000000p+0", "0x1.52532c351ff69p-5", "0x1.3199c419ddf67p-1",
+    "0x1.14ec383cad0fep-4", "0x1.06c1cdfdfc519p-7", "0x1.fcd3b5e35d3f0p-7",
+    "0x1.77402a9c2a47fp-5", "0x1.df9603a7c733fp-4", "0x1.325ee5adebf1ap-4",
+    "0x1.0b5b6e087f4f6p-4", "0x1.65415b0a1bd85p-11", "0x1.0b2fa925cbfa4p-3",
+    "0x1.05c572d676144p-3", "0x1.37c407c78b167p-2", "0x1.c49f20dcb3d18p-4",
+    "0x1.e496aa1170c94p-6", "0x1.bfc8671d9bd1cp-5", "0x1.0ac5a34110893p-3",
+    "0x1.3383bcdc3aa19p-3", "0x1.b5aac9d39021fp-4", "0x1.e908179255ca0p-3",
+    "0x1.2fbe7c1ee6b4ep-2", "0x1.4bff18596339bp-2", "0x1.2f88489dcbb08p-4",
+    "0x1.15abe34dab5b1p-1", "0x1.986c835777c3ep-9", "0x1.864a66582d7b4p-5",
+    "0x1.0ea35deb67e45p-2", "0x1.646d0f894bf66p-7", "0x1.2e1ec4e4e60eap-3",
+    "0x1.52532c351ff69p-5", "0x1.0000000000000p+0", "0x1.974ada4176cc8p-6",
+    "0x1.b4a39b373e99bp-2", "0x1.2018e5807d287p-3", "0x1.b9d8cbd93b816p-5",
+    "0x1.299e8f8b5f67ep-1", "0x1.3ad28c2b31820p-1", "0x1.795c390c05a86p-4",
+    "0x1.99aac91216259p-2", "0x1.ccae40eb6ba05p-6", "0x1.1fc4a4fea7fdap-1",
+    "0x1.94eb8f69e6ae7p-1", "0x1.4772b977c54b7p-2", "0x1.8963d29c27648p-1",
+    "0x1.d29f017a79e9dp-3", "0x1.cf3602bea1971p-3", "0x1.eb8437d690234p-4",
+    "0x1.0715bfb380fecp-5", "0x1.388c00afd0ac3p-4", "0x1.fd2e5499f0b17p-2",
+    "0x1.15c1d5610b0dbp-3", "0x1.f52e7b4554f8dp-4", "0x1.4ba304fca410dp-4",
+    "0x1.3c1f70c7a0db4p-4", "0x1.bc45a8c4ba60dp-6", "0x1.817779408df9fp-6",
+    "0x1.244d3ddea867cp-3", "0x1.1388e2078d755p-2", "0x1.98af375e3ea43p-2",
+    "0x1.3199c419ddf67p-1", "0x1.974ada4176cc8p-6", "0x1.0000000000000p+0",
+    "0x1.dde202754a461p-6", "0x1.4d36cd84fa5d9p-7", "0x1.75a726f50157cp-4",
+    "0x1.0224ede332ee6p-4", "0x1.0027c8d6c3b1cp-3", "0x1.27b1663120ebep-4",
+    "0x1.5af630c85898ap-4", "0x1.d5eca4f3e390dp-9", "0x1.4b18a6f5779f4p-5",
+    "0x1.1445fc55f66abp-4", "0x1.500af4eaabc7bp-3", "0x1.6a6eb2e5e2076p-4",
+    "0x1.b3f8a42ecc6d4p-5", "0x1.9c6195e949c72p-5", "0x1.0636cfcf1fcc2p-2",
+    "0x1.f189886546b64p-2", "0x1.5ff39644c28efp-2", "0x1.90f9281028e56p-3",
+    "0x1.0c689b16cc11bp-2", "0x1.365dad52d68d6p-1", "0x1.dd311f694bad1p-4",
+    "0x1.fb45868b9c7c0p-3", "0x1.569e0ea255588p-8", "0x1.b8628479d83d4p-6",
+    "0x1.00ce42222175dp-2", "0x1.ecf55f7f4695ep-6", "0x1.fcfd970535a9dp-3",
+]
+
+GOLDEN_KERNEL = {
+    "coef": [
+        "0x1.5b4d6151ac86ep-1", "0x1.a9867be579966p-5", "0x1.b2bd739d7c9b7p-1",
+        "-0x1.00adab30375c0p-1", "-0x1.d6ea45d150fe8p-1", "0x1.17a7ff7eb76e0p-2",
+        "-0x1.10d87631a2b49p-2", "-0x1.bda065141da75p-5", "-0x1.2b0005a20690ep-1",
+        "0x1.4f0c883244e9fp-1", "-0x1.39ff5c2f65f77p-1", "0x1.d2546dbcdd08fp-2",
+        "0x1.e147ce1b4a50ap-7", "0x1.2eb77874c2059p-1", "0x1.affdd29e837bdp-4",
+        "-0x1.2055505b87ffep-1", "-0x1.9b3cf7f912841p-1", "-0x1.cb786f4b7cf82p-2",
+        "0x1.8ce7ff4882abep-1", "0x1.5cb45db3ff048p-3", "0x1.34aaf7825a8d5p-6",
+        "-0x1.ca0783a26b368p-2", "0x1.899da949394fbp-1", "-0x1.d8c8f275c00d6p-1",
+        "0x1.06712c0bbd339p-4", "-0x1.c117b431ff0bbp-1", "0x1.12810a560ec7dp-1",
+        "0x1.1031526619cd0p-2", "0x1.b4620749afb2ap-3", "0x1.0358577014febp-1",
+    ],
+    "b": "-0x1.242aea1821126p-5",
+    "obj": "0x1.d6880f51f8e6ep+4",
+    "it": 400,
+    "conv": False,
+}
+
+GOLDEN_OBJECTIVE = {
+    "linear": "0x1.31c2719498d0dp+4",
+    "kernel": "0x1.9c1a1849ae892p+5",
+}
 
 
-def run_probe(no_numba: str) -> dict:
-    env = dict(os.environ, SCORELINE_NO_NUMBA=no_numba)
-    proc = subprocess.run([sys.executable, "-c", PROBE], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+# ------------------------------------------------------------------- tests
+
+def run_split(X, y, feat_idx, min_leaf):
+    feat, thr, sse = best_split(X, y, feat_idx, min_leaf)
+    return [int(feat), float(thr).hex(), float(sse).hex()]
 
 
-@pytest.fixture(scope="module")
-def outputs():
-    return run_probe("0"), run_probe("1")
+def run_svr(result):
+    coef, b, obj, it, conv = result
+    return {"coef": hexify(coef), "b": float(b).hex(), "obj": float(obj).hex(),
+            "it": int(it), "conv": bool(conv)}
 
 
-def test_flag_controls_backend(outputs):
-    jitted, fallback = outputs
-    assert fallback["numba_enabled"] is False
-    import importlib.util
-    assert jitted["numba_enabled"] is (importlib.util.find_spec("numba") is not None)
+def test_best_split_identical():
+    cases = split_cases()
+    assert set(cases) == set(GOLDEN_SPLIT)
+    for name, args in cases.items():
+        assert run_split(*args) == GOLDEN_SPLIT[name], name
 
 
-def test_best_split_identical(outputs):
-    jitted, fallback = outputs
-    assert jitted["best_split"] == fallback["best_split"]
+def test_best_split_edge_cases_keep_their_meaning():
+    cases = split_cases()
+    assert GOLDEN_SPLIT["too_few_rows"] == [-1, (0.0).hex(), float("inf").hex()]
+    # constant targets: every split has zero SSE, so the first one wins
+    assert GOLDEN_SPLIT["constant_targets"][0] == 0
+    # the clamped threshold still sends the lower value left
+    X, *_ = cases["adjacent_float_midpoint"]
+    thr = float.fromhex(GOLDEN_SPLIT["adjacent_float_midpoint"][1])
+    assert thr == X[0, 0] and thr < X[-1, 0]
 
 
-def test_knn_identical(outputs):
-    jitted, fallback = outputs
-    assert jitted["knn"] == fallback["knn"]
+def test_knn_identical():
+    for name, args in knn_cases().items():
+        assert hexify(knn_neighbor_means(*args)) == GOLDEN_KNN[name], name
 
 
-def test_svr_linear_identical(outputs):
-    jitted, fallback = outputs
-    assert jitted["svr_linear"] == fallback["svr_linear"]
+def test_svr_linear_identical():
+    X, y = svr_data()
+    for name, run in LINEAR_RUNS.items():
+        assert run_svr(svr_linear_train(X, y, *run)) == GOLDEN_LINEAR[name], name
+    assert GOLDEN_LINEAR["stops_early"]["conv"] is True
+    assert GOLDEN_LINEAR["hits_cap"]["it"] == LINEAR_RUNS["hits_cap"][3]
 
 
-def test_rbf_and_kernel_svr_identical(outputs):
-    jitted, fallback = outputs
-    assert jitted["rbf"] == fallback["rbf"]
-    assert jitted["svr_kernel"] == fallback["svr_kernel"]
+def test_rbf_and_kernel_svr_identical():
+    X, y = svr_data()
+    K = rbf_kernel(X, X, GAMMA)
+    assert hexify(K[:3]) == GOLDEN_RBF_ROWS
+    assert run_svr(svr_kernel_train(K, y, *KERNEL_RUN)) == GOLDEN_KERNEL
+    assert GOLDEN_KERNEL["it"] == KERNEL_RUN[3] and GOLDEN_KERNEL["conv"] is False
+
+
+def test_svr_objectives_identical():
+    X, y = svr_data()
+    w = np.array([0.5, -0.25, 1.5, 0.125])
+    K = rbf_kernel(X, X, GAMMA)
+    beta = np.linspace(-0.3, 0.3, X.shape[0])
+    got = {"linear": float(svr_objective(X, y, w, 0.2, 1.0, 0.1)).hex(),
+           "kernel": float(svr_kernel_objective(K, y, beta, 0.2, 1.0, 0.1)).hex()}
+    assert got == GOLDEN_OBJECTIVE
+
+
+# ------------------------------------------------------- scalar references
+
+def loop_best_split(X, y, feat_idx, min_leaf):
+    """One feature and one threshold at a time, strict improvement."""
+    n = X.shape[0]
+    best = (-1, 0.0, np.inf)
+    for j in feat_idx:
+        order = np.argsort(X[:, j].copy())
+        vs, ys = X[order, j], y[order]
+        cs, cs2 = np.cumsum(ys), np.cumsum(ys * ys)
+        for i in range(min_leaf, n - min_leaf + 1):
+            if vs[i] <= vs[i - 1]:
+                continue
+            sl, sr = cs[i - 1], cs[n - 1] - cs[i - 1]
+            sse = ((cs2[i - 1] - sl * sl / i)
+                   + ((cs2[n - 1] - cs2[i - 1]) - sr * sr / (n - i)))
+            if sse < best[2]:
+                thr = 0.5 * (vs[i - 1] + vs[i])
+                best = (j, vs[i - 1] if thr >= vs[i] else thr, sse)
+    return best
+
+
+def loop_knn(train_X, train_y, query_X, k):
+    """Repeated nearest pick among the rows not yet taken."""
+    out = []
+    for q in query_X:
+        d2 = []
+        for row in train_X:
+            acc = 0.0
+            for a, b in zip(row, q):
+                acc += (a - b) * (a - b)
+            d2.append(acc)
+        taken, total = set(), 0.0
+        for _ in range(k):
+            pick = min((i for i in range(len(d2)) if i not in taken), key=d2.__getitem__)
+            taken.add(pick)
+            total += train_y[pick]
+        out.append(total / k)
+    return out
+
+
+def test_kernels_match_scalar_loops():
+    rng = np.random.default_rng(99)
+    for case in range(150):
+        n, p = int(rng.integers(2, 30)), int(rng.integers(1, 6))
+        if case % 3 == 0:
+            X = rng.integers(0, 3, size=(n, p)).astype(np.float64)
+        elif case % 3 == 1:
+            X = rng.choice([-0.0, 0.0, np.nextafter(1.0, 0.0), 1.0], size=(n, p))
+        else:
+            X = rng.normal(size=(n, p))
+        y = rng.integers(0, 4, size=n).astype(np.float64) if case % 2 else rng.normal(size=n)
+        feat_idx = np.sort(rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False))
+        min_leaf = int(rng.integers(1, 5))
+        feat, thr, sse = loop_best_split(X, y, feat_idx, min_leaf)
+        assert run_split(X, y, feat_idx, min_leaf) == [
+            int(feat), float(thr).hex(), float(sse).hex()], case
+        queries = np.vstack([X[: n // 2], rng.integers(0, 3, size=(3, p))])
+        k = int(rng.integers(1, n + 1))
+        assert hexify(knn_neighbor_means(X, y, queries, k)) == \
+            hexify(loop_knn(X, y, queries, k)), case
