@@ -30,7 +30,7 @@ from .evaluate import (
     simulate_standings,
     zone_accuracy,
 )
-from .features import APPROACHES, FeatureBuilder, FeatureError
+from .features import APPROACHES, SIDES, FeatureBuilder, FeatureError
 from .heuristics import HEURISTICS, HeuristicError
 from .ingest import Dataset, IngestError, load_dataset, load_fixtures
 from .predict import (
@@ -282,23 +282,20 @@ def fnum(x) -> str:
     return repr(float(x))
 
 
-def train_pair(cfg: RunConfig, builder: FeatureBuilder, dataset: Dataset,
-               approach: str, technique: str):
-    """Fit home and away models of one technique on the training split."""
+def build_pair(builder: FeatureBuilder, fixtures, approach: str) -> dict:
+    """The home and away feature matrices of one approach, by side."""
+    return {side: builder.build_matrix(fixtures, approach, side) for side in SIDES}
+
+
+def train_pair(cfg: RunConfig, matrices: dict, technique: str) -> dict:
+    """Fit home and away models of one technique on their training matrices."""
     engine, params = technique_params(cfg, technique)
-    matrices = {}
-    models = {}
-    for side in ("home", "away"):
-        matrix = builder.build_matrix(dataset.train_fixtures, approach, side)
-        models[side] = fit_model(engine, matrix.X(), matrix.y(), params,
-                                 feature_names=matrix.feature_names)
-        matrices[side] = matrix
-    return models["home"], models["away"], matrices["home"], matrices["away"]
+    return {side: fit_model(engine, m.X(), m.y(), params, feature_names=m.feature_names)
+            for side, m in matrices.items()}
 
 
 def _train_manifest(cfg: RunConfig, label: str, approach: str, technique: str,
-                    home_model, away_model, home_matrix, away_matrix,
-                    schema_fp: str) -> dict:
+                    models: dict, matrices: dict, schema_fp: str) -> dict:
     manifest = {
         "format_version": FORMAT_VERSION,
         "command": "train",
@@ -310,17 +307,14 @@ def _train_manifest(cfg: RunConfig, label: str, approach: str, technique: str,
         "seed": cfg.seed,
         "data_fingerprint": data_fingerprint(cfg.data_dir),
         "schema_fingerprint": schema_fp,
-        "feature_count": home_model.n_features,
-        "rows": {"home": len(home_matrix.rows), "away": len(away_matrix.rows)},
-        "skipped": {"home": [list(s) for s in home_matrix.skipped],
-                    "away": [list(s) for s in away_matrix.skipped]},
+        "feature_count": models["home"].n_features,
+        "rows": {side: len(m.rows) for side, m in matrices.items()},
+        "skipped": {side: [list(s) for s in m.skipped] for side, m in matrices.items()},
     }
     if approach == "players":
-        manifest["coverage"] = {"home": home_matrix.coverage,
-                                "away": away_matrix.coverage}
+        manifest["coverage"] = {side: m.coverage for side, m in matrices.items()}
     if technique in ("svr", "svr-rbf"):
-        manifest["svr_status"] = {"home": home_model.status,
-                                  "away": away_model.status}
+        manifest["svr_status"] = {side: m.status for side, m in models.items()}
     return manifest
 
 
@@ -333,20 +327,19 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise UsageError("train requires --approach and --technique")
     dataset, builder = load_context(cfg)
     label = f"{cfg.approach}+{cfg.technique}"
-    home_model, away_model, home_matrix, away_matrix = train_pair(
-        cfg, builder, dataset, cfg.approach, cfg.technique)
+    matrices = build_pair(builder, dataset.train_fixtures, cfg.approach)
+    models = train_pair(cfg, matrices, cfg.technique)
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_model(home_model, out_dir / "model_home.json")
-    save_model(away_model, out_dir / "model_away.json")
+    for side, model in models.items():
+        save_model(model, out_dir / f"model_{side}.json")
     manifest = _train_manifest(cfg, label, cfg.approach, cfg.technique,
-                               home_model, away_model, home_matrix,
-                               away_matrix, builder.schema.fingerprint())
+                               models, matrices, builder.schema.fingerprint())
     write_json(out_dir / "train_manifest.json", manifest)
-    print(f"trained {label}: {len(home_matrix.rows)} home rows, "
-          f"{len(away_matrix.rows)} away rows, {home_model.n_features} features")
-    for side, matrix in (("home", home_matrix), ("away", away_matrix)):
+    print(f"trained {label}: {len(matrices['home'].rows)} home rows, "
+          f"{len(matrices['away'].rows)} away rows, {models['home'].n_features} features")
+    for side, matrix in matrices.items():
         for fid, reason in matrix.skipped:
             print(f"skipped {side} {fid}: {reason}")
     print(f"artifacts written to {out_dir}")
@@ -396,8 +389,10 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid_prediction_sets(cfg: RunConfig, dataset: Dataset,
-                          builder: FeatureBuilder) -> list[PredictionSet]:
+def _grid_prediction_sets(cfg: RunConfig, dataset: Dataset, builder: FeatureBuilder,
+                          train: dict) -> list[PredictionSet]:
+    """Heuristics, then every approach x technique; ``train`` holds each
+    approach's training matrices, and each test matrix is built once."""
     test = list(dataset.test_fixtures)
     psets = []
     for name in HEURISTICS:
@@ -405,12 +400,12 @@ def _grid_prediction_sets(cfg: RunConfig, dataset: Dataset,
                                        history=dataset.fixtures)
         psets.append(predictor.predict(test))
     for approach in APPROACHES:
+        test_matrices = build_pair(builder, test, approach)
         for technique in ML_TECHNIQUES:
-            home_model, away_model, _hm, _am = train_pair(
-                cfg, builder, dataset, approach, technique)
+            models = train_pair(cfg, train[approach], technique)
             pair = ModelPairPredictor(f"{approach}+{technique}", approach,
-                                      home_model, away_model, builder)
-            psets.append(pair.predict(test))
+                                      models["home"], models["away"], builder)
+            psets.append(pair.predict(test, test_matrices))
     return psets
 
 
@@ -431,12 +426,11 @@ def _single_prediction_set(cfg: RunConfig, args: argparse.Namespace):
     raise UsageError("evaluate needs --all, --model NAME, or --artifacts DIR")
 
 
-def _importance_rows(builder: FeatureBuilder, dataset: Dataset,
-                     approaches) -> list[list]:
+def _importance_rows(train: dict) -> list[list]:
+    """Chi-squared rankings of each approach's training matrices."""
     rows = []
-    for approach in approaches:
-        for side in ("home", "away"):
-            matrix = builder.build_matrix(dataset.train_fixtures, approach, side)
+    for approach, matrices in train.items():
+        for side, matrix in matrices.items():
             ranking = chi2_importance(matrix.X(), matrix.y(), matrix.feature_names)
             for feature, score in ranking:
                 rows.append([approach, side, feature, fnum(score)])
@@ -444,7 +438,7 @@ def _importance_rows(builder: FeatureBuilder, dataset: Dataset,
 
 
 def _evaluate_bundle(cfg: RunConfig, dataset: Dataset, psets: list,
-                     out_dir: Path, importance_approaches) -> dict:
+                     out_dir: Path) -> dict:
     """Write the full report bundle; returns the scenario value map."""
     by_id = {f.fixture_id: f for f in dataset.fixtures}
     fitness_rows = []
@@ -544,23 +538,23 @@ def _evaluate_bundle(cfg: RunConfig, dataset: Dataset, psets: list,
 
 
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    importance_approaches: tuple = ()
     if args.all:
         dataset, builder = load_context(cfg)
-        psets = _grid_prediction_sets(cfg, dataset, builder)
-        importance_approaches = STATS_APPROACHES
+        train = {a: build_pair(builder, dataset.train_fixtures, a) for a in APPROACHES}
+        psets = _grid_prediction_sets(cfg, dataset, builder, train)
+        importance = {a: train[a] for a in STATS_APPROACHES}
     else:
         psets, dataset, builder, approach = _single_prediction_set(cfg, args)
-        if approach in STATS_APPROACHES:
-            importance_approaches = (approach,)
+        importance = ({approach: build_pair(builder, dataset.train_fixtures, approach)}
+                      if approach in STATS_APPROACHES else {})
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _evaluate_bundle(cfg, dataset, psets, out_dir, importance_approaches)
-    if importance_approaches:
+    _evaluate_bundle(cfg, dataset, psets, out_dir)
+    if importance:
         write_csv(out_dir / "importance.csv",
                   ["approach", "side", "feature", "score"],
-                  _importance_rows(builder, dataset, importance_approaches))
+                  _importance_rows(importance))
     manifest = {
         "format_version": FORMAT_VERSION,
         "command": "evaluate",
@@ -581,7 +575,8 @@ def cmd_importance(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not cfg.approach:
         raise UsageError("importance requires --approach")
     dataset, builder = load_context(cfg)
-    rows = _importance_rows(builder, dataset, (cfg.approach,))
+    rows = _importance_rows(
+        {cfg.approach: build_pair(builder, dataset.train_fixtures, cfg.approach)})
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "importance.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, ["approach", "side", "feature", "score"], rows)

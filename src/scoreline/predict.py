@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .features import FeatureBuilder
+from .features import SIDES, FeatureBuilder
 from .heuristics import (
     HEURISTICS,
     StandingsTable,
@@ -91,14 +91,22 @@ class ModelPairPredictor:
         self.builder = builder
         self.require_target = require_target
 
-    def predict(self, fixtures: Sequence[Fixture]) -> PredictionSet:
+    def predict(self, fixtures: Sequence[Fixture],
+                matrices: dict | None = None) -> PredictionSet:
+        """One scoreline per fixture with a row on both sides.
+
+        ``matrices`` maps each side to this approach's feature matrix of
+        exactly ``fixtures``, when the caller has built them already;
+        otherwise they are built here.
+        """
         fixtures = _ordered(fixtures)
         if not fixtures:
             raise EmptyTestSet("no fixtures to predict")
-        home_m = self.builder.build_matrix(
-            fixtures, self.approach, "home", require_target=self.require_target)
-        away_m = self.builder.build_matrix(
-            fixtures, self.approach, "away", require_target=self.require_target)
+        if matrices is None:
+            matrices = {side: self.builder.build_matrix(
+                fixtures, self.approach, side, require_target=self.require_target)
+                for side in SIDES}
+        home_m, away_m = matrices["home"], matrices["away"]
         raw_home = dict(zip(home_m.fixture_ids(),
                             self.home_model.predict(home_m.X())))
         raw_away = dict(zip(away_m.fixture_ids(),

@@ -4,7 +4,8 @@ Every kernel is whole-array NumPy. Where a result depends on the order of
 a floating-point sum, the kernels add left to right (``np.cumsum``), never
 pairwise (``np.sum``), so each result equals that of a plain scalar loop
 bit for bit. The tests pin the outputs as hex goldens and compare them
-with scalar-loop references.
+with scalar-loop references; the kernel SVR's SMO solver, a loop of
+whole-array steps, is checked against scipy's SLSQP on the same dual.
 """
 
 from __future__ import annotations
@@ -101,78 +102,146 @@ def svr_kernel_objective(K, y, beta, b, c_reg, epsilon):
     return 0.5 * (beta @ k_beta) + c_reg * tube_loss(y - (k_beta + b), epsilon)
 
 
-def _subgradient_descent(y, coef, b, c_reg, epsilon, lr, max_iter, tol,
-                         check_every, predict, gradient, penalty):
-    """The loop shared by both SVR trainers.
+def svr_linear_train(X, y, c_reg, epsilon, lr, max_iter, tol, check_every):
+    """Full-batch subgradient descent on the linear epsilon-tube objective.
 
-    ``predict(coef)`` returns the model part of the fit without the bias
-    (``X @ w`` or ``K @ beta``); it is evaluated once per iterate and serves
-    that iterate's objective and the next step's residual.
-    ``gradient(coef, s)`` is the n-scaled subgradient of the coefficients
-    for residual signs ``s``, and ``penalty(coef, fit)`` the regularizer.
+    Steps follow lr/sqrt(t) on the 1/n-scaled objective (same minimizer,
+    row-count-independent step scale) and the best iterate seen is kept.
+    ``X @ w`` is evaluated once per iterate and serves that iterate's
+    objective and the next step's residual. Stops early once the best
+    objective improves by less than ``tol`` across a
+    ``check_every``-iteration window. Returns
+    ``(w, b, best_objective, iterations, converged)``.
     """
     n = y.shape[0]
-    fit = predict(coef)
+    w = np.zeros(X.shape[1], dtype=np.float64)
+    b = left_sum(y) / n
+    fit = X @ w
     r = y - (fit + b)
-    best_coef = coef.copy()
+    best_w = w.copy()
     best_b = b
-    best_obj = 0.5 * penalty(coef, fit) + c_reg * tube_loss(r, epsilon)
+    best_obj = 0.5 * (w @ w) + c_reg * tube_loss(r, epsilon)
     window_best = best_obj
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
         s = np.subtract(r > epsilon, r < -epsilon, dtype=np.float64)
-        gcoef = gradient(coef, s) / n
+        gw = (w - c_reg * (X.T @ s)) / n
         gb = -c_reg * np.sum(s) / n
         step = lr / math.sqrt(it)
-        coef = coef - step * gcoef
+        w = w - step * gw
         b = b - step * gb
-        fit = predict(coef)
+        fit = X @ w
         r = y - (fit + b)
-        obj = 0.5 * penalty(coef, fit) + c_reg * tube_loss(r, epsilon)
+        obj = 0.5 * (w @ w) + c_reg * tube_loss(r, epsilon)
         if obj < best_obj:
             best_obj = obj
-            best_coef = coef.copy()
+            best_w = w.copy()
             best_b = b
         if it % check_every == 0:
             if window_best - best_obj < tol:
                 converged = True
                 break
             window_best = best_obj
-    return best_coef, best_b, best_obj, it, converged
+    return best_w, best_b, best_obj, it, converged
 
 
-def svr_linear_train(X, y, c_reg, epsilon, lr, max_iter, tol, check_every):
-    """Full-batch subgradient descent on the linear epsilon-tube objective.
+TAU = 1e-12  # libsvm's floor for a non-positive pair curvature
 
-    Steps follow lr/sqrt(t) on the 1/n-scaled objective (same minimizer,
-    row-count-independent step scale) and the best iterate seen is kept.
-    Stops early once the best objective improves by less than ``tol``
-    across a ``check_every``-iteration window. Returns
-    ``(w, b, best_objective, iterations, converged)``.
+
+def svr_kernel_train(K, y, c_reg, epsilon, max_iter, tol):
+    """SMO on the epsilon-SVR dual, with libsvm's pair selection and bias.
+
+    The dual has 2n variables ``a = (alpha, alpha*)`` with signs
+    ``s = (+1, ..., -1, ...)``: minimize ``0.5 a'Qa + p'a`` subject to
+    ``s'a = 0`` and ``0 <= a <= C``, where ``p = (eps - y, eps + y)`` and
+    ``Q[t, u] = s_t s_u K[t mod n, u mod n]``. The equality constraint
+    keeps the bias unregularised. Each step picks the pair (i, j) by the
+    second-order working-set selection of Fan, Chen and Lin (JMLR 2005),
+    ties going to the lowest index, and solves the pair exactly. Rows of
+    ``Q`` are rows of ``K`` with signs applied, so nothing larger than
+    ``K`` is stored.
+
+    Stops when the KKT gap ``m(a) - M(a)`` is at most ``tol``, or after
+    ``max_iter`` steps. The bias is libsvm's: minus the mean of
+    ``s_t G_t`` over the free variables, or minus the midpoint of the
+    feasible interval when none is free. Returns ``(beta, b, objective,
+    iterations, converged, gap)`` with ``beta = alpha - alpha*`` and the
+    primal objective of :func:`svr_kernel_objective`.
     """
-    return _subgradient_descent(
-        y, np.zeros(X.shape[1], dtype=np.float64), left_sum(y) / y.shape[0],
-        c_reg, epsilon, lr, max_iter, tol, check_every,
-        predict=lambda w: X @ w,
-        gradient=lambda w, s: w - c_reg * (X.T @ s),
-        penalty=lambda w, _fit: w @ w)
+    n = y.shape[0]
+    s = np.concatenate((np.ones(n), -np.ones(n)))
+    alpha = np.zeros(2 * n)
+    grad = np.concatenate((epsilon - y, epsilon + y))  # G = Qa + p
+    diag = np.tile(np.diag(K), 2)
+    it = 0
+    while True:
+        at_upper, at_lower = alpha >= c_reg, alpha <= 0.0
+        up = np.where(s > 0, ~at_upper, ~at_lower)
+        low = np.where(s > 0, ~at_lower, ~at_upper)
+        v = -s * grad
+        v_up = np.where(up, v, -np.inf)
+        i = int(np.argmax(v_up))
+        gap = v_up[i] - np.min(np.where(low, v, np.inf))
+        if gap <= tol or it == max_iter:
+            break
+        k_i = np.tile(K[i % n], 2)
+        descent = v_up[i] - v
+        curvature = diag[i] + diag - 2.0 * k_i
+        curvature[curvature <= 0.0] = TAU
+        score = np.where(low & (descent > 0.0), -(descent * descent) / curvature, np.inf)
+        j = int(np.argmin(score))
 
+        quad = curvature[j]
+        a_i, a_j = alpha[i], alpha[j]
+        if s[i] != s[j]:
+            delta = (-grad[i] - grad[j]) / quad
+            diff = a_i - a_j
+            a_i += delta
+            a_j += delta
+            if diff > 0.0:
+                if a_j < 0.0:
+                    a_j, a_i = 0.0, diff
+                if a_i > c_reg:
+                    a_i, a_j = c_reg, c_reg - diff
+            else:
+                if a_i < 0.0:
+                    a_i, a_j = 0.0, -diff
+                if a_j > c_reg:
+                    a_j, a_i = c_reg, c_reg + diff
+        else:
+            delta = (grad[i] - grad[j]) / quad
+            total = a_i + a_j
+            a_i -= delta
+            a_j += delta
+            if total > c_reg:
+                if a_i > c_reg:
+                    a_i, a_j = c_reg, total - c_reg
+                if a_j > c_reg:
+                    a_j, a_i = c_reg, total - c_reg
+            else:
+                if a_j < 0.0:
+                    a_j, a_i = 0.0, total
+                if a_i < 0.0:
+                    a_i, a_j = 0.0, total
+        # G_u += Q[u, i] da_i + Q[u, j] da_j, with Q's signs factored out
+        change = (s[i] * (a_i - alpha[i])) * K[i % n] + (s[j] * (a_j - alpha[j])) * K[j % n]
+        grad[:n] += change
+        grad[n:] -= change
+        alpha[i], alpha[j] = a_i, a_j
+        it += 1
 
-def svr_kernel_train(K, y, c_reg, epsilon, lr, max_iter, tol, check_every):
-    """Subgradient descent on the kernel-expansion coefficients.
-
-    Same schedule and stopping rule as :func:`svr_linear_train`; ``K`` is
-    the precomputed train-by-train kernel matrix, so each iteration does
-    two n-by-n mat-vecs. Returns ``(beta, b, best_objective, iterations,
-    converged)``.
-    """
-    return _subgradient_descent(
-        y, np.zeros(K.shape[0], dtype=np.float64), left_sum(y) / y.shape[0],
-        c_reg, epsilon, lr, max_iter, tol, check_every,
-        predict=lambda beta: K @ beta,
-        gradient=lambda beta, s: K @ (beta - c_reg * s),
-        penalty=lambda beta, k_beta: beta @ k_beta)
+    sg = s * grad
+    free = ~(at_upper | at_lower)
+    if free.any():
+        rho = left_sum(sg[free]) / np.count_nonzero(free)
+    else:
+        upper = (at_upper & (s < 0)) | (at_lower & (s > 0))
+        rho = 0.5 * (np.min(sg[upper]) + np.max(sg[~upper]))
+    beta = alpha[:n] - alpha[n:]
+    b = -float(rho)
+    obj = svr_kernel_objective(K, y, beta, b, c_reg, epsilon)
+    return beta, b, obj, it, bool(gap <= tol), float(gap)
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,14 @@ def _matrix(payload: dict, key: str, width: int) -> np.ndarray:
     return arr
 
 
+def _positive(payload: dict, key: str) -> float:
+    value = payload[key]
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0.0 < value < math.inf):
+        raise BadArtifact(f"{key} is {value!r}, expected a finite positive number")
+    return float(value)
+
+
 def _scaler_from(payload: dict, n_features: int) -> Scaler:
     return Scaler(mean=_vector(payload, "scaler_mean", n_features),
                   std=_vector(payload, "scaler_std", n_features))
@@ -91,7 +100,7 @@ def _model_from(technique: str, payload: dict, n_features: int, names) -> ModelB
         if kernel == "rbf":
             train_X = _matrix(payload, "train_X", n_features)
             return SvrModel(**common, beta=_vector(payload, "beta", train_X.shape[0]),
-                            train_X=train_X, gamma=payload["gamma"])
+                            train_X=train_X, gamma=_positive(payload, "gamma"))
         raise BadArtifact(f"unknown SVR kernel {kernel!r}")
     raise BadArtifact(f"unknown technique {technique!r}")
 

@@ -1,4 +1,13 @@
-"""Epsilon-insensitive support vector regression (primal subgradient solver)."""
+"""Epsilon-insensitive support vector regression.
+
+Both kernels minimize 0.5*||w||^2 + C * sum(max(0, |y - f(x)| - epsilon))
+on standardized features, with an unregularised bias. The RBF kernel is
+trained by SMO on the dual (libsvm's solver), which stops once the KKT gap
+is at most ``tol``. The linear kernel is trained by primal subgradient
+descent with steps lr/sqrt(t), which stops once the best objective
+improves by less than ``tol`` over a ``check_every``-iteration window.
+Either solver stops at ``max_iter`` otherwise, with a NotConvergedWarning.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +20,7 @@ from .kernels import rbf_kernel, svr_kernel_train, svr_linear_train
 
 
 class NotConvergedWarning(RuntimeWarning):
-    """Solver hit max_iterations before the objective stabilized."""
+    """Solver hit max_iterations before its stopping rule held."""
 
 
 DEFAULT_LR = 0.5
@@ -77,13 +86,15 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
             tol: float = 1e-6, max_iter: int = 50_000, lr: float = DEFAULT_LR,
             check_every: int = DEFAULT_CHECK_EVERY, gamma="scale",
             feature_names=None) -> SvrModel:
-    """Fit SVR on standardized features by subgradient descent.
+    """Fit SVR on standardized features.
 
-    Minimizes 0.5*||w||^2 + C * sum of epsilon-insensitive residual losses,
-    keeping the best iterate. Training stops once the best objective stops
-    improving by `tol` over a `check_every`-iteration window, or at
-    `max_iter` (recorded as a non-converged status and warned about, never
-    raised).
+    Minimizes 0.5*||w||^2 + C * sum of epsilon-insensitive residual losses.
+    The RBF kernel runs SMO on the dual until the KKT gap is at most `tol`;
+    the linear kernel runs subgradient descent, keeping the best iterate,
+    until the best objective improves by less than `tol` over a
+    `check_every`-iteration window (`lr` and `check_every` apply to it
+    alone). Either stops at `max_iter` otherwise, recorded as a
+    non-converged status and warned about, never raised.
     """
     X, y = as_xy(X, y)
     if X.shape[0] < 2:
@@ -100,14 +111,14 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
     scaler = standardize_fit(X)
     Xs = np.ascontiguousarray(standardize_apply(scaler, X))
     yc = np.ascontiguousarray(y)
-    check = max(1, min(int(check_every), max_iter))
 
     params = {
         "C": float(C), "epsilon": float(epsilon), "kernel": kernel,
         "tol": float(tol), "max_iterations": int(max_iter),
-        "lr": float(lr), "check_every": check,
     }
     if kernel == "linear":
+        check = max(1, min(int(check_every), max_iter))
+        params.update(lr=float(lr), check_every=check)
         w, b, obj, iters, converged = svr_linear_train(
             Xs, yc, float(C), float(epsilon), float(lr), int(max_iter),
             float(tol), check)
@@ -115,21 +126,20 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
                   "objective": float(obj)}
         model = SvrModel("linear", scaler, params, status, X.shape[1],
                          feature_names=feature_names, w=w, b=b)
+        unmet = f"objective {obj:.6g} still improving"
     else:
         g = resolve_gamma(gamma, Xs)
         params["gamma"] = g
         K = np.ascontiguousarray(rbf_kernel(Xs, Xs, g))
-        beta, b, obj, iters, converged = svr_kernel_train(
-            K, yc, float(C), float(epsilon), float(lr), int(max_iter),
-            float(tol), check)
-        status = {"converged": bool(converged), "iterations": int(iters),
-                  "objective": float(obj)}
+        beta, b, obj, iters, converged, gap = svr_kernel_train(
+            K, yc, float(C), float(epsilon), int(max_iter), float(tol))
+        status = {"converged": converged, "iterations": int(iters),
+                  "objective": float(obj), "gap": gap}
         model = SvrModel("rbf", scaler, params, status, X.shape[1],
                          feature_names=feature_names, beta=beta, b=b,
                          train_X=Xs, gamma=g)
+        unmet = f"KKT gap {gap:.6g} above tol={float(tol):g}"
     if not status["converged"]:
-        warnings.warn(
-            f"SVR stopped at max_iterations={max_iter} with objective "
-            f"{status['objective']:.6g} still improving", NotConvergedWarning,
-            stacklevel=2)
+        warnings.warn(f"SVR stopped at max_iterations={max_iter} with {unmet}",
+                      NotConvergedWarning, stacklevel=2)
     return model

@@ -194,24 +194,27 @@ def _break_forest(payload):
 
 
 CORRUPTIONS = {
-    "lr": lambda payload: payload["coef"].pop(),
-    "knn": _break_knn,
-    "dtr": lambda payload: _split_root(payload["root"]).update(feature=10**6),
-    "rfr": _break_forest,
-    "svr": lambda payload: payload["w"].pop(),
-    "svr-rbf": lambda payload: payload["beta"].pop(),
+    "lr": ("lr", lambda payload: payload["coef"].pop()),
+    "knn": ("knn", _break_knn),
+    "dtr": ("dtr", lambda payload: _split_root(payload["root"]).update(feature=10**6)),
+    "rfr": ("rfr", _break_forest),
+    "svr": ("svr", lambda payload: payload["w"].pop()),
+    "svr-rbf": ("svr-rbf", lambda payload: payload["beta"].pop()),
+    "svr-rbf-gamma-null": ("svr-rbf", lambda payload: payload.update(gamma=None)),
+    "svr-rbf-gamma-negative": ("svr-rbf", lambda payload: payload.update(gamma=-5.0)),
 }
 
 
-@pytest.mark.parametrize("technique", sorted(CORRUPTIONS))
-def test_predict_rejects_corrupted_artifact(tmp_path, technique, capsys):
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_predict_rejects_corrupted_artifact(tmp_path, case, capsys):
+    technique, corrupt = CORRUPTIONS[case]
     artifacts = tmp_path / "artifacts"
     assert run("train", *base_args(artifacts), "--approach", "team_stats",
                "--technique", technique, "--forest-trees", 3,
                "--svr-max-iter", 200) == 0
     path = artifacts / "model_home.json"
     blob = json.loads(path.read_text())
-    CORRUPTIONS[technique](blob["payload"])
+    corrupt(blob["payload"])
     path.write_text(json.dumps(blob))
     capsys.readouterr()
     assert run("predict", "--out-dir", tmp_path, "--artifacts", artifacts,

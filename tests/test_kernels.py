@@ -1,7 +1,9 @@
 """The numeric kernels return pinned results, bit for bit.
 
-Each golden was taken from the scalar-loop implementation the vectorised
-kernels replaced. Floats travel as ``float.hex()`` strings, so every
+Each golden of the split, neighbour and linear SVR kernels was taken from
+the scalar-loop implementation the vectorised kernels replaced; the kernel
+SVR golden pins the SMO dual solver, which an independent SLSQP solve of
+the same dual checks. Floats travel as ``float.hex()`` strings, so every
 comparison is exact, not approximate. The inputs lean on the cases where a
 reordered sum or a different tie rule would show: tied and integer-valued
 columns, constant targets, equal distances and nodes at the edge of
@@ -10,6 +12,7 @@ randomized bit-for-bit comparison.
 """
 
 import numpy as np
+from scipy.optimize import minimize
 
 from scoreline.regress.kernels import (
     best_split,
@@ -71,8 +74,12 @@ def svr_data():
 # Arguments after (X, y): C, epsilon, lr, max_iter, tol, check_every.
 LINEAR_RUNS = {"stops_early": (1.0, 0.1, 0.5, 20_000, 1e-6, 100),
                "hits_cap": (1.0, 0.1, 0.5, 250, 1e-9, 100)}
-KERNEL_RUN = (1.0, 0.1, 0.5, 400, 1e-12, 100)
+# Arguments after (K, y): C, epsilon, max_iter, tol.
+KERNEL_RUNS = {"converges": (1.0, 0.1, 50_000, 1e-6),
+               "hits_cap": (1.0, 0.1, 20, 1e-6)}
 GAMMA = 0.3
+# the subgradient solver's objective after 400 iterations on svr_data()
+SUBGRADIENT_OBJECTIVE = "0x1.d6880f51f8e6ep+4"
 
 
 # ----------------------------------------------------------------- goldens
@@ -155,22 +162,44 @@ GOLDEN_RBF_ROWS = [
 ]
 
 GOLDEN_KERNEL = {
-    "coef": [
-        "0x1.5b4d6151ac86ep-1", "0x1.a9867be579966p-5", "0x1.b2bd739d7c9b7p-1",
-        "-0x1.00adab30375c0p-1", "-0x1.d6ea45d150fe8p-1", "0x1.17a7ff7eb76e0p-2",
-        "-0x1.10d87631a2b49p-2", "-0x1.bda065141da75p-5", "-0x1.2b0005a20690ep-1",
-        "0x1.4f0c883244e9fp-1", "-0x1.39ff5c2f65f77p-1", "0x1.d2546dbcdd08fp-2",
-        "0x1.e147ce1b4a50ap-7", "0x1.2eb77874c2059p-1", "0x1.affdd29e837bdp-4",
-        "-0x1.2055505b87ffep-1", "-0x1.9b3cf7f912841p-1", "-0x1.cb786f4b7cf82p-2",
-        "0x1.8ce7ff4882abep-1", "0x1.5cb45db3ff048p-3", "0x1.34aaf7825a8d5p-6",
-        "-0x1.ca0783a26b368p-2", "0x1.899da949394fbp-1", "-0x1.d8c8f275c00d6p-1",
-        "0x1.06712c0bbd339p-4", "-0x1.c117b431ff0bbp-1", "0x1.12810a560ec7dp-1",
-        "0x1.1031526619cd0p-2", "0x1.b4620749afb2ap-3", "0x1.0358577014febp-1",
-    ],
-    "b": "-0x1.242aea1821126p-5",
-    "obj": "0x1.d6880f51f8e6ep+4",
-    "it": 400,
-    "conv": False,
+    "converges": {
+        "coef": [
+            "0x1.0000000000000p+0", "0x1.9ecbb027384acp-9", "0x1.721ad6a7855aep-1",
+            "-0x1.0000000000000p+0", "-0x1.0000000000000p+0", "0x1.ad3311cbee1abp-4",
+            "-0x1.11cb15acfaa30p-1", "0x1.0000000000000p+0", "-0x1.fc2cd1d4b2deap-1",
+            "0x1.0000000000000p+0", "-0x1.0000000000000p+0", "0x1.0000000000000p+0",
+            "-0x1.047a23c5db358p-3", "0x1.b5b8ff56d6fecp-1", "-0x1.0000000000000p+0",
+            "-0x1.080e03e64d8bdp-4", "-0x1.0000000000000p+0", "-0x1.435d4600c8227p-1",
+            "0x1.0000000000000p+0", "0x0.0p+0", "0x1.388bdb9a89400p-1",
+            "0x0.0p+0", "0x1.0000000000000p+0", "-0x1.0000000000000p+0",
+            "-0x1.91cf04a0b7aafp-2", "-0x1.0000000000000p+0", "0x1.0000000000000p+0",
+            "-0x1.b1bd04c40cd87p-4", "0x1.1aefba5708fe6p-1", "0x0.0p+0",
+        ],
+        "b": "-0x1.62679301c6bf4p-7",
+        "obj": "0x1.c56b55b30dc55p+4",
+        "it": 105,
+        "conv": True,
+        "gap": "0x1.8a775c149c000p-21",
+    },
+    "hits_cap": {
+        "coef": [
+            "0x1.0000000000000p+0", "0x0.0p+0", "0x1.66afc3c4af434p-1",
+            "-0x1.0000000000000p+0", "-0x1.0000000000000p+0", "0x1.bc0d00bbcec3ap-4",
+            "-0x1.80bd318d2f9f6p-2", "0x1.0000000000000p+0", "-0x1.fa6a194b7a05ap-1",
+            "0x1.0000000000000p+0", "-0x1.0000000000000p+0", "0x1.0000000000000p+0",
+            "-0x1.303e5bb0a6eeep-3", "0x1.dab9956079a22p-1", "-0x1.0000000000000p+0",
+            "-0x1.28bf7fbda88d9p-3", "-0x1.0000000000000p+0", "-0x1.3fa1673968305p-1",
+            "0x1.0000000000000p+0", "0x0.0p+0", "0x1.ee493aa9f8a88p-2",
+            "0x0.0p+0", "0x1.0000000000000p+0", "-0x1.0000000000000p+0",
+            "-0x1.978c2ed6359d8p-2", "-0x1.0000000000000p+0", "0x1.0000000000000p+0",
+            "-0x1.148f9cba4bd82p-4", "0x1.0ef20497d31c6p-1", "0x0.0p+0",
+        ],
+        "b": "-0x1.48535d0b46804p-8",
+        "obj": "0x1.c6839d999eb78p+4",
+        "it": 20,
+        "conv": False,
+        "gap": "0x1.8228bd9cf7ea8p-5",
+    },
 }
 
 GOLDEN_OBJECTIVE = {
@@ -190,6 +219,11 @@ def run_svr(result):
     coef, b, obj, it, conv = result
     return {"coef": hexify(coef), "b": float(b).hex(), "obj": float(obj).hex(),
             "it": int(it), "conv": bool(conv)}
+
+
+def run_kernel_svr(result):
+    *head, gap = result
+    return {**run_svr(head), "gap": float(gap).hex()}
 
 
 def test_best_split_identical():
@@ -227,8 +261,71 @@ def test_rbf_and_kernel_svr_identical():
     X, y = svr_data()
     K = rbf_kernel(X, X, GAMMA)
     assert hexify(K[:3]) == GOLDEN_RBF_ROWS
-    assert run_svr(svr_kernel_train(K, y, *KERNEL_RUN)) == GOLDEN_KERNEL
-    assert GOLDEN_KERNEL["it"] == KERNEL_RUN[3] and GOLDEN_KERNEL["conv"] is False
+    for name, run in KERNEL_RUNS.items():
+        assert run_kernel_svr(svr_kernel_train(K, y, *run)) == GOLDEN_KERNEL[name], name
+    assert GOLDEN_KERNEL["converges"]["conv"] is True
+    assert GOLDEN_KERNEL["hits_cap"]["it"] == KERNEL_RUNS["hits_cap"][2]
+    assert float.fromhex(GOLDEN_KERNEL["hits_cap"]["gap"]) > KERNEL_RUNS["hits_cap"][3]
+
+
+def test_smo_objective_not_above_subgradient():
+    X, y = svr_data()
+    _beta, _b, obj, *_ = svr_kernel_train(rbf_kernel(X, X, GAMMA), y,
+                                          *KERNEL_RUNS["converges"])
+    assert obj <= float.fromhex(SUBGRADIENT_OBJECTIVE)
+
+
+def dual_objective(K, y, beta, epsilon):
+    """0.5 beta'K beta + eps * sum|beta| - y'beta: the dual at alpha =
+    max(beta, 0), alpha* = max(-beta, 0)."""
+    return 0.5 * beta @ K @ beta + epsilon * np.abs(beta).sum() - y @ beta
+
+
+def test_smo_matches_slsqp_dual():
+    """The same dual over (alpha, alpha*), solved by scipy's SLSQP."""
+    X, y = svr_data()
+    X, y = X[:25], y[:25]
+    n, c_reg, eps = 25, 1.0, 0.1
+    K = rbf_kernel(X, X, GAMMA)
+    signs = np.concatenate((np.ones(n), -np.ones(n)))
+
+    def dual(a):
+        beta = a[:n] - a[n:]
+        return 0.5 * beta @ K @ beta + eps * a.sum() - y @ beta
+
+    def dual_grad(a):
+        k_beta = K @ (a[:n] - a[n:])
+        return np.concatenate((k_beta + eps - y, -k_beta + eps + y))
+
+    ref = minimize(dual, np.zeros(2 * n), jac=dual_grad, method="SLSQP",
+                   bounds=[(0.0, c_reg)] * (2 * n),
+                   constraints=[{"type": "eq", "fun": lambda a: signs @ a,
+                                 "jac": lambda a: signs}],
+                   options={"ftol": 1e-15, "maxiter": 1000})
+    assert abs(signs @ ref.x) < 1e-9 and ref.x.min() > -1e-9 and ref.x.max() < c_reg + 1e-9
+    beta, _b, obj, _it, conv, _gap = svr_kernel_train(K, y, c_reg, eps, 50_000, 1e-6)
+    assert conv
+    assert abs(dual_objective(K, y, beta, eps) - ref.fun) <= 1e-6 * abs(ref.fun)
+    # strong duality: the primal objective is minus the dual optimum
+    assert abs(obj + ref.fun) <= 1e-6 * abs(ref.fun)
+
+
+def test_smo_solution_satisfies_kkt():
+    X, y = svr_data()
+    K = rbf_kernel(X, X, GAMMA)
+    c_reg, eps, _cap, tol = KERNEL_RUNS["converges"]
+    beta, b, _obj, _it, conv, gap = svr_kernel_train(K, y, *KERNEL_RUNS["converges"])
+    assert conv and gap <= tol
+    slack = tol + 1e-12
+    r = y - (K @ beta + b)
+    assert abs(beta.sum()) < 1e-12
+    assert np.all(np.abs(beta) <= c_reg)
+    zero, at_c = beta == 0.0, np.abs(beta) == c_reg
+    free = ~(zero | at_c)
+    assert free.any() and at_c.any()
+    assert np.all(np.abs(r[zero]) <= eps + slack)
+    assert np.all(np.abs(r[free] - eps * np.sign(beta[free])) <= slack)
+    assert np.all(np.sign(beta[at_c]) * r[at_c] >= eps - slack)
 
 
 def test_svr_objectives_identical():

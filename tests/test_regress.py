@@ -385,6 +385,36 @@ def test_svr_rbf_fits_nonlinear_shape():
     assert rbf_mae < lin_mae / 2
 
 
+def test_svr_rbf_reaches_kkt_optimum():
+    rng = np.random.default_rng(46)
+    X = rng.normal(size=(60, 3))
+    y = np.sin(X[:, 0]) + X[:, 1] ** 2 + rng.normal(scale=0.1, size=60)
+    model = fit_svr(X, y, C=2.0, epsilon=0.1, kernel="rbf", tol=1e-8)
+    assert model.status["converged"] and model.status["gap"] <= 1e-8
+    assert set(model.params) == {"C", "epsilon", "kernel", "tol", "max_iterations", "gamma"}
+    assert abs(model.beta.sum()) < 1e-12 and np.abs(model.beta).max() <= 2.0
+
+
+def test_svr_rbf_constant_target_inside_tube():
+    rng = np.random.default_rng(47)
+    X = rng.normal(size=(25, 3))
+    model = fit_svr(X, np.full(25, 1.5), epsilon=2.0, kernel="rbf")
+    assert np.all(model.beta == 0.0) and model.b == 1.5
+    assert np.all(model.predict(X) == 1.5)
+    assert model.status["iterations"] == 0 and model.status["converged"]
+    assert model.status["objective"] == 0.0
+
+
+def test_svr_rbf_cap_warns_with_kkt_gap():
+    rng = np.random.default_rng(48)
+    X = rng.normal(size=(30, 2))
+    y = rng.normal(size=30)
+    with pytest.warns(NotConvergedWarning, match="KKT gap .* above tol"):
+        model = fit_svr(X, y, kernel="rbf", max_iter=3)
+    assert not model.status["converged"] and model.status["iterations"] == 3
+    assert model.status["gap"] > model.params["tol"]
+
+
 def test_svr_validation():
     X, y = np.ones((5, 2)), np.ones(5)
     with pytest.raises(TooFewRows):
