@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -127,6 +128,30 @@ def parse_config_file(path) -> dict:
     return out
 
 
+def _parse_forest_features(raw):
+    if raw in ("sqrt", "all"):
+        return raw
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise UsageError(f'forest_features must be "sqrt", "all" or a positive int, got {raw!r}')
+    return value
+
+
+def _parse_gamma(raw):
+    if raw == "scale":
+        return raw
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise UsageError(f'svr_gamma must be "scale" or a positive finite number, got {raw!r}')
+    return value
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved run settings (defaults < config file < CLI flags)."""
@@ -179,6 +204,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"model must be one of {HEURISTICS}, got {values['model']!r}")
     if values["missing_odds"] not in MISSING_ODDS_POLICIES:
         raise UsageError(f"missing_odds must be one of {MISSING_ODDS_POLICIES}")
+    for key in _FLOAT_KEYS:
+        if not math.isfinite(values[key]):
+            raise UsageError(f"{key} must be a finite number, got {values[key]!r}")
     if values["test_size"] < 1:
         raise UsageError("test_size must be at least 1")
     if values["stake"] <= 0:
@@ -195,8 +223,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("svr_c must be positive")
     if values["svr_epsilon"] < 0:
         raise UsageError("svr_epsilon must be non-negative")
+    if values["svr_tol"] < 0:
+        raise UsageError("svr_tol must be non-negative")
+    if values["svr_lr"] <= 0:
+        raise UsageError("svr_lr must be positive")
     if values["svr_max_iter"] < 1:
         raise UsageError("svr_max_iter must be at least 1")
+    values["forest_features"] = _parse_forest_features(values["forest_features"])
+    values["svr_gamma"] = _parse_gamma(values["svr_gamma"])
 
     hyper_keys = ("knn_k", "tree_depth", "tree_min_leaf", "forest_trees",
                   "forest_features", "forest_bootstrap", "forest_fraction",
@@ -221,26 +255,20 @@ def technique_params(cfg: RunConfig, technique: str) -> tuple[str, dict]:
     if technique == "dtr":
         return "dtr", {"max_depth": h["tree_depth"], "min_leaf": h["tree_min_leaf"]}
     if technique == "rfr":
-        feats = h["forest_features"]
-        if isinstance(feats, str) and feats not in ("sqrt", "all"):
-            feats = int(feats)
         return "rfr", {
             "n_trees": h["forest_trees"], "max_depth": h["tree_depth"],
-            "min_leaf": h["tree_min_leaf"], "max_features": feats,
+            "min_leaf": h["tree_min_leaf"], "max_features": h["forest_features"],
             "bootstrap": h["forest_bootstrap"],
             "bootstrap_fraction": h["forest_fraction"], "seed": cfg.seed,
         }
     if technique in ("svr", "svr-rbf"):
-        gamma = h["svr_gamma"]
-        if isinstance(gamma, str) and gamma != "scale":
-            gamma = float(gamma)
         params = {
             "C": h["svr_c"], "epsilon": h["svr_epsilon"], "tol": h["svr_tol"],
             "max_iter": h["svr_max_iter"], "lr": h["svr_lr"],
             "kernel": "rbf" if technique == "svr-rbf" else "linear",
         }
         if technique == "svr-rbf":
-            params["gamma"] = gamma
+            params["gamma"] = h["svr_gamma"]
         return "svr", params
     raise UsageError(f"technique must be one of {ML_TECHNIQUES}, got {technique!r}")
 

@@ -13,15 +13,18 @@ Three matrix flavours share one builder:
 Every number is computed from archive records strictly before the fixture
 kickoff, within the fixture's season plus the immediately previous one, so
 rebuilding a row after deleting all records at or past kickoff reproduces
-it bit for bit. Aggregating is pure over the immutable dataset; rows can
-be built concurrently and are returned in kickoff order.
+it bit for bit. A matrix is built in one chronological pass: its rows are
+assembled in kickoff order, and each player, team and league window only
+moves forward, adding every record once to running sums in the order a
+fresh scan would, so a row equals the same row built alone bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from datetime import datetime
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,9 +107,76 @@ class FeatureMatrix:
 class _Rec(NamedTuple):
     kickoff: datetime
     fixture_id: str
+    player_id: str
     season: int
     group: str
-    stats: dict
+    stats: Mapping[str, float]
+
+
+_chronological = attrgetter("kickoff", "fixture_id", "player_id")
+
+
+class _Window:
+    """A forward-only cursor over one kickoff-sorted record list.
+
+    ``advance(as_of)`` adds, in list order, every record of the target
+    season or the one before it whose kickoff is before ``as_of``, so the
+    state equals a fresh scan of the window bit for bit. ``as_of`` must
+    not decrease over a window's life.
+    """
+
+    __slots__ = ("_records", "_seasons", "_pos")
+
+    def __init__(self, records: Sequence, season: int):
+        self._records = records
+        self._seasons = (season, season - 1)
+        self._pos = 0
+
+    def advance(self, as_of: datetime) -> None:
+        records, pos = self._records, self._pos
+        while pos < len(records) and records[pos].kickoff < as_of:
+            if records[pos].season in self._seasons:
+                self._add(records[pos])
+            pos += 1
+        self._pos = pos
+
+    def _add(self, rec) -> None:
+        raise NotImplementedError
+
+
+class _FormWindow(_Window):
+    """Running per-stat sums and the latest group over windowed ``_Rec``s."""
+
+    __slots__ = ("sums", "counts", "group")
+
+    def __init__(self, records: Sequence[_Rec], season: int):
+        super().__init__(records, season)
+        self.sums: dict[str, float] = {}
+        self.counts: dict[str, int] = {}
+        self.group: str | None = None  # None while the window is cold
+
+    def _add(self, rec: _Rec) -> None:
+        self.group = rec.group
+        sums, counts = self.sums, self.counts
+        for stat, value in rec.stats.items():
+            sums[stat] = sums.get(stat, 0.0) + value
+            counts[stat] = counts.get(stat, 0) + 1
+
+    def means(self) -> dict[str, float]:
+        return {stat: self.sums[stat] / self.counts[stat] for stat in self.sums}
+
+
+class _SquadWindow(_Window):
+    """Every player with a windowed appearance for one team."""
+
+    __slots__ = ("players",)
+
+    def __init__(self, records: Sequence[_Rec], season: int):
+        super().__init__(records, season)
+        self.players: set[str] = set()
+
+    def _add(self, rec: _Rec) -> None:
+        self.players.add(rec.player_id)
 
 
 class FeatureBuilder:
@@ -122,23 +192,20 @@ class FeatureBuilder:
 
         by_id = {f.fixture_id: f for f in dataset.fixtures}
         self._player_records: dict[str, list[_Rec]] = {}
-        self._all_records: list[tuple[_Rec, str]] = []  # (record, player_id)
-        self._team_appearances: dict[str, list[tuple[datetime, int, str]]] = {}
+        self._all_records: list[_Rec] = []
+        self._team_appearances: dict[str, list[_Rec]] = {}
         for rec in dataset.stats.records():
             fixture = by_id[rec.fixture_id]
-            entry = _Rec(fixture.kickoff, fixture.fixture_id, fixture.season, rec.position_group, dict(rec.stats))
+            # The dataset is immutable, so the record's own mapping is held.
+            entry = _Rec(fixture.kickoff, fixture.fixture_id, rec.player_id, fixture.season,
+                         rec.position_group, rec.stats)
             self._player_records.setdefault(rec.player_id, []).append(entry)
-            self._all_records.append((entry, rec.player_id))
+            self._all_records.append(entry)
             team = _attributed_team(fixture, rec.player_id)
             if team is not None:
-                self._team_appearances.setdefault(team, []).append(
-                    (fixture.kickoff, fixture.season, rec.player_id)
-                )
-        for recs in self._player_records.values():
-            recs.sort(key=lambda r: (r.kickoff, r.fixture_id))
-        self._all_records.sort(key=lambda item: (item[0].kickoff, item[0].fixture_id, item[1]))
-        for apps in self._team_appearances.values():
-            apps.sort()
+                self._team_appearances.setdefault(team, []).append(entry)
+        for recs in (self._all_records, *self._player_records.values(), *self._team_appearances.values()):
+            recs.sort(key=_chronological)
 
         universe = set()
         for f in dataset.train_fixtures:
@@ -148,56 +215,44 @@ class FeatureBuilder:
         self.player_universe: tuple[str, ...] = tuple(sorted(universe))
         self._universe_index = {p: i for i, p in enumerate(self.player_universe)}
 
-        self._league_cache: dict[tuple[int, datetime], dict[str, float]] = {}
-
     # -- per-player aggregation ------------------------------------------
 
-    def player_form_average(self, player_id: str, as_of: datetime, season: int):
+    def _window(self, key: tuple, as_of: datetime, windows: dict | None):
+        """Window ``key`` advanced to ``as_of``: fresh, or kept in ``windows``.
+
+        A key is ("form", player_id, season), with player_id None for the
+        whole league, or ("squad", team, season). One build keeps its
+        windows in one dict; its kickoffs never decrease.
+        """
+        windows = {} if windows is None else windows
+        window = windows.get(key)
+        if window is None:
+            kind, name, season = key
+            if kind == "squad":
+                window = _SquadWindow(self._team_appearances.get(name, ()), season)
+            else:
+                records = self._all_records if name is None else self._player_records.get(name, ())
+                window = _FormWindow(records, season)
+            windows[key] = window
+        window.advance(as_of)
+        return window
+
+    def player_form_average(self, player_id: str, as_of: datetime, season: int, windows: dict | None = None):
         """Per-stat mean over the player's windowed matches, or None if cold.
 
         The window is every match strictly before ``as_of`` in the given
         season plus every match of the season before it. A stat missing
         from a record is unmeasured, not zero.
         """
-        sums: dict[str, float] = {}
-        counts: dict[str, int] = {}
-        hit = False
-        for rec in self._player_records.get(player_id, ()):
-            if rec.kickoff >= as_of or rec.season not in (season, season - 1):
-                continue
-            hit = True
-            for stat, value in rec.stats.items():
-                sums[stat] = sums.get(stat, 0.0) + value
-                counts[stat] = counts.get(stat, 0) + 1
-        if not hit:
-            return None
-        return {stat: sums[stat] / counts[stat] for stat in sums}
+        window = self._window(("form", player_id, season), as_of, windows)
+        return window.means() if window.group is not None else None
 
-    def _group_of(self, player_id: str, as_of: datetime, season: int) -> str | None:
+    def _group_of(self, player_id: str, as_of: datetime, season: int, windows: dict | None = None) -> str | None:
         """Position group from the player's most recent windowed record."""
-        group = None
-        for rec in self._player_records.get(player_id, ()):
-            if rec.kickoff >= as_of or rec.season not in (season, season - 1):
-                continue
-            group = rec.group
-        return group
+        return self._window(("form", player_id, season), as_of, windows).group
 
-    def _league_means(self, as_of: datetime, season: int) -> dict[str, float]:
-        key = (season, as_of)
-        cached = self._league_cache.get(key)
-        if cached is not None:
-            return cached
-        sums: dict[str, float] = {}
-        counts: dict[str, int] = {}
-        for rec, _pid in self._all_records:
-            if rec.kickoff >= as_of or rec.season not in (season, season - 1):
-                continue
-            for stat, value in rec.stats.items():
-                sums[stat] = sums.get(stat, 0.0) + value
-                counts[stat] = counts.get(stat, 0) + 1
-        means = {stat: sums[stat] / counts[stat] for stat in sums}
-        self._league_cache[key] = means
-        return means
+    def _league_means(self, as_of: datetime, season: int, windows: dict | None = None) -> dict[str, float]:
+        return self._window(("form", None, season), as_of, windows).means()
 
     def group_aggregate(
         self,
@@ -206,15 +261,19 @@ class FeatureBuilder:
         as_of: datetime,
         season: int,
         stat_names: Sequence[str],
+        windows: dict | None = None,
     ) -> tuple[list[float], bool]:
         """Mean of the pool's per-player form averages for one group.
 
         Cold players (no windowed record) are ignored; if nobody in the
         pool covers a stat the league-wide windowed mean substitutes, and
-        the returned flag reports that any fallback was used.
+        the returned flag reports that any fallback was used. ``windows``
+        are one build's, carried over from its earlier kickoffs; without
+        them every window starts fresh.
         """
-        members = [p for p in players if self._group_of(p, as_of, season) == group]
-        forms = {p: self.player_form_average(p, as_of, season) for p in members}
+        windows = {} if windows is None else windows
+        members = [p for p in players if self._group_of(p, as_of, season, windows) == group]
+        forms = {p: self.player_form_average(p, as_of, season, windows) for p in members}
         values: list[float] = []
         used_fallback = False
         league = None
@@ -224,7 +283,7 @@ class FeatureBuilder:
                 values.append(sum(vals) / len(vals))
                 continue
             if league is None:
-                league = self._league_means(as_of, season)
+                league = self._league_means(as_of, season, windows)
             if stat not in league:
                 raise EmptyGroup(group, stat)
             values.append(league[stat])
@@ -233,17 +292,18 @@ class FeatureBuilder:
 
     # -- row assembly -----------------------------------------------------
 
-    def _assemble_stats_row(self, fixture: Fixture, side: str, own_pool, opp_pool) -> FeatureRow:
+    def _assemble_stats_row(self, fixture: Fixture, side: str, own_pool, opp_pool, windows: dict | None) -> FeatureRow:
         as_of, season = fixture.kickoff, fixture.season
+        windows = {} if windows is None else windows
         values: list[float] = []
         fallbacks: list[str] = []
         for group in OFFENSIVE_GROUPS:
-            vec, fb = self.group_aggregate(own_pool, group, as_of, season, self.schema.offensive[group])
+            vec, fb = self.group_aggregate(own_pool, group, as_of, season, self.schema.offensive[group], windows)
             values.extend(vec)
             if fb:
                 fallbacks.append(f"own:{group}")
         for group in DEFENSIVE_GROUPS:
-            vec, fb = self.group_aggregate(opp_pool, group, as_of, season, self.schema.defensive[group])
+            vec, fb = self.group_aggregate(opp_pool, group, as_of, season, self.schema.defensive[group], windows)
             values.extend(vec)
             if fb:
                 fallbacks.append(f"opp:{group}")
@@ -255,31 +315,27 @@ class FeatureBuilder:
             fallback_groups=tuple(fallbacks),
         )
 
-    def assemble_lineup_features(self, fixture: Fixture, side: str) -> FeatureRow:
+    def assemble_lineup_features(self, fixture: Fixture, side: str, windows: dict | None = None) -> FeatureRow:
         """52-feature row from the two starting elevens."""
         if not fixture.has_lineups():
             raise MissingLineup(fixture.fixture_id)
         opp = "away" if side == "home" else "home"
-        return self._assemble_stats_row(fixture, side, fixture.lineup(side), fixture.lineup(opp))
+        return self._assemble_stats_row(fixture, side, fixture.lineup(side), fixture.lineup(opp), windows)
 
-    def _squad(self, team: str, as_of: datetime, season: int) -> tuple[str, ...]:
-        players = {
-            pid
-            for kickoff, rec_season, pid in self._team_appearances.get(team, ())
-            if kickoff < as_of and rec_season in (season, season - 1)
-        }
-        return tuple(sorted(players))
+    def _squad(self, team: str, as_of: datetime, season: int, windows: dict | None = None) -> tuple[str, ...]:
+        # Sorted, because the pool order fixes group_aggregate's summation order.
+        return tuple(sorted(self._window(("squad", team, season), as_of, windows).players))
 
-    def assemble_team_features(self, fixture: Fixture, side: str) -> FeatureRow:
+    def assemble_team_features(self, fixture: Fixture, side: str, windows: dict | None = None) -> FeatureRow:
         """52-feature row averaging every windowed squad member, lineups ignored."""
         opp = "away" if side == "home" else "home"
         own_team, opp_team = fixture.team(side), fixture.team(opp)
         for team in (own_team, opp_team):
             if team not in self._team_appearances:
                 raise UnknownTeam(team)
-        own_pool = self._squad(own_team, fixture.kickoff, fixture.season)
-        opp_pool = self._squad(opp_team, fixture.kickoff, fixture.season)
-        return self._assemble_stats_row(fixture, side, own_pool, opp_pool)
+        own_pool = self._squad(own_team, fixture.kickoff, fixture.season, windows)
+        opp_pool = self._squad(opp_team, fixture.kickoff, fixture.season, windows)
+        return self._assemble_stats_row(fixture, side, own_pool, opp_pool, windows)
 
     def encode_players(self, fixture: Fixture, side: str) -> FeatureRow:
         """Membership row over the training player universe.
@@ -333,6 +389,7 @@ class FeatureBuilder:
             names = self.schema.feature_names(side)
         matrix = FeatureMatrix(approach=approach, side=side, feature_names=names)
         ordered = sorted(fixtures, key=lambda f: (f.kickoff, f.fixture_id))
+        windows: dict = {}  # this build's windows; kickoffs only move forward
         for fixture in ordered:
             if require_target and fixture.goals(side) is None:
                 matrix.skipped.append((fixture.fixture_id, "missing result"))
@@ -343,9 +400,9 @@ class FeatureBuilder:
                     matrix.players_listed += len(fixture.home_lineup) + len(fixture.away_lineup)
                     matrix.players_dropped += row.dropped_players
                 elif approach == "lineup_stats":
-                    row = self.assemble_lineup_features(fixture, side)
+                    row = self.assemble_lineup_features(fixture, side, windows)
                 else:
-                    row = self.assemble_team_features(fixture, side)
+                    row = self.assemble_team_features(fixture, side, windows)
             except (MissingLineup, EmptyGroup, UnknownTeam) as exc:
                 matrix.skipped.append((fixture.fixture_id, str(exc)))
                 continue

@@ -123,6 +123,19 @@ def test_hyperparameter_validation_returns_2(tmp_path):
                "--technique", "rfr", "--forest-fraction", 1.5) == 2
     assert run("train", *base_args(tmp_path), "--approach", "players",
                "--technique", "svr", "--svr-c", -1.0) == 2
+    bad = [(key, "nan") for key in ("stake", "forest_fraction", "svr_c",
+                                    "svr_epsilon", "svr_tol", "svr_lr")]
+    bad += [("svr_c", "inf"), ("svr_tol", "-1"), ("svr_lr", "-1"), ("svr_lr", "0"),
+            ("svr_gamma", "abc"), ("svr_gamma", "-0.5"), ("svr_gamma", "nan"),
+            ("forest_features", "abc"), ("forest_features", "0")]
+    for key, value in bad:
+        flag = "--" + key.replace("_", "-")
+        assert run("train", *base_args(tmp_path), "--approach", "players",
+                   "--technique", "svr", flag, value) == 2, (flag, value)
+        conf = tmp_path / f"{key}.conf"
+        conf.write_text(f"{key} = {value}\n", encoding="utf-8")
+        assert run("train", *base_args(tmp_path), "--approach", "players",
+                   "--technique", "svr", "--config", conf) == 2, (key, value)
 
 
 # ----------------------------------------------------------------- predict

@@ -1,7 +1,8 @@
 """Feature assembly: schemas, walk-forward windows, and the three encodings."""
 
 import csv
-from datetime import datetime
+import random
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from helpers import assert_no_lookahead, fx, mini_dataset, rec
 
 from scoreline.features import (
     APPROACHES,
+    SIDES,
     EmptyGroup,
     FeatureBuilder,
     MissingLineup,
@@ -507,3 +509,159 @@ def test_build_matrix_require_target(dataset, builder):
     assert matrix.rows[0].target is None
     got = builder.build_matrix([bare, fixture], "team_stats", "home")
     assert [fid for fid, _ in got.skipped] == ["U1"]
+
+
+# ------------------------------------------------- one chronological pass
+
+
+class ScanBuilder(FeatureBuilder):
+    """Scalar reference: every window rescanned from its own record lists.
+
+    These are the per-row scans the chronological pass replaced; each
+    call walks a player's, team's or the league's whole history.
+    """
+
+    def __init__(self, dataset):
+        super().__init__(dataset)
+        by_id = {f.fixture_id: f for f in dataset.fixtures}
+        self.scan_player: dict[str, list] = {}
+        self.scan_league: list = []
+        self.scan_team: dict[str, list] = {}
+        for r in dataset.stats.records():
+            f = by_id[r.fixture_id]
+            entry = (f.kickoff, f.fixture_id, f.season, r.position_group, dict(r.stats))
+            self.scan_player.setdefault(r.player_id, []).append(entry)
+            self.scan_league.append((entry, r.player_id))
+            for lineup, team in ((f.home_lineup, f.home_team), (f.away_lineup, f.away_team)):
+                if lineup and r.player_id in lineup:
+                    self.scan_team.setdefault(team, []).append((f.kickoff, f.season, r.player_id))
+                    break
+        for entries in self.scan_player.values():
+            entries.sort(key=lambda e: (e[0], e[1]))
+        self.scan_league.sort(key=lambda item: (item[0][0], item[0][1], item[1]))
+
+    @staticmethod
+    def _sums(entries, as_of, season):
+        sums, counts, hit = {}, {}, False
+        for kickoff, _fid, rec_season, _group, stats in entries:
+            if kickoff >= as_of or rec_season not in (season, season - 1):
+                continue
+            hit = True
+            for stat, value in stats.items():
+                sums[stat] = sums.get(stat, 0.0) + value
+                counts[stat] = counts.get(stat, 0) + 1
+        return {stat: sums[stat] / counts[stat] for stat in sums}, hit
+
+    def player_form_average(self, player_id, as_of, season, windows=None):
+        means, hit = self._sums(self.scan_player.get(player_id, ()), as_of, season)
+        return means if hit else None
+
+    def _group_of(self, player_id, as_of, season, windows=None):
+        group = None
+        for kickoff, _fid, rec_season, rec_group, _stats in self.scan_player.get(player_id, ()):
+            if kickoff < as_of and rec_season in (season, season - 1):
+                group = rec_group
+        return group
+
+    def _league_means(self, as_of, season, windows=None):
+        return self._sums([entry for entry, _pid in self.scan_league], as_of, season)[0]
+
+    def _squad(self, team, as_of, season, windows=None):
+        return tuple(sorted({pid for kickoff, rec_season, pid in self.scan_team.get(team, ())
+                             if kickoff < as_of and rec_season in (season, season - 1)}))
+
+
+def walk_forward_dataset():
+    """Three seasons of a four-club league with every window edge case.
+
+    Two fixtures share each round's kickoff; ``a5`` moves from MF to FW
+    midway through 2020; one MF stat is missing from some records and
+    club D's forwards never record the first FW stat (an own:FW league
+    fallback); ``b_new`` debuts cold in 2021; fixture ``NL`` has records
+    but no lineups; the last six fixtures are the test split.
+    """
+    rng = random.Random(11)
+    schema = default_schema()
+    slots = {"GK": [0, 11], "DF": [1, 2, 3, 4, 12], "MF": [5, 6, 7, 8, 13], "FW": [9, 10]}
+    sizes = {"GK": 1, "DF": 4, "MF": 4, "FW": 2}
+    pairings = [(("A", "B"), ("C", "D")), (("A", "C"), ("B", "D")), (("A", "D"), ("B", "C"))]
+    fixtures, lineups = [], {}
+    for s, season in enumerate((2019, 2020, 2021)):
+        for r, pairs in enumerate(pairings + [[(a, h) for h, a in p] for p in pairings]):
+            day = 400 * s + 7 * r
+            for home, away in pairs:
+                fid = f"S{season}R{r}{home}{away}"
+                sides = []
+                for team in (home, away):
+                    lineup = [f"{team.lower()}{i}" for group in ("GK", "DF", "MF", "FW")
+                              for i in sorted(rng.sample(slots[group], sizes[group]))]
+                    if team == "B" and season == 2021 and r == 3:
+                        lineup[-1] = "b_new"
+                    sides.append(lineup)
+                lineups[fid] = sides
+                fixtures.append(fx(fid, day, home, away, rng.randint(0, 3), rng.randint(0, 3),
+                                   season=season, home_lineup=sides[0], away_lineup=sides[1]))
+    fixtures.append(fx("NL", 402, "A", "B", 1, 1, season=2020))
+    lineups["NL"] = [["a1", "a5", "b9"], []]
+
+    def group_of(pid, kickoff):
+        if pid == "a5" and kickoff >= fixtures[0].kickoff + timedelta(days=403):
+            return "FW"
+        if pid == "b_new":
+            return "FW"
+        index = int(pid[1:])
+        return next(g for g, members in slots.items() if index in members)
+
+    records = []
+    for f in fixtures:
+        for pid in sum(lineups[f.fixture_id], []):
+            group = group_of(pid, f.kickoff)
+            names = list(schema.offensive.get(group, ())) + list(schema.defensive.get(group, ()))
+            stats = {name: rng.random() * 4 for name in dict.fromkeys(names)}
+            if group == "MF" and rng.random() < 0.3:
+                del stats[schema.offensive["MF"][1]]
+            if group == "FW" and pid.startswith("d"):
+                del stats[schema.offensive["FW"][0]]
+            records.append(rec(pid, f.fixture_id, group, **stats))
+    return mini_dataset(fixtures, records, split_index=len(fixtures) - 6)
+
+
+def assert_same_matrix(got, want):
+    assert got.fixture_ids() == want.fixture_ids()
+    for g, w in zip(got.rows, want.rows):
+        assert g.values.tobytes() == w.values.tobytes(), g.fixture_id
+        assert (g.target, g.fallback_groups, g.dropped_players) == (
+            w.target, w.fallback_groups, w.dropped_players)
+    assert got.skipped == want.skipped
+    assert (got.players_listed, got.players_dropped) == (want.players_listed, want.players_dropped)
+
+
+def test_chronological_pass_matches_scans_bitwise():
+    dataset = walk_forward_dataset()
+    builder, reference = FeatureBuilder(dataset), ScanBuilder(dataset)
+    shuffled = list(dataset.fixtures)
+    random.Random(3).shuffle(shuffled)
+    fallbacks, skips = set(), set()
+    # The full sweep runs first, so a window carried into a later build
+    # would serve the test split from its end state.
+    for fixtures in (shuffled, dataset.test_fixtures, dataset.train_fixtures):
+        for approach in APPROACHES:
+            for side in SIDES:
+                got = builder.build_matrix(fixtures, approach, side)
+                assert_same_matrix(got, reference.build_matrix(fixtures, approach, side))
+                fallbacks.update(g for row in got.rows for g in row.fallback_groups)
+                skips.update(reason.split(" ")[0] for _fid, reason in got.skipped)
+    assert "own:FW" in fallbacks and {"fixture", "no"} <= skips
+
+    # Direct calls after the builds, at decreasing kickoffs, use fresh windows.
+    for fixture in reversed(dataset.fixtures):
+        as_of, season = fixture.kickoff, fixture.season
+        for pid in ("a5", "b_new", "d9", "c13", "nobody"):
+            assert builder._group_of(pid, as_of, season) == reference._group_of(pid, as_of, season)
+            got = builder.player_form_average(pid, as_of, season)
+            want = reference.player_form_average(pid, as_of, season)
+            assert repr(got) == repr(want)
+        assert repr(builder._league_means(as_of, season)) == repr(reference._league_means(as_of, season))
+        for team in "ABCD":
+            assert builder._squad(team, as_of, season) == reference._squad(team, as_of, season)
+    assert {builder._group_of("a5", f.kickoff, 2020) for f in dataset.fixtures} >= {"MF", "FW"}
