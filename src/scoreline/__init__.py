@@ -12,7 +12,7 @@ flat-stake betting backtest and chi-squared feature importance.
 from .features import APPROACHES, FeatureBuilder
 from .heuristics import HEURISTICS
 from .ingest import Dataset, load_dataset
-from .predict import predict_scorelines, round_goals
+from .predict import round_goals
 from .regress import fit_model
 from .schema import FeatureSchema, default_schema, load_schema
 
@@ -28,7 +28,6 @@ __all__ = [
     "fit_model",
     "load_dataset",
     "load_schema",
-    "predict_scorelines",
     "round_goals",
     "__version__",
 ]

@@ -15,8 +15,9 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .evaluate import (
     EvaluateError,
@@ -45,7 +46,12 @@ from .predict import (
 from .regress import RegressError, StoreError, fit_model, load_model, save_model
 from .schema import SchemaError, default_schema, load_schema
 
-ML_TECHNIQUES = ("lr", "knn", "dtr", "rfr", "svr", "svr-rbf")
+# each CLI technique's engine and the fit keywords it fixes
+TECHNIQUE_ENGINES = {
+    "lr": ("lr", {}), "knn": ("knn", {}), "dtr": ("dtr", {}), "rfr": ("rfr", {}),
+    "svr": ("svr", {"kernel": "linear"}), "svr-rbf": ("svr", {"kernel": "rbf"}),
+}
+ML_TECHNIQUES = tuple(TECHNIQUE_ENGINES)
 SCENARIOS = ("home", "away", "betting", "standings", "top4", "relegation")
 HIGHER_IS_BETTER = {
     "home": False, "away": False, "betting": True,
@@ -66,27 +72,6 @@ class MissingArtifact(Exception):
 
 # ------------------------------------------------------------------ config
 
-_INT_KEYS = ("test_size", "seed", "knn_k", "tree_depth", "tree_min_leaf",
-             "forest_trees", "svr_max_iter")
-_FLOAT_KEYS = ("stake", "forest_fraction", "svr_c", "svr_epsilon", "svr_tol",
-               "svr_lr")
-_BOOL_KEYS = ("forest_bootstrap",)
-_STR_KEYS = ("data_dir", "out_dir", "approach", "technique", "model", "schema",
-             "missing_odds", "forest_features", "svr_gamma")
-CONFIG_KEYS = _INT_KEYS + _FLOAT_KEYS + _BOOL_KEYS + _STR_KEYS
-
-DEFAULTS = {
-    "data_dir": None, "out_dir": "runs", "test_size": 100,
-    "approach": None, "technique": None, "model": None,
-    "seed": 0, "schema": None, "stake": 1.0, "missing_odds": "skip",
-    "knn_k": 5, "tree_depth": 6, "tree_min_leaf": 5,
-    "forest_trees": 100, "forest_features": "sqrt",
-    "forest_bootstrap": True, "forest_fraction": 1.0,
-    "svr_c": 1.0, "svr_epsilon": 0.1, "svr_tol": 1e-6,
-    "svr_max_iter": 50_000, "svr_lr": 0.5, "svr_gamma": "scale",
-}
-
-
 def _parse_bool(raw: str, key: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -94,38 +79,6 @@ def _parse_bool(raw: str, key: str) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise UsageError(f"config key {key} expects a boolean, got {raw!r}")
-
-
-def parse_config_file(path) -> dict:
-    """key = value lines; blank lines and full-line # comments ignored."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    out = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise UsageError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            if key in _INT_KEYS:
-                out[key] = int(raw)
-            elif key in _FLOAT_KEYS:
-                out[key] = float(raw)
-            elif key in _BOOL_KEYS:
-                out[key] = _parse_bool(raw, key)
-            else:
-                out[key] = raw
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from exc
-    return out
 
 
 def _parse_forest_features(raw):
@@ -152,35 +105,136 @@ def _parse_gamma(raw):
     return value
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run settings (defaults < config file < CLI flags)."""
+class Setting(NamedTuple):
+    """One run setting. Its config key is ``name`` and its flag is ``flag``,
+    by default ``--`` plus the name with ``-`` for ``_``.
 
-    data_dir: str | None
-    out_dir: str
-    test_size: int
-    approach: str | None
-    technique: str | None
-    model: str | None
-    seed: int
-    schema: str | None
-    stake: float
-    missing_odds: str
-    hyper: tuple[tuple[str, object], ...]
+    ``kind`` is int, float, bool or str, a tuple of choices, or a parser
+    that turns the merged text into a value and checks it. ``valid`` is a
+    (predicate, "what the value must be") pair. ``engine`` maps each
+    technique the setting feeds to its fit keyword.
+    """
 
-    def hyper_dict(self) -> dict:
-        return dict(self.hyper)
+    name: str
+    kind: object = str
+    default: object = None
+    valid: tuple | None = None
+    engine: dict = {}
+    help: str = ""
+    flag: str | None = None
+
+    def read(self, raw: str):
+        """A config file's text as this setting's type."""
+        if self.kind in (int, float):
+            return self.kind(raw)
+        if self.kind is bool:
+            return _parse_bool(raw, self.name)
+        return raw
+
+    def resolve(self, value):
+        """The merged value, parsed and range-checked."""
+        if isinstance(self.kind, tuple):
+            if value is not None and value not in self.kind:
+                raise UsageError(f"{self.name} must be one of {self.kind}, got {value!r}")
+        elif self.kind not in (int, float, bool, str):
+            return self.kind(value)
+        elif self.kind is float and not math.isfinite(value):
+            raise UsageError(f"{self.name} must be a finite number, got {value!r}")
+        if self.valid is not None and not self.valid[0](value):
+            raise UsageError(f"{self.name} must be {self.valid[1]}, got {value!r}")
+        return value
+
+    def add_flag(self, group) -> None:
+        shown = ("on" if self.default else "off") if self.kind is bool else self.default
+        kwargs = {"dest": self.name, "help": f"{self.help} (default: {shown})"}
+        if self.kind is bool:
+            kwargs.update(action="store_const", const=not self.default)
+        elif isinstance(self.kind, tuple):
+            kwargs.update(choices=self.kind)
+        elif self.kind in (int, float):
+            kwargs.update(type=self.kind)
+        group.add_argument(self.flag or "--" + self.name.replace("_", "-"), **kwargs)
+
+
+_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+_POSITIVE = (lambda v: v > 0, "positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
+_TREES = ("dtr", "rfr")
+_SVRS = ("svr", "svr-rbf")
+
+RUN_SETTINGS = (
+    Setting("data_dir", help="directory holding fixtures.csv, player_stats.csv, odds.csv"),
+    Setting("out_dir", default="runs", help="output directory"),
+    Setting("test_size", int, 100, _AT_LEAST_1, help="fixtures held out for testing"),
+    Setting("approach", APPROACHES, help="feature approach"),
+    Setting("technique", ML_TECHNIQUES, help="regression technique"),
+    Setting("model", HEURISTICS, help="heuristic model"),
+    Setting("seed", int, 0, _NON_NEGATIVE, {"rfr": "seed"}, "random seed"),
+    Setting("schema", help="feature schema JSON; unset means the bundled one"),
+    Setting("stake", float, 1.0, _POSITIVE, help="stake per bet"),
+    Setting("missing_odds", MISSING_ODDS_POLICIES, "skip",
+            help="policy for a predicted scoreline without odds"),
+)
+HYPERPARAMETERS = (
+    Setting("knn_k", int, 5, _AT_LEAST_1, {"knn": "k"}, "neighbours averaged"),
+    Setting("tree_depth", int, 6, _AT_LEAST_1, dict.fromkeys(_TREES, "max_depth"),
+            "maximum tree depth"),
+    Setting("tree_min_leaf", int, 5, _AT_LEAST_1, dict.fromkeys(_TREES, "min_leaf"),
+            "minimum rows per leaf"),
+    Setting("forest_trees", int, 100, _AT_LEAST_1, {"rfr": "n_trees"}, "trees per forest"),
+    Setting("forest_features", _parse_forest_features, "sqrt", None,
+            {"rfr": "max_features"}, 'per-split feature subset: "sqrt", "all" or an int'),
+    Setting("forest_bootstrap", bool, True, None, {"rfr": "bootstrap"},
+            "turn off bootstrap sampling of each tree's rows",
+            flag="--forest-no-bootstrap"),
+    Setting("forest_fraction", float, 1.0, (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+            {"rfr": "bootstrap_fraction"}, "bootstrap sample size as a fraction of the rows"),
+    Setting("svr_c", float, 1.0, _POSITIVE, dict.fromkeys(_SVRS, "C"), "SVR penalty C"),
+    Setting("svr_epsilon", float, 0.1, _NON_NEGATIVE, dict.fromkeys(_SVRS, "epsilon"),
+            "half-width of the insensitive tube"),
+    Setting("svr_tol", float, 1e-6, _NON_NEGATIVE, dict.fromkeys(_SVRS, "tol"),
+            "stopping tolerance"),
+    Setting("svr_max_iter", int, 50_000, _AT_LEAST_1, dict.fromkeys(_SVRS, "max_iter"),
+            "iteration cap"),
+    Setting("svr_lr", float, 0.5, _POSITIVE, dict.fromkeys(_SVRS, "lr"),
+            "linear SVR step size"),
+    Setting("svr_gamma", _parse_gamma, "scale", None, {"svr-rbf": "gamma"},
+            'RBF width: "scale" or a positive float'),
+)
+SETTINGS = {s.name: s for s in RUN_SETTINGS + HYPERPARAMETERS}
+
+
+def parse_config_file(path) -> dict:
+    """key = value lines; blank lines and full-line # comments ignored."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    out = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise UsageError(f"{path}:{lineno}: expected key = value, got {line!r}")
+        key, _, raw = stripped.partition("=")
+        key = key.strip()
+        raw = raw.strip()
+        if key not in SETTINGS:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            out[key] = SETTINGS[key].read(raw)
+        except ValueError as exc:
+            raise UsageError(f"{path}:{lineno}: bad value for {key}: {raw!r}") from exc
+    return out
+
+
+class RunConfig(SimpleNamespace):
+    """Fully resolved run settings (defaults < config file < CLI flags), one
+    attribute per entry of SETTINGS."""
 
     def as_dict(self) -> dict:
-        out = {
-            "data_dir": self.data_dir, "out_dir": self.out_dir,
-            "test_size": self.test_size, "approach": self.approach,
-            "technique": self.technique, "model": self.model,
-            "seed": self.seed, "schema": self.schema, "stake": self.stake,
-            "missing_odds": self.missing_odds,
-        }
-        out.update(self.hyper_dict())
-        return out
+        return dict(vars(self))
 
     def config_hash(self) -> str:
         blob = json.dumps(self.as_dict(), sort_keys=True).encode()
@@ -188,89 +242,22 @@ class RunConfig:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    values = dict(DEFAULTS)
+    values = {name: s.default for name, s in SETTINGS.items()}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
-    for key in CONFIG_KEYS:
-        given = getattr(args, key, None)
+    for name in SETTINGS:
+        given = getattr(args, name, None)
         if given is not None:
-            values[key] = given
-
-    if values["approach"] is not None and values["approach"] not in APPROACHES:
-        raise UsageError(f"approach must be one of {APPROACHES}, got {values['approach']!r}")
-    if values["technique"] is not None and values["technique"] not in ML_TECHNIQUES:
-        raise UsageError(f"technique must be one of {ML_TECHNIQUES}, got {values['technique']!r}")
-    if values["model"] is not None and values["model"] not in HEURISTICS:
-        raise UsageError(f"model must be one of {HEURISTICS}, got {values['model']!r}")
-    if values["missing_odds"] not in MISSING_ODDS_POLICIES:
-        raise UsageError(f"missing_odds must be one of {MISSING_ODDS_POLICIES}")
-    for key in _FLOAT_KEYS:
-        if not math.isfinite(values[key]):
-            raise UsageError(f"{key} must be a finite number, got {values[key]!r}")
-    if values["test_size"] < 1:
-        raise UsageError("test_size must be at least 1")
-    if values["stake"] <= 0:
-        raise UsageError("stake must be positive")
-    if values["knn_k"] < 1:
-        raise UsageError("knn_k must be at least 1")
-    if values["tree_depth"] < 1 or values["tree_min_leaf"] < 1:
-        raise UsageError("tree_depth and tree_min_leaf must be at least 1")
-    if values["forest_trees"] < 1:
-        raise UsageError("forest_trees must be at least 1")
-    if not 0.0 < values["forest_fraction"] <= 1.0:
-        raise UsageError("forest_fraction must be in (0, 1]")
-    if values["svr_c"] <= 0:
-        raise UsageError("svr_c must be positive")
-    if values["svr_epsilon"] < 0:
-        raise UsageError("svr_epsilon must be non-negative")
-    if values["svr_tol"] < 0:
-        raise UsageError("svr_tol must be non-negative")
-    if values["svr_lr"] <= 0:
-        raise UsageError("svr_lr must be positive")
-    if values["svr_max_iter"] < 1:
-        raise UsageError("svr_max_iter must be at least 1")
-    values["forest_features"] = _parse_forest_features(values["forest_features"])
-    values["svr_gamma"] = _parse_gamma(values["svr_gamma"])
-
-    hyper_keys = ("knn_k", "tree_depth", "tree_min_leaf", "forest_trees",
-                  "forest_features", "forest_bootstrap", "forest_fraction",
-                  "svr_c", "svr_epsilon", "svr_tol", "svr_max_iter", "svr_lr",
-                  "svr_gamma")
-    hyper = tuple((k, values[k]) for k in hyper_keys)
-    return RunConfig(
-        data_dir=values["data_dir"], out_dir=values["out_dir"],
-        test_size=values["test_size"], approach=values["approach"],
-        technique=values["technique"], model=values["model"],
-        seed=values["seed"], schema=values["schema"], stake=values["stake"],
-        missing_odds=values["missing_odds"], hyper=hyper)
+            values[name] = given
+    return RunConfig(**{name: s.resolve(values[name]) for name, s in SETTINGS.items()})
 
 
 def technique_params(cfg: RunConfig, technique: str) -> tuple[str, dict]:
     """Map a CLI technique name to (engine name, fit keyword arguments)."""
-    h = cfg.hyper_dict()
-    if technique == "lr":
-        return "lr", {}
-    if technique == "knn":
-        return "knn", {"k": h["knn_k"]}
-    if technique == "dtr":
-        return "dtr", {"max_depth": h["tree_depth"], "min_leaf": h["tree_min_leaf"]}
-    if technique == "rfr":
-        return "rfr", {
-            "n_trees": h["forest_trees"], "max_depth": h["tree_depth"],
-            "min_leaf": h["tree_min_leaf"], "max_features": h["forest_features"],
-            "bootstrap": h["forest_bootstrap"],
-            "bootstrap_fraction": h["forest_fraction"], "seed": cfg.seed,
-        }
-    if technique in ("svr", "svr-rbf"):
-        params = {
-            "C": h["svr_c"], "epsilon": h["svr_epsilon"], "tol": h["svr_tol"],
-            "max_iter": h["svr_max_iter"], "lr": h["svr_lr"],
-            "kernel": "rbf" if technique == "svr-rbf" else "linear",
-        }
-        if technique == "svr-rbf":
-            params["gamma"] = h["svr_gamma"]
-        return "svr", params
-    raise UsageError(f"technique must be one of {ML_TECHNIQUES}, got {technique!r}")
+    engine, fixed = TECHNIQUE_ENGINES[technique]
+    tuned = {s.engine[technique]: getattr(cfg, s.name)
+             for s in SETTINGS.values() if technique in s.engine}
+    return engine, {**fixed, **tuned}
 
 
 # ------------------------------------------------------------------ helpers
@@ -640,38 +627,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     group = common.add_argument_group("run configuration")
     group.add_argument("--config", help="key = value config file")
-    group.add_argument("--data-dir", dest="data_dir",
-                       help="directory holding fixtures.csv, player_stats.csv, odds.csv")
-    group.add_argument("--out-dir", dest="out_dir", help="output directory (default runs)")
-    group.add_argument("--test-size", dest="test_size", type=int,
-                       help="fixtures held out for testing (default 100)")
-    group.add_argument("--approach", choices=APPROACHES)
-    group.add_argument("--technique", choices=ML_TECHNIQUES)
-    group.add_argument("--model", choices=HEURISTICS, help="heuristic model")
-    group.add_argument("--seed", type=int)
-    group.add_argument("--schema", help="feature schema JSON (default bundled)")
-    group.add_argument("--stake", type=float, help="stake per bet (default 1.0)")
-    group.add_argument("--missing-odds", dest="missing_odds",
-                       choices=MISSING_ODDS_POLICIES,
-                       help="unquoted predicted scoreline policy (default skip)")
-
+    for setting in RUN_SETTINGS:
+        setting.add_flag(group)
     hyper = common.add_argument_group("hyperparameters")
-    hyper.add_argument("--knn-k", dest="knn_k", type=int)
-    hyper.add_argument("--tree-depth", dest="tree_depth", type=int)
-    hyper.add_argument("--tree-min-leaf", dest="tree_min_leaf", type=int)
-    hyper.add_argument("--forest-trees", dest="forest_trees", type=int)
-    hyper.add_argument("--forest-features", dest="forest_features",
-                       help='per-split feature subset: "sqrt", "all" or an int')
-    hyper.add_argument("--forest-no-bootstrap", dest="forest_bootstrap",
-                       action="store_const", const=False)
-    hyper.add_argument("--forest-fraction", dest="forest_fraction", type=float)
-    hyper.add_argument("--svr-c", dest="svr_c", type=float)
-    hyper.add_argument("--svr-epsilon", dest="svr_epsilon", type=float)
-    hyper.add_argument("--svr-tol", dest="svr_tol", type=float)
-    hyper.add_argument("--svr-max-iter", dest="svr_max_iter", type=int)
-    hyper.add_argument("--svr-lr", dest="svr_lr", type=float)
-    hyper.add_argument("--svr-gamma", dest="svr_gamma",
-                       help='RBF width: "scale" or a positive float')
+    for setting in HYPERPARAMETERS:
+        setting.add_flag(hyper)
 
     parser = argparse.ArgumentParser(
         prog="scoreline",

@@ -168,17 +168,6 @@ class HeuristicPredictor:
         return PredictionSet(model=self.label, predictions=predictions, skipped=[])
 
 
-def predict_scorelines(home_model: ModelBase, away_model: ModelBase,
-                       fixtures: Sequence[Fixture], builder: FeatureBuilder,
-                       approach: str, label: str | None = None,
-                       require_target: bool = True) -> PredictionSet:
-    """One scoreline per eligible fixture from a home/away model pair."""
-    pair = ModelPairPredictor(
-        label or f"{approach}+{home_model.technique}", approach,
-        home_model, away_model, builder, require_target=require_target)
-    return pair.predict(fixtures)
-
-
 PREDICTION_COLUMNS = ("fixture_id", "model", "raw_home", "raw_away",
                       "pred_home", "pred_away", "actual_home", "actual_away")
 

@@ -18,24 +18,16 @@ from .store import BadArtifact, StoreError, UnsupportedVersion, load_model, save
 from .svr import NotConvergedWarning, SvrModel, fit_svr
 from .tree import TreeModel, TreeNode, fit_dtr
 
-TECHNIQUES = ("lr", "knn", "dtr", "rfr", "svr")
+_FITS = {"lr": fit_lr, "knn": fit_knn, "dtr": fit_dtr, "rfr": fit_rfr, "svr": fit_svr}
+TECHNIQUES = tuple(_FITS)
 
 
 def fit_model(technique: str, X, y, params: dict | None = None,
               feature_names=None) -> ModelBase:
     """Dispatch to one engine by its short name with keyword hyperparameters."""
-    params = dict(params or {})
-    if technique == "lr":
-        return fit_lr(X, y, feature_names=feature_names)
-    if technique == "knn":
-        return fit_knn(X, y, feature_names=feature_names, **params)
-    if technique == "dtr":
-        return fit_dtr(X, y, feature_names=feature_names, **params)
-    if technique == "rfr":
-        return fit_rfr(X, y, feature_names=feature_names, **params)
-    if technique == "svr":
-        return fit_svr(X, y, feature_names=feature_names, **params)
-    raise ValueError(f"unknown technique {technique!r}; expected one of {TECHNIQUES}")
+    if technique not in _FITS:
+        raise ValueError(f"unknown technique {technique!r}; expected one of {TECHNIQUES}")
+    return _FITS[technique](X, y, feature_names=feature_names, **(params or {}))
 
 
 __all__ = [

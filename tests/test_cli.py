@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -127,7 +128,7 @@ def test_hyperparameter_validation_returns_2(tmp_path):
                                     "svr_epsilon", "svr_tol", "svr_lr")]
     bad += [("svr_c", "inf"), ("svr_tol", "-1"), ("svr_lr", "-1"), ("svr_lr", "0"),
             ("svr_gamma", "abc"), ("svr_gamma", "-0.5"), ("svr_gamma", "nan"),
-            ("forest_features", "abc"), ("forest_features", "0")]
+            ("forest_features", "abc"), ("forest_features", "0"), ("seed", "-1")]
     for key, value in bad:
         flag = "--" + key.replace("_", "-")
         assert run("train", *base_args(tmp_path), "--approach", "players",
@@ -136,6 +137,38 @@ def test_hyperparameter_validation_returns_2(tmp_path):
         conf.write_text(f"{key} = {value}\n", encoding="utf-8")
         assert run("train", *base_args(tmp_path), "--approach", "players",
                    "--technique", "svr", "--config", conf) == 2, (key, value)
+
+
+RESOLVED_DEFAULTS = {
+    "approach": "team_stats", "data_dir": "sample", "forest_bootstrap": True,
+    "forest_features": "sqrt", "forest_fraction": 1.0, "forest_trees": 100,
+    "knn_k": 5, "missing_odds": "skip", "model": None, "out_dir": "defaults",
+    "schema": None, "seed": 0, "stake": 1.0, "svr_c": 1.0, "svr_epsilon": 0.1,
+    "svr_gamma": "scale", "svr_lr": 0.5, "svr_max_iter": 50000, "svr_tol": 1e-06,
+    "technique": "lr", "test_size": 8, "tree_depth": 6, "tree_min_leaf": 5,
+}
+
+
+def test_resolved_config_pinned(tmp_path, monkeypatch):
+    # relative paths keep the config, and so its hash, free of the checkout's path
+    shutil.copytree(SAMPLE_DIR, tmp_path / "sample")
+    monkeypatch.chdir(tmp_path)
+    Path("custom.conf").write_text(
+        "forest_bootstrap = off\nsvr_gamma = 0.5\nforest_features = 7\n",
+        encoding="utf-8")
+    args = ("train", "--data-dir", "sample", "--test-size", 8,
+            "--approach", "team_stats", "--technique", "lr")
+    assert run(*args, "--out-dir", "defaults") == 0
+    assert run(*args, "--out-dir", "custom", "--config", "custom.conf",
+               "--knn-k", 3) == 0
+    custom = {**RESOLVED_DEFAULTS, "out_dir": "custom", "forest_bootstrap": False,
+              "svr_gamma": 0.5, "forest_features": 7, "knn_k": 3}
+    for out_dir, config, config_hash in (("defaults", RESOLVED_DEFAULTS, "01f8833778d42d63"),
+                                         ("custom", custom, "3499af7e281b650e")):
+        manifest = json.loads(Path(out_dir, "train_manifest.json").read_text())
+        # the JSON text, not dict equality, so that 1 and 1.0 differ
+        assert json.dumps(manifest["config"], sort_keys=True) == json.dumps(config, sort_keys=True)
+        assert manifest["config_hash"] == config_hash
 
 
 # ----------------------------------------------------------------- predict
