@@ -112,7 +112,8 @@ class Setting(NamedTuple):
     ``kind`` is int, float, bool or str, a tuple of choices, or a parser
     that turns the merged text into a value and checks it. ``valid`` is a
     (predicate, "what the value must be") pair. ``engine`` maps each
-    technique the setting feeds to its fit keyword.
+    technique the setting feeds to its fit keyword. ``commands`` name the
+    subcommands that read it and so take its flag.
     """
 
     name: str
@@ -122,6 +123,7 @@ class Setting(NamedTuple):
     engine: dict = {}
     help: str = ""
     flag: str | None = None
+    commands: tuple = ("train", "evaluate")
 
     def read(self, raw: str):
         """A config file's text as this setting's type."""
@@ -161,19 +163,23 @@ _POSITIVE = (lambda v: v > 0, "positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
 _TREES = ("dtr", "rfr")
 _SVRS = ("svr", "svr-rbf")
+_DATA = ("train", "evaluate", "importance", "bet")  # commands that load a data_dir
+_BETS = ("evaluate", "bet")
 
 RUN_SETTINGS = (
-    Setting("data_dir", help="directory holding fixtures.csv, player_stats.csv, odds.csv"),
-    Setting("out_dir", default="runs", help="output directory"),
-    Setting("test_size", int, 100, _AT_LEAST_1, help="fixtures held out for testing"),
-    Setting("approach", APPROACHES, help="feature approach"),
-    Setting("technique", ML_TECHNIQUES, help="regression technique"),
-    Setting("model", HEURISTICS, help="heuristic model"),
+    Setting("data_dir", help="directory holding fixtures.csv, player_stats.csv, odds.csv",
+            commands=_DATA),
+    Setting("out_dir", default="runs", help="output directory", commands=("predict", *_DATA)),
+    Setting("test_size", int, 100, _AT_LEAST_1, help="fixtures held out for testing",
+            commands=_DATA),
+    Setting("approach", APPROACHES, help="feature approach", commands=("train", "importance")),
+    Setting("technique", ML_TECHNIQUES, help="regression technique", commands=("train",)),
+    Setting("model", HEURISTICS, help="heuristic model", commands=("train", *_BETS)),
     Setting("seed", int, 0, _NON_NEGATIVE, {"rfr": "seed"}, "random seed"),
-    Setting("schema", help="feature schema JSON; unset means the bundled one"),
-    Setting("stake", float, 1.0, _POSITIVE, help="stake per bet"),
+    Setting("schema", help="feature schema JSON; unset means the bundled one", commands=_DATA),
+    Setting("stake", float, 1.0, _POSITIVE, help="stake per bet", commands=_BETS),
     Setting("missing_odds", MISSING_ODDS_POLICIES, "skip",
-            help="policy for a predicted scoreline without odds"),
+            help="policy for a predicted scoreline without odds", commands=_BETS),
 )
 HYPERPARAMETERS = (
     Setting("knn_k", int, 5, _AT_LEAST_1, {"knn": "k"}, "neighbours averaged"),
@@ -270,12 +276,17 @@ def data_fingerprint(data_dir) -> str:
     return sha.hexdigest()[:16]
 
 
-def load_context(cfg: RunConfig) -> tuple[Dataset, FeatureBuilder]:
-    if not cfg.data_dir:
+def load_context(data_dir, test_size: int, schema) -> tuple[Dataset, FeatureBuilder]:
+    """The dataset and its feature builder, per a run's or a train manifest's config."""
+    if not data_dir:
         raise UsageError("data_dir is required (flag --data-dir or config file)")
-    dataset = load_dataset(cfg.data_dir, cfg.test_size)
-    schema = load_schema(cfg.schema) if cfg.schema else default_schema()
-    return dataset, FeatureBuilder(dataset, schema)
+    dataset = load_dataset(data_dir, test_size)
+    return dataset, FeatureBuilder(dataset, load_schema(schema) if schema else default_schema())
+
+
+def run_record(cfg: RunConfig) -> dict:
+    """The config, its hash and the seed, as every manifest records them."""
+    return {"config": cfg.as_dict(), "config_hash": cfg.config_hash(), "seed": cfg.seed}
 
 
 def write_json(path, obj) -> None:
@@ -297,9 +308,25 @@ def fnum(x) -> str:
     return repr(float(x))
 
 
-def build_pair(builder: FeatureBuilder, fixtures, approach: str) -> dict:
+def build_pair(builder: FeatureBuilder, fixtures, approach: str, require_target=True) -> dict:
     """The home and away feature matrices of one approach, by side."""
-    return {side: builder.build_matrix(fixtures, approach, side) for side in SIDES}
+    return {side: builder.build_matrix(fixtures, approach, side, require_target=require_target)
+            for side in SIDES}
+
+
+def split_pairs(dataset: Dataset, builder: FeatureBuilder, approaches) -> tuple[dict, dict]:
+    """Train and test matrices by approach and side, cut from one build per
+    side over every fixture. Every train part is cut before any test part,
+    so the first ``NoRowsBuilt`` is the one separate builds would raise."""
+    train_ids = {f.fixture_id for f in dataset.train_fixtures}
+    test_ids = {f.fixture_id for f in dataset.test_fixtures}
+    full, train = {}, {}
+    for approach in approaches:
+        for side in SIDES:
+            full[approach, side] = builder.build_matrix(dataset.fixtures, approach, side)
+            train.setdefault(approach, {})[side] = full[approach, side].part(train_ids)
+    test = {a: {side: full[a, side].part(test_ids) for side in SIDES} for a in approaches}
+    return train, test
 
 
 def train_pair(cfg: RunConfig, matrices: dict, technique: str) -> dict:
@@ -309,26 +336,24 @@ def train_pair(cfg: RunConfig, matrices: dict, technique: str) -> dict:
             for side, m in matrices.items()}
 
 
-def _train_manifest(cfg: RunConfig, label: str, approach: str, technique: str,
-                    models: dict, matrices: dict, schema_fp: str) -> dict:
+def _train_manifest(cfg: RunConfig, label: str, models: dict, matrices: dict,
+                    schema_fp: str) -> dict:
     manifest = {
         "format_version": FORMAT_VERSION,
         "command": "train",
         "label": label,
-        "approach": approach,
-        "technique": technique,
-        "config": cfg.as_dict(),
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
+        "approach": cfg.approach,
+        "technique": cfg.technique,
+        **run_record(cfg),
         "data_fingerprint": data_fingerprint(cfg.data_dir),
         "schema_fingerprint": schema_fp,
         "feature_count": models["home"].n_features,
         "rows": {side: len(m.rows) for side, m in matrices.items()},
         "skipped": {side: [list(s) for s in m.skipped] for side, m in matrices.items()},
     }
-    if approach == "players":
+    if cfg.approach == "players":
         manifest["coverage"] = {side: m.coverage for side, m in matrices.items()}
-    if technique in ("svr", "svr-rbf"):
+    if cfg.technique in _SVRS:
         manifest["svr_status"] = {side: m.status for side, m in models.items()}
     return manifest
 
@@ -340,7 +365,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise UsageError("heuristics need no training; use `evaluate --model`")
     if not cfg.approach or not cfg.technique:
         raise UsageError("train requires --approach and --technique")
-    dataset, builder = load_context(cfg)
+    dataset, builder = load_context(cfg.data_dir, cfg.test_size, cfg.schema)
     label = f"{cfg.approach}+{cfg.technique}"
     matrices = build_pair(builder, dataset.train_fixtures, cfg.approach)
     models = train_pair(cfg, matrices, cfg.technique)
@@ -349,9 +374,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for side, model in models.items():
         save_model(model, out_dir / f"model_{side}.json")
-    manifest = _train_manifest(cfg, label, cfg.approach, cfg.technique,
-                               models, matrices, builder.schema.fingerprint())
-    write_json(out_dir / "train_manifest.json", manifest)
+    write_json(out_dir / "train_manifest.json",
+               _train_manifest(cfg, label, models, matrices, builder.schema.fingerprint()))
     print(f"trained {label}: {len(matrices['home'].rows)} home rows, "
           f"{len(matrices['away'].rows)} away rows, {models['home'].n_features} features")
     for side, matrix in matrices.items():
@@ -362,6 +386,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _load_artifacts(artifacts_dir):
+    """A train run's manifest, its model pair, and the dataset and feature
+    builder of its config."""
     art = Path(artifacts_dir)
     manifest_path = art / "train_manifest.json"
     home_path = art / "model_home.json"
@@ -370,14 +396,9 @@ def _load_artifacts(artifacts_dir):
         if not path.exists():
             raise MissingArtifact(path)
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    return manifest, load_model(home_path), load_model(away_path)
-
-
-def _context_from_manifest(manifest: dict) -> tuple[Dataset, FeatureBuilder]:
+    pair = ModelPairPredictor(manifest["label"], load_model(home_path), load_model(away_path))
     conf = manifest["config"]
-    dataset = load_dataset(conf["data_dir"], conf["test_size"])
-    schema = load_schema(conf["schema"]) if conf.get("schema") else default_schema()
-    return dataset, FeatureBuilder(dataset, schema)
+    return manifest, pair, *load_context(conf["data_dir"], conf["test_size"], conf.get("schema"))
 
 
 def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -385,13 +406,10 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise UsageError("predict requires --artifacts DIR from a train run")
     if not args.fixtures:
         raise UsageError("predict requires --fixtures FILE of upcoming matches")
-    manifest, home_model, away_model = _load_artifacts(args.artifacts)
-    dataset, builder = _context_from_manifest(manifest)
+    manifest, pair, _dataset, builder = _load_artifacts(args.artifacts)
     upcoming = load_fixtures(args.fixtures, require_goals=False)
-    pair = ModelPairPredictor(manifest["label"], manifest["approach"],
-                              home_model, away_model, builder,
-                              require_target=False)
-    pset = pair.predict(upcoming)
+    pset = pair.predict(upcoming, build_pair(builder, upcoming, manifest["approach"],
+                                             require_target=False))
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "predictions.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     save_predictions_csv(pset, out)
@@ -404,40 +422,40 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid_prediction_sets(cfg: RunConfig, dataset: Dataset, builder: FeatureBuilder,
-                          train: dict) -> list[PredictionSet]:
-    """Heuristics, then every approach x technique; ``train`` holds each
-    approach's training matrices, and each test matrix is built once."""
-    test = list(dataset.test_fixtures)
+def _grid_prediction_sets(cfg: RunConfig, dataset: Dataset, train: dict,
+                          test: dict) -> list[PredictionSet]:
+    """Heuristics, then every approach x technique; ``train`` and ``test``
+    hold each approach's matrices by side."""
     psets = []
     for name in HEURISTICS:
         predictor = HeuristicPredictor(name, dataset.train_fixtures,
                                        history=dataset.fixtures)
-        psets.append(predictor.predict(test))
+        psets.append(predictor.predict(dataset.test_fixtures))
     for approach in APPROACHES:
-        test_matrices = build_pair(builder, test, approach)
         for technique in ML_TECHNIQUES:
             models = train_pair(cfg, train[approach], technique)
-            pair = ModelPairPredictor(f"{approach}+{technique}", approach,
-                                      models["home"], models["away"], builder)
-            psets.append(pair.predict(test, test_matrices))
+            pair = ModelPairPredictor(f"{approach}+{technique}", models["home"], models["away"])
+            psets.append(pair.predict(dataset.test_fixtures, test[approach]))
     return psets
 
 
 def _single_prediction_set(cfg: RunConfig, args: argparse.Namespace):
-    """One PredictionSet plus its evaluation context, per CLI selection."""
+    """One PredictionSet, its dataset, the training matrices to rank, and the
+    run record for the manifest, per CLI selection; a trained pair keeps its
+    train manifest's record, since that config made its predictions."""
     if cfg.model is not None:
-        dataset, builder = load_context(cfg)
+        dataset, _builder = load_context(cfg.data_dir, cfg.test_size, cfg.schema)
         predictor = HeuristicPredictor(cfg.model, dataset.train_fixtures,
                                        history=dataset.fixtures)
-        return [predictor.predict(list(dataset.test_fixtures))], dataset, builder, None
+        return [predictor.predict(dataset.test_fixtures)], dataset, {}, run_record(cfg)
     if getattr(args, "artifacts", None):
-        manifest, home_model, away_model = _load_artifacts(args.artifacts)
-        dataset, builder = _context_from_manifest(manifest)
-        pair = ModelPairPredictor(manifest["label"], manifest["approach"],
-                                  home_model, away_model, builder)
-        pset = pair.predict(list(dataset.test_fixtures))
-        return [pset], dataset, builder, manifest["approach"]
+        manifest, pair, dataset, builder = _load_artifacts(args.artifacts)
+        approach = manifest["approach"]
+        train, test = split_pairs(dataset, builder, [approach])
+        pset = pair.predict(dataset.test_fixtures, test[approach])
+        importance = {approach: train[approach]} if approach in STATS_APPROACHES else {}
+        record = {key: manifest[key] for key in ("config", "config_hash", "seed")}
+        return [pset], dataset, importance, record
     raise UsageError("evaluate needs --all, --model NAME, or --artifacts DIR")
 
 
@@ -453,7 +471,7 @@ def _importance_rows(train: dict) -> list[list]:
 
 
 def _evaluate_bundle(cfg: RunConfig, dataset: Dataset, psets: list,
-                     out_dir: Path) -> dict:
+                     out_dir: Path, seed: int) -> dict:
     """Write the full report bundle; returns the scenario value map."""
     by_id = {f.fixture_id: f for f in dataset.fixtures}
     fitness_rows = []
@@ -536,7 +554,7 @@ def _evaluate_bundle(cfg: RunConfig, dataset: Dataset, psets: list,
         "scoreline evaluation summary",
         f"data: {cfg.data_dir or 'per train manifest'} "
         f"({len(dataset.train_fixtures)} train / {len(dataset.test_fixtures)} test fixtures)",
-        f"seed {cfg.seed}, stake {cfg.stake:g}, missing-odds policy {cfg.missing_odds}",
+        f"seed {seed}, stake {cfg.stake:g}, missing-odds policy {cfg.missing_odds}",
         "",
         "model ranking (rank sum over six scenarios, lower is better):",
     ]
@@ -554,18 +572,17 @@ def _evaluate_bundle(cfg: RunConfig, dataset: Dataset, psets: list,
 
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.all:
-        dataset, builder = load_context(cfg)
-        train = {a: build_pair(builder, dataset.train_fixtures, a) for a in APPROACHES}
-        psets = _grid_prediction_sets(cfg, dataset, builder, train)
+        dataset, builder = load_context(cfg.data_dir, cfg.test_size, cfg.schema)
+        train, test = split_pairs(dataset, builder, APPROACHES)
+        psets = _grid_prediction_sets(cfg, dataset, train, test)
         importance = {a: train[a] for a in STATS_APPROACHES}
+        record = run_record(cfg)
     else:
-        psets, dataset, builder, approach = _single_prediction_set(cfg, args)
-        importance = ({approach: build_pair(builder, dataset.train_fixtures, approach)}
-                      if approach in STATS_APPROACHES else {})
+        psets, dataset, importance, record = _single_prediction_set(cfg, args)
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _evaluate_bundle(cfg, dataset, psets, out_dir)
+    _evaluate_bundle(cfg, dataset, psets, out_dir, record["seed"])
     if importance:
         write_csv(out_dir / "importance.csv",
                   ["approach", "side", "feature", "score"],
@@ -573,9 +590,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     manifest = {
         "format_version": FORMAT_VERSION,
         "command": "evaluate",
-        "config": cfg.as_dict(),
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.seed,
+        **record,
         "data_fingerprint": data_fingerprint(cfg.data_dir) if cfg.data_dir else None,
         "models": [p.model for p in psets],
         "skipped": {p.model: [list(s) for s in p.skipped] for p in psets},
@@ -589,7 +604,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_importance(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not cfg.approach:
         raise UsageError("importance requires --approach")
-    dataset, builder = load_context(cfg)
+    dataset, builder = load_context(cfg.data_dir, cfg.test_size, cfg.schema)
     rows = _importance_rows(
         {cfg.approach: build_pair(builder, dataset.train_fixtures, cfg.approach)})
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "importance.csv"
@@ -602,7 +617,7 @@ def cmd_importance(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_bet(cfg: RunConfig, args: argparse.Namespace) -> int:
-    psets, dataset, _builder, _approach = _single_prediction_set(cfg, args)
+    psets, dataset, _importance, _record = _single_prediction_set(cfg, args)
     pset = psets[0]
     ledger = bet_run(pset.predictions, dataset.odds, cfg.stake, cfg.missing_odds)
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "betting_ledger.csv"
@@ -624,37 +639,34 @@ def cmd_bet(cfg: RunConfig, args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- arg parsing
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    group = common.add_argument_group("run configuration")
-    group.add_argument("--config", help="key = value config file")
-    for setting in RUN_SETTINGS:
-        setting.add_flag(group)
-    hyper = common.add_argument_group("hyperparameters")
-    for setting in HYPERPARAMETERS:
-        setting.add_flag(hyper)
-
     parser = argparse.ArgumentParser(
         prog="scoreline",
         description="Football score prediction: features, regressors, evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("train", parents=[common],
-                   help="fit home/away models and write artifacts")
-    p_predict = sub.add_parser("predict", parents=[common],
-                               help="predict scorelines for a fixtures file")
+    def add(command, help):  # config files may still set any key
+        command_parser = sub.add_parser(command, help=help)
+        run = command_parser.add_argument_group("run configuration")
+        run.add_argument("--config", help="key = value config file")
+        hyper = command_parser.add_argument_group("hyperparameters")
+        for group, settings in ((run, RUN_SETTINGS), (hyper, HYPERPARAMETERS)):
+            for setting in settings:
+                if command in setting.commands:
+                    setting.add_flag(group)
+        return command_parser
+
+    add("train", help="fit home/away models and write artifacts")
+    p_predict = add("predict", help="predict scorelines for a fixtures file")
     p_predict.add_argument("--artifacts", help="directory written by train")
     p_predict.add_argument("--fixtures", help="fixtures CSV (goals may be empty)")
     p_predict.add_argument("--out", help="output CSV path")
-    p_eval = sub.add_parser("evaluate", parents=[common],
-                            help="run the evaluation suite")
+    p_eval = add("evaluate", help="run the evaluation suite")
     p_eval.add_argument("--all", action="store_true",
                         help="full grid: every approach x technique + heuristics")
     p_eval.add_argument("--artifacts", help="evaluate one trained model pair")
-    p_imp = sub.add_parser("importance", parents=[common],
-                           help="chi-squared feature ranking for an approach")
+    p_imp = add("importance", help="chi-squared feature ranking for an approach")
     p_imp.add_argument("--out", help="output CSV path")
-    p_bet = sub.add_parser("bet", parents=[common],
-                           help="betting backtest for one model")
+    p_bet = add("bet", help="betting backtest for one model")
     p_bet.add_argument("--artifacts", help="evaluate one trained model pair")
     p_bet.add_argument("--out", help="output CSV path")
     return parser

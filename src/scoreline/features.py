@@ -17,6 +17,8 @@ it bit for bit. A matrix is built in one chronological pass: its rows are
 assembled in kickoff order, and each player, team and league window only
 moves forward, adding every record once to running sums in the order a
 fresh scan would, so a row equals the same row built alone bit for bit.
+No row depends on which other fixtures a build covers, so one build over
+every fixture can be cut into train and test parts (``FeatureMatrix.part``).
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter
 from datetime import datetime
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .ingest import Dataset, Fixture
+from .ingest import LINEUP_SIZE, Dataset, Fixture
 from .schema import DEFENSIVE_GROUPS, OFFENSIVE_GROUPS, FeatureSchema, default_schema
 
 APPROACHES = ("players", "lineup_stats", "team_stats")
@@ -84,8 +86,6 @@ class FeatureMatrix:
     feature_names: tuple[str, ...]
     rows: list[FeatureRow] = field(default_factory=list)
     skipped: list[tuple[str, str]] = field(default_factory=list)
-    players_listed: int = 0
-    players_dropped: int = 0
 
     def X(self) -> np.ndarray:
         return np.array([row.values for row in self.rows], dtype=np.float64)
@@ -95,6 +95,26 @@ class FeatureMatrix:
 
     def fixture_ids(self) -> list[str]:
         return [row.fixture_id for row in self.rows]
+
+    def part(self, fixture_ids: Collection[str]) -> FeatureMatrix:
+        """The rows and skip entries of ``fixture_ids``, in kickoff order; as no
+        row depends on what else a build covers, it equals a separate build
+        of those fixtures and, like one, raises ``NoRowsBuilt`` when empty."""
+        part = FeatureMatrix(self.approach, self.side, self.feature_names,
+                             [row for row in self.rows if row.fixture_id in fixture_ids],
+                             [skip for skip in self.skipped if skip[0] in fixture_ids])
+        if not part.rows:
+            raise NoRowsBuilt(self.approach, self.side)
+        return part
+
+    @property
+    def players_listed(self) -> int:
+        """Lineup players behind the rows: both elevens of each ``players`` row."""
+        return 2 * LINEUP_SIZE * len(self.rows) if self.approach == "players" else 0
+
+    @property
+    def players_dropped(self) -> int:
+        return sum(row.dropped_players for row in self.rows)
 
     @property
     def coverage(self) -> float:
@@ -397,8 +417,6 @@ class FeatureBuilder:
             try:
                 if approach == "players":
                     row = self.encode_players(fixture, side)
-                    matrix.players_listed += len(fixture.home_lineup) + len(fixture.away_lineup)
-                    matrix.players_dropped += row.dropped_players
                 elif approach == "lineup_stats":
                     row = self.assemble_lineup_features(fixture, side, windows)
                 else:

@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
-from .features import SIDES, FeatureBuilder
 from .heuristics import (
     HEURISTICS,
     StandingsTable,
@@ -77,35 +74,24 @@ def _ordered(fixtures: Iterable[Fixture]) -> list[Fixture]:
 class ModelPairPredictor:
     """Home and away regression models speaking the scoreline interface."""
 
-    def __init__(self, label: str, approach: str, home_model: ModelBase,
-                 away_model: ModelBase, builder: FeatureBuilder,
-                 require_target: bool = True):
+    def __init__(self, label: str, home_model: ModelBase, away_model: ModelBase):
         if home_model.n_features != away_model.n_features:
             raise SchemaMismatch(
                 f"home model has {home_model.n_features} features, away "
                 f"model {away_model.n_features}; the pair must share one layout")
         self.label = label
-        self.approach = approach
         self.home_model = home_model
         self.away_model = away_model
-        self.builder = builder
-        self.require_target = require_target
 
-    def predict(self, fixtures: Sequence[Fixture],
-                matrices: dict | None = None) -> PredictionSet:
+    def predict(self, fixtures: Sequence[Fixture], matrices: dict) -> PredictionSet:
         """One scoreline per fixture with a row on both sides.
 
-        ``matrices`` maps each side to this approach's feature matrix of
-        exactly ``fixtures``, when the caller has built them already;
-        otherwise they are built here.
+        ``matrices`` maps each side to its feature matrix of exactly
+        ``fixtures``.
         """
         fixtures = _ordered(fixtures)
         if not fixtures:
             raise EmptyTestSet("no fixtures to predict")
-        if matrices is None:
-            matrices = {side: self.builder.build_matrix(
-                fixtures, self.approach, side, require_target=self.require_target)
-                for side in SIDES}
         home_m, away_m = matrices["home"], matrices["away"]
         raw_home = dict(zip(home_m.fixture_ids(),
                             self.home_model.predict(home_m.X())))
@@ -130,7 +116,7 @@ class ModelPairPredictor:
                 actual_home=fixture.home_goals, actual_away=fixture.away_goals))
         order = {f.fixture_id: i for i, f in enumerate(fixtures)}
         skip_list = sorted(skipped.items(), key=lambda kv: order[kv[0]])
-        coverage = home_m.coverage if self.approach == "players" else None
+        coverage = home_m.coverage if home_m.approach == "players" else None
         return PredictionSet(model=self.label, predictions=predictions,
                              skipped=skip_list, coverage=coverage)
 
@@ -184,20 +170,3 @@ def save_predictions_csv(pset: PredictionSet, path) -> None:
                 "" if p.actual_away is None else p.actual_away,
             ])
 
-
-def save_predictions_json(pset: PredictionSet, path) -> None:
-    blob = {
-        "model": pset.model,
-        "skipped": [{"fixture_id": fid, "reason": reason}
-                    for fid, reason in pset.skipped],
-        "predictions": [
-            {
-                "fixture_id": p.fixture_id, "model": p.model,
-                "raw_home": p.raw_home, "raw_away": p.raw_away,
-                "pred_home": p.pred_home, "pred_away": p.pred_away,
-                "actual_home": p.actual_home, "actual_away": p.actual_away,
-            }
-            for p in pset.predictions
-        ],
-    }
-    Path(path).write_text(json.dumps(blob, sort_keys=True, indent=1) + "\n")

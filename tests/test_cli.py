@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from scoreline.cli import main
+from scoreline.features import APPROACHES, SIDES, FeatureBuilder
 
 from conftest import SAMPLE_DIR
 
@@ -131,8 +132,10 @@ def test_hyperparameter_validation_returns_2(tmp_path):
             ("forest_features", "abc"), ("forest_features", "0"), ("seed", "-1")]
     for key, value in bad:
         flag = "--" + key.replace("_", "-")
-        assert run("train", *base_args(tmp_path), "--approach", "players",
-                   "--technique", "svr", flag, value) == 2, (flag, value)
+        # train does not read the stake, so its flag goes through bet
+        command = (("bet", "--model", "home-win") if key == "stake"
+                   else ("train", "--approach", "players", "--technique", "svr"))
+        assert run(*command, *base_args(tmp_path), flag, value) == 2, (flag, value)
         conf = tmp_path / f"{key}.conf"
         conf.write_text(f"{key} = {value}\n", encoding="utf-8")
         assert run("train", *base_args(tmp_path), "--approach", "players",
@@ -224,6 +227,11 @@ def test_predict_usage_and_missing_artifacts(tmp_path):
     empty.mkdir()
     assert run("predict", "--out-dir", tmp_path, "--artifacts", empty,
                "--fixtures", Path(SAMPLE_DIR) / "upcoming.csv") == 1
+    # predict reads no hyperparameter, so it takes no such flag
+    with pytest.raises(SystemExit) as exc:
+        run("predict", "--artifacts", empty, "--fixtures", Path(SAMPLE_DIR) / "upcoming.csv",
+            "--forest-trees", 99, "--technique", "svr")
+    assert exc.value.code == 2
 
 
 def _split_root(tree):
@@ -301,6 +309,20 @@ def test_evaluate_artifacts_single_model(tmp_path, team_artifacts):
     assert {r[0] for r in imp_rows} == {"team_stats"}
 
 
+def test_evaluate_artifacts_records_trained_config(tmp_path):
+    artifacts = tmp_path / "rfr"
+    assert run("train", *base_args(artifacts), "--approach", "team_stats",
+               "--technique", "rfr", "--forest-trees", 10, "--seed", 7) == 0
+    trained = json.loads((artifacts / "train_manifest.json").read_text())
+    assert run("evaluate", "--artifacts", artifacts, "--out-dir", tmp_path / "eval") == 0
+    manifest = json.loads((tmp_path / "eval" / "evaluate_manifest.json").read_text())
+    assert manifest["config"]["forest_trees"] == 10
+    assert manifest["config"]["technique"] == "rfr"
+    assert (manifest["config_hash"], manifest["seed"]) == (trained["config_hash"], 7)
+    summary = (tmp_path / "eval" / "summary.txt").read_text()
+    assert "seed 7, stake 1, missing-odds policy skip" in summary
+
+
 def test_evaluate_needs_a_selection(tmp_path):
     assert run("evaluate", *base_args(tmp_path)) == 2
 
@@ -348,6 +370,21 @@ def test_grid_bundle_complete(grid_dir):
     assert manifest["config_hash"]
 
 
+def test_grid_builds_each_matrix_once(tmp_path, monkeypatch):
+    """Three approaches x two sides, each built once over every fixture."""
+    calls = []
+    build = FeatureBuilder.build_matrix
+
+    def counted(self, fixtures, approach, side, *args, **kwargs):
+        calls.append((approach, side))
+        return build(self, fixtures, approach, side, *args, **kwargs)
+
+    monkeypatch.setattr(FeatureBuilder, "build_matrix", counted)
+    assert run("evaluate", *base_args(tmp_path), "--all", "--forest-trees", 2,
+               "--svr-max-iter", 50) == 0
+    assert sorted(calls) == sorted((a, s) for a in APPROACHES for s in SIDES)
+
+
 def test_grid_rerun_byte_identical(grid_dir):
     first = {name: (grid_dir / name).read_bytes() for name in BUNDLE_FILES}
     first["importance.csv"] = (grid_dir / "importance.csv").read_bytes()
@@ -374,6 +411,10 @@ def test_importance_command(tmp_path):
 
 def test_importance_requires_approach(tmp_path):
     assert run("importance", *base_args(tmp_path)) == 2
+    with pytest.raises(SystemExit) as exc:
+        run("importance", *base_args(tmp_path), "--approach", "team_stats",
+            "--svr-c", 5, "--model", "home-win")
+    assert exc.value.code == 2
 
 
 def test_importance_players_rejected(tmp_path):

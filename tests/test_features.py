@@ -665,3 +665,35 @@ def test_chronological_pass_matches_scans_bitwise():
         for team in "ABCD":
             assert builder._squad(team, as_of, season) == reference._squad(team, as_of, season)
     assert {builder._group_of("a5", f.kickoff, 2020) for f in dataset.fixtures} >= {"MF", "FW"}
+
+
+# ---------------------------------------------- one build, cut at the split
+
+
+def test_parts_of_one_build_equal_separate_builds():
+    """Train and test parts of a build over every fixture equal separate
+    builds of each part: rows never depend on where the split falls."""
+    league = walk_forward_dataset()
+    # A test fixture without lineups joins the train one (NL) in the skip lists.
+    late = fx("NLT", 836, "C", "D", 2, 0, season=2021)
+    dataset = mini_dataset([*league.fixtures, late], list(league.stats.records()),
+                           split_index=league.split_index)
+    builder = FeatureBuilder(dataset)
+    train_ids = {f.fixture_id for f in dataset.train_fixtures}
+    test_ids = {f.fixture_id for f in dataset.test_fixtures}
+    for approach in APPROACHES:
+        for side in SIDES:
+            full = builder.build_matrix(dataset.fixtures, approach, side)
+            for ids, fixtures in ((train_ids, dataset.train_fixtures),
+                                  (test_ids, dataset.test_fixtures)):
+                got = full.part(ids)
+                want = builder.build_matrix(fixtures, approach, side)
+                assert_same_matrix(got, want)
+                assert got.coverage == want.coverage
+            # skipped: fixtures without lineups, or team_stats' cold first round
+            unbuilt = {dataset.fixtures[0].fixture_id} if approach == "team_stats" else {"NL", "NLT"}
+            assert unbuilt <= {fid for fid, _reason in full.skipped}
+            with pytest.raises(NoRowsBuilt):
+                full.part(unbuilt)
+    players = builder.build_matrix(dataset.fixtures, "players", "home").part(test_ids)
+    assert players.players_dropped > 0 and players.coverage < 1.0  # b_new debuts there

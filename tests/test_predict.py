@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from scoreline.features import SIDES
 from scoreline.predict import (
     EmptyTestSet,
     HeuristicPredictor,
@@ -13,7 +14,6 @@ from scoreline.predict import (
     NonFinite,
     round_goals,
     save_predictions_csv,
-    save_predictions_json,
 )
 from scoreline.regress import SchemaMismatch
 from scoreline.regress.base import ModelBase
@@ -71,32 +71,33 @@ class StubModel(ModelBase):
         return np.full(X.shape[0], self.value)
 
 
-def test_pair_rejects_mismatched_widths(builder):
+def pair_matrices(builder, fixtures, approach="team_stats", require_target=True):
+    return {side: builder.build_matrix(fixtures, approach, side, require_target=require_target)
+            for side in SIDES}
+
+
+def test_pair_rejects_mismatched_widths():
     with pytest.raises(SchemaMismatch):
-        ModelPairPredictor("m", "team_stats", StubModel(52, 1.0),
-                           StubModel(30, 1.0), builder)
+        ModelPairPredictor("m", StubModel(52, 1.0), StubModel(30, 1.0))
 
 
 def test_pair_rounding_composition(dataset, builder):
-    pair = ModelPairPredictor("m", "team_stats", StubModel(52, 1.7),
-                              StubModel(52, 0.2), builder)
-    pset = pair.predict(dataset.test_fixtures)
+    pair = ModelPairPredictor("m", StubModel(52, 1.7), StubModel(52, 0.2))
+    pset = pair.predict(dataset.test_fixtures, pair_matrices(builder, dataset.test_fixtures))
     for p in pset.predictions:
         assert (p.raw_home, p.raw_away) == (1.7, 0.2)
         assert (p.pred_home, p.pred_away) == (2, 0)
 
 
-def test_pair_empty_test_set(builder):
-    pair = ModelPairPredictor("m", "team_stats", StubModel(52, 1.0),
-                              StubModel(52, 1.0), builder)
+def test_pair_empty_test_set(dataset, builder):
+    pair = ModelPairPredictor("m", StubModel(52, 1.0), StubModel(52, 1.0))
     with pytest.raises(EmptyTestSet):
-        pair.predict([])
+        pair.predict([], pair_matrices(builder, dataset.test_fixtures))
 
 
 def test_pair_output_order_and_uniqueness(dataset, builder):
-    pair = ModelPairPredictor("m", "team_stats", StubModel(52, 1.0),
-                              StubModel(52, 0.0), builder)
-    pset = pair.predict(dataset.test_fixtures)
+    pair = ModelPairPredictor("m", StubModel(52, 1.0), StubModel(52, 0.0))
+    pset = pair.predict(dataset.test_fixtures, pair_matrices(builder, dataset.test_fixtures))
     ids = [p.fixture_id for p in pset.predictions]
     assert len(set(ids)) == len(ids)
     order = {f.fixture_id: i for i, f in enumerate(dataset.test_fixtures)}
@@ -106,18 +107,18 @@ def test_pair_output_order_and_uniqueness(dataset, builder):
 
 def test_pair_sides_are_independent(dataset, builder):
     """Predicting twice, or with the models rebuilt, changes nothing."""
-    a = ModelPairPredictor("m", "team_stats", StubModel(52, 1.6),
-                           StubModel(52, 0.4), builder).predict(dataset.test_fixtures)
-    b = ModelPairPredictor("m", "team_stats", StubModel(52, 1.6),
-                           StubModel(52, 0.4), builder).predict(dataset.test_fixtures)
+    a = ModelPairPredictor("m", StubModel(52, 1.6), StubModel(52, 0.4)).predict(
+        dataset.test_fixtures, pair_matrices(builder, dataset.test_fixtures))
+    b = ModelPairPredictor("m", StubModel(52, 1.6), StubModel(52, 0.4)).predict(
+        dataset.test_fixtures, pair_matrices(builder, dataset.test_fixtures))
     assert a.predictions == b.predictions
 
 
 def test_pair_actuals_carried(dataset, builder):
-    pair = ModelPairPredictor("m", "team_stats", StubModel(52, 1.0),
-                              StubModel(52, 0.0), builder)
+    pair = ModelPairPredictor("m", StubModel(52, 1.0), StubModel(52, 0.0))
     by_id = {f.fixture_id: f for f in dataset.test_fixtures}
-    for p in pair.predict(dataset.test_fixtures).predictions:
+    matrices = pair_matrices(builder, dataset.test_fixtures)
+    for p in pair.predict(dataset.test_fixtures, matrices).predictions:
         fixture = by_id[p.fixture_id]
         assert (p.actual_home, p.actual_away) == (fixture.home_goals,
                                                   fixture.away_goals)
@@ -125,9 +126,9 @@ def test_pair_actuals_carried(dataset, builder):
 
 def test_players_pair_reports_coverage(dataset, builder):
     width = len(builder.player_universe)
-    pair = ModelPairPredictor("m", "players", StubModel(width, 1.0),
-                              StubModel(width, 0.0), builder)
-    pset = pair.predict(dataset.test_fixtures)
+    pair = ModelPairPredictor("m", StubModel(width, 1.0), StubModel(width, 0.0))
+    pset = pair.predict(dataset.test_fixtures,
+                        pair_matrices(builder, dataset.test_fixtures, "players"))
     assert pset.coverage is not None
     assert 0.0 < pset.coverage <= 1.0
 
@@ -191,16 +192,13 @@ def test_correct_scoreline_flag():
 # ----------------------------------------------------------------- exports
 
 
-def test_save_csv_and_json(tmp_path, dataset):
+def test_save_csv(tmp_path, dataset):
     pset = HeuristicPredictor("home-win", dataset.train_fixtures).predict(
         dataset.test_fixtures)
     csv_path = tmp_path / "p.csv"
-    json_path = tmp_path / "p.json"
     save_predictions_csv(pset, csv_path)
-    save_predictions_json(pset, json_path)
 
     import csv as csv_mod
-    import json
 
     with open(csv_path, newline="", encoding="utf-8") as fh:
         rows = list(csv_mod.DictReader(fh))
@@ -208,17 +206,13 @@ def test_save_csv_and_json(tmp_path, dataset):
     assert rows[0]["model"] == "home-win"
     assert rows[0]["pred_home"] == "1"
 
-    blob = json.loads(json_path.read_text(encoding="utf-8"))
-    assert len(blob["predictions"]) == len(pset.predictions)
-
 
 def test_save_csv_blank_actuals_for_upcoming(tmp_path, sample_dir, dataset, builder):
     from scoreline.ingest import load_fixtures
 
     upcoming = load_fixtures(sample_dir / "upcoming.csv", require_goals=False)
-    pair = ModelPairPredictor("m", "team_stats", StubModel(52, 1.2),
-                              StubModel(52, 0.8), builder, require_target=False)
-    pset = pair.predict(upcoming)
+    pair = ModelPairPredictor("m", StubModel(52, 1.2), StubModel(52, 0.8))
+    pset = pair.predict(upcoming, pair_matrices(builder, upcoming, require_target=False))
     path = tmp_path / "u.csv"
     save_predictions_csv(pset, path)
 
