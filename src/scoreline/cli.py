@@ -146,6 +146,10 @@ class Setting(NamedTuple):
             raise UsageError(f"{self.name} must be {self.valid[1]}, got {value!r}")
         return value
 
+    @property
+    def option(self) -> str:
+        return self.flag or "--" + self.name.replace("_", "-")
+
     def add_flag(self, group) -> None:
         shown = ("on" if self.default else "off") if self.kind is bool else self.default
         kwargs = {"dest": self.name, "help": f"{self.help} (default: {shown})"}
@@ -155,7 +159,7 @@ class Setting(NamedTuple):
             kwargs.update(choices=self.kind)
         elif self.kind in (int, float):
             kwargs.update(type=self.kind)
-        group.add_argument(self.flag or "--" + self.name.replace("_", "-"), **kwargs)
+        group.add_argument(self.option, **kwargs)
 
 
 _AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
@@ -199,15 +203,17 @@ HYPERPARAMETERS = (
     Setting("svr_epsilon", float, 0.1, _NON_NEGATIVE, dict.fromkeys(_SVRS, "epsilon"),
             "half-width of the insensitive tube"),
     Setting("svr_tol", float, 1e-6, _NON_NEGATIVE, dict.fromkeys(_SVRS, "tol"),
-            "stopping tolerance"),
+            "stopping tolerance: the linear SVR's duality gap relative to its "
+            "objective, the RBF SVR's KKT gap"),
     Setting("svr_max_iter", int, 50_000, _AT_LEAST_1, dict.fromkeys(_SVRS, "max_iter"),
-            "iteration cap"),
-    Setting("svr_lr", float, 0.5, _POSITIVE, dict.fromkeys(_SVRS, "lr"),
-            "linear SVR step size"),
+            "iteration cap: Newton steps (linear) or SMO pair steps (RBF)"),
     Setting("svr_gamma", _parse_gamma, "scale", None, {"svr-rbf": "gamma"},
             'RBF width: "scale" or a positive float'),
 )
 SETTINGS = {s.name: s for s in RUN_SETTINGS + HYPERPARAMETERS}
+# the settings a trained pair's manifest does not fix: an --artifacts run
+# takes these from its own command line
+UNTRAINED = ("out_dir", "stake", "missing_odds")
 
 
 def parse_config_file(path) -> dict:
@@ -385,10 +391,21 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_artifacts(artifacts_dir):
+def _check_trained_flags(args: argparse.Namespace, trained: dict) -> None:
+    """Refuse the flags an --artifacts run would drop: a setting the train
+    manifest fixes, given on the command line with another value."""
+    dropped = [s.option for name, s in SETTINGS.items()
+               if name not in UNTRAINED and getattr(args, name, None) is not None
+               and s.resolve(getattr(args, name)) != trained.get(name)]
+    if dropped:
+        raise UsageError(f"{', '.join(dropped)} cannot change a trained pair; "
+                         "--artifacts takes these settings from its train manifest")
+
+
+def _load_artifacts(args: argparse.Namespace):
     """A train run's manifest, its model pair, and the dataset and feature
-    builder of its config."""
-    art = Path(artifacts_dir)
+    builder of its config, once the command line is checked against it."""
+    art = Path(args.artifacts)
     manifest_path = art / "train_manifest.json"
     home_path = art / "model_home.json"
     away_path = art / "model_away.json"
@@ -396,6 +413,7 @@ def _load_artifacts(artifacts_dir):
         if not path.exists():
             raise MissingArtifact(path)
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    _check_trained_flags(args, manifest["config"])
     pair = ModelPairPredictor(manifest["label"], load_model(home_path), load_model(away_path))
     conf = manifest["config"]
     return manifest, pair, *load_context(conf["data_dir"], conf["test_size"], conf.get("schema"))
@@ -406,7 +424,7 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise UsageError("predict requires --artifacts DIR from a train run")
     if not args.fixtures:
         raise UsageError("predict requires --fixtures FILE of upcoming matches")
-    manifest, pair, _dataset, builder = _load_artifacts(args.artifacts)
+    manifest, pair, _dataset, builder = _load_artifacts(args)
     upcoming = load_fixtures(args.fixtures, require_goals=False)
     pset = pair.predict(upcoming, build_pair(builder, upcoming, manifest["approach"],
                                              require_target=False))
@@ -443,19 +461,19 @@ def _single_prediction_set(cfg: RunConfig, args: argparse.Namespace):
     """One PredictionSet, its dataset, the training matrices to rank, and the
     run record for the manifest, per CLI selection; a trained pair keeps its
     train manifest's record, since that config made its predictions."""
-    if cfg.model is not None:
-        dataset, _builder = load_context(cfg.data_dir, cfg.test_size, cfg.schema)
-        predictor = HeuristicPredictor(cfg.model, dataset.train_fixtures,
-                                       history=dataset.fixtures)
-        return [predictor.predict(dataset.test_fixtures)], dataset, {}, run_record(cfg)
     if getattr(args, "artifacts", None):
-        manifest, pair, dataset, builder = _load_artifacts(args.artifacts)
+        manifest, pair, dataset, builder = _load_artifacts(args)
         approach = manifest["approach"]
         train, test = split_pairs(dataset, builder, [approach])
         pset = pair.predict(dataset.test_fixtures, test[approach])
         importance = {approach: train[approach]} if approach in STATS_APPROACHES else {}
         record = {key: manifest[key] for key in ("config", "config_hash", "seed")}
         return [pset], dataset, importance, record
+    if cfg.model is not None:
+        dataset, _builder = load_context(cfg.data_dir, cfg.test_size, cfg.schema)
+        predictor = HeuristicPredictor(cfg.model, dataset.train_fixtures,
+                                       history=dataset.fixtures)
+        return [predictor.predict(dataset.test_fixtures)], dataset, {}, run_record(cfg)
     raise UsageError("evaluate needs --all, --model NAME, or --artifacts DIR")
 
 
@@ -591,7 +609,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
         "format_version": FORMAT_VERSION,
         "command": "evaluate",
         **record,
-        "data_fingerprint": data_fingerprint(cfg.data_dir) if cfg.data_dir else None,
+        "data_fingerprint": data_fingerprint(record["config"]["data_dir"]),
         "models": [p.model for p in psets],
         "skipped": {p.model: [list(s) for s in p.skipped] for p in psets},
     }

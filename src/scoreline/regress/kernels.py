@@ -4,13 +4,13 @@ Every kernel is whole-array NumPy. Where a result depends on the order of
 a floating-point sum, the kernels add left to right (``np.cumsum``), never
 pairwise (``np.sum``), so each result equals that of a plain scalar loop
 bit for bit. The tests pin the outputs as hex goldens and compare them
-with scalar-loop references; the kernel SVR's SMO solver, a loop of
-whole-array steps, is checked against scipy's SLSQP on the same dual.
+with scalar-loop references. The two SVR solvers, loops of whole-array
+steps, are checked against independent solves: SMO (kernel SVR) against
+scipy's SLSQP on the dual, and the interior-point method (linear SVR)
+against SMO on the linear Gram matrix.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -102,48 +102,121 @@ def svr_kernel_objective(K, y, beta, b, c_reg, epsilon):
     return 0.5 * (beta @ k_beta) + c_reg * tube_loss(y - (k_beta + b), epsilon)
 
 
-def svr_linear_train(X, y, c_reg, epsilon, lr, max_iter, tol, check_every):
-    """Full-batch subgradient descent on the linear epsilon-tube objective.
+COMPLEMENTARITY_FLOOR = 1e-13  # below it the duality gap is rounding noise
+FEASIBILITY_TOL = 1e-9  # |s'a| at most this for a dual value to bound the optimum
+STEP_FRACTION = 0.99  # of the longest step that keeps every variable positive
 
-    Steps follow lr/sqrt(t) on the 1/n-scaled objective (same minimizer,
-    row-count-independent step scale) and the best iterate seen is kept.
-    ``X @ w`` is evaluated once per iterate and serves that iterate's
-    objective and the next step's residual. Stops early once the best
-    objective improves by less than ``tol`` across a
-    ``check_every``-iteration window. Returns
-    ``(w, b, best_objective, iterations, converged)``.
+
+def tube_bias(r: np.ndarray, epsilon: float) -> float:
+    """The b minimizing sum(max(0, |r - b| - eps)): the midpoint of the two
+    middle values of the sorted ``r - eps`` and ``r + eps``."""
+    n = r.shape[0]
+    points = np.sort(np.concatenate((r - epsilon, r + epsilon)))
+    return 0.5 * (points[n - 1] + points[n])
+
+
+def _longest_step(v, dv) -> float:
+    """The largest step in (0, 1] that keeps ``v + step * dv`` non-negative."""
+    shrink = dv < 0.0
+    return min(1.0, float(np.min(-v[shrink] / dv[shrink]))) if shrink.any() else 1.0
+
+
+def svr_linear_train(X, y, c_reg, epsilon, max_iter, tol):
+    """Mehrotra's predictor-corrector interior-point method on the epsilon-SVR dual.
+
+    The dual is the one :func:`svr_kernel_train` solves, with ``Q = ZZ'``
+    for ``Z = [X; -X]``: minimize ``0.5 a'Qa + q'a`` subject to ``s'a = 0``
+    and ``0 <= a <= C``. The upper slacks ``t = C - a`` are variables of
+    their own, so they keep their precision near C. Each Newton system
+    ``(Q + D) da = g`` is solved by Sherman-Morrison-Woodbury through one
+    p x p system ``I + X' diag(1/D_alpha + 1/D_alpha*) X``, at O(n p^2) a
+    step, and the equality is eliminated by a scalar Schur complement. The
+    start, ``a = t = C/2`` with multipliers ``z - u = q``, is feasible
+    (Ferris & Munson, SIAM J. Optim. 13(3), 2002; Mehrotra, SIAM J. Optim.
+    2(4), 1992).
+
+    Each iterate gives ``w = Z'a`` and the bias that minimizes the tube
+    loss for that w (:func:`tube_bias`). The best primal objective P and
+    the best dual value ``-(0.5 a'Qa + q'a)`` seen bound the optimum from
+    both sides. Stops when the gap between them is at most
+    ``tol * max(1, P)``, when the mean complementarity falls below
+    ``COMPLEMENTARITY_FLOOR``, or after ``max_iter`` Newton steps. Returns
+    ``(w, b, objective, iterations, converged, gap)`` of the best primal
+    iterate, with the objective of :func:`svr_objective`; converged means
+    the gap test held.
     """
-    n = y.shape[0]
-    w = np.zeros(X.shape[1], dtype=np.float64)
-    b = left_sum(y) / n
-    fit = X @ w
-    r = y - (fit + b)
-    best_w = w.copy()
-    best_b = b
-    best_obj = 0.5 * (w @ w) + c_reg * tube_loss(r, epsilon)
-    window_best = best_obj
-    converged = False
+    n, p = X.shape
+    s = np.concatenate((np.ones(n), -np.ones(n)))
+    q = np.concatenate((epsilon - y, epsilon + y))
+    a = np.full(2 * n, 0.5 * c_reg)
+    t = a.copy()
+    # multipliers of a >= 0 and t >= 0: a = C/2 gives w = Z'a = 0, so Qa = 0
+    # and z - u = q zeroes the dual residual Qa + q + rho s - z + u
+    z = 1.0 + np.fmax(q, 0.0)
+    u = 1.0 + np.fmax(-q, 0.0)
+    rho = 0.0  # multiplier of s'a = 0
+    best_obj, best_w, best_b = np.inf, None, 0.0
+    dual = -np.inf
     it = 0
-    for it in range(1, max_iter + 1):
-        s = np.subtract(r > epsilon, r < -epsilon, dtype=np.float64)
-        gw = (w - c_reg * (X.T @ s)) / n
-        gb = -c_reg * np.sum(s) / n
-        step = lr / math.sqrt(it)
-        w = w - step * gw
-        b = b - step * gb
-        fit = X @ w
-        r = y - (fit + b)
-        obj = 0.5 * (w @ w) + c_reg * tube_loss(r, epsilon)
-        if obj < best_obj:
-            best_obj = obj
-            best_w = w.copy()
-            best_b = b
-        if it % check_every == 0:
-            if window_best - best_obj < tol:
-                converged = True
-                break
-            window_best = best_obj
-    return best_w, best_b, best_obj, it, converged
+    while True:
+        w = X.T @ (a[:n] - a[n:])
+        xw = X @ w
+        b = tube_bias(y - xw, epsilon)
+        obj = svr_objective(X, y, w, b, c_reg, epsilon)
+        if best_w is None or obj < best_obj:
+            best_obj, best_w, best_b = obj, w, b
+        if abs(s @ a) < FEASIBILITY_TOL:
+            dual = max(dual, -(0.5 * (w @ w) + q @ a))
+        gap = best_obj - dual
+        converged = gap <= tol * max(1.0, best_obj)
+        mu = (a @ z + t @ u) / (4 * n)
+        if converged or not mu >= COMPLEMENTARITY_FLOOR or it == max_iter:  # NaN stops
+            break
+
+        r_dual = np.concatenate((xw, -xw)) + q + rho * s - z + u
+        r_eq = s @ a
+        r_box = a + t - c_reg
+        D = z / a + u / t
+        S = np.eye(p) + X.T @ ((1.0 / D[:n] + 1.0 / D[n:])[:, None] * X)
+
+        def solve(V):
+            """(Q + D)^-1 V, column by column, by Woodbury. S grows
+            ill-conditioned near the optimum; an explicit inverse of it
+            loses the digits the gap test needs, a solve keeps them."""
+            E = V / D[:, None]
+            k = X @ np.linalg.solve(S, X.T @ (E[:n] - E[n:]))
+            return E - np.concatenate((k, -k)) / D[:, None]
+
+        def newton(h, h_s, r_az, r_tu):
+            """(da, dt, dz, du, drho) from h = (Q + D)^-1 g and h_s = (Q + D)^-1 s."""
+            drho = (s @ h + r_eq) / (s @ h_s)
+            da = h - drho * h_s
+            dt = -r_box - da
+            return da, dt, (r_az - z * da) / a, (r_tu - u * dt) / t, drho
+
+        def rhs(r_az, r_tu):
+            """The reduced right-hand side g when a*z is to change by r_az
+            and t*u by r_tu, to first order."""
+            return -r_dual + r_az / a - (r_tu + u * r_box) / t
+
+        r_az, r_tu = -a * z, -t * u  # predictor: the affine-scaling step
+        h_s, h = solve(np.column_stack((s, rhs(r_az, r_tu)))).T
+        da, dt, dz, du, _ = newton(h, h_s, r_az, r_tu)
+        step = min(map(_longest_step, (a, t, z, u), (da, dt, dz, du)))
+        mu_aff = ((a + step * da) @ (z + step * dz) + (t + step * dt) @ (u + step * du)) / (4 * n)
+        centre = (mu_aff / mu) ** 3 * mu
+        r_az = centre - a * z - da * dz  # corrector: centring plus second order
+        r_tu = centre - t * u - dt * du
+        h = solve(rhs(r_az, r_tu)[:, None])[:, 0]
+        da, dt, dz, du, drho = newton(h, h_s, r_az, r_tu)
+        step = min(1.0, STEP_FRACTION * min(map(_longest_step, (a, t, z, u), (da, dt, dz, du))))
+        a = a + step * da
+        t = t + step * dt
+        z = z + step * dz
+        u = u + step * du
+        rho += step * drho
+        it += 1
+    return best_w, best_b, best_obj, it, bool(converged), float(gap)
 
 
 TAU = 1e-12  # libsvm's floor for a non-positive pair curvature

@@ -1,12 +1,14 @@
 """Epsilon-insensitive support vector regression.
 
 Both kernels minimize 0.5*||w||^2 + C * sum(max(0, |y - f(x)| - epsilon))
-on standardized features, with an unregularised bias. The RBF kernel is
-trained by SMO on the dual (libsvm's solver), which stops once the KKT gap
-is at most ``tol``. The linear kernel is trained by primal subgradient
-descent with steps lr/sqrt(t), which stops once the best objective
-improves by less than ``tol`` over a ``check_every``-iteration window.
-Either solver stops at ``max_iter`` otherwise, with a NotConvergedWarning.
+on standardized features, with an unregularised bias, by solving the same
+dual. The RBF kernel is trained by SMO (libsvm's solver), which stops once
+the KKT gap is at most ``tol``. The linear kernel is trained by a
+primal-dual interior-point method, which stops once the duality gap is at
+most ``tol`` relative to the objective. Either solver stops at
+``max_iter`` otherwise (SMO pair steps or Newton steps), and the
+interior-point method also once rounding noise stalls it; either way
+with a NotConvergedWarning.
 """
 
 from __future__ import annotations
@@ -20,11 +22,8 @@ from .kernels import rbf_kernel, svr_kernel_train, svr_linear_train
 
 
 class NotConvergedWarning(RuntimeWarning):
-    """Solver hit max_iterations before its stopping rule held."""
-
-
-DEFAULT_LR = 0.5
-DEFAULT_CHECK_EVERY = 100
+    """Solver stopped before its stopping rule held: at max_iterations, or
+    (linear kernel) once rounding noise stalled it."""
 
 
 class SvrModel(ModelBase):
@@ -83,18 +82,16 @@ def resolve_gamma(gamma, Xs: np.ndarray) -> float:
 
 
 def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
-            tol: float = 1e-6, max_iter: int = 50_000, lr: float = DEFAULT_LR,
-            check_every: int = DEFAULT_CHECK_EVERY, gamma="scale",
+            tol: float = 1e-6, max_iter: int = 50_000, gamma="scale",
             feature_names=None) -> SvrModel:
     """Fit SVR on standardized features.
 
     Minimizes 0.5*||w||^2 + C * sum of epsilon-insensitive residual losses.
     The RBF kernel runs SMO on the dual until the KKT gap is at most `tol`;
-    the linear kernel runs subgradient descent, keeping the best iterate,
-    until the best objective improves by less than `tol` over a
-    `check_every`-iteration window (`lr` and `check_every` apply to it
-    alone). Either stops at `max_iter` otherwise, recorded as a
-    non-converged status and warned about, never raised.
+    the linear kernel runs an interior-point method until the duality gap
+    is at most `tol` * max(1, objective). Either stops at `max_iter` SMO or
+    Newton steps otherwise, recorded as a non-converged status and warned
+    about, never raised.
     """
     X, y = as_xy(X, y)
     if X.shape[0] < 2:
@@ -117,29 +114,23 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
         "tol": float(tol), "max_iterations": int(max_iter),
     }
     if kernel == "linear":
-        check = max(1, min(int(check_every), max_iter))
-        params.update(lr=float(lr), check_every=check)
-        w, b, obj, iters, converged = svr_linear_train(
-            Xs, yc, float(C), float(epsilon), float(lr), int(max_iter),
-            float(tol), check)
-        status = {"converged": bool(converged), "iterations": int(iters),
-                  "objective": float(obj)}
-        model = SvrModel("linear", scaler, params, status, X.shape[1],
-                         feature_names=feature_names, w=w, b=b)
-        unmet = f"objective {obj:.6g} still improving"
+        w, b, obj, iters, converged, gap = svr_linear_train(
+            Xs, yc, float(C), float(epsilon), int(max_iter), float(tol))
+        solved = {"w": w, "b": b}
+        unmet = "duality gap"
     else:
         g = resolve_gamma(gamma, Xs)
         params["gamma"] = g
         K = np.ascontiguousarray(rbf_kernel(Xs, Xs, g))
         beta, b, obj, iters, converged, gap = svr_kernel_train(
             K, yc, float(C), float(epsilon), int(max_iter), float(tol))
-        status = {"converged": converged, "iterations": int(iters),
-                  "objective": float(obj), "gap": gap}
-        model = SvrModel("rbf", scaler, params, status, X.shape[1],
-                         feature_names=feature_names, beta=beta, b=b,
-                         train_X=Xs, gamma=g)
-        unmet = f"KKT gap {gap:.6g} above tol={float(tol):g}"
-    if not status["converged"]:
-        warnings.warn(f"SVR stopped at max_iterations={max_iter} with {unmet}",
+        solved = {"beta": beta, "b": b, "train_X": Xs, "gamma": g}
+        unmet = "KKT gap"
+    status = {"converged": converged, "iterations": int(iters),
+              "objective": float(obj), "gap": gap}
+    if not converged:
+        warnings.warn(f"SVR stopped after {iters} of max_iterations={max_iter} steps "
+                      f"with {unmet} {gap:.6g} above tol={float(tol):g}",
                       NotConvergedWarning, stacklevel=2)
-    return model
+    return SvrModel(kernel, scaler, params, status, X.shape[1],
+                    feature_names=feature_names, **solved)

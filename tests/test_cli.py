@@ -126,8 +126,8 @@ def test_hyperparameter_validation_returns_2(tmp_path):
     assert run("train", *base_args(tmp_path), "--approach", "players",
                "--technique", "svr", "--svr-c", -1.0) == 2
     bad = [(key, "nan") for key in ("stake", "forest_fraction", "svr_c",
-                                    "svr_epsilon", "svr_tol", "svr_lr")]
-    bad += [("svr_c", "inf"), ("svr_tol", "-1"), ("svr_lr", "-1"), ("svr_lr", "0"),
+                                    "svr_epsilon", "svr_tol")]
+    bad += [("svr_c", "inf"), ("svr_tol", "-1"),
             ("svr_gamma", "abc"), ("svr_gamma", "-0.5"), ("svr_gamma", "nan"),
             ("forest_features", "abc"), ("forest_features", "0"), ("seed", "-1")]
     for key, value in bad:
@@ -140,6 +140,15 @@ def test_hyperparameter_validation_returns_2(tmp_path):
         conf.write_text(f"{key} = {value}\n", encoding="utf-8")
         assert run("train", *base_args(tmp_path), "--approach", "players",
                    "--technique", "svr", "--config", conf) == 2, (key, value)
+    # the linear SVR's step size is gone with its subgradient solver
+    with pytest.raises(SystemExit) as exc:
+        run("train", *base_args(tmp_path), "--approach", "players",
+            "--technique", "svr", "--svr-lr", 0.5)
+    assert exc.value.code == 2
+    conf = tmp_path / "svr_lr.conf"
+    conf.write_text("svr_lr = 0.5\n", encoding="utf-8")
+    assert run("train", *base_args(tmp_path), "--approach", "players",
+               "--technique", "svr", "--config", conf) == 2
 
 
 RESOLVED_DEFAULTS = {
@@ -147,7 +156,7 @@ RESOLVED_DEFAULTS = {
     "forest_features": "sqrt", "forest_fraction": 1.0, "forest_trees": 100,
     "knn_k": 5, "missing_odds": "skip", "model": None, "out_dir": "defaults",
     "schema": None, "seed": 0, "stake": 1.0, "svr_c": 1.0, "svr_epsilon": 0.1,
-    "svr_gamma": "scale", "svr_lr": 0.5, "svr_max_iter": 50000, "svr_tol": 1e-06,
+    "svr_gamma": "scale", "svr_max_iter": 50000, "svr_tol": 1e-06,
     "technique": "lr", "test_size": 8, "tree_depth": 6, "tree_min_leaf": 5,
 }
 
@@ -166,8 +175,8 @@ def test_resolved_config_pinned(tmp_path, monkeypatch):
                "--knn-k", 3) == 0
     custom = {**RESOLVED_DEFAULTS, "out_dir": "custom", "forest_bootstrap": False,
               "svr_gamma": 0.5, "forest_features": 7, "knn_k": 3}
-    for out_dir, config, config_hash in (("defaults", RESOLVED_DEFAULTS, "01f8833778d42d63"),
-                                         ("custom", custom, "3499af7e281b650e")):
+    for out_dir, config, config_hash in (("defaults", RESOLVED_DEFAULTS, "1cbddddae481a735"),
+                                         ("custom", custom, "470152e712eed186")):
         manifest = json.loads(Path(out_dir, "train_manifest.json").read_text())
         # the JSON text, not dict equality, so that 1 and 1.0 differ
         assert json.dumps(manifest["config"], sort_keys=True) == json.dumps(config, sort_keys=True)
@@ -321,6 +330,21 @@ def test_evaluate_artifacts_records_trained_config(tmp_path):
     assert (manifest["config_hash"], manifest["seed"]) == (trained["config_hash"], 7)
     summary = (tmp_path / "eval" / "summary.txt").read_text()
     assert "seed 7, stake 1, missing-odds policy skip" in summary
+    assert manifest["data_fingerprint"] == trained["data_fingerprint"]
+    # the train manifest fixes the data, split, seed, schema and every
+    # hyperparameter; a flag that would change one of them is refused, and
+    # --model with the trained --data-dir no longer wins over --artifacts
+    for flags in (("--test-size", 3), ("--forest-trees", 5),
+                  ("--model", "home-win", "--data-dir", SAMPLE_DIR)):
+        assert run("evaluate", "--artifacts", artifacts, "--out-dir", tmp_path / "eval",
+                   *flags) == 2, flags
+    assert run("bet", "--artifacts", artifacts, "--out-dir", tmp_path / "eval",
+               "--test-size", 3) == 2
+    with pytest.raises(SystemExit) as exc:  # bet reads no seed, so takes no --seed
+        run("bet", "--artifacts", artifacts, "--out-dir", tmp_path / "eval", "--seed", 1)
+    assert exc.value.code == 2
+    assert run("bet", "--artifacts", artifacts, "--out-dir", tmp_path / "eval",
+               "--stake", 2) == 0
 
 
 def test_evaluate_needs_a_selection(tmp_path):

@@ -1,14 +1,16 @@
 """The numeric kernels return pinned results, bit for bit.
 
-Each golden of the split, neighbour and linear SVR kernels was taken from
-the scalar-loop implementation the vectorised kernels replaced; the kernel
-SVR golden pins the SMO dual solver, which an independent SLSQP solve of
-the same dual checks. Floats travel as ``float.hex()`` strings, so every
-comparison is exact, not approximate. The inputs lean on the cases where a
-reordered sum or a different tie rule would show: tied and integer-valued
-columns, constant targets, equal distances and nodes at the edge of
-``min_leaf``. The scalar loops themselves stay below as references for a
-randomized bit-for-bit comparison.
+Each golden of the split and neighbour kernels was taken from the
+scalar-loop implementation the vectorised kernels replaced. The SVR goldens
+pin the two dual solvers: SMO (kernel SVR), which an independent SLSQP
+solve of the same dual checks, and the interior-point method (linear SVR),
+which SMO on the linear Gram matrix checks. Floats travel as
+``float.hex()`` strings, so every comparison is exact, not approximate.
+The inputs lean on the cases where a reordered sum or a different tie rule
+would show: tied and integer-valued columns, constant targets, equal
+distances and nodes at the edge of ``min_leaf``. The scalar loops
+themselves stay below as references for a randomized bit-for-bit
+comparison.
 """
 
 import numpy as np
@@ -71,15 +73,18 @@ def svr_data():
     return X, y
 
 
-# Arguments after (X, y): C, epsilon, lr, max_iter, tol, check_every.
-LINEAR_RUNS = {"stops_early": (1.0, 0.1, 0.5, 20_000, 1e-6, 100),
-               "hits_cap": (1.0, 0.1, 0.5, 250, 1e-9, 100)}
-# Arguments after (K, y): C, epsilon, max_iter, tol.
+# Arguments after (X, y) or (K, y): C, epsilon, max_iter, tol.
+LINEAR_RUNS = {"converges": (1.0, 0.1, 50_000, 1e-6),
+               "hits_cap": (1.0, 0.1, 5, 1e-6)}
 KERNEL_RUNS = {"converges": (1.0, 0.1, 50_000, 1e-6),
                "hits_cap": (1.0, 0.1, 20, 1e-6)}
 GAMMA = 0.3
 # the subgradient solver's objective after 400 iterations on svr_data()
 SUBGRADIENT_OBJECTIVE = "0x1.d6880f51f8e6ep+4"
+# the linear subgradient solver the interior-point method replaced, on
+# svr_data() with C=1, eps=0.1: stopped by its 100-iteration window at
+# 500 iterations, and capped at 250
+SUBGRADIENT_LINEAR_OBJECTIVES = ("0x1.321871239ee54p+2", "0x1.321d096761264p+2")
 
 
 # ----------------------------------------------------------------- goldens
@@ -106,25 +111,27 @@ GOLDEN_KNN = {
 }
 
 GOLDEN_LINEAR = {
-    "stops_early": {
+    "converges": {
         "coef": [
-            "0x1.0615ba7c4af81p+0", "-0x1.11919c7ff8d70p-1", "0x1.f9d3db21764b1p+0",
-            "-0x1.9f2d7ad3fcd42p-5",
+            "0x1.06c9efe52fcd7p+0", "-0x1.1217eda6e249ap-1", "0x1.fa63038a1c87fp+0",
+            "-0x1.970a57b79c708p-5",
         ],
-        "b": "-0x1.a3d7e9ab61686p-7",
-        "obj": "0x1.321871239ee54p+2",
-        "it": 500,
+        "b": "-0x1.77751429da740p-7",
+        "obj": "0x1.32134c86be598p+2",
+        "it": 10,
         "conv": True,
+        "gap": "0x1.c95ac0e800000p-20",
     },
     "hits_cap": {
         "coef": [
-            "0x1.05d8674d32938p+0", "-0x1.10eb0c9b2747ap-1", "0x1.f9d91ff89a9ccp+0",
-            "-0x1.a92043172a5c2p-5",
+            "0x1.03958e8ae4239p+0", "-0x1.0fddaa2b957dap-1", "0x1.f62bb5e3bd2a2p+0",
+            "-0x1.685bcb8719710p-5",
         ],
-        "b": "-0x1.a5546bcf22477p-7",
-        "obj": "0x1.321d096761264p+2",
-        "it": 250,
+        "b": "-0x1.24fb2f165b484p-6",
+        "obj": "0x1.32ade9ce22c7ep+2",
+        "it": 5,
         "conv": False,
+        "gap": "0x1.24fc6c36bcb40p-3",
     },
 }
 
@@ -216,14 +223,9 @@ def run_split(X, y, feat_idx, min_leaf):
 
 
 def run_svr(result):
-    coef, b, obj, it, conv = result
+    coef, b, obj, it, conv, gap = result
     return {"coef": hexify(coef), "b": float(b).hex(), "obj": float(obj).hex(),
-            "it": int(it), "conv": bool(conv)}
-
-
-def run_kernel_svr(result):
-    *head, gap = result
-    return {**run_svr(head), "gap": float(gap).hex()}
+            "it": int(it), "conv": bool(conv), "gap": float(gap).hex()}
 
 
 def test_best_split_identical():
@@ -253,8 +255,50 @@ def test_svr_linear_identical():
     X, y = svr_data()
     for name, run in LINEAR_RUNS.items():
         assert run_svr(svr_linear_train(X, y, *run)) == GOLDEN_LINEAR[name], name
-    assert GOLDEN_LINEAR["stops_early"]["conv"] is True
-    assert GOLDEN_LINEAR["hits_cap"]["it"] == LINEAR_RUNS["hits_cap"][3]
+    *_, tol = LINEAR_RUNS["converges"]
+    obj = float.fromhex(GOLDEN_LINEAR["converges"]["obj"])
+    assert GOLDEN_LINEAR["converges"]["conv"] is True
+    assert float.fromhex(GOLDEN_LINEAR["converges"]["gap"]) <= tol * max(1.0, obj)
+    assert GOLDEN_LINEAR["hits_cap"]["it"] == LINEAR_RUNS["hits_cap"][2]
+    assert float.fromhex(GOLDEN_LINEAR["hits_cap"]["gap"]) > LINEAR_RUNS["hits_cap"][3]
+
+
+def test_ipm_objective_not_above_subgradient():
+    X, y = svr_data()
+    _w, _b, obj, _it, conv, _gap = svr_linear_train(X, y, *LINEAR_RUNS["converges"])
+    assert conv
+    assert all(obj <= float.fromhex(old) for old in SUBGRADIENT_LINEAR_OBJECTIVES)
+
+
+def linear_gram_cases():
+    """name -> (Xs, y, C, epsilon) for the interior-point/SMO comparison."""
+    rng = np.random.default_rng(5)
+    X, y = svr_data()
+    wide = rng.normal(size=(12, 20))  # p > n, with one all-zero column
+    wide[:, 7] = 0.0
+    return {
+        "svr_data": (X, y, 1.0, 0.1),
+        "p_above_n_zero_column": (wide, wide[:, 0] - wide[:, 3] + rng.normal(size=12), 1.0, 0.1),
+        "saturated_c": (X[:15], rng.normal(scale=3.0, size=15), 0.01, 0.1),
+        "large_c": (X[:20], y[:20], 10.0, 0.05),
+        "wide_tube": (X[:10], rng.uniform(-0.5, 0.5, size=10), 1.0, 5.0),
+    }
+
+
+def test_ipm_matches_smo_on_linear_gram():
+    """The same dual, solved by SMO on K = XX' to a 1e-12 KKT gap."""
+    for name, (X, y, c_reg, eps) in linear_gram_cases().items():
+        w, b, obj, _it, _conv, gap = svr_linear_train(X, y, c_reg, eps, 100, 1e-8)
+        beta, _b, ref, _it, ref_conv, _gap = svr_kernel_train(X @ X.T, y, c_reg, eps,
+                                                              1_000_000, 1e-12)
+        assert ref_conv, name
+        assert abs(obj - ref) <= 1e-6 * max(1.0, ref), (name, obj, ref)
+        assert obj == svr_objective(X, y, w, b, c_reg, eps), name
+        assert gap >= 0.0, name
+        if name == "wide_tube":  # a = 0 is optimal: a flat fit through the middle
+            assert np.all(beta == 0.0) and np.abs(w).max() < 1e-12
+        if name == "saturated_c":  # all but the rows nearest the bias sit at C
+            assert np.mean(np.abs(beta) == c_reg) > 0.9
 
 
 def test_rbf_and_kernel_svr_identical():
@@ -262,7 +306,7 @@ def test_rbf_and_kernel_svr_identical():
     K = rbf_kernel(X, X, GAMMA)
     assert hexify(K[:3]) == GOLDEN_RBF_ROWS
     for name, run in KERNEL_RUNS.items():
-        assert run_kernel_svr(svr_kernel_train(K, y, *run)) == GOLDEN_KERNEL[name], name
+        assert run_svr(svr_kernel_train(K, y, *run)) == GOLDEN_KERNEL[name], name
     assert GOLDEN_KERNEL["converges"]["conv"] is True
     assert GOLDEN_KERNEL["hits_cap"]["it"] == KERNEL_RUNS["hits_cap"][2]
     assert float.fromhex(GOLDEN_KERNEL["hits_cap"]["gap"]) > KERNEL_RUNS["hits_cap"][3]

@@ -372,6 +372,21 @@ def test_svr_not_converged_is_warning():
     assert np.isfinite(model.predict(X)).all()  # still usable
 
 
+def test_svr_linear_cap_warns_with_duality_gap():
+    rng = np.random.default_rng(44)
+    X = rng.normal(size=(20, 2))
+    y = rng.normal(size=20)
+    with pytest.warns(NotConvergedWarning, match="duality gap .* above tol"):
+        model = fit_svr(X, y, max_iter=2)
+    assert not model.status["converged"] and model.status["iterations"] == 2
+    assert model.status["gap"] > model.params["tol"]
+    assert set(model.params) == {"C", "epsilon", "kernel", "tol", "max_iterations"}
+    converged = fit_svr(X, y)
+    status = converged.status
+    assert status["converged"] and status["gap"] <= 1e-6 * max(1.0, status["objective"])
+    assert status["objective"] <= model.status["objective"]
+
+
 def test_svr_rbf_fits_nonlinear_shape():
     rng = np.random.default_rng(45)
     x = np.linspace(-2, 2, 40)
