@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 data/model error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -34,13 +33,21 @@ from .evaluate import (
 )
 from .features import APPROACHES, SIDES, FeatureBuilder, FeatureError
 from .heuristics import HEURISTICS, HeuristicError
-from .ingest import Dataset, IngestError, load_dataset, load_fixtures
+from .ingest import (
+    DATA_FILES,
+    Dataset,
+    IngestError,
+    load_dataset,
+    load_fixtures,
+    write_csv,
+)
 from .predict import (
     HeuristicPredictor,
     ModelPairPredictor,
     PredictError,
     PREDICTION_COLUMNS,
     PredictionSet,
+    prediction_rows,
     save_predictions_csv,
 )
 from .regress import RegressError, StoreError, fit_model, load_model, save_model
@@ -58,6 +65,7 @@ HIGHER_IS_BETTER = {
     "standings": True, "top4": True, "relegation": True,
 }
 STATS_APPROACHES = ("lineup_stats", "team_stats")
+IMPORTANCE_COLUMNS = ("approach", "side", "feature", "score")
 FORMAT_VERSION = 1
 
 
@@ -276,7 +284,7 @@ def technique_params(cfg: RunConfig, technique: str) -> tuple[str, dict]:
 
 def data_fingerprint(data_dir) -> str:
     sha = hashlib.sha256()
-    for name in ("fixtures.csv", "player_stats.csv", "odds.csv"):
+    for name in DATA_FILES:
         sha.update(name.encode())
         sha.update(Path(data_dir, name).read_bytes())
     return sha.hexdigest()[:16]
@@ -298,13 +306,6 @@ def run_record(cfg: RunConfig) -> dict:
 def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n",
                           encoding="utf-8")
-
-
-def write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def fnum(x) -> str:
@@ -497,7 +498,6 @@ def _evaluate_bundle(cfg: RunConfig, dataset: Dataset, psets: list,
     tau_rows = []
     zone_rows = []
     bet_rows = []
-    pred_rows = []
     values = {s: {} for s in SCENARIOS}
     notes = []
 
@@ -541,10 +541,6 @@ def _evaluate_bundle(cfg: RunConfig, dataset: Dataset, psets: list,
                          ledger.bets_placed, ledger.bets_skipped, correct,
                          fnum(ledger.total_payout), fnum(ledger.net_earnings)])
 
-        for p in preds:
-            pred_rows.append([p.fixture_id, p.model, fnum(p.raw_home),
-                              fnum(p.raw_away), p.pred_home, p.pred_away,
-                              p.actual_home, p.actual_away])
         for fid, reason in pset.skipped:
             notes.append(f"{label}: skipped {fid}: {reason}")
 
@@ -562,7 +558,7 @@ def _evaluate_bundle(cfg: RunConfig, dataset: Dataset, psets: list,
     write_csv(out_dir / "betting.csv",
               ["model", "stake", "policy", "bets_placed", "bets_skipped",
                "correct_scorelines", "total_payout", "net_earnings"], bet_rows)
-    write_csv(out_dir / "predictions.csv", list(PREDICTION_COLUMNS), pred_rows)
+    write_csv(out_dir / "predictions.csv", PREDICTION_COLUMNS, prediction_rows(psets))
     write_csv(out_dir / "overview.csv",
               ["model", *SCENARIOS, "rank_sum"],
               [[row.model, *(r for _, r in row.ranks), row.rank_sum]
@@ -590,6 +586,10 @@ def _evaluate_bundle(cfg: RunConfig, dataset: Dataset, psets: list,
 
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.all:
+        clash = [flag for flag, given in (("--artifacts", args.artifacts),
+                                          ("--model", args.model)) if given]
+        if clash:
+            raise UsageError(f"--all cannot be combined with {' or '.join(clash)}")
         dataset, builder = load_context(cfg.data_dir, cfg.test_size, cfg.schema)
         train, test = split_pairs(dataset, builder, APPROACHES)
         psets = _grid_prediction_sets(cfg, dataset, train, test)
@@ -602,8 +602,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _evaluate_bundle(cfg, dataset, psets, out_dir, record["seed"])
     if importance:
-        write_csv(out_dir / "importance.csv",
-                  ["approach", "side", "feature", "score"],
+        write_csv(out_dir / "importance.csv", IMPORTANCE_COLUMNS,
                   _importance_rows(importance))
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -627,7 +626,7 @@ def cmd_importance(cfg: RunConfig, args: argparse.Namespace) -> int:
         {cfg.approach: build_pair(builder, dataset.train_fixtures, cfg.approach)})
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "importance.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(out, ["approach", "side", "feature", "score"], rows)
+    write_csv(out, IMPORTANCE_COLUMNS, rows)
     print(f"wrote {len(rows)} feature scores to {out}")
     for approach, side, feature, score in rows[:5]:
         print(f"  {side:5s} {feature:24s} {score}")
@@ -640,11 +639,8 @@ def cmd_bet(cfg: RunConfig, args: argparse.Namespace) -> int:
     ledger = bet_run(pset.predictions, dataset.odds, cfg.stake, cfg.missing_odds)
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "betting_ledger.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
-    rows = [
-        [pset.model, e.fixture_id, e.pred_home, e.pred_away, e.odds_found,
-         "" if e.odds is None else fnum(e.odds), e.correct, fnum(e.payout)]
-        for e in ledger.entries
-    ]
+    rows = [[pset.model, e.fixture_id, e.pred_home, e.pred_away, e.odds_found,
+             fnum(e.odds), e.correct, fnum(e.payout)] for e in ledger.entries]
     write_csv(out, ["model", "fixture_id", "pred_home", "pred_away",
                     "odds_found", "odds", "correct", "payout"], rows)
     print(f"{pset.model}: placed {ledger.bets_placed}, skipped "

@@ -22,6 +22,7 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -41,6 +42,7 @@ FIXTURE_COLUMNS = (
 )
 STATS_COLUMNS = ("player_id", "fixture_id", "position_group", "stat_name", "value")
 ODDS_COLUMNS = ("fixture_id", "home_goals", "away_goals", "odds")
+DATA_FILES = ("fixtures.csv", "player_stats.csv", "odds.csv")
 
 
 class IngestError(Exception):
@@ -188,11 +190,49 @@ class Dataset:
         return self.fixtures[self.split_index :]
 
 
-def _require(row: Mapping[str, str], col: str, rownum: int) -> str:
-    value = row.get(col)
-    if value is None or value.strip() == "":
+def _rows(path: str | Path, columns: tuple[str, ...], what: str):
+    """Yield ``(rownum, cells)`` for each record of a CSV file, the raw cells
+    picked by header name in ``columns`` order.
+
+    A name that heads several columns reads the last of them. Blank lines
+    are skipped and not numbered: records count from 2, after the header.
+    A short row reads ``""`` past its end, and extra cells are ignored.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rownum = 1  # the record being read: the header, then the data
+        try:
+            header = next(reader, [])
+            last = {name: i for i, name in enumerate(header)}
+            missing = [c for c in columns if c not in last]
+            if missing:
+                raise ParseError(1, f"{what} file missing columns {missing}")
+            pick = itemgetter(*(last[c] for c in columns))
+            pad = [""] * len(header)
+            rownum = 2
+            for cells in reader:
+                if cells:
+                    if len(cells) < len(pad):
+                        cells += pad
+                    yield rownum, pick(cells)
+                    rownum += 1
+        except csv.Error as exc:
+            raise ParseError(rownum, f"unreadable {what} file: {exc}") from None
+
+
+def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write a header and rows in the dialect every scoreline file uses."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _require(value: str, col: str, rownum: int) -> str:
+    value = value.strip()
+    if not value:
         raise ParseError(rownum, f"missing value for {col!r}")
-    return value.strip()
+    return value
 
 
 def _parse_lineup(raw: str, fixture_id: str) -> tuple[str, ...] | None:
@@ -208,56 +248,51 @@ def _parse_lineup(raw: str, fixture_id: str) -> tuple[str, ...] | None:
 def load_fixtures(path: str | Path, require_goals: bool = True) -> list[Fixture]:
     """Load fixtures sorted chronologically; duplicates are rejected."""
     fixtures: dict[str, Fixture] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in FIXTURE_COLUMNS if c not in header]
-        if missing:
-            raise ParseError(1, f"fixtures file missing columns {missing}")
-        for rownum, row in enumerate(reader, start=2):
-            fid = _require(row, "fixture_id", rownum)
-            if fid in fixtures:
-                raise DuplicateFixture(fid)
-            try:
-                season = int(_require(row, "season", rownum))
-            except ValueError:
-                raise ParseError(rownum, f"season {row.get('season')!r} is not an integer")
-            try:
-                kickoff = datetime.fromisoformat(_require(row, "kickoff", rownum))
-            except ValueError:
-                raise ParseError(rownum, f"kickoff {row.get('kickoff')!r} is not ISO 8601")
-            home = _require(row, "home_team", rownum)
-            away = _require(row, "away_team", rownum)
-            if home == away:
-                raise ParseError(rownum, f"home and away team are both {home!r}")
+    for rownum, cells in _rows(path, FIXTURE_COLUMNS, "fixtures"):
+        fid, season, kickoff, home, away, *goal_cells, home_lineup, away_lineup = cells
+        fid = _require(fid, "fixture_id", rownum)
+        if fid in fixtures:
+            raise DuplicateFixture(fid)
+        try:
+            season_no = int(_require(season, "season", rownum))
+        except ValueError:
+            raise ParseError(rownum, f"season {season!r} is not an integer")
+        try:
+            kickoff_at = datetime.fromisoformat(_require(kickoff, "kickoff", rownum))
+        except ValueError:
+            raise ParseError(rownum, f"kickoff {kickoff!r} is not ISO 8601")
+        home = _require(home, "home_team", rownum)
+        away = _require(away, "away_team", rownum)
+        if home == away:
+            raise ParseError(rownum, f"home and away team are both {home!r}")
 
-            goals: dict[str, int | None] = {}
-            for col in ("home_goals", "away_goals"):
-                raw = (row.get(col) or "").strip()
-                if not raw:
-                    if require_goals:
-                        raise ParseError(rownum, f"missing value for {col!r}")
-                    goals[col] = None
-                    continue
-                try:
-                    value = int(raw)
-                except ValueError:
-                    raise ParseError(rownum, f"{col} {raw!r} is not an integer")
-                if value < 0:
-                    raise ParseError(rownum, f"{col} must be non-negative, got {value}")
-                goals[col] = value
+        goals: list[int | None] = []
+        for col, raw in zip(("home_goals", "away_goals"), goal_cells):
+            raw = raw.strip()
+            if not raw:
+                if require_goals:
+                    raise ParseError(rownum, f"missing value for {col!r}")
+                goals.append(None)
+                continue
+            try:
+                value = int(raw)
+            except ValueError:
+                raise ParseError(rownum, f"{col} {raw!r} is not an integer")
+            if value < 0:
+                raise ParseError(rownum, f"{col} must be non-negative, got {value}")
+            goals.append(value)
 
-            fixtures[fid] = Fixture(
-                fixture_id=fid,
-                season=season,
-                kickoff=kickoff,
-                home_team=home,
-                away_team=away,
-                home_goals=goals["home_goals"],
-                away_goals=goals["away_goals"],
-                home_lineup=_parse_lineup(row.get("home_lineup") or "", fid),
-                away_lineup=_parse_lineup(row.get("away_lineup") or "", fid),
-            )
+        fixtures[fid] = Fixture(
+            fixture_id=fid,
+            season=season_no,
+            kickoff=kickoff_at,
+            home_team=home,
+            away_team=away,
+            home_goals=goals[0],
+            away_goals=goals[1],
+            home_lineup=_parse_lineup(home_lineup, fid),
+            away_lineup=_parse_lineup(away_lineup, fid),
+        )
     return sorted(fixtures.values(), key=lambda f: (f.kickoff, f.fixture_id))
 
 
@@ -270,38 +305,32 @@ def load_player_stats(path: str | Path, fixtures: Iterable[Fixture]) -> StatsArc
     known = {f.fixture_id for f in fixtures}
     stats: dict[tuple[str, str], dict[str, float]] = {}
     groups: dict[tuple[str, str], str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in STATS_COLUMNS if c not in header]
-        if missing:
-            raise ParseError(1, f"stats file missing columns {missing}")
-        for rownum, row in enumerate(reader, start=2):
-            pid = _require(row, "player_id", rownum)
-            fid = _require(row, "fixture_id", rownum)
-            if fid not in known:
-                raise UnknownFixture(fid)
-            group = _require(row, "position_group", rownum)
-            if group not in POSITION_GROUPS:
-                raise ParseError(rownum, f"position_group {group!r} not in {POSITION_GROUPS}")
-            stat = _require(row, "stat_name", rownum)
-            try:
-                value = float(_require(row, "value", rownum))
-            except ValueError:
-                raise ParseError(rownum, f"value {row.get('value')!r} is not a number")
-            if not math.isfinite(value):
-                raise ParseError(rownum, f"stat {stat!r} is not finite")
-            if value < 0:
-                raise NegativeStat(pid, stat)
+    for rownum, (pid, fid, group, stat, raw) in _rows(path, STATS_COLUMNS, "stats"):
+        pid = _require(pid, "player_id", rownum)
+        fid = _require(fid, "fixture_id", rownum)
+        if fid not in known:
+            raise UnknownFixture(fid)
+        group = _require(group, "position_group", rownum)
+        if group not in POSITION_GROUPS:
+            raise ParseError(rownum, f"position_group {group!r} not in {POSITION_GROUPS}")
+        stat = _require(stat, "stat_name", rownum)
+        try:
+            value = float(_require(raw, "value", rownum))
+        except ValueError:
+            raise ParseError(rownum, f"value {raw!r} is not a number")
+        if not math.isfinite(value):
+            raise ParseError(rownum, f"stat {stat!r} is not finite")
+        if value < 0:
+            raise NegativeStat(pid, stat)
 
-            key = (pid, fid)
-            if key in groups and groups[key] != group:
-                raise ParseError(rownum, f"conflicting position_group for {key}")
-            groups[key] = group
-            record = stats.setdefault(key, {})
-            if stat in record:
-                raise ParseError(rownum, f"duplicate stat {stat!r} for {key}")
-            record[stat] = value
+        key = (pid, fid)
+        if key in groups and groups[key] != group:
+            raise ParseError(rownum, f"conflicting position_group for {key}")
+        groups[key] = group
+        record = stats.setdefault(key, {})
+        if stat in record:
+            raise ParseError(rownum, f"duplicate stat {stat!r} for {key}")
+        record[stat] = value
 
     return StatsArchive(
         PlayerMatchStats(player_id=pid, fixture_id=fid, position_group=groups[(pid, fid)], stats=vals)
@@ -316,33 +345,27 @@ def load_odds(path: str | Path, fixtures: Iterable[Fixture]) -> dict[str, OddsRe
     """
     known = {f.fixture_id for f in fixtures}
     book: dict[str, dict[tuple[int, int], float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in ODDS_COLUMNS if c not in header]
-        if missing:
-            raise ParseError(1, f"odds file missing columns {missing}")
-        for rownum, row in enumerate(reader, start=2):
-            fid = _require(row, "fixture_id", rownum)
-            if fid not in known:
-                raise UnknownFixture(fid)
-            try:
-                hg = int(_require(row, "home_goals", rownum))
-                ag = int(_require(row, "away_goals", rownum))
-            except ValueError:
-                raise ParseError(rownum, "scoreline goals must be integers")
-            if hg < 0 or ag < 0:
-                raise ParseError(rownum, f"scoreline ({hg},{ag}) has negative goals")
-            try:
-                odds = float(_require(row, "odds", rownum))
-            except ValueError:
-                raise ParseError(rownum, f"odds {row.get('odds')!r} is not a number")
-            if not math.isfinite(odds) or odds <= 1.0:
-                raise OddsNotPositive(fid, (hg, ag))
-            quotes = book.setdefault(fid, {})
-            if (hg, ag) in quotes:
-                raise ParseError(rownum, f"duplicate quote for {fid!r} scoreline ({hg},{ag})")
-            quotes[(hg, ag)] = odds
+    for rownum, (fid, hg, ag, raw) in _rows(path, ODDS_COLUMNS, "odds"):
+        fid = _require(fid, "fixture_id", rownum)
+        if fid not in known:
+            raise UnknownFixture(fid)
+        try:
+            hg = int(_require(hg, "home_goals", rownum))
+            ag = int(_require(ag, "away_goals", rownum))
+        except ValueError:
+            raise ParseError(rownum, "scoreline goals must be integers")
+        if hg < 0 or ag < 0:
+            raise ParseError(rownum, f"scoreline ({hg},{ag}) has negative goals")
+        try:
+            odds = float(_require(raw, "odds", rownum))
+        except ValueError:
+            raise ParseError(rownum, f"odds {raw!r} is not a number")
+        if not math.isfinite(odds) or odds <= 1.0:
+            raise OddsNotPositive(fid, (hg, ag))
+        quotes = book.setdefault(fid, {})
+        if (hg, ag) in quotes:
+            raise ParseError(rownum, f"duplicate quote for {fid!r} scoreline ({hg},{ag})")
+        quotes[(hg, ag)] = odds
     return {fid: OddsRecord(fixture_id=fid, scoreline_odds=quotes) for fid, quotes in book.items()}
 
 
@@ -361,13 +384,12 @@ def chronological_split(
 
 
 def load_dataset(data_dir: str | Path, test_size: int = 100) -> Dataset:
-    """Load fixtures.csv, player_stats.csv and odds.csv from a directory."""
-    data_dir = Path(data_dir)
-    fixtures = load_fixtures(data_dir / "fixtures.csv")
-    train, test = chronological_split(fixtures, test_size)
+    """Load the three DATA_FILES from a directory."""
+    fixtures_csv, stats_csv, odds_csv = (Path(data_dir, name) for name in DATA_FILES)
+    train, test = chronological_split(load_fixtures(fixtures_csv), test_size)
     ordered = tuple(train + test)
-    archive = load_player_stats(data_dir / "player_stats.csv", ordered)
-    odds = load_odds(data_dir / "odds.csv", ordered)
+    archive = load_player_stats(stats_csv, ordered)
+    odds = load_odds(odds_csv, ordered)
     return Dataset(fixtures=ordered, stats=archive, odds=odds, split_index=len(train))
 
 
@@ -379,45 +401,22 @@ def _fmt(value: float) -> str:
 
 
 def save_fixtures(fixtures: Iterable[Fixture], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FIXTURE_COLUMNS)
-        for f in fixtures:
-            writer.writerow(
-                [
-                    f.fixture_id,
-                    f.season,
-                    f.kickoff.isoformat(),
-                    f.home_team,
-                    f.away_team,
-                    "" if f.home_goals is None else f.home_goals,
-                    "" if f.away_goals is None else f.away_goals,
-                    ";".join(f.home_lineup) if f.home_lineup else "",
-                    ";".join(f.away_lineup) if f.away_lineup else "",
-                ]
-            )
+    write_csv(path, FIXTURE_COLUMNS, (
+        [f.fixture_id, f.season, f.kickoff.isoformat(), f.home_team, f.away_team,
+         f.home_goals, f.away_goals,
+         ";".join(f.home_lineup) if f.home_lineup else "",
+         ";".join(f.away_lineup) if f.away_lineup else ""]
+        for f in fixtures))
 
 
 def save_player_stats(archive: StatsArchive, path: str | Path) -> None:
-    rows = []
-    for rec in archive.records():
-        for stat, value in rec.stats.items():
-            rows.append((rec.player_id, rec.fixture_id, rec.position_group, stat, value))
-    rows.sort()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STATS_COLUMNS)
-        for pid, fid, group, stat, value in rows:
-            writer.writerow([pid, fid, group, stat, _fmt(value)])
+    rows = sorted((rec.player_id, rec.fixture_id, rec.position_group, stat, value)
+                  for rec in archive.records() for stat, value in rec.stats.items())
+    write_csv(path, STATS_COLUMNS, (row[:4] + (_fmt(row[4]),) for row in rows))
 
 
 def save_odds(odds: Mapping[str, OddsRecord], path: str | Path) -> None:
-    rows = []
-    for fid in sorted(odds):
-        for (hg, ag), quote in sorted(odds[fid].scoreline_odds.items()):
-            rows.append((fid, hg, ag, quote))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ODDS_COLUMNS)
-        for fid, hg, ag, quote in rows:
-            writer.writerow([fid, hg, ag, _fmt(quote)])
+    write_csv(path, ODDS_COLUMNS, (
+        [fid, hg, ag, _fmt(quote)]
+        for fid in sorted(odds)
+        for (hg, ag), quote in sorted(odds[fid].scoreline_odds.items())))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -15,7 +14,7 @@ from .heuristics import (
     recency_predict,
     tradition_predict,
 )
-from .ingest import Fixture
+from .ingest import Fixture, write_csv
 from .regress.base import ModelBase, SchemaMismatch
 
 
@@ -158,15 +157,12 @@ PREDICTION_COLUMNS = ("fixture_id", "model", "raw_home", "raw_away",
                       "pred_home", "pred_away", "actual_home", "actual_away")
 
 
-def save_predictions_csv(pset: PredictionSet, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PREDICTION_COLUMNS)
-        for p in pset.predictions:
-            writer.writerow([
-                p.fixture_id, p.model, repr(p.raw_home), repr(p.raw_away),
-                p.pred_home, p.pred_away,
-                "" if p.actual_home is None else p.actual_home,
-                "" if p.actual_away is None else p.actual_away,
-            ])
+def prediction_rows(psets: Iterable[PredictionSet]) -> Iterable[list]:
+    """One PREDICTION_COLUMNS row per prediction, set by set."""
+    return ([p.fixture_id, p.model, repr(float(p.raw_home)), repr(float(p.raw_away)),
+             p.pred_home, p.pred_away, p.actual_home, p.actual_away]
+            for pset in psets for p in pset.predictions)
 
+
+def save_predictions_csv(pset: PredictionSet, path) -> None:
+    write_csv(path, PREDICTION_COLUMNS, prediction_rows([pset]))

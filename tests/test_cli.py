@@ -347,8 +347,30 @@ def test_evaluate_artifacts_records_trained_config(tmp_path):
                "--stake", 2) == 0
 
 
-def test_evaluate_needs_a_selection(tmp_path):
+def test_evaluate_needs_a_selection(tmp_path, team_artifacts, capsys):
     assert run("evaluate", *base_args(tmp_path)) == 2
+    # --all is a mode of its own: a selection beside it is refused, not dropped
+    for flags, named in ((("--model", "home-win"), "--model"),
+                         (("--artifacts", team_artifacts), "--artifacts")):
+        capsys.readouterr()
+        assert run("evaluate", *base_args(tmp_path), "--all", *flags) == 2, flags
+        err = capsys.readouterr().err
+        assert "--all" in err and named in err, err
+    assert not (tmp_path / "overview.csv").exists()
+
+
+def test_unreadable_csv_returns_1(tmp_path, capsys):
+    """A CSV field over the csv module's size limit is a data error naming
+    its row, not a traceback."""
+    data = tmp_path / "data"
+    shutil.copytree(SAMPLE_DIR, data)
+    lines = (data / "odds.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = lines[2].rsplit(",", 1)[0] + "," + "9" * 200_000 + "\n"
+    (data / "odds.csv").write_text("".join(lines), encoding="utf-8")
+    assert run("evaluate", "--data-dir", data, "--test-size", 8,
+               "--out-dir", tmp_path / "out", "--model", "home-win") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: row 3: unreadable odds file: field larger than field limit"), err
 
 
 # ------------------------------------------------------------ the full grid

@@ -1,6 +1,7 @@
 """Loader validation, chronological splitting and file round-trips."""
 
 import csv
+import re
 
 import pytest
 
@@ -125,6 +126,46 @@ def test_empty_lineups_allowed(tmp_path):
     fixture = load_fixtures(path)[0]
     assert fixture.home_lineup is None
     assert not fixture.has_lineups()
+
+
+def _reversed_columns():
+    names = FIXTURE_HEADER.strip().split(",")
+    cells = row("F1", "2020-09-05T15:00:00").split(",")
+    return ",".join(names[::-1]) + "\n" + ",".join(cells[::-1]) + "\n"
+
+
+@pytest.mark.parametrize("text, expected", [
+    pytest.param(FIXTURE_HEADER + "F1,2020,2020-09-05T15:00:00,X,Y,1,0\n",
+                 [("F1", 2020, "X", "Y", 1, 0, False)], id="short-row-before-lineups"),
+    pytest.param(FIXTURE_HEADER + "F1,2020,2020-09-05T15:00:00,X,Y\n",
+                 "row 2: missing value for 'home_goals'", id="short-row-before-goals"),
+    pytest.param(FIXTURE_HEADER + row("F1", "2020-09-05T15:00:00") + "\n\n"
+                 + row("F2", "2020-09-12T15:00:00", away="") + "\n",
+                 "row 3: missing value for 'away_team'", id="blank-line-not-numbered"),
+    pytest.param(_reversed_columns(),
+                 [("F1", 2020, "X", "Y", 1, 0, True)], id="columns-in-another-order"),
+    pytest.param(FIXTURE_HEADER + row("F1", "2020-09-05T15:00:00") + ",extra,cells\n",
+                 [("F1", 2020, "X", "Y", 1, 0, True)], id="extra-trailing-cells"),
+    pytest.param(FIXTURE_HEADER.strip() + ",home_team\n"
+                 + row("F1", "2020-09-05T15:00:00") + ",Z\n",
+                 [("F1", 2020, "Z", "Y", 1, 0, True)], id="repeated-header-reads-last"),
+    pytest.param(FIXTURE_HEADER + row(" F1 ", " 2020-09-05T15:00:00 ", home=" X ",
+                                      hg=" 1 ", ag=" 0") + "\n",
+                 [("F1", 2020, "X", "Y", 1, 0, True)], id="padded-cells-stripped"),
+    pytest.param(FIXTURE_HEADER + row("F1", "2020-09-05T15:00:00").replace(",2020,", ", x20 ,")
+                 + "\n", "row 2: season ' x20 ' is not an integer", id="message-quotes-raw-cell"),
+])
+def test_reader_contract(tmp_path, text, expected):
+    """How a fixtures file's rows map to records: by header name, blank
+    lines skipped and unnumbered, short rows read as empty cells."""
+    path = tmp_path / "f.csv"
+    path.write_text(text, encoding="utf-8")
+    if isinstance(expected, str):
+        with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+            load_fixtures(path)
+        return
+    assert [(f.fixture_id, f.season, f.home_team, f.away_team, f.home_goals,
+             f.away_goals, f.has_lineups()) for f in load_fixtures(path)] == expected
 
 
 # ------------------------------------------------------------------- stats
