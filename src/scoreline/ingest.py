@@ -56,6 +56,14 @@ class ParseError(IngestError):
         super().__init__(f"row {row}: {reason}")
 
 
+class NotUtf8(IngestError):
+    """The decoder reads a file in chunks, so no row number is known."""
+
+    def __init__(self, path, what: str, reason: str):
+        self.path = path
+        super().__init__(f"{what} file {path} is not UTF-8 text: {reason}")
+
+
 class DuplicateFixture(IngestError):
     def __init__(self, fixture_id: str):
         self.fixture_id = fixture_id
@@ -218,6 +226,8 @@ def _rows(path: str | Path, columns: tuple[str, ...], what: str):
                     rownum += 1
         except csv.Error as exc:
             raise ParseError(rownum, f"unreadable {what} file: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise NotUtf8(path, what, exc.reason) from None
 
 
 def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:

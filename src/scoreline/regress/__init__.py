@@ -4,6 +4,7 @@ from .base import (
     DimensionMismatch,
     KTooLarge,
     ModelBase,
+    NonFiniteInput,
     RegressError,
     Scaler,
     SchemaMismatch,
@@ -38,6 +39,7 @@ __all__ = [
     "KnnModel",
     "LinearModel",
     "ModelBase",
+    "NonFiniteInput",
     "NotConvergedWarning",
     "RegressError",
     "Scaler",

@@ -28,6 +28,10 @@ class TooFewRows(RegressError):
     pass
 
 
+class NonFiniteInput(RegressError):
+    pass
+
+
 @dataclass(frozen=True)
 class Scaler:
     """Per-column training mean and standard deviation (population)."""
@@ -103,4 +107,11 @@ def as_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(f"X must be 2-d, got ndim={X.ndim}")
     if y.ndim != 1 or y.shape[0] != X.shape[0]:
         raise DimensionMismatch(f"y length {y.shape} does not match {X.shape[0]} rows")
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        row, col = bad[0].tolist()
+        raise NonFiniteInput(f"X holds {X[row, col]} at row {row}, column {col}")
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise NonFiniteInput(f"y holds {y[bad[0]]} at row {bad[0]}")
     return X, y

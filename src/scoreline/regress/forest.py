@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .base import ModelBase, TooFewRows, as_xy
-from .tree import TreeNode, check_tree_params, grow_tree, node_from_dict, node_to_dict, walk_tree
+from .tree import TreeNode, check_tree_params, grow_trees, node_from_dict, node_to_dict, walk_tree
 
 
 def resolve_max_features(spec, p: int) -> int:
@@ -66,15 +66,11 @@ def fit_rfr(X, y, n_trees: int = 100, max_depth: int = 6, min_leaf: int = 5,
     m_feat = resolve_max_features(max_features, p)
     sample_size = max(1, int(round(n * bootstrap_fraction)))
 
-    streams = np.random.SeedSequence(seed).spawn(n_trees)
-    roots = []
+    rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(n_trees)]
     all_rows = np.arange(n, dtype=np.int64)
-    for child_seq in streams:
-        rng = np.random.default_rng(child_seq)
-        rows = rng.integers(0, n, size=sample_size) if bootstrap else all_rows
-        roots.append(grow_tree(X, y, rows, max_depth=max_depth,
-                               min_leaf=min_leaf, max_features=m_feat,
-                               rng=rng))
+    roots = grow_trees(
+        X, y, (rng.integers(0, n, size=sample_size) if bootstrap else all_rows for rng in rngs),
+        rngs, max_depth=max_depth, min_leaf=min_leaf, max_features=m_feat)
 
     params = {
         "n_trees": n_trees,

@@ -3,11 +3,14 @@
 Every kernel is whole-array NumPy. Where a result depends on the order of
 a floating-point sum, the kernels add left to right (``np.cumsum``), never
 pairwise (``np.sum``), so each result equals that of a plain scalar loop
-bit for bit. The tests pin the outputs as hex goldens and compare them
-with scalar-loop references. The two SVR solvers, loops of whole-array
-steps, are checked against independent solves: SMO (kernel SVR) against
-scipy's SLSQP on the dual, and the interior-point method (linear SVR)
-against SMO on the linear Gram matrix.
+bit for bit. Where the order of equal values matters, it is the input
+order: ``best_split`` keeps tied values in the node's row order, as a
+stable sort does, and ``knn_neighbor_means`` prefers the lower training
+row at equal distance. The tests pin the outputs as hex goldens and
+compare them with scalar-loop references. The two SVR solvers, loops of
+whole-array steps, are checked against independent solves: SMO (kernel
+SVR) against scipy's SLSQP on the dual, and the interior-point method
+(linear SVR) against SMO on the linear Gram matrix.
 """
 
 from __future__ import annotations
@@ -33,46 +36,152 @@ def tube_loss(r: np.ndarray, epsilon: float) -> float:
     return left_sum(np.fmax(np.abs(r) - epsilon, 0.0))
 
 
-def best_split(X, y, feat_idx, min_leaf):
-    """Exhaustive CART split search for one node.
+SPLIT_CELLS = 1 << 13  # padded node rows x features scored per block
+
+
+def dense_ranks(X):
+    """Each column's dense rank over the rows of X (at least one), as a
+    ``(p, n + 1)`` int32 array.
+
+    Equal values (``-0.0`` and ``0.0`` too) share a rank, and a larger value
+    has a larger rank, so sorting a node's rows by rank orders them as their
+    values do. Column ``n`` is a sentinel row ranked above every value:
+    :func:`best_split` pads nodes with it.
+    """
+    n, p = X.shape
+    order = np.argsort(X, axis=0, kind="stable")
+    vs = np.take_along_axis(X, order, axis=0)
+    ranks = np.empty((p, n + 1), dtype=np.int32 if n < np.iinfo(np.int32).max else np.int64)
+    ranks[:, n] = n
+    ranks[np.arange(p)[:, None], order.T] = np.cumsum(
+        np.vstack((np.zeros((1, p), bool), vs[1:] != vs[:-1])), axis=0).T
+    return ranks
+
+
+def best_split(X, y, feat_idx, min_leaf, rows, ranks):
+    """Exhaustive CART split search for a batch of nodes.
+
+    Node k holds the rows ``rows[k]`` of X and y (repeats allowed) and scans
+    the features ``feat_idx[k]``, a row of the ``(nodes, m)`` array
+    ``feat_idx``; ``ranks`` is :func:`dense_ranks` of X. A single node is a
+    batch of one.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
-    values of each feature in ``feat_idx``. Returns
-    ``(feature, threshold, children_sse)`` minimizing the summed child SSE,
-    or feature ``-1`` when no split keeps both children at ``min_leaf``
-    (at least 1) rows. Ties resolve to the earliest feature in ``feat_idx``
-    and then the lowest threshold: the first minimum of the feature-major
-    SSE matrix.
+    values of each scanned feature. For each node, the result holds the
+    feature, threshold and summed child SSE of the split minimizing that
+    SSE, or feature ``-1`` (threshold 0, SSE inf) when no split keeps both
+    children at ``min_leaf`` (at least 1) rows. Ties resolve to the
+    earliest feature in ``feat_idx[k]`` and then the lowest threshold: the
+    first minimum of the feature-major SSE matrix. Returns three arrays,
+    one entry per node.
+
+    Equal values keep the node's row order (a stable sort by rank), and
+    the cumulative sums add each node's targets in that order. Nodes are
+    scored in blocks of one power-of-two width, padded at the tail with the
+    sentinel row (top rank, target 0): a padded node sorts as it would
+    alone, so every sum it gets is the one it would get alone. A block
+    holds at most ``SPLIT_CELLS`` cells, or one node, and all blocks of a
+    call share one set of work arrays.
     """
-    n = X.shape[0]
-    lo, hi = min_leaf, n - min_leaf + 1  # split before sorted row i, lo <= i < hi
-    if hi <= lo:
-        return -1, 0.0, np.inf
-    cols = X[:, feat_idx]
-    order = np.argsort(cols, axis=0)
-    vs = np.take_along_axis(cols, order, axis=0)
-    ys = y[order]
-    cs = np.cumsum(ys, axis=0)
-    cs2 = np.cumsum(ys * ys, axis=0)
-    i = np.arange(lo, hi, dtype=np.float64)[:, None]
-    sl = cs[lo - 1:hi - 1]
-    sq = cs2[lo - 1:hi - 1]
-    sr = cs[n - 1] - sl
-    sse = (sq - sl * sl / i) + ((cs2[n - 1] - sq) - sr * sr / (n - i))
-    below, above = vs[lo - 1:hi - 1], vs[lo:hi]
-    sse[above <= below] = np.inf
-    flat = int(np.argmin(sse.T))
-    fi, row = divmod(flat, hi - lo)
-    best_sse = sse[row, fi]
-    if not best_sse < np.inf:
-        return -1, 0.0, np.inf
-    left, right = below[row, fi], above[row, fi]
-    thr = 0.5 * (left + right)
-    # adjacent floats can round the midpoint up to the right value; keep
+    n_nodes, m = feat_idx.shape
+    sizes = np.array([r.shape[0] for r in rows], dtype=np.int64)
+    sses = np.full(n_nodes, np.inf)
+    feats = np.full(n_nodes, -1, dtype=np.int64)
+    pair = np.zeros((n_nodes, 2), dtype=np.intp)  # the rows either side of the split
+    by_width = {}
+    for k, size in enumerate(sizes.tolist()):
+        if size >= 2 * min_leaf:  # else no split keeps min_leaf rows a side
+            by_width.setdefault(1 << (size - 1).bit_length(), []).append(k)
+    blocks = []
+    for width, ks in by_width.items():
+        per = max(1, SPLIT_CELLS // (width * m))
+        blocks += [(width, ks[i:i + per]) for i in range(0, len(ks), per)]
+    if blocks:
+        block_rows = max(width * len(ks) for width, ks in blocks)
+        # a sort key is a rank shifted above a padded-row position
+        key_type = np.int32 if ranks.shape[1] << (block_rows - 1).bit_length() \
+            <= np.iinfo(np.int32).max else np.int64
+        work = (np.empty(block_rows * m, dtype=key_type),
+                np.empty(block_rows * m, dtype=np.intp), np.empty(block_rows * m, dtype=bool),
+                *(np.empty(block_rows * m) for _ in range(4)))
+        ranks = ranks.astype(key_type, copy=False)
+        y_pad = np.append(y, 0.0)
+    for width, ks in blocks:
+        block = np.array(ks)
+        idx = np.full((block.shape[0], width), ranks.shape[1] - 1, dtype=np.intp)
+        for r, k in enumerate(ks):
+            idx[r, :sizes[k]] = rows[k]
+        sses[block], feats[block], pair[block] = _score_block(
+            y_pad, ranks, idx, sizes[block], feat_idx[block], min_leaf, work)
+    found = sses < np.inf
+    feats[~found] = -1
+    sses[~found] = np.inf
+    thrs = np.zeros(n_nodes)
+    below, above = X[pair[found], feats[found, None]].T
+    mid = 0.5 * (below + above)
+    # adjacent floats can round the midpoint up to the value above; keep
     # "value <= threshold goes left" consistent with the split scored here
-    if thr >= right:
-        thr = left
-    return feat_idx[fi], thr, best_sse
+    thrs[found] = np.where(mid >= above, below, mid)
+    return feats, thrs, sses
+
+
+def _score_block(y_pad, ranks, idx, sizes, feat_idx, lo, work):
+    """The least SSE of each node padded to one width, with its feature
+    and the rows either side of it: ``idx`` holds each node's rows, then
+    the sentinel row. The arrays of ``work`` are flat buffers of at least
+    a block's cells, written in place.
+
+    A cell's sort key is its rank shifted above its position in ``idx``
+    (node-major), so the keys are distinct, any sort puts a lane in the
+    order a stable sort by rank gives, and the low bits address the row.
+    """
+    n_nodes, width = idx.shape
+    m = feat_idx.shape[1]
+    hi = int(sizes.max()) - lo + 1  # split before sorted row i, lo <= i < hi
+    full, part = (n_nodes, m, width), (n_nodes, m, hi - lo)
+    keys, pos, invalid, sse, cs, cs2, tmp = (
+        buf[:shape[0] * shape[1] * shape[2]].reshape(shape)
+        for buf, shape in zip(work, (full, full, part, part, full, full, part)))
+    bits = (idx.size - 1).bit_length()
+    low = (1 << bits) - 1
+    np.add(feat_idx[:, :, None] * ranks.shape[1], idx[:, None, :], out=pos)
+    ranks.take(pos, out=keys)
+    keys <<= bits
+    keys |= np.arange(idx.size, dtype=keys.dtype).reshape(n_nodes, 1, width)
+    keys.sort(axis=-1)
+    np.bitwise_and(keys, low, out=pos)
+    ys = work[3][:keys.size].reshape(full)  # sse's buffer, free until the SSE
+    y_pad[idx].take(pos, out=ys)
+    ys.cumsum(axis=-1, out=cs)
+    ys *= ys
+    ys.cumsum(axis=-1, out=cs2)
+    i = np.arange(lo, hi, dtype=np.float64)
+    nodes, last = np.arange(n_nodes), sizes - 1
+    sl, sq = cs[..., lo - 1:hi - 1], cs2[..., lo - 1:hi - 1]
+    # sse = (sq - sl * sl / i) + ((total2 - sq) - sr * sr / (n - i)), in place
+    np.multiply(sl, sl, out=sse)
+    sse /= i
+    np.subtract(sq, sse, out=sse)
+    np.subtract(cs[nodes, :, last][:, :, None], sl, out=tmp)  # sr
+    tmp *= tmp
+    # past a node's own hi the right side is empty or padding: those cells
+    # are masked below, and the floor keeps their division finite
+    tmp /= np.maximum(sizes[:, None, None] - i, 1.0)
+    right = work[4][:sse.size].reshape(part)  # cs's buffer: sl is spent
+    np.subtract(cs2[nodes, :, last][:, :, None], sq, out=right)
+    right -= tmp
+    sse += right
+    ties = work[1][:sse.size].reshape(part)  # pos's buffer: ys is gathered
+    np.bitwise_xor(keys[..., lo:hi], keys[..., lo - 1:hi - 1], out=ties)
+    np.less_equal(ties, low, out=invalid)  # equal ranks
+    invalid |= i >= (sizes - lo + 1)[:, None, None]
+    np.putmask(sse, invalid, np.inf)
+    flat = sse.reshape(n_nodes, -1).argmin(axis=1)
+    fi, at = np.divmod(flat, hi - lo)
+    at += lo
+    lanes = keys[nodes, fi]
+    pair = idx.reshape(-1)[np.stack((lanes[nodes, at - 1], lanes[nodes, at]), axis=1) & low]
+    return sse.reshape(n_nodes, -1)[nodes, flat], feat_idx[nodes, fi], pair
 
 
 def knn_neighbor_means(train_X, train_y, query_X, k):

@@ -89,6 +89,9 @@ def _model_from(technique: str, payload: dict, n_features: int, names) -> ModelB
                          max_depth=payload["max_depth"], min_leaf=payload["min_leaf"],
                          feature_names=names)
     if technique == "rfr":
+        trees, n_trees = len(payload["trees"]), payload["params"]["n_trees"]
+        if not trees or trees != n_trees:
+            raise BadArtifact(f"the forest holds {trees} trees, params.n_trees is {n_trees!r}")
         return forest_from_payload(payload, n_features, feature_names=names)
     if technique == "svr":
         kernel = payload["kernel"]

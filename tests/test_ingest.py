@@ -9,6 +9,7 @@ from scoreline.ingest import (
     DuplicateFixture,
     MalformedLineup,
     NegativeStat,
+    NotUtf8,
     OddsNotPositive,
     ParseError,
     TestTooLarge,
@@ -166,6 +167,21 @@ def test_reader_contract(tmp_path, text, expected):
         return
     assert [(f.fixture_id, f.season, f.home_team, f.away_team, f.home_goals,
              f.away_goals, f.has_lineups()) for f in load_fixtures(path)] == expected
+
+
+@pytest.mark.parametrize("where", ["header", "first record", "after the first 8 KiB"])
+def test_non_utf8_file_names_the_file(tmp_path, where):
+    """The decoder reads in chunks, so the error names the file, not a row."""
+    path = write_fixtures(tmp_path / "f.csv", [
+        row(f"m{i}", f"2020-01-{1 + i % 28:02d}T15:00:00") for i in range(300)])
+    raw = path.read_bytes()
+    assert len(raw) > 3 * 8192
+    at = {"header": 3, "first record": len(FIXTURE_HEADER) + 2,
+          "after the first 8 KiB": len(raw) - 40}[where]
+    path.write_bytes(raw[:at] + b"\xff\xfe" + raw[at:])
+    with pytest.raises(NotUtf8) as exc:
+        load_fixtures(path)
+    assert str(exc.value) == f"fixtures file {path} is not UTF-8 text: invalid start byte"
 
 
 # ------------------------------------------------------------------- stats

@@ -16,8 +16,10 @@ comparison.
 import numpy as np
 from scipy.optimize import minimize
 
+from scoreline.regress import kernels
 from scoreline.regress.kernels import (
     best_split,
+    dense_ranks,
     knn_neighbor_means,
     rbf_kernel,
     svr_kernel_objective,
@@ -90,7 +92,7 @@ SUBGRADIENT_LINEAR_OBJECTIVES = ("0x1.321871239ee54p+2", "0x1.321d096761264p+2")
 # ----------------------------------------------------------------- goldens
 
 GOLDEN_SPLIT = {
-    "tied_integer_columns": [1, "0x1.8000000000000p+0", "0x1.8b5cbe1e0f8aap+5"],
+    "tied_integer_columns": [1, "0x1.8000000000000p+0", "0x1.8b5cbe1e0f8aep+5"],
     "constant_targets": [0, "0x1.0000000000000p-1", "0x0.0p+0"],
     "exactly_two_min_leaf": [2, "0x1.7f559bcdb6f58p-1", "0x1.7d007ebd51549p+1"],
     "too_few_rows": [-1, "0x0.0p+0", "inf"],
@@ -218,8 +220,10 @@ GOLDEN_OBJECTIVE = {
 # ------------------------------------------------------------------- tests
 
 def run_split(X, y, feat_idx, min_leaf):
-    feat, thr, sse = best_split(X, y, feat_idx, min_leaf)
-    return [int(feat), float(thr).hex(), float(sse).hex()]
+    """best_split on one node holding every row of X: a batch of one."""
+    feats, thrs, sses = best_split(X, y, feat_idx[None, :], min_leaf,
+                                   [np.arange(X.shape[0])], dense_ranks(X))
+    return [int(feats[0]), float(thrs[0]).hex(), float(sses[0]).hex()]
 
 
 def run_svr(result):
@@ -244,6 +248,38 @@ def test_best_split_edge_cases_keep_their_meaning():
     X, *_ = cases["adjacent_float_midpoint"]
     thr = float.fromhex(GOLDEN_SPLIT["adjacent_float_midpoint"][1])
     assert thr == X[0, 0] and thr < X[-1, 0]
+
+
+def test_integer_targets_split_alike_under_any_row_order():
+    """Integer targets sum exactly, so the order of tied rows cannot show."""
+    rng = np.random.default_rng(5)
+    for case in range(40):
+        n, p = int(rng.integers(4, 40)), int(rng.integers(1, 6))
+        X = rng.integers(0, 4, size=(n, p)).astype(np.float64)
+        y = rng.integers(0, 5, size=n).astype(np.float64)
+        feat_idx, min_leaf = np.arange(p), int(rng.integers(1, 4))
+        expected = run_split(X, y, feat_idx, min_leaf)
+        for _ in range(4):
+            perm = rng.permutation(n)
+            assert run_split(X[perm], y[perm], feat_idx, min_leaf) == expected, case
+
+
+def test_a_batch_scores_each_node_as_alone(monkeypatch):
+    """Nodes of several widths, some split over several blocks and some
+    too small to split, on float targets: each gets the split it gets in a
+    batch of one, bit for bit."""
+    monkeypatch.setattr(kernels, "SPLIT_CELLS", 64)
+    rng = np.random.default_rng(17)
+    X = np.round(rng.normal(size=(70, 6)), 1)
+    y = rng.normal(size=70)
+    ranks = dense_ranks(X)
+    rows = [rng.integers(0, 70, size=int(s)) for s in [1, 3, *rng.integers(4, 70, size=28)]]
+    feat_idx = np.sort(np.array([rng.choice(6, size=3, replace=False) for _ in rows]), axis=1)
+    got = np.column_stack(best_split(X, y, feat_idx, 2, rows, ranks))
+    alone = np.vstack([np.column_stack(best_split(X, y, f[None, :], 2, [r], ranks))
+                       for f, r in zip(feat_idx, rows)])
+    assert got.tobytes() == alone.tobytes()
+    assert (got[:, 0] >= 0).sum() > 20 and (got[:, 0] < 0).any()
 
 
 def test_knn_identical():
@@ -385,11 +421,12 @@ def test_svr_objectives_identical():
 # ------------------------------------------------------- scalar references
 
 def loop_best_split(X, y, feat_idx, min_leaf):
-    """One feature and one threshold at a time, strict improvement."""
+    """One feature and one threshold at a time, strict improvement; tied
+    values keep their row order (a stable sort)."""
     n = X.shape[0]
     best = (-1, 0.0, np.inf)
     for j in feat_idx:
-        order = np.argsort(X[:, j].copy())
+        order = np.argsort(X[:, j], kind="stable")
         vs, ys = X[order, j], y[order]
         cs, cs2 = np.cumsum(ys), np.cumsum(ys * ys)
         for i in range(min_leaf, n - min_leaf + 1):

@@ -1,5 +1,7 @@
 """Engine oracles: LR, KNN, DTR, RFR and SVR against independent references."""
 
+import hashlib
+import json
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ from scoreline.regress import (
     DimensionMismatch,
     ForestModel,
     KTooLarge,
+    NonFiniteInput,
     NotConvergedWarning,
     SchemaMismatch,
     TooFewRows,
@@ -26,7 +29,8 @@ from scoreline.regress import (
     standardize_apply,
     standardize_fit,
 )
-from scoreline.regress.tree import walk_tree
+from scoreline.regress.kernels import best_split, dense_ranks
+from scoreline.regress.tree import node_to_dict, walk_tree
 
 # --------------------------------------------------------- standardization
 
@@ -292,6 +296,124 @@ def test_rfr_param_validation():
         fit_rfr(X, y, max_features=9)
 
 
+def tied_goal_data():
+    """Integer goal targets over integer and rounded columns with ties,
+    one column a duplicate of another."""
+    rng = np.random.default_rng(404)
+    X = rng.integers(0, 5, size=(90, 7)).astype(np.float64)
+    X[:, 4] = X[:, 2]
+    X[:, 6] = np.round(rng.normal(size=90), 1)
+    return X, rng.poisson(1.4, size=90).astype(np.float64)
+
+
+TREE_FITS = {
+    **{f"rfr_seed_{seed}": (fit_rfr, dict(n_trees=15, max_depth=5, min_leaf=2, seed=seed))
+       for seed in (0, 1, 23)},
+    "rfr_subset_3_fraction": (fit_rfr, dict(n_trees=10, max_features=3, bootstrap_fraction=0.6,
+                                            min_leaf=1, seed=9)),
+    "rfr_all_features_no_bootstrap": (fit_rfr, dict(n_trees=3, max_features="all",
+                                                    bootstrap=False, min_leaf=3, seed=5)),
+    "dtr": (fit_dtr, dict(max_depth=6, min_leaf=2)),
+    "dtr_min_leaf_1": (fit_dtr, dict(max_depth=9, min_leaf=1)),
+}
+
+# sha256 of the payload JSON (every node_to_dict), taken from the per-node
+# recursive grower that the lockstep one replaced
+TREE_GOLDENS = {
+    "rfr_seed_0": "af5030c3c160f6b245ddeea530863ab5572b3f60e83874fcfacbfc3454d9cf71",
+    "rfr_seed_1": "dbc5800d44b2c6d5c59ab67fb66a1987d22c17c8f5f517a9d28ba15fe3ac76bf",
+    "rfr_seed_23": "fb5915616bbdaba56d45c6fca16608d046eb976e0bf460dd3ea2e4c5f2432f94",
+    "rfr_subset_3_fraction": "17a0fad28f217b0ff0b0f2cd628f4cc745ff01a053ae9bfbbd71ed961a61c841",
+    "rfr_all_features_no_bootstrap":
+        "be6704fd24e6cfbc69c4920a1a5594a1ed3fc4c68a50fd102b24f61dc00d49ad",
+    "dtr": "9cdfcb36707866e58127e654dacd3c3391c3324e70e348e8fafa0477a1362e1a",
+    "dtr_min_leaf_1": "9b0358b0295a8d215a3b84fb0576b5b75ec6aed0557010fbe11b49031a95ea0a",
+}
+
+
+def payload_digest(model):
+    return hashlib.sha256(json.dumps(model.payload(), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(TREE_FITS))
+def test_tree_and_forest_goldens(name):
+    fit, params = TREE_FITS[name]
+    assert payload_digest(fit(*tied_goal_data(), **params)) == TREE_GOLDENS[name]
+
+
+def reference_tree(X, y, rows, *, max_depth, min_leaf, max_features, rng):
+    """One tree grown alone, node by node in preorder, each node scored by
+    a batch-of-one best_split."""
+    p = X.shape[1]
+    ranks = dense_ranks(X)
+
+    def grow(node_rows, depth):
+        node_y = y[node_rows]
+        node = TreeNode(feature=-1, threshold=0.0, value=float(node_y.mean()),
+                        n=int(node_rows.shape[0]))
+        if depth >= max_depth or node.n < 2 * min_leaf or np.all(node_y == node_y[0]):
+            return node
+        feat_idx = np.arange(p)
+        if rng is not None and max_features < p:
+            feat_idx = np.sort(rng.choice(p, size=max_features, replace=False))
+        feats, thrs, _ = best_split(X, y, feat_idx[None, :], min_leaf, [node_rows], ranks)
+        if feats[0] < 0:
+            return node
+        go_left = X[node_rows, feats[0]] <= thrs[0]
+        node.feature, node.threshold = int(feats[0]), float(thrs[0])
+        node.left = grow(node_rows[go_left], depth + 1)
+        node.right = grow(node_rows[~go_left], depth + 1)
+        return node
+
+    return grow(rows, 0)
+
+
+def reference_forest_trees(X, y, *, n_trees, max_depth, min_leaf, max_features,
+                           bootstrap, bootstrap_fraction, seed):
+    n = X.shape[0]
+    trees = []
+    for child in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(child)
+        rows = (rng.integers(0, n, size=max(1, int(round(n * bootstrap_fraction))))
+                if bootstrap else np.arange(n))
+        trees.append(node_to_dict(reference_tree(
+            X, y, rows, max_depth=max_depth, min_leaf=min_leaf,
+            max_features=max_features, rng=rng)))
+    return trees
+
+
+@pytest.mark.parametrize("targets", ["float", "goals"])
+def test_lockstep_growth_equals_growing_each_tree_alone(targets):
+    rng = np.random.default_rng(61)
+    X = np.round(rng.normal(size=(70, 9)), 1)
+    y = rng.normal(size=70) if targets == "float" else rng.poisson(1.3, size=70) * 1.0
+    for params in (dict(n_trees=12, max_depth=6, min_leaf=2, max_features=3, bootstrap=True,
+                        bootstrap_fraction=1.0, seed=3),
+                   dict(n_trees=4, max_depth=4, min_leaf=1, max_features=9, bootstrap=True,
+                        bootstrap_fraction=0.5, seed=8),
+                   dict(n_trees=2, max_depth=5, min_leaf=3, max_features=5, bootstrap=False,
+                        bootstrap_fraction=1.0, seed=2)):
+        forest = fit_rfr(X, y, **params)
+        expected = reference_forest_trees(X, y, **params)
+        assert json.dumps(forest.payload()["trees"]) == json.dumps(expected), params
+    tree = fit_dtr(X, y, max_depth=7, min_leaf=2)
+    alone = reference_tree(X, y, np.arange(70), max_depth=7, min_leaf=2, max_features=9, rng=None)
+    assert json.dumps(node_to_dict(tree.root)) == json.dumps(node_to_dict(alone))
+
+
+def test_fits_reject_non_finite_cells():
+    X, y = np.ones((12, 3)), np.ones(12)
+    bad_x = X.copy()
+    bad_x[7, 2] = np.nan
+    bad_y = y.copy()
+    bad_y[4] = np.inf
+    for fit in (fit_lr, fit_knn, fit_dtr, fit_rfr, fit_svr):
+        with pytest.raises(NonFiniteInput, match="^X holds nan at row 7, column 2$"):
+            fit(bad_x, y)
+        with pytest.raises(NonFiniteInput, match="^y holds inf at row 4$"):
+            fit(X, bad_y)
+
+
 # ----------------------------------------------------------------------- SVR
 
 
@@ -531,3 +653,67 @@ def test_store_rejects_garbage(tmp_path):
     path.write_text("{not json")
     with pytest.raises(BadArtifact):
         load_model(path)
+
+
+def forest_artifact(tmp_path):
+    rng = np.random.default_rng(52)
+    path = tmp_path / "forest.json"
+    save_model(fit_rfr(rng.normal(size=(30, 3)), rng.poisson(1.5, size=30) * 1.0,
+                       n_trees=3, min_leaf=2, seed=4), path)
+    return path
+
+
+def _set_first_leaf(tree, **fields):
+    while "feature" in tree:
+        tree = tree["left"]
+    tree.update(fields)
+
+
+def _set_first_split(tree, **fields):
+    assert "feature" in tree, "the tree is a single leaf"
+    tree.update(fields)
+
+
+MALFORMED_FORESTS = {
+    "no trees": (lambda p: p.update(trees=[]), "the forest holds 0 trees, params.n_trees is 3"),
+    "fewer trees than n_trees": (lambda p: p["trees"].pop(),
+                                 "the forest holds 2 trees, params.n_trees is 3"),
+    "more trees than n_trees": (lambda p: p["params"].update(n_trees=2),
+                                "the forest holds 3 trees, params.n_trees is 2"),
+    "nan leaf value": (lambda p: _set_first_leaf(p["trees"][1], value=float("nan")),
+                       "a tree node has value nan"),
+    "inf threshold": (lambda p: _set_first_split(p["trees"][0], threshold=float("inf")),
+                      "a tree node has threshold inf"),
+    "-inf split value": (lambda p: _set_first_split(p["trees"][2], value=float("-inf")),
+                         "a tree node has value -inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FORESTS))
+def test_store_rejects_malformed_forest(tmp_path, case):
+    """A forest that would fail only at predict time is refused on load,
+    naming the file."""
+    from scoreline.regress import BadArtifact
+
+    path = forest_artifact(tmp_path)
+    breaks, message = MALFORMED_FORESTS[case]
+    blob = json.loads(path.read_text())
+    breaks(blob["payload"])
+    path.write_text(json.dumps(blob))
+    with pytest.raises(BadArtifact) as exc:
+        load_model(path)
+    assert str(path) in str(exc.value) and message in str(exc.value)
+
+
+def test_store_rejects_non_finite_tree_value(tmp_path):
+    from scoreline.regress import BadArtifact
+
+    rng = np.random.default_rng(53)
+    path = tmp_path / "tree.json"
+    save_model(fit_dtr(rng.normal(size=(30, 3)), rng.normal(size=30), min_leaf=2), path)
+    blob = json.loads(path.read_text())
+    _set_first_leaf(blob["payload"]["root"], value=float("nan"))
+    path.write_text(json.dumps(blob))
+    with pytest.raises(BadArtifact, match="a tree node has value nan") as exc:
+        load_model(path)
+    assert str(path) in str(exc.value)
