@@ -2,9 +2,9 @@
 
 All three inputs are UTF-8 CSV files with a header row:
 
-* ``fixtures.csv``: one row per match. Lineups are semicolon-delimited
-  player-id lists, exactly eleven distinct ids when present, empty when
-  unknown.
+* ``fixtures.csv``: one row per match. Kickoffs are ISO 8601 local times
+  without a UTC offset. Lineups are semicolon-delimited player-id lists,
+  exactly eleven distinct ids when present, empty when unknown.
 * ``player_stats.csv``: long format (player_id, fixture_id, position_group,
   stat_name, value). The stat schema is open; unknown stat names are kept
   verbatim.
@@ -271,6 +271,9 @@ def load_fixtures(path: str | Path, require_goals: bool = True) -> list[Fixture]
             kickoff_at = datetime.fromisoformat(_require(kickoff, "kickoff", rownum))
         except ValueError:
             raise ParseError(rownum, f"kickoff {kickoff!r} is not ISO 8601")
+        if kickoff_at.tzinfo is not None:
+            raise ParseError(rownum, f"kickoff {kickoff!r} has a UTC offset; "
+                                     "give local time without one")
         home = _require(home, "home_team", rownum)
         away = _require(away, "away_team", rownum)
         if home == away:
@@ -311,40 +314,67 @@ def load_player_stats(path: str | Path, fixtures: Iterable[Fixture]) -> StatsArc
 
     Every record must reference a known fixture; raw stat values must be
     finite and non-negative. Stat names outside the schema are retained.
-    """
-    known = {f.fixture_id for f in fixtures}
-    stats: dict[tuple[str, str], dict[str, float]] = {}
-    groups: dict[tuple[str, str], str] = {}
-    for rownum, (pid, fid, group, stat, raw) in _rows(path, STATS_COLUMNS, "stats"):
-        pid = _require(pid, "player_id", rownum)
-        fid = _require(fid, "fixture_id", rownum)
-        if fid not in known:
-            raise UnknownFixture(fid)
-        group = _require(group, "position_group", rownum)
-        if group not in POSITION_GROUPS:
-            raise ParseError(rownum, f"position_group {group!r} not in {POSITION_GROUPS}")
-        stat = _require(stat, "stat_name", rownum)
-        try:
-            value = float(_require(raw, "value", rownum))
-        except ValueError:
-            raise ParseError(rownum, f"value {raw!r} is not a number")
-        if not math.isfinite(value):
-            raise ParseError(rownum, f"stat {stat!r} is not finite")
-        if value < 0:
-            raise NegativeStat(pid, stat)
 
-        key = (pid, fid)
-        if key in groups and groups[key] != group:
+    A record's key cells (player, fixture, group) are checked once per run
+    of consecutive rows that repeat them verbatim: the run's first row
+    passed those checks on the same cells. Rows in any order load the same
+    archive, and every row's checks keep their order and messages.
+    """
+    known = {f.fixture_id: f.fixture_id for f in fixtures}
+    valid_groups = {g: g for g in POSITION_GROUPS}
+    records: dict[tuple[str, str], tuple[str, dict[str, float]]] = {}
+    names: dict[str, str] = {}  # raw stat_name cell -> its checked name
+    last_pid = last_fid = last_group = None  # the raw key cells of the run being read
+    for rownum, (pid, fid, group, stat, raw) in _rows(path, STATS_COLUMNS, "stats"):
+        if pid != last_pid or fid != last_fid or group != last_group:
+            last_pid, last_fid, last_group = pid, fid, group
+            player = pid.strip()
+            if not player:
+                raise ParseError(rownum, "missing value for 'player_id'")
+            fixture = fid.strip()
+            if not fixture:
+                raise ParseError(rownum, "missing value for 'fixture_id'")
+            fixture_id = known.get(fixture)
+            if fixture_id is None:
+                raise UnknownFixture(fixture)
+            position = group.strip()
+            if not position:
+                raise ParseError(rownum, "missing value for 'position_group'")
+            position_group = valid_groups.get(position)
+            if position_group is None:
+                raise ParseError(rownum, f"position_group {position!r} not in {POSITION_GROUPS}")
+            key = (player, fixture_id)
+            held = records.get(key)
+            if held is None:
+                held = records[key] = (position_group, {})
+            # raised only after the row's stat and value checks, which come first
+            conflict = held[0] != position_group
+            record = held[1]
+        name = names.get(stat)
+        if name is None:
+            name = stat.strip()
+            if not name:
+                raise ParseError(rownum, "missing value for 'stat_name'")
+            names[stat] = name
+        try:
+            value = float(raw)
+        except ValueError:
+            if raw.strip():
+                raise ParseError(rownum, f"value {raw!r} is not a number")
+            raise ParseError(rownum, "missing value for 'value'")
+        if not 0.0 <= value < math.inf:
+            if not math.isfinite(value):
+                raise ParseError(rownum, f"stat {name!r} is not finite")
+            raise NegativeStat(player, name)
+        if conflict:
             raise ParseError(rownum, f"conflicting position_group for {key}")
-        groups[key] = group
-        record = stats.setdefault(key, {})
-        if stat in record:
-            raise ParseError(rownum, f"duplicate stat {stat!r} for {key}")
-        record[stat] = value
+        if name in record:
+            raise ParseError(rownum, f"duplicate stat {name!r} for {key}")
+        record[name] = value
 
     return StatsArchive(
-        PlayerMatchStats(player_id=pid, fixture_id=fid, position_group=groups[(pid, fid)], stats=vals)
-        for (pid, fid), vals in stats.items()
+        PlayerMatchStats(player_id=pid, fixture_id=fid, position_group=group, stats=vals)
+        for (pid, fid), (group, vals) in records.items()
     )
 
 

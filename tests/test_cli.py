@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -371,6 +372,29 @@ def test_unreadable_csv_returns_1(tmp_path, capsys):
                "--out-dir", tmp_path / "out", "--model", "home-win") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: row 3: unreadable odds file: field larger than field limit"), err
+
+
+@pytest.mark.parametrize("where", ["archive", "upcoming"])
+def test_kickoff_with_offset_returns_1(tmp_path, players_artifacts, capsys, where):
+    """A kickoff with a UTC offset cannot be ordered against naive ones, in
+    the archive or against it: the run stops with one error line naming
+    the row, not a traceback from a later sort or feature build."""
+    name = "fixtures.csv" if where == "archive" else "upcoming.csv"
+    data = tmp_path / "data"
+    shutil.copytree(SAMPLE_DIR, data)
+    text = (data / name).read_text(encoding="utf-8")
+    (data / name).write_text(re.sub(r"(T\d\d:\d\d:\d\d)", r"\1+00:00", text, count=2),
+                             encoding="utf-8")
+    if where == "archive":
+        code = run("train", "--data-dir", data, "--test-size", 8, "--out-dir", tmp_path,
+                   "--approach", "team_stats", "--technique", "lr")
+    else:
+        code = run("predict", "--out-dir", tmp_path, "--artifacts", players_artifacts,
+                   "--fixtures", data / name)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: row 2: kickoff '[^']+\+00:00' has a UTC offset; "
+                        r"give local time without one\n", err), err
 
 
 # ------------------------------------------------------------ the full grid

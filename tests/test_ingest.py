@@ -1,12 +1,14 @@
 """Loader validation, chronological splitting and file round-trips."""
 
 import csv
+import random
 import re
 
 import pytest
 
 from scoreline.ingest import (
     DuplicateFixture,
+    IngestError,
     MalformedLineup,
     NegativeStat,
     NotUtf8,
@@ -169,6 +171,21 @@ def test_reader_contract(tmp_path, text, expected):
              f.away_goals, f.has_lineups()) for f in load_fixtures(path)] == expected
 
 
+@pytest.mark.parametrize("kickoffs, bad", [
+    pytest.param(("2020-09-05T15:00:00", "2020-09-12T15:00:00+00:00"), 1, id="one-among-naive"),
+    pytest.param(("2020-09-05T15:00:00+01:00", "2020-09-12T15:00:00+01:00"), 0, id="all"),
+])
+def test_kickoff_with_utc_offset_rejected(tmp_path, kickoffs, bad):
+    """Naive and offset datetimes cannot be compared, so a kickoff with an
+    offset fails at load, naming its row, not in a later sort."""
+    path = write_fixtures(tmp_path / "f.csv",
+                          [row(f"F{i}", kickoff) for i, kickoff in enumerate(kickoffs)])
+    with pytest.raises(ParseError) as exc:
+        load_fixtures(path, require_goals=False)
+    assert str(exc.value) == (f"row {bad + 2}: kickoff {kickoffs[bad]!r} has a UTC offset; "
+                              "give local time without one")
+
+
 @pytest.mark.parametrize("where", ["header", "first record", "after the first 8 KiB"])
 def test_non_utf8_file_names_the_file(tmp_path, where):
     """The decoder reads in chunks, so the error names the file, not a row."""
@@ -239,6 +256,89 @@ def test_stats_duplicate_record(tmp_path, two_fixtures):
                                  ("a0", "F1", "GK", "g_CS", "0")])
     with pytest.raises(ParseError):
         load_player_stats(path, two_fixtures)
+
+
+GOOD_ROW = ("a0", "F1", "GK", "g_CS", "1")
+GROUPS = "('GK', 'DF', 'MF', 'FW')"
+
+
+def _cells(**cells):
+    names = ("pid", "fid", "group", "stat", "value")
+    return tuple(cells.get(name, good) for name, good in zip(names, GOOD_ROW))
+
+
+def _missing_cases():
+    columns = ("player_id", "fixture_id", "position_group", "stat_name", "value")
+    for name, column in zip(("pid", "fid", "group", "stat", "value"), columns):
+        for blank, label in (("", "missing"), ("  ", "whitespace")):
+            yield pytest.param([_cells(**{name: blank})], ParseError,
+                               f"row 2: missing value for {column!r}",
+                               id=f"{column}-{label}")
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    *_missing_cases(),
+    pytest.param([_cells(fid=" F9 ")], UnknownFixture,
+                 "record references unknown fixture 'F9'", id="unknown-fixture"),
+    pytest.param([_cells(group="ST")], ParseError,
+                 f"row 2: position_group 'ST' not in {GROUPS}", id="bad-group"),
+    pytest.param([_cells(value=" x ")], ParseError,
+                 "row 2: value ' x ' is not a number", id="value-not-a-number"),
+    pytest.param([_cells(value="nan")], ParseError,
+                 "row 2: stat 'g_CS' is not finite", id="nan"),
+    pytest.param([_cells(value="inf")], ParseError,
+                 "row 2: stat 'g_CS' is not finite", id="inf"),
+    pytest.param([_cells(value="-inf")], ParseError,
+                 "row 2: stat 'g_CS' is not finite", id="minus-inf-not-finite-before-negative"),
+    pytest.param([_cells(value="1e400")], ParseError,
+                 "row 2: stat 'g_CS' is not finite", id="overflow"),
+    pytest.param([_cells(stat=" d_Tkl ", value="-2")], NegativeStat,
+                 "player 'a0': stat 'd_Tkl' is negative", id="negative"),
+    pytest.param([GOOD_ROW, _cells(stat=" g_CS ", value="0")], ParseError,
+                 "row 3: duplicate stat 'g_CS' for ('a0', 'F1')", id="duplicate-stat"),
+    pytest.param([GOOD_ROW, _cells(group="DF", stat="d_Tkl")], ParseError,
+                 "row 3: conflicting position_group for ('a0', 'F1')",
+                 id="conflicting-group-next-row"),
+    pytest.param([GOOD_ROW, _cells(pid="a1", group="DF"), _cells(group="DF", stat="d_Tkl")],
+                 ParseError, "row 4: conflicting position_group for ('a0', 'F1')",
+                 id="conflicting-group-after-another-record"),
+    pytest.param([GOOD_ROW, _cells(pid="a1"), _cells(stat="g_GA"), GOOD_ROW], ParseError,
+                 "row 5: duplicate stat 'g_CS' for ('a0', 'F1')",
+                 id="duplicate-stat-after-another-record"),
+    # a row that fails two checks reports the one made first
+    pytest.param([_cells(fid="F9", group="ST")], UnknownFixture,
+                 "record references unknown fixture 'F9'", id="unknown-fixture-before-group"),
+    pytest.param([_cells(pid="", value="x")], ParseError,
+                 "row 2: missing value for 'player_id'", id="player-before-value"),
+    pytest.param([_cells(group="ST", value="-1")], ParseError,
+                 f"row 2: position_group 'ST' not in {GROUPS}", id="group-before-negative"),
+    pytest.param([_cells(stat="", value="x")], ParseError,
+                 "row 2: missing value for 'stat_name'", id="stat-name-before-value"),
+    pytest.param([GOOD_ROW, _cells(group="DF", value="-1")], NegativeStat,
+                 "player 'a0': stat 'g_CS' is negative", id="negative-before-conflict"),
+    pytest.param([GOOD_ROW, _cells(group="DF", value="x")], ParseError,
+                 "row 3: value 'x' is not a number", id="value-before-conflict"),
+    pytest.param([GOOD_ROW, _cells(group="DF")], ParseError,
+                 "row 3: conflicting position_group for ('a0', 'F1')",
+                 id="conflict-before-duplicate"),
+    # a padded id inside a run of rows: messages name the stripped id
+    pytest.param([_cells(pid=" a0 "), _cells(pid=" a0 ", stat="d_Tkl", value="-2")],
+                 NegativeStat, "player 'a0': stat 'd_Tkl' is negative",
+                 id="padded-id-continuing-run-negative"),
+    pytest.param([_cells(pid=" a0 "), _cells(pid=" a0 ", value="2")], ParseError,
+                 "row 3: duplicate stat 'g_CS' for ('a0', 'F1')",
+                 id="padded-id-continuing-run-duplicate"),
+    pytest.param([GOOD_ROW, _cells(pid=" a0 ", stat="d_Tkl", value="-2")], NegativeStat,
+                 "player 'a0': stat 'd_Tkl' is negative", id="padded-id-joins-run-negative"),
+])
+def test_stats_error_contract(tmp_path, two_fixtures, rows, error, message):
+    """Every stats check: its error type, its exact message and row number,
+    and which check wins when a row fails two."""
+    path = stats_file(tmp_path, rows)
+    with pytest.raises(IngestError) as exc:
+        load_player_stats(path, two_fixtures)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
 
 
 # -------------------------------------------------------------------- odds
@@ -343,6 +443,21 @@ def test_sample_stats_counts_match_groupby(sample_dir, dataset):
     for record in dataset.stats.records():
         loaded[record.player_id] = loaded.get(record.player_id, 0) + 1
     assert loaded == per_player
+
+
+def test_sample_stats_load_in_any_row_order(tmp_path, sample_dir, dataset):
+    """A shuffled copy of the stats file, where a record's rows are rarely
+    consecutive, loads to the same records, groups and values."""
+    header, *lines = (sample_dir / "player_stats.csv").read_text(encoding="utf-8").splitlines()
+    random.Random(0).shuffle(lines)
+    path = tmp_path / "player_stats.csv"
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    shuffled = load_player_stats(path, dataset.fixtures)
+    assert len(shuffled) == len(dataset.stats)
+    assert {(r.player_id, r.fixture_id): (r.position_group, r.stats)
+            for r in shuffled.records()} \
+        == {(r.player_id, r.fixture_id): (r.position_group, r.stats)
+            for r in dataset.stats.records()}
 
 
 def test_sample_odds_counts_match_file(sample_dir, dataset):
