@@ -50,7 +50,9 @@ from .predict import (
     prediction_rows,
     save_predictions_csv,
 )
-from .regress import RegressError, StoreError, fit_model, load_model, save_model
+from .regress import BadArtifact, RegressError, StoreError, fit_model, load_model, save_model
+from .regress.store import read_json
+from .regress.tree import tree_size
 from .schema import SchemaError, default_schema, load_schema
 
 # each CLI technique's engine and the fit keywords it fixes
@@ -362,6 +364,8 @@ def _train_manifest(cfg: RunConfig, label: str, models: dict, matrices: dict,
         manifest["coverage"] = {side: m.coverage for side, m in matrices.items()}
     if cfg.technique in _SVRS:
         manifest["svr_status"] = {side: m.status for side, m in models.items()}
+    if cfg.technique in _TREES:
+        manifest["tree_size"] = {side: tree_size(m.trees) for side, m in models.items()}
     return manifest
 
 
@@ -403,6 +407,29 @@ def _check_trained_flags(args: argparse.Namespace, trained: dict) -> None:
                          "--artifacts takes these settings from its train manifest")
 
 
+# the fields an --artifacts run reads from a train manifest, and their types
+MANIFEST_FIELDS = {"label": str, "approach": str, "config_hash": str, "seed": int, "config": dict}
+MANIFEST_CONFIG = {"data_dir": str, "test_size": int, "schema": (str, type(None))}
+
+
+def _mistyped(blob: dict, fields: dict, prefix: str = "") -> list[str]:
+    return [prefix + key for key, kind in fields.items()
+            if not isinstance(blob.get(key), kind) or isinstance(blob.get(key), bool)]
+
+
+def read_train_manifest(path: Path) -> dict:
+    """A train manifest, with the fields an --artifacts run reads."""
+    manifest = read_json(path, "train manifest")
+    if not isinstance(manifest, dict):
+        raise BadArtifact(f"train manifest {path} is not a JSON object")
+    bad = _mistyped(manifest, MANIFEST_FIELDS)
+    if "config" not in bad:
+        bad += _mistyped(manifest["config"], MANIFEST_CONFIG, "config.")
+    if bad:
+        raise BadArtifact(f"train manifest {path} lacks a valid {', '.join(bad)}")
+    return manifest
+
+
 def _load_artifacts(args: argparse.Namespace):
     """A train run's manifest, its model pair, and the dataset and feature
     builder of its config, once the command line is checked against it."""
@@ -413,7 +440,7 @@ def _load_artifacts(args: argparse.Namespace):
     for path in (manifest_path, home_path, away_path):
         if not path.exists():
             raise MissingArtifact(path)
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = read_train_manifest(manifest_path)
     _check_trained_flags(args, manifest["config"])
     pair = ModelPairPredictor(manifest["label"], load_model(home_path), load_model(away_path))
     conf = manifest["config"]

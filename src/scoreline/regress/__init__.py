@@ -17,7 +17,7 @@ from .knn import KnnModel, fit_knn
 from .linear import LinearModel, fit_lr
 from .store import BadArtifact, StoreError, UnsupportedVersion, load_model, save_model
 from .svr import NotConvergedWarning, SvrModel, fit_svr
-from .tree import TreeModel, TreeNode, fit_dtr
+from .tree import TreeModel, fit_dtr
 
 _FITS = {"lr": fit_lr, "knn": fit_knn, "dtr": fit_dtr, "rfr": fit_rfr, "svr": fit_svr}
 TECHNIQUES = tuple(_FITS)
@@ -49,7 +49,6 @@ __all__ = [
     "TECHNIQUES",
     "TooFewRows",
     "TreeModel",
-    "TreeNode",
     "UnsupportedVersion",
     "fit_dtr",
     "fit_knn",

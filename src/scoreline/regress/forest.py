@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-from .base import ModelBase, TooFewRows, as_xy
-from .tree import TreeNode, check_tree_params, grow_trees, node_from_dict, node_to_dict, walk_tree
+from .base import TooFewRows, as_xy
+from .tree import TreeModel, check_tree_params, grow_trees
 
 
 def resolve_max_features(spec, p: int) -> int:
@@ -22,24 +22,10 @@ def resolve_max_features(spec, p: int) -> int:
     return m
 
 
-class ForestModel(ModelBase):
+class ForestModel(TreeModel):
+    """The mean of several trees' predictions."""
+
     technique = "rfr"
-
-    def __init__(self, roots: list[TreeNode], n_features: int, params: dict,
-                 feature_names=None):
-        super().__init__(n_features, feature_names)
-        self.roots = roots
-        self.params = dict(params)
-
-    def _predict(self, X: np.ndarray) -> np.ndarray:
-        stack = np.stack([walk_tree(root, X) for root in self.roots])
-        return stack.mean(axis=0)
-
-    def payload(self) -> dict:
-        return {
-            "params": self.params,
-            "trees": [node_to_dict(root) for root in self.roots],
-        }
 
 
 def fit_rfr(X, y, n_trees: int = 100, max_depth: int = 6, min_leaf: int = 5,
@@ -68,7 +54,7 @@ def fit_rfr(X, y, n_trees: int = 100, max_depth: int = 6, min_leaf: int = 5,
 
     rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(n_trees)]
     all_rows = np.arange(n, dtype=np.int64)
-    roots = grow_trees(
+    trees = grow_trees(
         X, y, (rng.integers(0, n, size=sample_size) if bootstrap else all_rows for rng in rngs),
         rngs, max_depth=max_depth, min_leaf=min_leaf, max_features=m_feat)
 
@@ -81,10 +67,5 @@ def fit_rfr(X, y, n_trees: int = 100, max_depth: int = 6, min_leaf: int = 5,
         "bootstrap_fraction": float(bootstrap_fraction),
         "seed": int(seed),
     }
-    return ForestModel(roots, p, params, feature_names=feature_names)
+    return ForestModel(trees, p, params, feature_names=feature_names)
 
-
-def forest_from_payload(payload: dict, n_features: int, feature_names=None) -> ForestModel:
-    roots = [node_from_dict(blob, n_features) for blob in payload["trees"]]
-    return ForestModel(roots, n_features, payload["params"],
-                       feature_names=feature_names)

@@ -9,13 +9,13 @@ from pathlib import Path
 import numpy as np
 
 from .base import ModelBase, Scaler
-from .forest import forest_from_payload
+from .forest import ForestModel
 from .knn import KnnModel
 from .linear import LinearModel
 from .svr import SvrModel
-from .tree import TreeModel, node_from_dict
+from .tree import LEAF, Tree, TreeModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class StoreError(Exception):
@@ -30,6 +30,15 @@ class UnsupportedVersion(StoreError):
     pass
 
 
+def read_json(path, what: str):
+    """A JSON file's content; BadArtifact names the file when it cannot be
+    read, decoded or parsed, or nests too deeply for the parser."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise BadArtifact(f"cannot read {what} {path}: {exc}") from exc
+
+
 def save_model(model: ModelBase, path) -> None:
     envelope = {
         "format_version": FORMAT_VERSION,
@@ -39,7 +48,8 @@ def save_model(model: ModelBase, path) -> None:
         "fingerprint": model.fingerprint,
         "payload": model.payload(),
     }
-    Path(path).write_text(json.dumps(envelope, sort_keys=True, indent=1) + "\n")
+    # no indent: with one, CPython's json falls back to its pure-Python encoder
+    Path(path).write_text(json.dumps(envelope, sort_keys=True) + "\n")
 
 
 def _vector(payload: dict, key: str, length: int) -> np.ndarray:
@@ -69,6 +79,37 @@ def _scaler_from(payload: dict, n_features: int) -> Scaler:
                   std=_vector(payload, "scaler_std", n_features))
 
 
+def _tree(blob: dict, n_features: int) -> Tree:
+    """One tree's node arrays, checked so that predict can neither index
+    outside them nor loop: every split node's children lie after it."""
+    cols = [np.asarray(blob[name]) for name in Tree._fields]
+    if len({col.shape for col in cols}) != 1 or cols[0].ndim != 1:
+        raise BadArtifact(f"a tree's node arrays differ in shape: {[c.shape for c in cols]}")
+    if not cols[0].size:
+        raise BadArtifact("a tree has no nodes")
+    for name, col, fill in zip(Tree._fields, cols, LEAF):
+        if col.dtype.kind not in ("if" if isinstance(fill, float) else "i"):
+            raise BadArtifact(f"a tree's {name} holds {col.dtype} values")
+    tree = Tree(*(col.astype(type(fill)) for col, fill in zip(cols, LEAF)))
+    for name in ("value", "threshold"):
+        col = getattr(tree, name)
+        if not np.isfinite(col).all():
+            raise BadArtifact(f"a tree node has {name} {col[~np.isfinite(col)][0]}")
+    feature, left, right = tree.feature, tree.left, tree.right
+    nodes, split = np.arange(feature.shape[0]), feature != -1
+    for bad, problem in (
+            (split & ((feature < 0) | (feature >= n_features)),
+             f"splits on a feature outside 0..{n_features - 1}"),
+            (split & ((np.minimum(left, right) <= nodes) | (np.maximum(left, right) >= nodes.size)),
+             "has a child that does not lie after it within the tree"),
+            (~split & ((left != -1) | (right != -1)), "is a leaf with a child")):
+        if bad.any():
+            node = int(np.argmax(bad))
+            raise BadArtifact(f"tree node {node} {problem}: feature {feature[node]}, "
+                              f"children {left[node]} and {right[node]}")
+    return tree
+
+
 def _model_from(technique: str, payload: dict, n_features: int, names) -> ModelBase:
     """Rebuild one model, checking the payload's indices and array shapes."""
     if technique == "lr":
@@ -83,16 +124,16 @@ def _model_from(technique: str, payload: dict, n_features: int, names) -> ModelB
             raise BadArtifact(f"k={k} outside 1..{rows} training rows")
         return KnnModel(train_X=train_X, train_y=_vector(payload, "train_y", rows), k=k,
                         scaler=_scaler_from(payload, n_features), feature_names=names)
-    if technique == "dtr":
-        return TreeModel(root=node_from_dict(payload["root"], n_features),
-                         n_features=n_features,
-                         max_depth=payload["max_depth"], min_leaf=payload["min_leaf"],
-                         feature_names=names)
-    if technique == "rfr":
-        trees, n_trees = len(payload["trees"]), payload["params"]["n_trees"]
-        if not trees or trees != n_trees:
-            raise BadArtifact(f"the forest holds {trees} trees, params.n_trees is {n_trees!r}")
-        return forest_from_payload(payload, n_features, feature_names=names)
+    if technique in ("dtr", "rfr"):
+        params, trees = payload["params"], payload["trees"]
+        if technique == "dtr" and len(trees) != 1:
+            raise BadArtifact(f"the tree model holds {len(trees)} trees, not 1")
+        if technique == "rfr" and (not trees or len(trees) != params["n_trees"]):
+            raise BadArtifact(
+                f"the forest holds {len(trees)} trees, params.n_trees is {params['n_trees']!r}")
+        model = TreeModel if technique == "dtr" else ForestModel
+        return model([_tree(blob, n_features) for blob in trees], n_features, params,
+                     feature_names=names)
     if technique == "svr":
         kernel = payload["kernel"]
         common = dict(kernel=kernel, scaler=_scaler_from(payload, n_features),
@@ -112,23 +153,21 @@ def load_model(path) -> ModelBase:
     """Read a saved model; a payload whose structure does not fit its
     declared feature count raises BadArtifact instead of failing later in
     predict."""
-    try:
-        envelope = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BadArtifact(f"cannot read model artifact {path}: {exc}") from exc
+    envelope = read_json(path, "model artifact")
     if not isinstance(envelope, dict) or "format_version" not in envelope:
         raise BadArtifact(f"{path} is not a model artifact")
     version = envelope["format_version"]
     if version != FORMAT_VERSION:
         raise UnsupportedVersion(
-            f"{path} uses format_version={version}, this build reads {FORMAT_VERSION}")
+            f"{path} uses format_version={version}, this build reads {FORMAT_VERSION}; "
+            "retrain the model")
     try:
         n_features = int(envelope["n_features"])
         model = _model_from(envelope["technique"], envelope["payload"], n_features,
                             envelope["feature_names"])
     except BadArtifact as exc:
         raise BadArtifact(f"{path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise BadArtifact(f"{path} is missing or malformed fields: {exc}") from exc
     if envelope.get("fingerprint") != model.fingerprint:
         raise BadArtifact(f"{path} fingerprint does not match its feature layout")

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -11,28 +10,29 @@ from .base import ModelBase, TooFewRows, as_xy
 from .kernels import best_split, dense_ranks
 
 
-@dataclass
-class TreeNode:
-    """Internal node (feature >= 0) or leaf (feature == -1).
+class Tree(NamedTuple):
+    """One tree as parallel node arrays; node 0 is the root.
 
-    Rows with ``value <= threshold`` go left. Every node keeps the mean
-    target and row count seen during growth.
+    A split node sends rows with ``X[:, feature] <= threshold`` to node
+    ``left`` and the rest to node ``right``; a leaf has feature, left and
+    right -1. Every child's index is greater than its parent's. Every node
+    keeps the mean target (``value``) and row count (``n``) seen in growth.
     """
 
-    feature: int
-    threshold: float
-    value: float
-    n: int
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+    feature: np.ndarray
+    threshold: np.ndarray
+    value: np.ndarray
+    n: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+
+# a new node's entry in each array, and so each array's element type
+LEAF = Tree(feature=-1, threshold=0.0, value=0.0, n=0, left=-1, right=-1)
 
 
 def grow_trees(X: np.ndarray, y: np.ndarray, roots_rows, rngs, *,
-               max_depth: int, min_leaf: int, max_features: int) -> list[TreeNode]:
+               max_depth: int, min_leaf: int, max_features: int) -> list[Tree]:
     """Grow one tree per item of the iterable ``roots_rows`` (indices into
     X / y), in lockstep.
 
@@ -43,120 +43,108 @@ def grow_trees(X: np.ndarray, y: np.ndarray, roots_rows, rngs, *,
     (node, left subtree, right subtree), and a tree that draws takes one
     split node a round, so each generator sees the draws in preorder, as
     in a tree grown alone. Each round scores the split nodes of every tree
-    in one :func:`best_split` call.
+    in one :func:`best_split` call. A node's two children are appended to
+    its tree's arrays when it splits.
     """
     p = X.shape[1]
     ranks = dense_ranks(X)
     full = np.arange(p, dtype=np.int64)
     # no list of the root rows outlives this: each is freed once it splits
-    stacks = [[(TreeNode(feature=-1, threshold=0.0, value=0.0, n=0), rows, 0)]
-              for rows in roots_rows]
-    roots = [stack[0][0] for stack in stacks]
+    stacks = [[(0, rows, 0)] for rows in roots_rows]
+    trees = [Tree(*([fill] for fill in LEAF)) for _ in stacks]
     while True:
         batch = []
-        for stack, rng in zip(stacks, rngs):
+        for tree, stack, rng in zip(trees, stacks, rngs):
             draws = rng is not None and max_features < p
             while stack:
                 node, node_rows, depth = stack.pop()
                 node_y = y[node_rows]
-                node.n = node_rows.shape[0]
-                node.value = float(np.add.reduce(node_y)) / node.n  # bitwise .mean()
-                if (depth >= max_depth or node.n < 2 * min_leaf
-                        or (node_y == node_y[0]).all()):
+                n = tree.n[node] = node_rows.shape[0]
+                tree.value[node] = float(np.add.reduce(node_y)) / n  # bitwise .mean()
+                if depth >= max_depth or n < 2 * min_leaf or (node_y == node_y[0]).all():
                     continue
                 feat_idx = full
                 if draws:
                     feat_idx = rng.choice(p, size=max_features, replace=False)
                     feat_idx.sort()
-                batch.append((stack, node, node_rows, depth, feat_idx))
+                batch.append((tree, stack, node, node_rows, depth, feat_idx))
                 if draws:
                     break
         if not batch:
-            return roots
-        feats, thrs, _sse = best_split(X, y, np.array([b[4] for b in batch]), min_leaf,
-                                       [b[2] for b in batch], ranks)
-        for (stack, node, node_rows, depth, _), feat, thr in zip(batch, feats.tolist(),
-                                                                   thrs.tolist()):
+            return [Tree(*(np.array(col, dtype=type(fill)) for col, fill in zip(tree, LEAF)))
+                    for tree in trees]
+        feats, thrs, _sse = best_split(X, y, np.array([b[5] for b in batch]), min_leaf,
+                                       [b[3] for b in batch], ranks)
+        for (tree, stack, node, node_rows, depth, _), feat, thr in zip(batch, feats.tolist(),
+                                                                         thrs.tolist()):
             if feat < 0:
                 continue
             go_left = X[node_rows, feat] <= thr
-            node.feature, node.threshold = feat, thr
-            node.left = TreeNode(feature=-1, threshold=0.0, value=0.0, n=0)
-            node.right = TreeNode(feature=-1, threshold=0.0, value=0.0, n=0)
-            stack.append((node.right, node_rows[~go_left], depth + 1))
-            stack.append((node.left, node_rows[go_left], depth + 1))
+            child = len(tree.feature)
+            tree.feature[node], tree.threshold[node] = feat, thr
+            tree.left[node], tree.right[node] = child, child + 1
+            for col, fill in zip(tree, LEAF):
+                col += (fill, fill)
+            stack.append((child + 1, node_rows[~go_left], depth + 1))
+            stack.append((child, node_rows[go_left], depth + 1))
 
 
-def walk_tree(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0], dtype=np.float64)
-    for i in range(X.shape[0]):
-        node = root
-        while not node.is_leaf:
-            node = node.left if X[i, node.feature] <= node.threshold else node.right
-        out[i] = node.value
-    return out
+def predict_trees(trees: list[Tree], X: np.ndarray) -> np.ndarray:
+    """The mean over ``trees`` of the leaf value each row of X reaches.
+
+    The trees' arrays are joined end to end, and each pass moves every
+    (tree, row) pair at a split node one level down, so a pass costs one
+    set of array operations however many trees there are. The (trees,
+    rows) leaf values are reduced by ``.mean(axis=0)``: the same sums, in
+    the same order, as stacking each tree's predictions.
+    """
+    sizes = [tree.feature.shape[0] for tree in trees]
+    first = np.cumsum([0, *sizes[:-1]])
+    shift = np.repeat(first, sizes)
+    feature, threshold, value, _n, left, right = (np.concatenate(col) for col in zip(*trees))
+    left, right = left + shift, right + shift
+    rows = np.arange(X.shape[0])
+    at = np.repeat(first[:, None], X.shape[0], axis=1)
+    while True:
+        feat = feature[at]
+        split = feat >= 0
+        if not split.any():
+            return value[at].mean(axis=0)
+        go_left = X[rows, feat] <= threshold[at]
+        at = np.where(split, np.where(go_left, left[at], right[at]), at)
 
 
-def node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"value": node.value, "n": node.n}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "value": node.value,
-        "n": node.n,
-        "left": node_to_dict(node.left),
-        "right": node_to_dict(node.right),
-    }
-
-
-def node_from_dict(blob: dict, n_features: int) -> TreeNode:
-    """Rebuild a tree; a split node must name a feature in [0, n_features)
-    and hold both children (KeyError or TypeError when one is missing), and
-    every value and threshold must be finite."""
-    value = _finite(blob, "value")
-    if "feature" not in blob:
-        return TreeNode(feature=-1, threshold=0.0, value=value, n=int(blob["n"]))
-    feature = int(blob["feature"])
-    if not 0 <= feature < n_features:
-        raise ValueError(f"a tree node splits on feature {feature}, "
-                         f"outside 0..{n_features - 1}")
-    return TreeNode(
-        feature=feature,
-        threshold=_finite(blob, "threshold"),
-        value=value,
-        n=int(blob["n"]),
-        left=node_from_dict(blob["left"], n_features),
-        right=node_from_dict(blob["right"], n_features),
-    )
-
-
-def _finite(blob: dict, key: str) -> float:
-    value = float(blob[key])
-    if not math.isfinite(value):
-        raise ValueError(f"a tree node has {key} {value}")
-    return value
+def tree_size(trees: list[Tree]) -> dict:
+    """Total node count, and the depth of the deepest leaf (the root is at
+    depth 0); one forward pass a tree, since children follow parents."""
+    depths = []
+    for tree in trees:
+        depth = [0] * tree.feature.shape[0]
+        for node, (left, right) in enumerate(zip(tree.left.tolist(), tree.right.tolist())):
+            if left >= 0:
+                depth[left] = depth[right] = depth[node] + 1
+        depths += depth
+    return {"nodes": len(depths), "depth": max(depths)}
 
 
 class TreeModel(ModelBase):
+    """One CART tree (dtr); its subclass ForestModel averages several."""
+
     technique = "dtr"
 
-    def __init__(self, root: TreeNode, n_features: int, max_depth: int,
-                 min_leaf: int, feature_names=None):
+    def __init__(self, trees: list[Tree], n_features: int, params: dict,
+                 feature_names=None):
         super().__init__(n_features, feature_names)
-        self.root = root
-        self.max_depth = int(max_depth)
-        self.min_leaf = int(min_leaf)
+        self.trees = list(trees)
+        self.params = dict(params)
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        return walk_tree(self.root, X)
+        return predict_trees(self.trees, X)
 
     def payload(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "root": node_to_dict(self.root),
-        }
+        return {"params": self.params,
+                "trees": [{name: col.tolist() for name, col in zip(Tree._fields, tree)}
+                          for tree in self.trees]}
 
 
 def check_tree_params(max_depth: int, min_leaf: int) -> None:
@@ -181,7 +169,7 @@ def fit_dtr(X, y, max_depth: int = 6, min_leaf: int = 5,
         raise TooFewRows(
             f"need at least {2 * min_leaf} rows for min_leaf={min_leaf}, got {X.shape[0]}")
     rows = np.arange(X.shape[0], dtype=np.int64)
-    root, = grow_trees(X, y, [rows], [None], max_depth=max_depth,
+    trees = grow_trees(X, y, [rows], [None], max_depth=max_depth,
                        min_leaf=min_leaf, max_features=X.shape[1])
-    return TreeModel(root, X.shape[1], max_depth, min_leaf,
+    return TreeModel(trees, X.shape[1], {"max_depth": int(max_depth), "min_leaf": int(min_leaf)},
                      feature_names=feature_names)

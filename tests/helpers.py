@@ -13,6 +13,7 @@ from scoreline.features import (
 )
 from scoreline.ingest import Dataset, Fixture, PlayerMatchStats, StatsArchive
 from scoreline.predict import ScorelinePrediction
+from scoreline.regress.tree import Tree
 
 BASE_KICKOFF = datetime(2020, 9, 1, 15, 0)
 
@@ -88,6 +89,31 @@ def exhaustive_tree_sse(X, y, rows, depth, max_depth, min_leaf):
     (_cost, _feat, _thr), left, right = best
     return (exhaustive_tree_sse(X, y, left, depth + 1, max_depth, min_leaf)
             + exhaustive_tree_sse(X, y, right, depth + 1, max_depth, min_leaf))
+
+
+def leaf_tree(value: float) -> Tree:
+    """A one-node tree that predicts ``value`` for every row."""
+    return Tree(*(np.array([fill]) for fill in (-1, 0.0, value, 1, -1, -1)))
+
+
+def nested_tree(arrays: dict, node: int = 0) -> dict:
+    """A tree's node lists (as a payload holds them) as nested node dicts:
+    a leaf is {value, n}, a split node adds feature, threshold, left, right."""
+    out = {"value": arrays["value"][node], "n": arrays["n"][node]}
+    if arrays["feature"][node] >= 0:
+        out.update(feature=arrays["feature"][node], threshold=arrays["threshold"][node],
+                   left=nested_tree(arrays, arrays["left"][node]),
+                   right=nested_tree(arrays, arrays["right"][node]))
+    return out
+
+
+def nested_payload(model) -> dict:
+    """A dtr or rfr model's payload in the nested form of format version 1,
+    in which the tree goldens were hashed."""
+    trees = [nested_tree(arrays) for arrays in model.payload()["trees"]]
+    if model.technique == "dtr":
+        return {**model.params, "root": trees[0]}
+    return {"params": model.params, "trees": trees}
 
 
 def truncated_builder(dataset: Dataset, cutoff) -> FeatureBuilder:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from helpers import assert_no_lookahead, exhaustive_tree_sse, fx
+from helpers import assert_no_lookahead, exhaustive_tree_sse, fx, leaf_tree
 
 from scoreline.cli import main
 from scoreline.evaluate import (
@@ -32,7 +32,6 @@ from scoreline.ingest import load_dataset
 from scoreline.predict import HeuristicPredictor, round_goals
 from scoreline.regress import (
     ForestModel,
-    TreeNode,
     fit_dtr,
     fit_knn,
     fit_lr,
@@ -88,9 +87,8 @@ def test_criterion_1_worked_example_goldens(capsys, dataset):
         assert (host_eighth.pred_home, host_eighth.pred_away) == (0, 1)
 
         # random forest: leaves 0.8/1.2/1.5/0.9/1.1 average 1.1, round 1
-        roots = [TreeNode(feature=-1, threshold=0.0, value=v, n=1)
-                 for v in (0.8, 1.2, 1.5, 0.9, 1.1)]
-        forest = ForestModel(roots, n_features=1, params={})
+        forest = ForestModel([leaf_tree(v) for v in (0.8, 1.2, 1.5, 0.9, 1.1)],
+                             n_features=1, params={})
         raw = forest.predict(np.array([[0.0]]))[0]
         assert raw == 1.1
         assert round_goals(raw) == 1

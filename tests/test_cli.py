@@ -12,6 +12,7 @@ from scoreline.cli import main
 from scoreline.features import APPROACHES, SIDES, FeatureBuilder
 
 from conftest import SAMPLE_DIR
+from helpers import nested_tree
 
 
 def run(*argv):
@@ -244,24 +245,21 @@ def test_predict_usage_and_missing_artifacts(tmp_path):
     assert exc.value.code == 2
 
 
-def _split_root(tree):
-    assert "feature" in tree, "the tree is a single leaf"
-    return tree
-
-
 def _break_knn(payload):
     payload["k"] = len(payload["train_y"]) + 1
 
 
-def _break_forest(payload):
-    del _split_root(payload["trees"][0])["right"]
+def _break_tree(payload):
+    tree = payload["trees"][0]
+    assert tree["feature"][0] >= 0, "the tree is a single leaf"
+    tree["feature"][0] = 10**6
 
 
 CORRUPTIONS = {
     "lr": ("lr", lambda payload: payload["coef"].pop()),
     "knn": ("knn", _break_knn),
-    "dtr": ("dtr", lambda payload: _split_root(payload["root"]).update(feature=10**6)),
-    "rfr": ("rfr", _break_forest),
+    "dtr": ("dtr", _break_tree),
+    "rfr": ("rfr", lambda payload: payload["trees"][0].pop("right")),
     "svr": ("svr", lambda payload: payload["w"].pop()),
     "svr-rbf": ("svr-rbf", lambda payload: payload["beta"].pop()),
     "svr-rbf-gamma-null": ("svr-rbf", lambda payload: payload.update(gamma=None)),
@@ -285,6 +283,59 @@ def test_predict_rejects_corrupted_artifact(tmp_path, case, capsys):
                "--fixtures", Path(SAMPLE_DIR) / "upcoming.csv") == 1
     err = capsys.readouterr().err
     assert "model_home.json" in err and "Traceback" not in err
+
+
+MALFORMED_MANIFESTS = {
+    "a list": ("[1]", "is not a JSON object"),
+    "an empty object": ("{}", "lacks a valid label, approach, config_hash, seed, config"),
+    "no data_dir": ('{"config": {}, "label": "x"}', "lacks a valid approach, config_hash, seed, "
+                                                     "config.data_dir, config.test_size"),
+    "wrong types": ('{"config": {"data_dir": "d", "test_size": "8", "schema": 5}, "label": [1], '
+                    '"approach": "players", "config_hash": "h", "seed": 0}',
+                    "lacks a valid label, config.test_size, config.schema"),
+    "truncated": ('{"config": {"data_dir": ', "cannot read train manifest"),
+}
+ARTIFACT_COMMANDS = {
+    "predict": ("predict", "--fixtures", Path(SAMPLE_DIR) / "upcoming.csv"),
+    "evaluate": ("evaluate",),
+    "bet": ("bet",),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACT_COMMANDS))
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_malformed_train_manifest_returns_1(tmp_path, team_artifacts, capsys, command, case):
+    artifacts = Path(shutil.copytree(team_artifacts, tmp_path / "artifacts"))
+    text, message = MALFORMED_MANIFESTS[case]
+    manifest = artifacts / "train_manifest.json"
+    manifest.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert run(*ARTIFACT_COMMANDS[command], "--artifacts", artifacts,
+               "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(manifest) in err and message in err, err
+
+
+def _depth(node):
+    if "feature" not in node:
+        return 0
+    return 1 + max(_depth(node["left"]), _depth(node["right"]))
+
+
+@pytest.mark.parametrize("technique", ["dtr", "rfr"])
+def test_train_manifest_records_tree_size(tmp_path, technique):
+    assert run("train", *base_args(tmp_path), "--approach", "lineup_stats",
+               "--technique", technique, "--forest-trees", 7, "--tree-depth", 4,
+               "--tree-min-leaf", 2) == 0
+    manifest = json.loads((tmp_path / "train_manifest.json").read_text())
+    for side in SIDES:
+        trees = json.loads((tmp_path / f"model_{side}.json").read_text())["payload"]["trees"]
+        assert len(trees) == (7 if technique == "rfr" else 1)
+        expected = {"nodes": sum(len(tree["feature"]) for tree in trees),
+                    "depth": max(_depth(nested_tree(tree)) for tree in trees)}
+        assert manifest["tree_size"][side] == expected
+        assert expected["nodes"] > len(trees) and 0 < expected["depth"] <= 4
 
 
 # ---------------------------------------------------------------- evaluate

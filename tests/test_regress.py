@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import exhaustive_tree_sse
+from helpers import exhaustive_tree_sse, leaf_tree, nested_payload
 
 from scoreline.regress import (
     DimensionMismatch,
@@ -17,7 +17,6 @@ from scoreline.regress import (
     NotConvergedWarning,
     SchemaMismatch,
     TooFewRows,
-    TreeNode,
     fit_dtr,
     fit_knn,
     fit_lr,
@@ -30,7 +29,7 @@ from scoreline.regress import (
     standardize_fit,
 )
 from scoreline.regress.kernels import best_split, dense_ranks
-from scoreline.regress.tree import node_to_dict, walk_tree
+from scoreline.regress.tree import Tree, predict_trees, tree_size
 
 # --------------------------------------------------------- standardization
 
@@ -162,11 +161,11 @@ def test_dtr_pure_split_at_midpoint():
     X = np.array([[0.0], [0.25], [0.75], [1.0]])
     y = np.array([0.0, 0.0, 2.0, 2.0])
     model = fit_dtr(X, y, max_depth=3, min_leaf=1)
-    root = model.root
-    assert root.feature == 0
-    assert root.threshold == pytest.approx(0.5)
-    assert root.left.is_leaf and root.left.value == 0.0
-    assert root.right.is_leaf and root.right.value == 2.0
+    tree, = model.trees
+    assert tree.feature.tolist() == [0, -1, -1]
+    assert tree.threshold[0] == pytest.approx(0.5)
+    assert tree.left.tolist() == [1, -1, -1] and tree.right.tolist() == [2, -1, -1]
+    assert tree.value[1:].tolist() == [0.0, 2.0]
     np.testing.assert_array_equal(model.predict(X), y)
 
 
@@ -174,8 +173,9 @@ def test_dtr_constant_target_single_leaf():
     X = np.arange(10.0).reshape(-1, 1)
     y = np.full(10, 3.5)
     model = fit_dtr(X, y, max_depth=4, min_leaf=1)
-    assert model.root.is_leaf
-    assert model.root.value == 3.5
+    tree, = model.trees
+    assert tree.feature.tolist() == [-1]
+    assert tree.value.tolist() == [3.5]
 
 
 def test_dtr_too_few_rows():
@@ -210,7 +210,7 @@ def test_dtr_split_tie_breaks_lowest_feature():
     X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
     y = np.array([0.0, 0.0, 4.0, 4.0])
     model = fit_dtr(X, y, max_depth=1, min_leaf=1)
-    assert model.root.feature == 0
+    assert model.trees[0].feature[0] == 0
 
 
 def test_dtr_sse_non_increasing_in_depth():
@@ -229,16 +229,9 @@ def test_dtr_min_leaf_respected():
     rng = np.random.default_rng(10)
     X = rng.normal(size=(30, 2))
     y = rng.normal(size=30)
-    model = fit_dtr(X, y, max_depth=8, min_leaf=5)
-
-    def walk(node):
-        if node.is_leaf:
-            assert node.n >= 5
-            return
-        walk(node.left)
-        walk(node.right)
-
-    walk(model.root)
+    tree, = fit_dtr(X, y, max_depth=8, min_leaf=5).trees
+    leaves = tree.feature < 0
+    assert leaves.sum() > 1 and (tree.n[leaves] >= 5).all()
 
 
 # ----------------------------------------------------------------------- RFR
@@ -246,9 +239,8 @@ def test_dtr_min_leaf_respected():
 
 def test_rfr_ensemble_mean_golden():
     """Five stub trees predicting 0.8/1.2/1.5/0.9/1.1 average to 1.1."""
-    roots = [TreeNode(feature=-1, threshold=0.0, value=v, n=1)
-             for v in (0.8, 1.2, 1.5, 0.9, 1.1)]
-    forest = ForestModel(roots, n_features=1, params={})
+    trees = [leaf_tree(v) for v in (0.8, 1.2, 1.5, 0.9, 1.1)]
+    forest = ForestModel(trees, n_features=1, params={})
     out = forest.predict(np.array([[0.0]]))
     assert out[0] == pytest.approx(1.1)
 
@@ -282,7 +274,7 @@ def test_rfr_bootstrap_and_subsets_change_trees():
     X = rng.normal(size=(50, 6))
     y = rng.normal(size=50)
     forest = fit_rfr(X, y, n_trees=8, seed=7, min_leaf=2)
-    single = [walk_tree(root, X) for root in forest.roots]
+    single = [predict_trees([tree], X) for tree in forest.trees]
     assert any(not np.array_equal(single[0], other) for other in single[1:])
 
 
@@ -317,8 +309,8 @@ TREE_FITS = {
     "dtr_min_leaf_1": (fit_dtr, dict(max_depth=9, min_leaf=1)),
 }
 
-# sha256 of the payload JSON (every node_to_dict), taken from the per-node
-# recursive grower that the lockstep one replaced
+# sha256 of the payload JSON in its nested format-1 form, taken from the
+# per-node recursive grower that the lockstep one replaced
 TREE_GOLDENS = {
     "rfr_seed_0": "af5030c3c160f6b245ddeea530863ab5572b3f60e83874fcfacbfc3454d9cf71",
     "rfr_seed_1": "dbc5800d44b2c6d5c59ab67fb66a1987d22c17c8f5f517a9d28ba15fe3ac76bf",
@@ -332,7 +324,7 @@ TREE_GOLDENS = {
 
 
 def payload_digest(model):
-    return hashlib.sha256(json.dumps(model.payload(), sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(nested_payload(model), sort_keys=True).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(TREE_FITS))
@@ -343,15 +335,14 @@ def test_tree_and_forest_goldens(name):
 
 def reference_tree(X, y, rows, *, max_depth, min_leaf, max_features, rng):
     """One tree grown alone, node by node in preorder, each node scored by
-    a batch-of-one best_split."""
+    a batch-of-one best_split; nested node dicts as nested_tree gives."""
     p = X.shape[1]
     ranks = dense_ranks(X)
 
     def grow(node_rows, depth):
         node_y = y[node_rows]
-        node = TreeNode(feature=-1, threshold=0.0, value=float(node_y.mean()),
-                        n=int(node_rows.shape[0]))
-        if depth >= max_depth or node.n < 2 * min_leaf or np.all(node_y == node_y[0]):
+        node = {"value": float(node_y.mean()), "n": int(node_rows.shape[0])}
+        if depth >= max_depth or node["n"] < 2 * min_leaf or np.all(node_y == node_y[0]):
             return node
         feat_idx = np.arange(p)
         if rng is not None and max_features < p:
@@ -360,9 +351,9 @@ def reference_tree(X, y, rows, *, max_depth, min_leaf, max_features, rng):
         if feats[0] < 0:
             return node
         go_left = X[node_rows, feats[0]] <= thrs[0]
-        node.feature, node.threshold = int(feats[0]), float(thrs[0])
-        node.left = grow(node_rows[go_left], depth + 1)
-        node.right = grow(node_rows[~go_left], depth + 1)
+        node.update(feature=int(feats[0]), threshold=float(thrs[0]),
+                    left=grow(node_rows[go_left], depth + 1),
+                    right=grow(node_rows[~go_left], depth + 1))
         return node
 
     return grow(rows, 0)
@@ -376,9 +367,9 @@ def reference_forest_trees(X, y, *, n_trees, max_depth, min_leaf, max_features,
         rng = np.random.default_rng(child)
         rows = (rng.integers(0, n, size=max(1, int(round(n * bootstrap_fraction))))
                 if bootstrap else np.arange(n))
-        trees.append(node_to_dict(reference_tree(
+        trees.append(reference_tree(
             X, y, rows, max_depth=max_depth, min_leaf=min_leaf,
-            max_features=max_features, rng=rng)))
+            max_features=max_features, rng=rng))
     return trees
 
 
@@ -395,10 +386,11 @@ def test_lockstep_growth_equals_growing_each_tree_alone(targets):
                         bootstrap_fraction=1.0, seed=2)):
         forest = fit_rfr(X, y, **params)
         expected = reference_forest_trees(X, y, **params)
-        assert json.dumps(forest.payload()["trees"]) == json.dumps(expected), params
+        got = nested_payload(forest)["trees"]
+        assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True), params
     tree = fit_dtr(X, y, max_depth=7, min_leaf=2)
     alone = reference_tree(X, y, np.arange(70), max_depth=7, min_leaf=2, max_features=9, rng=None)
-    assert json.dumps(node_to_dict(tree.root)) == json.dumps(node_to_dict(alone))
+    assert json.dumps(nested_payload(tree)["root"], sort_keys=True) == json.dumps(alone, sort_keys=True)
 
 
 def test_fits_reject_non_finite_cells():
@@ -663,15 +655,24 @@ def forest_artifact(tmp_path):
     return path
 
 
+def _set_node(tree, node, **fields):
+    for name, value in fields.items():
+        tree[name][node] = value
+
+
 def _set_first_leaf(tree, **fields):
-    while "feature" in tree:
-        tree = tree["left"]
-    tree.update(fields)
+    _set_node(tree, tree["feature"].index(-1), **fields)
 
 
 def _set_first_split(tree, **fields):
-    assert "feature" in tree, "the tree is a single leaf"
-    tree.update(fields)
+    assert tree["feature"][0] >= 0, "the tree is a single leaf"
+    _set_node(tree, 0, **fields)
+
+
+def _set_last_split(tree, **fields):
+    last = max(i for i, feature in enumerate(tree["feature"]) if feature >= 0)
+    assert last > 1, "the tree has one split"
+    _set_node(tree, last, **fields)
 
 
 MALFORMED_FORESTS = {
@@ -686,6 +687,24 @@ MALFORMED_FORESTS = {
                       "a tree node has threshold inf"),
     "-inf split value": (lambda p: _set_first_split(p["trees"][2], value=float("-inf")),
                          "a tree node has value -inf"),
+    "child index out of range": (lambda p: _set_first_split(p["trees"][0], right=10**6),
+                                 "does not lie after it within the tree: feature 0, children 1 and 1000000"),
+    "backward child": (lambda p: _set_last_split(p["trees"][1], right=1),
+                       "has a child that does not lie after it within the tree"),
+    "self child": (lambda p: _set_first_split(p["trees"][2], left=0),
+                   "tree node 0 has a child that does not lie after it within the tree"),
+    "lengths differ": (lambda p: p["trees"][0]["n"].pop(),
+                       "a tree's node arrays differ in shape"),
+    "leaf with a child": (lambda p: _set_first_leaf(p["trees"][0], left=0),
+                          "is a leaf with a child: feature -1, children 0 and -1"),
+    "feature out of range": (lambda p: _set_first_split(p["trees"][1], feature=3),
+                             "tree node 0 splits on a feature outside 0..2: feature 3, children 1 and 2"),
+    "negative feature": (lambda p: _set_first_split(p["trees"][1], feature=-2),
+                         "tree node 0 splits on a feature outside 0..2: feature -2"),
+    "fractional feature": (lambda p: _set_first_split(p["trees"][1], feature=0.5),
+                           "a tree's feature holds float64 values"),
+    "empty tree": (lambda p: p["trees"][2].update(dict.fromkeys(p["trees"][2], [])),
+                   "a tree has no nodes"),
 }
 
 
@@ -712,8 +731,86 @@ def test_store_rejects_non_finite_tree_value(tmp_path):
     path = tmp_path / "tree.json"
     save_model(fit_dtr(rng.normal(size=(30, 3)), rng.normal(size=30), min_leaf=2), path)
     blob = json.loads(path.read_text())
-    _set_first_leaf(blob["payload"]["root"], value=float("nan"))
+    _set_first_leaf(blob["payload"]["trees"][0], value=float("nan"))
     path.write_text(json.dumps(blob))
     with pytest.raises(BadArtifact, match="a tree node has value nan") as exc:
         load_model(path)
     assert str(path) in str(exc.value)
+
+
+def test_store_rejects_tree_model_without_one_tree(tmp_path):
+    from scoreline.regress import BadArtifact
+
+    path = tmp_path / "tree.json"
+    save_model(fit_dtr(*tied_goal_data(), max_depth=2, min_leaf=2), path)
+    blob = json.loads(path.read_text())
+    blob["payload"]["trees"] *= 2
+    path.write_text(json.dumps(blob))
+    with pytest.raises(BadArtifact, match="the tree model holds 2 trees, not 1"):
+        load_model(path)
+
+
+def test_store_refuses_format_1_with_retrain(tmp_path):
+    """A nested-node artifact of format version 1 is refused, not converted."""
+    from scoreline.regress import UnsupportedVersion
+
+    model = fit_dtr(*tied_goal_data(), max_depth=3, min_leaf=2)
+    path = tmp_path / "v1.json"
+    save_model(model, path)
+    blob = json.loads(path.read_text())
+    blob.update(format_version=1, payload=nested_payload(model))
+    path.write_text(json.dumps(blob, sort_keys=True, indent=1))
+    with pytest.raises(UnsupportedVersion, match="format_version=1, .* reads 2; retrain"):
+        load_model(path)
+
+
+def test_store_rejects_deeply_nested_json(tmp_path):
+    from scoreline.regress import BadArtifact
+
+    path = tmp_path / "model_home.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(BadArtifact, match="cannot read model artifact .*recursion") as exc:
+        load_model(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("name", ["dtr", "rfr_seed_0"])
+def test_store_tree_roundtrip_byte_identical(tmp_path, name):
+    """Saved arrays load to the same predictions, bit for bit, and save
+    back to the same bytes."""
+    fit, params = TREE_FITS[name]
+    X, y = tied_goal_data()
+    model = fit(X, y, **params)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_model(model, first)
+    loaded = load_model(first)
+    assert loaded.predict(X).tobytes() == model.predict(X).tobytes()
+    save_model(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def walk(tree, x):
+    """Reference predict: follow one row down one tree, node by node."""
+    node = 0
+    while tree.feature[node] >= 0:
+        node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+    return tree.value[node]
+
+
+@pytest.mark.parametrize("name", sorted(TREE_FITS))
+def test_tree_predict_equals_walking_each_row(name):
+    fit, params = TREE_FITS[name]
+    X, y = tied_goal_data()
+    model = fit(X, y, **params)
+    queries = np.vstack([X, np.round(np.random.default_rng(5).normal(2.0, 2.0, size=(40, 7)), 1)])
+    walked = np.stack([[walk(tree, x) for x in queries] for tree in model.trees])
+    np.testing.assert_array_equal(model.predict(queries), walked.mean(axis=0))
+
+
+def test_tree_size_counts_nodes_and_deepest_leaf():
+    # 0 -> (1, 2), 2 -> (3, 4): five nodes, deepest leaves at depth 2
+    split = Tree(feature=np.array([0, -1, 0, -1, -1]), threshold=np.zeros(5), value=np.zeros(5),
+                 n=np.ones(5, dtype=np.int64), left=np.array([1, -1, 3, -1, -1]),
+                 right=np.array([2, -1, 4, -1, -1]))
+    assert tree_size([split, leaf_tree(1.0)]) == {"nodes": 6, "depth": 2}
+    assert tree_size([leaf_tree(1.0)]) == {"nodes": 1, "depth": 0}
