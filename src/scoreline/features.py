@@ -13,20 +13,44 @@ Three matrix flavours share one builder:
 Every number is computed from archive records strictly before the fixture
 kickoff, within the fixture's season plus the immediately previous one, so
 rebuilding a row after deleting all records at or past kickoff reproduces
-it bit for bit. A matrix is built in one chronological pass: its rows are
-assembled in kickoff order, and each player, team and league window only
-moves forward, adding every record once to running sums in the order a
-fresh scan would, so a row equals the same row built alone bit for bit.
-No row depends on which other fixtures a build covers, so one build over
-every fixture can be cut into train and test parts (``FeatureMatrix.part``).
+it bit for bit. No row depends on which other fixtures a build covers, so
+one build over every fixture can be cut into train and test parts
+(``FeatureMatrix.part``).
+
+The builder reads the archive as prefix sums. At its first stats build it
+converts each record's stats to columns once (:class:`_Columns`), and
+each season pair {s-1, s} gets one track (:class:`_Track`): the pair's
+records ordered by player, then kickoff. A player's window before a
+kickoff is then a prefix of the player's run of rows, found by one search
+on (player, kickoff rank). The track also keeps each stat's league mean
+before every kickoff, from the stat's first fallback on. A build takes
+one position group at a time: running sums and counts along each
+player's run give the form averages at every row of the group, read off
+at each pool member's latest row.
+
+Each value equals a scan of the window bit for bit:
+
+* every running sum adds its values left to right from 0.0, in (kickoff,
+  fixture_id) order, as a cumsum does; the columns hold -0.0 as 0.0,
+  since 0.0 + -0.0 is 0.0;
+* an unmeasured stat adds 0.0, which leaves a sum of non-negative values
+  unchanged, and nothing to the stat's count;
+* a group's value adds its members' form averages in pool order (lineup
+  order, or the squad in player-id order) with a cumsum along the member
+  axis, then divides by their count, as ``sum(vals) / len(vals)`` does;
+* the league fallback sums the pair's records in (kickoff, fixture_id,
+  player_id) order.
+
+Kickoffs compare as ``datetime64[us]``, exactly as the naive datetimes do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from datetime import datetime
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from itertools import chain, repeat
+from operator import attrgetter
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -124,108 +148,232 @@ class FeatureMatrix:
         return 1.0 - self.players_dropped / self.players_listed
 
 
-class _Rec(NamedTuple):
-    kickoff: datetime
-    fixture_id: str
-    player_id: str
-    season: int
-    group: str
-    stats: Mapping[str, float]
+_kickoff_order = attrgetter("kickoff", "fixture_id")
 
 
-_chronological = attrgetter("kickoff", "fixture_id", "player_id")
+class _Columns:
+    """The stats archive as columns, each record converted once.
 
-
-class _Window:
-    """A forward-only cursor over one kickoff-sorted record list.
-
-    ``advance(as_of)`` adds, in list order, every record of the target
-    season or the one before it whose kickoff is before ``as_of``, so the
-    state equals a fresh scan of the window bit for bit. ``as_of`` must
-    not decrease over a window's life.
+    Records go in (kickoff, fixture_id, player_id) order. Players, groups
+    and teams are indices into sorted name lists, and a kickoff is its
+    rank among the dataset's distinct kickoffs. Record i's stat columns
+    are ``layouts[kind[i]]``, and its values, in the same order, start at
+    ``value[start[i]]``. ``place[kind[i], col]`` is a stat column's
+    position among them, or -1 where the record leaves the stat
+    unmeasured.
     """
 
-    __slots__ = ("_records", "_seasons", "_pos")
+    def __init__(self, dataset: Dataset):
+        fixtures = sorted(dataset.fixtures, key=_kickoff_order)
+        rank = {f.fixture_id: i for i, f in enumerate(fixtures)}
+        kickoffs = np.array([f.kickoff for f in fixtures], dtype="datetime64[us]")
+        self.kickoffs = kickoffs[np.append(True, kickoffs[1:] != kickoffs[:-1])]  # distinct
+        self.span = len(self.kickoffs) + 1  # stride of a player's track keys
 
-    def __init__(self, records: Sequence, season: int):
-        self._records = records
-        self._seasons = (season, season - 1)
-        self._pos = 0
+        # read in archive order; each per-record array is put in order at the end
+        records = list(dataset.stats.records())
+        self.player_ids = sorted({r.player_id for r in records})
+        self.player_index = {p: i for i, p in enumerate(self.player_ids)}
+        self.group_names = sorted({r.position_group for r in records})
+        self.group_index = {g: i for i, g in enumerate(self.group_names)}
+        fixture = [rank[r.fixture_id] for r in records]
+        # a record counts for the team whose lineup names its player, home first
+        lineups = [{**dict.fromkeys(f.away_lineup or (), f.away_team),
+                    **dict.fromkeys(f.home_lineup or (), f.home_team)} for f in fixtures]
+        teams = [lineups[f].get(r.player_id) for f, r in zip(fixture, records)]
+        self.team_index = {t: i for i, t in enumerate(sorted(set(teams) - {None}))}
+        stats = [r.stats for r in records]
+        lengths = np.fromiter(map(len, stats), np.int64, len(stats))
+        # 0.0 + value: sums start from 0.0, as a scan's do, so -0.0 adds as 0.0
+        self.value = np.fromiter(chain.from_iterable(s.values() for s in stats),
+                                 np.float64, int(lengths.sum()))
+        self.value += 0.0
+        self.stat_index: dict[str, int] = {}
+        kinds: dict[tuple, int] = {}  # a record's stat names -> their layout
+        self.layouts: list[list[int]] = []
+        kind = []
+        for names in map(tuple, stats):
+            if names not in kinds:
+                kinds[names] = len(self.layouts)
+                self.layouts.append([self.stat_index.setdefault(n, len(self.stat_index))
+                                     for n in names])
+            kind.append(kinds[names])
+        self.place = np.full((len(self.layouts), len(self.stat_index)), -1, dtype=np.int32)
+        for row, layout in zip(self.place, self.layouts):
+            row[layout] = np.arange(len(layout))
 
-    def advance(self, as_of: datetime) -> None:
-        records, pos = self._records, self._pos
-        while pos < len(records) and records[pos].kickoff < as_of:
-            if records[pos].season in self._seasons:
-                self._add(records[pos])
-            pos += 1
-        self._pos = pos
+        fixture = np.array(fixture, dtype=np.int64)
+        player = np.fromiter((self.player_index[r.player_id] for r in records), np.int32,
+                             len(records))
+        order = np.lexsort((player, fixture))
+        fixture, self.player = fixture[order], player[order]
+        self.time = np.searchsorted(self.kickoffs, kickoffs).astype(np.int32)[fixture]
+        self.season = np.array([f.season for f in fixtures])[fixture]
+        self.group = np.fromiter((self.group_index[r.position_group] for r in records),
+                                 np.int32, len(records))[order]
+        self.team = np.fromiter((-1 if t is None else self.team_index[t] for t in teams),
+                                np.int32, len(teams))[order]
+        self.kind = np.array(kind, dtype=np.int32)[order]
+        self.start = (np.cumsum(lengths) - lengths)[order]
 
-    def _add(self, rec) -> None:
-        raise NotImplementedError
+    def reader(self, recs: np.ndarray):
+        """A reader of the stats of records ``recs``: given a stat column,
+        it returns the positions in ``recs`` of the records that measure
+        the stat, and the values."""
+        kinds, starts = self.kind[recs], self.start[recs]
 
+        def column(col: int) -> tuple[np.ndarray, np.ndarray]:
+            place = self.place[kinds, col]
+            has = np.flatnonzero(place >= 0)
+            return has, self.value[starts[has] + place[has]]
+        return column
 
-class _FormWindow(_Window):
-    """Running per-stat sums and the latest group over windowed ``_Rec``s."""
-
-    __slots__ = ("sums", "counts", "group")
-
-    def __init__(self, records: Sequence[_Rec], season: int):
-        super().__init__(records, season)
-        self.sums: dict[str, float] = {}
-        self.counts: dict[str, int] = {}
-        self.group: str | None = None  # None while the window is cold
-
-    def _add(self, rec: _Rec) -> None:
-        self.group = rec.group
-        sums, counts = self.sums, self.counts
-        for stat, value in rec.stats.items():
-            sums[stat] = sums.get(stat, 0.0) + value
-            counts[stat] = counts.get(stat, 0) + 1
-
-    def means(self) -> dict[str, float]:
-        return {stat: self.sums[stat] / self.counts[stat] for stat in self.sums}
+    def times(self, kickoffs: Sequence[datetime]) -> np.ndarray:
+        """Each kickoff's rank: the number of distinct kickoffs before it."""
+        return np.searchsorted(self.kickoffs, np.array(kickoffs, dtype="datetime64[us]"))
 
 
-class _SquadWindow(_Window):
-    """Every player with a windowed appearance for one team."""
+class _Track:
+    """The records of seasons {season - 1, season}, for prefix sums.
 
-    __slots__ = ("players",)
+    Rows are the pair's records ordered by player, then kickoff, keyed
+    ``player * span + kickoff rank``; ``runs`` bounds each player's rows.
+    ``group`` and ``slot`` (a row's place among its group's rows) end with
+    an entry for row -1, a cold player. Each stat's league means and the
+    squads are found on first use.
+    """
 
-    def __init__(self, records: Sequence[_Rec], season: int):
-        super().__init__(records, season)
-        self.players: set[str] = set()
+    def __init__(self, archive: _Columns, season: int):
+        self.archive = archive
+        # the pair's records in kickoff order, then by player
+        self.pair = np.flatnonzero((archive.season == season) | (archive.season == season - 1))
+        self.rec = self.pair[np.argsort(archive.player[self.pair], kind="stable")]
+        player = archive.player[self.rec]
+        self.keys = player.astype(np.int64) * archive.span + archive.time[self.rec]
+        self.runs = np.flatnonzero(np.diff(player, prepend=-1, append=-1))  # player run bounds
+        self.group = np.append(archive.group[self.rec], np.int32(-1))
+        self.slot = np.zeros(len(self.group), dtype=np.int32)
+        for code in range(len(archive.group_names)):
+            rows = self.group == code
+            self.slot[rows] = np.arange(np.count_nonzero(rows), dtype=np.int32)
+        self._squads: tuple[np.ndarray, np.ndarray] | None = None
+        self._league: dict[int, np.ndarray] = {}  # by stat column, per kickoff rank
+        self._pair_column = archive.reader(self.pair)
 
-    def _add(self, rec: _Rec) -> None:
-        self.players.add(rec.player_id)
+    def league(self, col: int | None, times: np.ndarray) -> np.ndarray:
+        """The league mean of stat column ``col`` over the pair's records
+        before each kickoff rank in ``times``; NaN where there is none."""
+        if col is None:
+            return np.full(len(times), np.nan)
+        if col not in self._league:
+            # the running sum and count over the pair in kickoff order, read
+            # off before each kickoff
+            has, values = self._pair_column(col)
+            before = np.searchsorted(self.archive.time[self.pair], np.arange(self.archive.span))
+            counts = np.searchsorted(has, before)
+            sums = np.concatenate(([0.0], np.cumsum(values)))[counts]
+            self._league[col] = np.divide(sums, counts, out=np.full(len(sums), np.nan),
+                                          where=counts > 0)
+        return self._league[col][times]
+
+    def latest(self, players: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """The row of each player's latest record before its row's time, or
+        -1 while cold; ``players`` is (rows, pool) with -1 for nobody."""
+        base = players * self.archive.span
+        end = np.searchsorted(self.keys, base + times[:, None])
+        return np.where((players >= 0) & (end > np.searchsorted(self.keys, base)), end - 1, -1)
+
+    def forms(self, code: int, cols: Sequence[int | None]) -> dict[int, np.ndarray]:
+        """The form averages of stat columns ``cols`` at each row of group
+        ``code``: the player's per-stat sums over their rows up to it,
+        divided by the stat's count; NaN where unmeasured."""
+        cols = list(dict.fromkeys(col for col in cols if col is not None))
+        width = len(cols)
+        mine = self.group[:-1] == code
+        if not mine.any():
+            return {col: np.zeros(0) for col in cols}
+        begins, sizes = self.runs[:-1], np.diff(self.runs)
+        players = np.add.reduceat(mine, begins) > 0  # those with a row of the group
+        lengths = sizes[players]
+        ends = np.cumsum(lengths)
+        rows = np.repeat(begins[players] - ends + lengths, lengths) + np.arange(ends[-1])
+        acc = np.zeros((len(rows), 2 * width))  # sums, then counts
+        column = self.archive.reader(self.rec[rows])
+        for j, col in enumerate(cols):
+            has, values = column(col)
+            acc[has, j] = values
+            acc[has, width + j] = 1.0
+        for begin, end in zip([0, *ends[:-1].tolist()], ends.tolist()):
+            np.cumsum(acc[begin:end], axis=0, out=acc[begin:end])
+        sums, counts = acc[mine[rows], :width], acc[mine[rows], width:]
+        means = np.divide(sums, counts, out=np.full(sums.shape, np.nan), where=counts > 0)
+        return dict(zip(cols, means.T))
+
+    def squads(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per team, its players in id order padded with -1, and the time of
+        each one's first record for the team in the pair (``span``: never)."""
+        if self._squads is None:
+            archive = self.archive
+            recs = self.pair[archive.team[self.pair] >= 0]
+            stride = max(1, len(archive.player_ids))
+            key = archive.team[recs].astype(np.int64) * stride + archive.player[recs]
+            order = np.argsort(key, kind="stable")  # by team and player, kickoff order within
+            first = order[np.append(True, key[order][1:] != key[order][:-1])]
+            key = key[first]
+            team, player = np.divmod(key, stride)
+            sizes = np.bincount(team, minlength=len(archive.team_index))
+            slot = np.arange(len(key)) - (np.cumsum(sizes) - sizes)[team]
+            shape = (len(archive.team_index), max(1, sizes.max(initial=0)))
+            players, since = np.full(shape, -1), np.full(shape, archive.span)
+            players[team, slot] = player
+            since[team, slot] = archive.time[recs[first]]
+            self._squads = (players, since)
+        return self._squads
+
+    def group_values(self, latest: np.ndarray, code: int, cols: Sequence[int | None],
+                     times: np.ndarray, forms: dict[int, np.ndarray]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """One group's values for pools whose members' latest rows are
+        ``latest``, from the group's ``forms``: per row and stat, the mean
+        of the members' form averages, or the league mean where no member
+        measures the stat (flagged in the second array), or NaN where
+        neither exists."""
+        member = self.group[latest] == code
+        slot = np.where(member, self.slot[latest], 0)
+        values = np.full((len(latest), len(cols)), np.nan)
+        fell = np.ones(values.shape, dtype=bool)
+        for j, col in enumerate(cols if member.any() else ()):
+            if col is None:
+                continue
+            form = forms[col][slot]
+            measured = ~np.isnan(form)
+            measured &= member
+            form[~measured] = 0.0
+            # pool order, left to right, as sum() adds: a cumsum, never np.sum,
+            # whose pairwise blocks regroup the additions from 8 members on
+            totals = np.cumsum(form, axis=1, out=form)[:, -1]
+            counts = measured.sum(axis=1)
+            np.divide(totals, counts, out=values[:, j], where=counts > 0)
+            fell[:, j] = counts == 0
+        for j in np.flatnonzero(fell.any(axis=0)):
+            rows = np.flatnonzero(fell[:, j])
+            values[rows, j] = self.league(cols[j], times[rows])
+        return values, fell
 
 
 class FeatureBuilder:
     """Feature assembly over one immutable dataset.
 
     The player universe for the ``players`` encoding is frozen from the
-    dataset's training fixtures at construction time.
+    dataset's training fixtures at construction time. The archive's
+    columns and tracks are built at the first stats build or lookup.
     """
 
     def __init__(self, dataset: Dataset, schema: FeatureSchema | None = None):
         self.dataset = dataset
         self.schema = schema or default_schema()
-
-        by_id = {f.fixture_id: f for f in dataset.fixtures}
-        self._player_records: dict[str, list[_Rec]] = {}
-        self._all_records: list[_Rec] = []
-        self._team_appearances: dict[str, list[_Rec]] = {}
-        for rec in dataset.stats.records():
-            fixture = by_id[rec.fixture_id]
-            # The dataset is immutable, so the record's own mapping is held.
-            entry = _Rec(fixture.kickoff, fixture.fixture_id, rec.player_id, fixture.season,
-                         rec.position_group, rec.stats)
-            self._player_records.setdefault(rec.player_id, []).append(entry)
-            self._all_records.append(entry)
-            team = _attributed_team(fixture, rec.player_id)
-            if team is not None:
-                self._team_appearances.setdefault(team, []).append(entry)
-        for recs in (self._all_records, *self._player_records.values(), *self._team_appearances.values()):
-            recs.sort(key=_chronological)
+        self._cols: _Columns | None = None
+        self._tracks: dict[int, _Track] = {}
 
         universe = set()
         for f in dataset.train_fixtures:
@@ -235,44 +383,93 @@ class FeatureBuilder:
         self.player_universe: tuple[str, ...] = tuple(sorted(universe))
         self._universe_index = {p: i for i, p in enumerate(self.player_universe)}
 
+    def _columns(self) -> _Columns:
+        if self._cols is None:
+            self._cols = _Columns(self.dataset)
+        return self._cols
+
+    def _track(self, season: int) -> _Track:
+        if season not in self._tracks:
+            self._tracks[season] = _Track(self._columns(), season)
+        return self._tracks[season]
+
+    def _pools(self, pools: Sequence[Sequence[str]]) -> np.ndarray:
+        """Each pool's player indices in pool order, padded with -1."""
+        sizes = np.array([len(pool) for pool in pools], dtype=np.int64)
+        matrix = np.full((len(pools), max(1, sizes.max(initial=0))), -1)
+        names = list(chain.from_iterable(pools))
+        rows = np.repeat(np.arange(len(pools)), sizes)
+        index = self._columns().player_index
+        matrix[rows, np.arange(len(names)) - (np.cumsum(sizes) - sizes)[rows]] = np.fromiter(
+            map(index.get, names, repeat(-1)), np.int64, len(names))
+        return matrix
+
+    def _lookup(self, players: Sequence[str], as_of: datetime, season: int):
+        """The track, pool row and latest rows of one scalar lookup."""
+        track, pool = self._track(season), self._pools([players])
+        times = self._columns().times([as_of])
+        return track, times, track.latest(pool, times)
+
     # -- per-player aggregation ------------------------------------------
 
-    def _window(self, key: tuple, as_of: datetime, windows: dict | None):
-        """Window ``key`` advanced to ``as_of``: fresh, or kept in ``windows``.
-
-        A key is ("form", player_id, season), with player_id None for the
-        whole league, or ("squad", team, season). One build keeps its
-        windows in one dict; its kickoffs never decrease.
-        """
-        windows = {} if windows is None else windows
-        window = windows.get(key)
-        if window is None:
-            kind, name, season = key
-            if kind == "squad":
-                window = _SquadWindow(self._team_appearances.get(name, ()), season)
-            else:
-                records = self._all_records if name is None else self._player_records.get(name, ())
-                window = _FormWindow(records, season)
-            windows[key] = window
-        window.advance(as_of)
-        return window
-
-    def player_form_average(self, player_id: str, as_of: datetime, season: int, windows: dict | None = None):
+    def player_form_average(self, player_id: str, as_of: datetime, season: int):
         """Per-stat mean over the player's windowed matches, or None if cold.
 
         The window is every match strictly before ``as_of`` in the given
         season plus every match of the season before it. A stat missing
-        from a record is unmeasured, not zero.
+        from a record is unmeasured, not zero. Stats go in the order the
+        window first measures them.
         """
-        window = self._window(("form", player_id, season), as_of, windows)
-        return window.means() if window.group is not None else None
+        track, _times, latest = self._lookup([player_id], as_of, season)
+        last = int(latest[0, 0])
+        if last < 0:
+            return None
+        archive = self._columns()
+        first = np.searchsorted(track.keys, int(archive.player[track.rec[last]]) * archive.span)
+        recs = track.rec[first:last + 1].tolist()
+        sums = np.zeros((len(recs), len(archive.stat_index)))
+        counts: dict[int, int] = {}  # in the order the window first measures each stat
+        for i, rec in enumerate(recs):
+            layout = archive.layouts[archive.kind[rec]]
+            sums[i, layout] = archive.value[archive.start[rec]:archive.start[rec] + len(layout)]
+            for col in layout:
+                counts[col] = counts.get(col, 0) + 1
+        sums = np.cumsum(sums, axis=0)[-1]  # left to right; a stored -0.0 is already 0.0
+        names = list(archive.stat_index)
+        return {names[col]: float(sums[col]) / count for col, count in counts.items()}
 
-    def _group_of(self, player_id: str, as_of: datetime, season: int, windows: dict | None = None) -> str | None:
+    def _group_of(self, player_id: str, as_of: datetime, season: int) -> str | None:
         """Position group from the player's most recent windowed record."""
-        return self._window(("form", player_id, season), as_of, windows).group
+        track, _times, latest = self._lookup([player_id], as_of, season)
+        code = int(track.group[latest[0, 0]])
+        return None if code < 0 else self._columns().group_names[code]
 
-    def _league_means(self, as_of: datetime, season: int, windows: dict | None = None) -> dict[str, float]:
-        return self._window(("form", None, season), as_of, windows).means()
+    def _league_means(self, as_of: datetime, season: int) -> dict[str, float]:
+        track, times, _latest = self._lookup((), as_of, season)
+        archive = self._columns()
+        window = track.pair[archive.time[track.pair] < times[0]]
+        kinds = dict.fromkeys(archive.kind[window].tolist())
+        cols = dict.fromkeys(chain.from_iterable(archive.layouts[k] for k in kinds))
+        names = list(archive.stat_index)
+        # each stat in the order the window first measures it
+        return {names[col]: track.league(col, times).item() for col in cols}
+
+    def _squad(self, team: str, as_of: datetime, season: int) -> tuple[str, ...]:
+        """Players with a windowed record for the team, in player-id order,
+        the order that fixes a group's summation order."""
+        archive = self._columns()
+        if team not in archive.team_index:
+            return ()
+        players, since = self._track(season).squads()
+        at = archive.team_index[team]
+        pool = players[at][since[at] < archive.times([as_of])[0]]
+        return tuple(archive.player_ids[p] for p in pool.tolist())
+
+    def _code(self, group: str) -> int:
+        return self._columns().group_index.get(group, -2)  # -2 matches no row, cold or not
+
+    def _stat_cols(self, stat_names: Sequence[str]) -> list[int | None]:
+        return [self._columns().stat_index.get(s) for s in stat_names]
 
     def group_aggregate(
         self,
@@ -281,81 +478,95 @@ class FeatureBuilder:
         as_of: datetime,
         season: int,
         stat_names: Sequence[str],
-        windows: dict | None = None,
     ) -> tuple[list[float], bool]:
         """Mean of the pool's per-player form averages for one group.
 
         Cold players (no windowed record) are ignored; if nobody in the
         pool covers a stat the league-wide windowed mean substitutes, and
-        the returned flag reports that any fallback was used. ``windows``
-        are one build's, carried over from its earlier kickoffs; without
-        them every window starts fresh.
+        the returned flag reports that any fallback was used.
         """
-        windows = {} if windows is None else windows
-        members = [p for p in players if self._group_of(p, as_of, season, windows) == group]
-        forms = {p: self.player_form_average(p, as_of, season, windows) for p in members}
-        values: list[float] = []
-        used_fallback = False
-        league = None
-        for stat in stat_names:
-            vals = [forms[p][stat] for p in members if stat in forms[p]]
-            if vals:
-                values.append(sum(vals) / len(vals))
-                continue
-            if league is None:
-                league = self._league_means(as_of, season, windows)
-            if stat not in league:
-                raise EmptyGroup(group, stat)
-            values.append(league[stat])
-            used_fallback = True
-        return values, used_fallback
+        track, times, latest = self._lookup(players, as_of, season)
+        code, cols = self._code(group), self._stat_cols(stat_names)
+        values, fell = track.group_values(latest, code, cols, times, track.forms(code, cols))
+        missing = np.isnan(values[0])
+        if missing.any():
+            raise EmptyGroup(group, stat_names[int(np.argmax(missing))])
+        return values[0].tolist(), bool(fell.any())
 
     # -- row assembly -----------------------------------------------------
 
-    def _assemble_stats_row(self, fixture: Fixture, side: str, own_pool, opp_pool, windows: dict | None) -> FeatureRow:
-        as_of, season = fixture.kickoff, fixture.season
-        windows = {} if windows is None else windows
-        values: list[float] = []
-        fallbacks: list[str] = []
-        for group in OFFENSIVE_GROUPS:
-            vec, fb = self.group_aggregate(own_pool, group, as_of, season, self.schema.offensive[group], windows)
-            values.extend(vec)
-            if fb:
-                fallbacks.append(f"own:{group}")
-        for group in DEFENSIVE_GROUPS:
-            vec, fb = self.group_aggregate(opp_pool, group, as_of, season, self.schema.defensive[group], windows)
-            values.extend(vec)
-            if fb:
-                fallbacks.append(f"opp:{group}")
-        return FeatureRow(
-            fixture_id=fixture.fixture_id,
-            side=side,
-            values=np.array(values, dtype=np.float64),
-            target=fixture.goals(side),
-            fallback_groups=tuple(fallbacks),
-        )
+    def _assemble(self, track: _Track, own: np.ndarray, opp: np.ndarray, times: np.ndarray):
+        """The 52 values, fallback groups and first EmptyGroup (or None) of
+        each row, from its own and opposing pools. The form averages of one
+        group at a time are alive: a group's own and opposing blocks share
+        them."""
+        latest = {"own": track.latest(own, times), "opp": track.latest(opp, times)}
+        blocks = [(label, group, stats)  # in row order
+                  for label, groups, names in (("own", OFFENSIVE_GROUPS, self.schema.offensive),
+                                               ("opp", DEFENSIVE_GROUPS, self.schema.defensive))
+                  for group in groups for stats in (names[group],)]
+        results: list = [None] * len(blocks)
+        for group in dict.fromkeys(group for _label, group, _stats in blocks):
+            code = self._code(group)
+            mine = [i for i, block in enumerate(blocks) if block[1] == group]
+            forms = track.forms(code, self._stat_cols([s for i in mine for s in blocks[i][2]]))
+            for i in mine:
+                label, _group, stats = blocks[i]
+                results[i] = track.group_values(latest[label], code, self._stat_cols(stats),
+                                                times, forms)
+        fallbacks, errors = [[] for _ in times], [None] * len(times)
+        for (label, group, stats), (values, fell) in zip(blocks, results):
+            for r in np.flatnonzero(fell.any(axis=1)).tolist():
+                fallbacks[r].append(f"{label}:{group}")
+            for r, j in zip(*np.nonzero(np.isnan(values))):
+                if errors[r] is None:
+                    errors[r] = EmptyGroup(group, stats[j])
+        return np.hstack([values for values, _fell in results]), fallbacks, errors
 
-    def assemble_lineup_features(self, fixture: Fixture, side: str, windows: dict | None = None) -> FeatureRow:
+    def _stats_rows(self, fixtures: Sequence[Fixture], approach: str, side: str) -> list:
+        """Each fixture's stats row, or the FeatureError that stops it, in
+        order; the fixtures of one season are assembled together."""
+        archive = self._columns()
+        opp = "away" if side == "home" else "home"
+        out: list = [None] * len(fixtures)
+        seasons: dict[int, list[int]] = {}
+        for i, fixture in enumerate(fixtures):
+            teams = (fixture.team(side), fixture.team(opp))
+            if approach == "lineup_stats" and not fixture.has_lineups():
+                out[i] = MissingLineup(fixture.fixture_id)
+            elif approach == "team_stats" and not all(t in archive.team_index for t in teams):
+                out[i] = UnknownTeam(next(t for t in teams if t not in archive.team_index))
+            else:
+                seasons.setdefault(fixture.season, []).append(i)
+        for season, batch in seasons.items():
+            track = self._track(season)
+            chosen = [fixtures[i] for i in batch]
+            times = archive.times([f.kickoff for f in chosen])
+            if approach == "lineup_stats":
+                pools = [self._pools([f.lineup(s) for f in chosen]) for s in (side, opp)]
+            else:
+                players, since = track.squads()
+                teams = [np.array([archive.team_index[f.team(s)] for f in chosen])
+                         for s in (side, opp)]
+                pools = [np.where(since[t] < times[:, None], players[t], -1) for t in teams]
+            values, fallbacks, errors = self._assemble(track, *pools, times)
+            for r, (i, fixture) in enumerate(zip(batch, chosen)):
+                out[i] = errors[r] or FeatureRow(
+                    fixture_id=fixture.fixture_id,
+                    side=side,
+                    values=values[r],
+                    target=fixture.goals(side),
+                    fallback_groups=tuple(fallbacks[r]),
+                )
+        return out
+
+    def assemble_lineup_features(self, fixture: Fixture, side: str) -> FeatureRow:
         """52-feature row from the two starting elevens."""
-        if not fixture.has_lineups():
-            raise MissingLineup(fixture.fixture_id)
-        opp = "away" if side == "home" else "home"
-        return self._assemble_stats_row(fixture, side, fixture.lineup(side), fixture.lineup(opp), windows)
+        return _raised(self._stats_rows([fixture], "lineup_stats", side)[0])
 
-    def _squad(self, team: str, as_of: datetime, season: int, windows: dict | None = None) -> tuple[str, ...]:
-        # Sorted, because the pool order fixes group_aggregate's summation order.
-        return tuple(sorted(self._window(("squad", team, season), as_of, windows).players))
-
-    def assemble_team_features(self, fixture: Fixture, side: str, windows: dict | None = None) -> FeatureRow:
+    def assemble_team_features(self, fixture: Fixture, side: str) -> FeatureRow:
         """52-feature row averaging every windowed squad member, lineups ignored."""
-        opp = "away" if side == "home" else "home"
-        own_team, opp_team = fixture.team(side), fixture.team(opp)
-        for team in (own_team, opp_team):
-            if team not in self._team_appearances:
-                raise UnknownTeam(team)
-        own_pool = self._squad(own_team, fixture.kickoff, fixture.season, windows)
-        opp_pool = self._squad(opp_team, fixture.kickoff, fixture.season, windows)
-        return self._assemble_stats_row(fixture, side, own_pool, opp_pool, windows)
+        return _raised(self._stats_rows([fixture], "team_stats", side)[0])
 
     def encode_players(self, fixture: Fixture, side: str) -> FeatureRow:
         """Membership row over the training player universe.
@@ -408,33 +619,27 @@ class FeatureBuilder:
         else:
             names = self.schema.feature_names(side)
         matrix = FeatureMatrix(approach=approach, side=side, feature_names=names)
-        ordered = sorted(fixtures, key=lambda f: (f.kickoff, f.fixture_id))
-        windows: dict = {}  # this build's windows; kickoffs only move forward
-        for fixture in ordered:
-            if require_target and fixture.goals(side) is None:
-                matrix.skipped.append((fixture.fixture_id, "missing result"))
-                continue
-            try:
-                if approach == "players":
-                    row = self.encode_players(fixture, side)
-                elif approach == "lineup_stats":
-                    row = self.assemble_lineup_features(fixture, side, windows)
-                else:
-                    row = self.assemble_team_features(fixture, side, windows)
-            except (MissingLineup, EmptyGroup, UnknownTeam) as exc:
-                matrix.skipped.append((fixture.fixture_id, str(exc)))
-                continue
-            matrix.rows.append(row)
+        ordered = sorted(fixtures, key=_kickoff_order)
+        unplayed = [require_target and f.goals(side) is None for f in ordered]
+        wanted = [f for f, skip in zip(ordered, unplayed) if not skip]
+        if approach == "players":
+            built = iter([self.encode_players(f, side) if f.has_lineups()
+                          else MissingLineup(f.fixture_id) for f in wanted])
+        else:
+            built = iter(self._stats_rows(wanted, approach, side))
+        for fixture, skip in zip(ordered, unplayed):
+            row = "missing result" if skip else next(built)
+            if isinstance(row, FeatureRow):
+                matrix.rows.append(row)
+            else:
+                matrix.skipped.append((fixture.fixture_id, str(row)))
         if not matrix.rows:
             raise NoRowsBuilt(approach, side)
         return matrix
 
 
-def _attributed_team(fixture: Fixture, player_id: str) -> str | None:
-    # Archive records map to a team through the fixture's lineups; records
-    # on fixtures without lineups stay unattributed for squad purposes.
-    if fixture.home_lineup and player_id in fixture.home_lineup:
-        return fixture.home_team
-    if fixture.away_lineup and player_id in fixture.away_lineup:
-        return fixture.away_team
-    return None
+def _raised(row):
+    """A built row, or the FeatureError that stopped it, raised."""
+    if isinstance(row, FeatureError):
+        raise row
+    return row

@@ -150,13 +150,21 @@ class PlayerMatchStats:
 class StatsArchive:
     """Player match records indexed by (player_id, fixture_id)."""
 
-    def __init__(self, records: Iterable[PlayerMatchStats]):
+    def __init__(self, records: Iterable[PlayerMatchStats] = ()):
+        """An archive of a record list, which may hold each key once."""
         self._by_key: dict[tuple[str, str], PlayerMatchStats] = {}
         for rec in records:
             key = (rec.player_id, rec.fixture_id)
             if key in self._by_key:
                 raise ParseError(0, f"duplicate record for {key}")
             self._by_key[key] = rec
+
+    @classmethod
+    def indexed(cls, by_key: dict[tuple[str, str], PlayerMatchStats]) -> StatsArchive:
+        """An archive over an index already keyed by (player_id, fixture_id)."""
+        archive = cls()
+        archive._by_key = by_key
+        return archive
 
     def get(self, player_id: str, fixture_id: str) -> PlayerMatchStats | None:
         return self._by_key.get((player_id, fixture_id))
@@ -322,7 +330,7 @@ def load_player_stats(path: str | Path, fixtures: Iterable[Fixture]) -> StatsArc
     """
     known = {f.fixture_id: f.fixture_id for f in fixtures}
     valid_groups = {g: g for g in POSITION_GROUPS}
-    records: dict[tuple[str, str], tuple[str, dict[str, float]]] = {}
+    records: dict[tuple[str, str], PlayerMatchStats] = {}
     names: dict[str, str] = {}  # raw stat_name cell -> its checked name
     last_pid = last_fid = last_group = None  # the raw key cells of the run being read
     for rownum, (pid, fid, group, stat, raw) in _rows(path, STATS_COLUMNS, "stats"):
@@ -346,10 +354,10 @@ def load_player_stats(path: str | Path, fixtures: Iterable[Fixture]) -> StatsArc
             key = (player, fixture_id)
             held = records.get(key)
             if held is None:
-                held = records[key] = (position_group, {})
+                held = records[key] = PlayerMatchStats(player, fixture_id, position_group, {})
             # raised only after the row's stat and value checks, which come first
-            conflict = held[0] != position_group
-            record = held[1]
+            conflict = held.position_group != position_group
+            record = held.stats
         name = names.get(stat)
         if name is None:
             name = stat.strip()
@@ -372,10 +380,7 @@ def load_player_stats(path: str | Path, fixtures: Iterable[Fixture]) -> StatsArc
             raise ParseError(rownum, f"duplicate stat {name!r} for {key}")
         record[name] = value
 
-    return StatsArchive(
-        PlayerMatchStats(player_id=pid, fixture_id=fid, position_group=group, stats=vals)
-        for (pid, fid), (group, vals) in records.items()
-    )
+    return StatsArchive.indexed(records)
 
 
 def load_odds(path: str | Path, fixtures: Iterable[Fixture]) -> dict[str, OddsRecord]:

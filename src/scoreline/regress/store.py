@@ -79,35 +79,66 @@ def _scaler_from(payload: dict, n_features: int) -> Scaler:
                   std=_vector(payload, "scaler_std", n_features))
 
 
-def _tree(blob: dict, n_features: int) -> Tree:
-    """One tree's node arrays, checked so that predict can neither index
-    outside them nor loop: every split node's children lie after it."""
-    cols = [np.asarray(blob[name]) for name in Tree._fields]
-    if len({col.shape for col in cols}) != 1 or cols[0].ndim != 1:
-        raise BadArtifact(f"a tree's node arrays differ in shape: {[c.shape for c in cols]}")
-    if not cols[0].size:
-        raise BadArtifact("a tree has no nodes")
-    for name, col, fill in zip(Tree._fields, cols, LEAF):
-        if col.dtype.kind not in ("if" if isinstance(fill, float) else "i"):
-            raise BadArtifact(f"a tree's {name} holds {col.dtype} values")
-    tree = Tree(*(col.astype(type(fill)) for col, fill in zip(cols, LEAF)))
-    for name in ("value", "threshold"):
-        col = getattr(tree, name)
-        if not np.isfinite(col).all():
-            raise BadArtifact(f"a tree node has {name} {col[~np.isfinite(col)][0]}")
-    feature, left, right = tree.feature, tree.left, tree.right
-    nodes, split = np.arange(feature.shape[0]), feature != -1
-    for bad, problem in (
-            (split & ((feature < 0) | (feature >= n_features)),
-             f"splits on a feature outside 0..{n_features - 1}"),
-            (split & ((np.minimum(left, right) <= nodes) | (np.maximum(left, right) >= nodes.size)),
-             "has a child that does not lie after it within the tree"),
-            (~split & ((left != -1) | (right != -1)), "is a leaf with a child")):
-        if bad.any():
-            node = int(np.argmax(bad))
-            raise BadArtifact(f"tree node {node} {problem}: feature {feature[node]}, "
-                              f"children {left[node]} and {right[node]}")
-    return tree
+def _trees(blobs: list, n_features: int) -> list[Tree]:
+    """Each tree's node arrays, checked so that predict can neither index
+    outside them nor loop: every split node's children lie after it.
+
+    Shapes, element types and emptiness are checked tree by tree; values
+    and links once, over the trees' joined arrays. An error names the
+    first tree's first failing check, as checking tree by tree would.
+    """
+    cols_of = []
+    for blob in blobs:
+        cols = [np.asarray(blob[name]) for name in Tree._fields]
+        problem = None
+        if len({col.shape for col in cols}) != 1 or cols[0].ndim != 1:
+            problem = f"a tree's node arrays differ in shape: {[c.shape for c in cols]}"
+        elif not cols[0].size:
+            problem = "a tree has no nodes"
+        else:
+            problem = next((f"a tree's {name} holds {col.dtype} values"
+                            for name, col, fill in zip(Tree._fields, cols, LEAF)
+                            if col.dtype.kind not in ("if" if isinstance(fill, float) else "i")),
+                           None)
+        if problem:
+            _check_nodes(cols_of, n_features)  # an earlier tree's error comes first
+            raise BadArtifact(problem)
+        cols_of.append(cols)
+    return _check_nodes(cols_of, n_features)
+
+
+def _check_nodes(cols_of: list, n_features: int) -> list[Tree]:
+    """The trees of ``cols_of`` (each a list of node arrays), after checking
+    their values and links on the joined arrays."""
+    if not cols_of:
+        return []
+    sizes = np.array([len(cols[0]) for cols in cols_of])
+    joined = Tree(*(np.concatenate(col).astype(type(fill))
+                    for col, fill in zip(zip(*cols_of), LEAF)))
+    tree = np.repeat(np.arange(len(sizes)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    node = np.arange(len(tree)) - starts[tree]  # index within its tree
+    feature, left, right = joined.feature, joined.left, joined.right
+    split = feature != -1
+    checks = [~np.isfinite(joined.value), ~np.isfinite(joined.threshold),
+              split & ((feature < 0) | (feature >= n_features)),
+              split & ((np.minimum(left, right) <= node)
+                       | (np.maximum(left, right) >= sizes[tree])),
+              ~split & ((left != -1) | (right != -1))]
+    firsts = [(tree[at[0]], k, at[0]) for k, bad in enumerate(checks)
+              for at in (np.flatnonzero(bad),) if len(at)]
+    if firsts:
+        _, k, at = min(firsts)
+        if k < 2:
+            name = ("value", "threshold")[k]
+            raise BadArtifact(f"a tree node has {name} {getattr(joined, name)[at]}")
+        problem = (f"splits on a feature outside 0..{n_features - 1}",
+                   "has a child that does not lie after it within the tree",
+                   "is a leaf with a child")[k - 2]
+        raise BadArtifact(f"tree node {node[at]} {problem}: feature {feature[at]}, "
+                          f"children {left[at]} and {right[at]}")
+    return [Tree(*(col[start:start + size] for col in joined))
+            for start, size in zip(starts.tolist(), sizes.tolist())]
 
 
 def _model_from(technique: str, payload: dict, n_features: int, names) -> ModelBase:
@@ -132,8 +163,7 @@ def _model_from(technique: str, payload: dict, n_features: int, names) -> ModelB
             raise BadArtifact(
                 f"the forest holds {len(trees)} trees, params.n_trees is {params['n_trees']!r}")
         model = TreeModel if technique == "dtr" else ForestModel
-        return model([_tree(blob, n_features) for blob in trees], n_features, params,
-                     feature_names=names)
+        return model(_trees(trees, n_features), n_features, params, feature_names=names)
     if technique == "svr":
         kernel = payload["kernel"]
         common = dict(kernel=kernel, scaler=_scaler_from(payload, n_features),

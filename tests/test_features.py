@@ -14,13 +14,17 @@ from scoreline.features import (
     SIDES,
     EmptyGroup,
     FeatureBuilder,
+    FeatureMatrix,
+    FeatureRow,
     MissingLineup,
     NoRowsBuilt,
     UnknownTeam,
 )
 from scoreline.schema import (
     DEFENSIVE_COUNTS,
+    DEFENSIVE_GROUPS,
     OFFENSIVE_COUNTS,
+    OFFENSIVE_GROUPS,
     SchemaError,
     FeatureSchema,
     default_schema,
@@ -515,10 +519,12 @@ def test_build_matrix_require_target(dataset, builder):
 
 
 class ScanBuilder(FeatureBuilder):
-    """Scalar reference: every window rescanned from its own record lists.
+    """Scalar reference: every window rescanned from its own record lists,
+    and every row assembled stat by stat with Python's ``sum``.
 
-    These are the per-row scans the chronological pass replaced; each
-    call walks a player's, team's or the league's whole history.
+    These are the per-row scans and the scalar assembly that the prefix
+    tracks replaced; each call walks a player's, team's or the league's
+    whole history.
     """
 
     def __init__(self, dataset):
@@ -552,23 +558,87 @@ class ScanBuilder(FeatureBuilder):
                 counts[stat] = counts.get(stat, 0) + 1
         return {stat: sums[stat] / counts[stat] for stat in sums}, hit
 
-    def player_form_average(self, player_id, as_of, season, windows=None):
+    def player_form_average(self, player_id, as_of, season):
         means, hit = self._sums(self.scan_player.get(player_id, ()), as_of, season)
         return means if hit else None
 
-    def _group_of(self, player_id, as_of, season, windows=None):
+    def _group_of(self, player_id, as_of, season):
         group = None
         for kickoff, _fid, rec_season, rec_group, _stats in self.scan_player.get(player_id, ()):
             if kickoff < as_of and rec_season in (season, season - 1):
                 group = rec_group
         return group
 
-    def _league_means(self, as_of, season, windows=None):
+    def _league_means(self, as_of, season):
         return self._sums([entry for entry, _pid in self.scan_league], as_of, season)[0]
 
-    def _squad(self, team, as_of, season, windows=None):
+    def _squad(self, team, as_of, season):
         return tuple(sorted({pid for kickoff, rec_season, pid in self.scan_team.get(team, ())
                              if kickoff < as_of and rec_season in (season, season - 1)}))
+
+    def group_aggregate(self, players, group, as_of, season, stat_names):
+        members = [p for p in players if self._group_of(p, as_of, season) == group]
+        forms = {p: self.player_form_average(p, as_of, season) for p in members}
+        values, used_fallback, league = [], False, None
+        for stat in stat_names:
+            vals = [forms[p][stat] for p in members if stat in forms[p]]
+            if vals:
+                values.append(sum(vals) / len(vals))
+                continue
+            if league is None:
+                league = self._league_means(as_of, season)
+            if stat not in league:
+                raise EmptyGroup(group, stat)
+            values.append(league[stat])
+            used_fallback = True
+        return values, used_fallback
+
+    def _assemble_stats_row(self, fixture, side, own_pool, opp_pool):
+        values, fallbacks = [], []
+        parts = (("own", own_pool, OFFENSIVE_GROUPS, self.schema.offensive),
+                 ("opp", opp_pool, DEFENSIVE_GROUPS, self.schema.defensive))
+        for label, pool, groups, names in parts:
+            for group in groups:
+                vec, fell = self.group_aggregate(pool, group, fixture.kickoff, fixture.season,
+                                                 names[group])
+                values.extend(vec)
+                if fell:
+                    fallbacks.append(f"{label}:{group}")
+        return FeatureRow(fixture_id=fixture.fixture_id, side=side,
+                          values=np.array(values, dtype=np.float64),
+                          target=fixture.goals(side), fallback_groups=tuple(fallbacks))
+
+    def assemble_lineup_features(self, fixture, side):
+        if not fixture.has_lineups():
+            raise MissingLineup(fixture.fixture_id)
+        opp = "away" if side == "home" else "home"
+        return self._assemble_stats_row(fixture, side, fixture.lineup(side), fixture.lineup(opp))
+
+    def assemble_team_features(self, fixture, side):
+        teams = [fixture.team(side), fixture.team("away" if side == "home" else "home")]
+        for team in teams:
+            if team not in self.scan_team:
+                raise UnknownTeam(team)
+        own, opp = (self._squad(team, fixture.kickoff, fixture.season) for team in teams)
+        return self._assemble_stats_row(fixture, side, own, opp)
+
+    def build_matrix(self, fixtures, approach, side, require_target=True):
+        names = self.player_universe if approach == "players" else self.schema.feature_names(side)
+        matrix = FeatureMatrix(approach=approach, side=side, feature_names=names)
+        assemble = {"players": self.encode_players,
+                    "lineup_stats": self.assemble_lineup_features,
+                    "team_stats": self.assemble_team_features}[approach]
+        for fixture in sorted(fixtures, key=lambda f: (f.kickoff, f.fixture_id)):
+            if require_target and fixture.goals(side) is None:
+                matrix.skipped.append((fixture.fixture_id, "missing result"))
+                continue
+            try:
+                matrix.rows.append(assemble(fixture, side))
+            except (MissingLineup, EmptyGroup, UnknownTeam) as exc:
+                matrix.skipped.append((fixture.fixture_id, str(exc)))
+        if not matrix.rows:
+            raise NoRowsBuilt(approach, side)
+        return matrix
 
 
 def walk_forward_dataset():
@@ -577,8 +647,10 @@ def walk_forward_dataset():
     Two fixtures share each round's kickoff; ``a5`` moves from MF to FW
     midway through 2020; one MF stat is missing from some records and
     club D's forwards never record the first FW stat (an own:FW league
-    fallback); ``b_new`` debuts cold in 2021; fixture ``NL`` has records
-    but no lineups; the last six fixtures are the test split.
+    fallback); every keeper records the first GK stat as -0.0, which a
+    scan's sum from 0.0 turns into 0.0; ``b_new`` debuts cold in 2021;
+    fixture ``NL`` has records but no lineups; the last six fixtures are
+    the test split.
     """
     rng = random.Random(11)
     schema = default_schema()
@@ -622,6 +694,8 @@ def walk_forward_dataset():
                 del stats[schema.offensive["MF"][1]]
             if group == "FW" and pid.startswith("d"):
                 del stats[schema.offensive["FW"][0]]
+            if group == "GK":
+                stats[schema.defensive["GK"][0]] = -0.0
             records.append(rec(pid, f.fixture_id, group, **stats))
     return mini_dataset(fixtures, records, split_index=len(fixtures) - 6)
 
