@@ -288,7 +288,9 @@ def data_fingerprint(data_dir) -> str:
     sha = hashlib.sha256()
     for name in DATA_FILES:
         sha.update(name.encode())
-        sha.update(Path(data_dir, name).read_bytes())
+        with open(Path(data_dir, name), "rb") as fh:  # in blocks: no whole-file copy
+            for block in iter(lambda: fh.read(1 << 16), b""):
+                sha.update(block)
     return sha.hexdigest()[:16]
 
 

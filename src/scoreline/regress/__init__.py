@@ -18,6 +18,7 @@ from .linear import LinearModel, fit_lr
 from .store import BadArtifact, StoreError, UnsupportedVersion, load_model, save_model
 from .svr import NotConvergedWarning, SvrModel, fit_svr
 from .tree import TreeModel, fit_dtr
+from .workers import WorkerDied
 
 _FITS = {"lr": fit_lr, "knn": fit_knn, "dtr": fit_dtr, "rfr": fit_rfr, "svr": fit_svr}
 TECHNIQUES = tuple(_FITS)
@@ -50,6 +51,7 @@ __all__ = [
     "TooFewRows",
     "TreeModel",
     "UnsupportedVersion",
+    "WorkerDied",
     "fit_dtr",
     "fit_knn",
     "fit_lr",

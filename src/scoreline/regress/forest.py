@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from . import workers
 from .base import TooFewRows, as_xy
 from .tree import TreeModel, check_tree_params, grow_trees
 
@@ -38,6 +39,14 @@ def fit_rfr(X, y, n_trees: int = 100, max_depth: int = 6, min_leaf: int = 5,
     fixed order: bootstrap rows first, then per-split feature subsets in
     preorder. With one tree, no bootstrap and a full feature subset, no
     random draw happens at all and the result matches fit_dtr bitwise.
+
+    The trees grow in contiguous groups, one per usable CPU: this process
+    grows the first and a forked child each other (``workers.run_groups``),
+    every group in lockstep with its own trees' generators, and the trees
+    are joined in tree order. So the model does not depend on the CPU
+    count. Growth is sequential where ``os.fork`` is missing or another
+    Python thread runs, and the children's memory is not counted in this
+    process's peak RSS.
     """
     X, y = as_xy(X, y)
     check_tree_params(max_depth, min_leaf)
@@ -54,9 +63,14 @@ def fit_rfr(X, y, n_trees: int = 100, max_depth: int = 6, min_leaf: int = 5,
 
     rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(n_trees)]
     all_rows = np.arange(n, dtype=np.int64)
-    trees = grow_trees(
-        X, y, (rng.integers(0, n, size=sample_size) if bootstrap else all_rows for rng in rngs),
-        rngs, max_depth=max_depth, min_leaf=min_leaf, max_features=m_feat)
+
+    def grow(group: slice):
+        return grow_trees(
+            X, y, (rng.integers(0, n, size=sample_size) if bootstrap else all_rows
+                   for rng in rngs[group]),
+            rngs[group], max_depth=max_depth, min_leaf=min_leaf, max_features=m_feat)
+
+    trees = [tree for part in workers.run_groups(grow, workers.split(n_trees)) for tree in part]
 
     params = {
         "n_trees": n_trees,

@@ -1,8 +1,12 @@
 """Tiny factories and reference oracles shared across test modules."""
 
+import os
+import signal
+import time
 from datetime import datetime, timedelta
 
 import numpy as np
+import pytest
 
 from scoreline.features import (
     APPROACHES,
@@ -13,6 +17,7 @@ from scoreline.features import (
 )
 from scoreline.ingest import Dataset, Fixture, PlayerMatchStats, StatsArchive
 from scoreline.predict import ScorelinePrediction
+from scoreline.regress import forest, workers
 from scoreline.regress.tree import Tree
 
 BASE_KICKOFF = datetime(2020, 9, 1, 15, 0)
@@ -148,3 +153,40 @@ def assert_no_lookahead(dataset: Dataset, builder: FeatureBuilder) -> int:
                 np.testing.assert_array_equal(full.values, cut.values)
                 checked += 1
     return checked
+
+
+def forest_children_fail(monkeypatch, how: str) -> None:
+    """Make every forked child of this process fail as it grows its trees:
+    raise a ValueError ("raises"), exit 3 without a result ("exits"), die
+    of SIGKILL ("killed"), or hang while this process is interrupted as it
+    grows its own group ("interrupted"). Otherwise this process grows its
+    own group as before; forests grow in three groups."""
+    parent, grow = os.getpid(), forest.grow_trees
+
+    def failing(*args, **kwargs):
+        if os.getpid() == parent:
+            if how == "interrupted":
+                raise KeyboardInterrupt
+        elif how == "raises":
+            raise ValueError("split search failed in a child")
+        elif how == "exits":
+            os._exit(3)
+        elif how == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        else:
+            time.sleep(60)
+        return grow(*args, **kwargs)
+
+    monkeypatch.setattr(forest, "grow_trees", failing)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
+
+
+def open_fd_count() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def assert_no_child_left(open_fds: int) -> None:
+    """No child process is left, reaped or not, and no pipe to one is open."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fd_count() == open_fds

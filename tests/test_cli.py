@@ -1,6 +1,7 @@
 """End-to-end CLI runs against the bundled sample data."""
 
 import csv
+import hashlib
 import json
 import re
 import shutil
@@ -8,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from scoreline.cli import main
+from scoreline.cli import data_fingerprint, main
 from scoreline.features import APPROACHES, SIDES, FeatureBuilder
+from scoreline.regress import workers
 
 from conftest import SAMPLE_DIR
-from helpers import nested_tree
+from helpers import assert_no_child_left, forest_children_fail, nested_tree, open_fd_count
 
 
 def run(*argv):
@@ -47,15 +49,27 @@ def test_train_writes_artifacts(tmp_path):
     assert "svr_status" in manifest
 
 
-def test_train_rerun_byte_identical(tmp_path):
+def test_train_rerun_byte_identical(tmp_path, monkeypatch):
     args = ("train", *base_args(tmp_path), "--approach", "team_stats",
             "--technique", "rfr", "--forest-trees", 10, "--seed", 7)
     assert run(*args) == 0
     names = ("model_home.json", "model_away.json", "train_manifest.json")
     first = {n: (tmp_path / n).read_bytes() for n in names}
-    assert run(*args) == 0
-    for n in names:
-        assert (tmp_path / n).read_bytes() == first[n]
+    # the forest's trees grow in one group per usable CPU; the artifacts
+    # must not depend on how many there are
+    for cpus in (1, 2):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        assert run(*args) == 0
+        for n in names:
+            assert (tmp_path / n).read_bytes() == first[n], (cpus, n)
+
+
+def test_data_fingerprint_is_sha256_over_whole_files():
+    sha = hashlib.sha256()
+    for name in ("fixtures.csv", "player_stats.csv", "odds.csv"):
+        sha.update(name.encode())
+        sha.update((SAMPLE_DIR / name).read_bytes())
+    assert data_fingerprint(SAMPLE_DIR) == sha.hexdigest()[:16]
 
 
 def test_train_usage_errors(tmp_path):
@@ -78,6 +92,19 @@ def test_bad_data_dir_returns_1(tmp_path):
     assert run("train", "--data-dir", empty, "--test-size", 8,
                "--out-dir", tmp_path, "--approach", "players",
                "--technique", "lr") == 1
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts open files in /proc")
+@pytest.mark.parametrize("how", ["exits", "killed"])
+def test_dead_forest_worker_returns_1(tmp_path, monkeypatch, capsys, how):
+    open_fds = open_fd_count()
+    forest_children_fail(monkeypatch, how)
+    assert run("train", *base_args(tmp_path), "--approach", "team_stats",
+               "--technique", "rfr", "--forest-trees", 6) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: worker process ") and err.count("\n") == 1, err
+    assert "before sending its result" in err
+    assert_no_child_left(open_fds)
 
 
 def test_default_test_size_exceeds_sample_returns_1(tmp_path):

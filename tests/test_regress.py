@@ -2,12 +2,23 @@
 
 import hashlib
 import json
+import os
+import threading
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import exhaustive_tree_sse, leaf_tree, nested_payload
+from helpers import (
+    assert_no_child_left,
+    exhaustive_tree_sse,
+    forest_children_fail,
+    leaf_tree,
+    nested_payload,
+    open_fd_count,
+)
 
 from scoreline.regress import (
     DimensionMismatch,
@@ -17,6 +28,7 @@ from scoreline.regress import (
     NotConvergedWarning,
     SchemaMismatch,
     TooFewRows,
+    WorkerDied,
     fit_dtr,
     fit_knn,
     fit_lr,
@@ -27,6 +39,7 @@ from scoreline.regress import (
     save_model,
     standardize_apply,
     standardize_fit,
+    workers,
 )
 from scoreline.regress.kernels import best_split, dense_ranks
 from scoreline.regress.tree import Tree, predict_trees, tree_size
@@ -327,9 +340,27 @@ def payload_digest(model):
     return hashlib.sha256(json.dumps(nested_payload(model), sort_keys=True).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(TREE_FITS))
-def test_tree_and_forest_goldens(name):
+# a forest grows one group of trees per usable CPU; each test that takes
+# `cpus` forces that count (the forest's tree count for "n_trees"), and its
+# one-CPU case keeps the test's plain id
+CPU_COUNTS = (1, 2, 3, "n_trees")
+
+
+def with_cpus(name, counts=CPU_COUNTS):
+    return [pytest.param(name, cpus, id=name if cpus == 1 else f"{name}-cpus_{cpus}")
+            for cpus in counts]
+
+
+def force_cpus(monkeypatch, cpus, n_trees):
+    monkeypatch.setattr(workers, "usable_cpus", lambda: n_trees if cpus == "n_trees" else cpus)
+
+
+@pytest.mark.parametrize("name, cpus", [
+    param for name in sorted(TREE_FITS)
+    for param in with_cpus(name, CPU_COUNTS if name.startswith("rfr") else (1,))])
+def test_tree_and_forest_goldens(name, cpus, monkeypatch):
     fit, params = TREE_FITS[name]
+    force_cpus(monkeypatch, cpus, params.get("n_trees"))
     assert payload_digest(fit(*tied_goal_data(), **params)) == TREE_GOLDENS[name]
 
 
@@ -373,8 +404,8 @@ def reference_forest_trees(X, y, *, n_trees, max_depth, min_leaf, max_features,
     return trees
 
 
-@pytest.mark.parametrize("targets", ["float", "goals"])
-def test_lockstep_growth_equals_growing_each_tree_alone(targets):
+@pytest.mark.parametrize("targets, cpus", with_cpus("float") + with_cpus("goals"))
+def test_lockstep_growth_equals_growing_each_tree_alone(targets, cpus, monkeypatch):
     rng = np.random.default_rng(61)
     X = np.round(rng.normal(size=(70, 9)), 1)
     y = rng.normal(size=70) if targets == "float" else rng.poisson(1.3, size=70) * 1.0
@@ -384,13 +415,66 @@ def test_lockstep_growth_equals_growing_each_tree_alone(targets):
                         bootstrap_fraction=0.5, seed=8),
                    dict(n_trees=2, max_depth=5, min_leaf=3, max_features=5, bootstrap=False,
                         bootstrap_fraction=1.0, seed=2)):
-        forest = fit_rfr(X, y, **params)
+        force_cpus(monkeypatch, cpus, params["n_trees"])
+        model = fit_rfr(X, y, **params)
         expected = reference_forest_trees(X, y, **params)
-        got = nested_payload(forest)["trees"]
+        got = nested_payload(model)["trees"]
         assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True), params
     tree = fit_dtr(X, y, max_depth=7, min_leaf=2)
     alone = reference_tree(X, y, np.arange(70), max_depth=7, min_leaf=2, max_features=9, rng=None)
     assert json.dumps(nested_payload(tree)["root"], sort_keys=True) == json.dumps(alone, sort_keys=True)
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts open files in /proc")
+@pytest.mark.parametrize("how, error, message", [
+    ("raises", ValueError, "^split search failed in a child$"),
+    ("exits", WorkerDied, "exited with status 3 before sending its result"),
+    ("killed", WorkerDied, "was killed by signal SIGKILL before sending its result"),
+    ("interrupted", KeyboardInterrupt, None),
+], ids=["raises", "exits", "killed", "interrupted"])
+def test_failed_forest_worker_raises_and_leaves_nothing(monkeypatch, how, error, message):
+    X, y = tied_goal_data()
+    open_fds = open_fd_count()
+    forest_children_fail(monkeypatch, how)
+    start = time.monotonic()
+    with pytest.raises(error, match=message) as caught:
+        fit_rfr(X, y, n_trees=6, seed=1)
+    assert type(caught.value) is error
+    assert time.monotonic() - start < 30  # a hung child is killed, not waited for
+    assert_no_child_left(open_fds)
+
+
+def test_worker_warnings_reach_the_parent_in_order():
+    def work(group):
+        warnings.warn(f"group {group} starts", UserWarning)
+        warnings.warn(f"group {group} ends", NotConvergedWarning)
+        return group * 10
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert workers.run_groups(work, [0, 1, 2]) == [0, 10, 20]
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (category, f"group {g} {when}") for g in range(3)
+        for category, when in ((UserWarning, "starts"), (NotConvergedWarning, "ends"))]
+
+
+def test_no_fork_while_another_thread_runs(monkeypatch):
+    def forbidden():
+        raise AssertionError("os.fork called while another thread runs")
+
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(os, "fork", forbidden)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        fit, params = TREE_FITS["rfr_seed_0"]
+        model = fit(*tied_goal_data(), **params)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert payload_digest(model) == TREE_GOLDENS["rfr_seed_0"]
 
 
 def test_fits_reject_non_finite_cells():
