@@ -18,7 +18,7 @@ one build over every fixture can be cut into train and test parts
 (``FeatureMatrix.part``).
 
 The builder reads the archive as prefix sums. At its first stats build it
-converts each record's stats to columns once (:class:`_Columns`), and
+puts the archive's columns in kickoff order once (:class:`_Columns`), and
 each season pair {s-1, s} gets one track (:class:`_Track`): the pair's
 records ordered by player, then kickoff. A player's window before a
 kickoff is then a prefix of the player's run of rows, found by one search
@@ -152,69 +152,64 @@ _kickoff_order = attrgetter("kickoff", "fixture_id")
 
 
 class _Columns:
-    """The stats archive as columns, each record converted once.
+    """The stats archive as columns, in kickoff order.
 
     Records go in (kickoff, fixture_id, player_id) order. Players, groups
     and teams are indices into sorted name lists, and a kickoff is its
     rank among the dataset's distinct kickoffs. Record i's stat columns
     are ``layouts[kind[i]]``, and its values, in the same order, start at
-    ``value[start[i]]``. ``place[kind[i], col]`` is a stat column's
-    position among them, or -1 where the record leaves the stat
-    unmeasured.
+    ``value[start[i]]``; both are the archive's own. ``place[kind[i], col]``
+    is a stat column's position among them, or -1 where the record leaves
+    the stat unmeasured.
     """
 
     def __init__(self, dataset: Dataset):
         fixtures = sorted(dataset.fixtures, key=_kickoff_order)
-        rank = {f.fixture_id: i for i, f in enumerate(fixtures)}
         kickoffs = np.array([f.kickoff for f in fixtures], dtype="datetime64[us]")
         self.kickoffs = kickoffs[np.append(True, kickoffs[1:] != kickoffs[:-1])]  # distinct
         self.span = len(self.kickoffs) + 1  # stride of a player's track keys
 
-        # read in archive order; each per-record array is put in order at the end
-        records = list(dataset.stats.records())
-        self.player_ids = sorted({r.player_id for r in records})
+        stats = dataset.stats
+        self.player_ids, self.group_names = stats.player_ids, stats.group_names
         self.player_index = {p: i for i, p in enumerate(self.player_ids)}
-        self.group_names = sorted({r.position_group for r in records})
         self.group_index = {g: i for i, g in enumerate(self.group_names)}
-        fixture = [rank[r.fixture_id] for r in records]
-        # a record counts for the team whose lineup names its player, home first
-        lineups = [{**dict.fromkeys(f.away_lineup or (), f.away_team),
-                    **dict.fromkeys(f.home_lineup or (), f.home_team)} for f in fixtures]
-        teams = [lineups[f].get(r.player_id) for f, r in zip(fixture, records)]
-        self.team_index = {t: i for i, t in enumerate(sorted(set(teams) - {None}))}
-        stats = [r.stats for r in records]
-        lengths = np.fromiter(map(len, stats), np.int64, len(stats))
-        # 0.0 + value: sums start from 0.0, as a scan's do, so -0.0 adds as 0.0
-        self.value = np.fromiter(chain.from_iterable(s.values() for s in stats),
-                                 np.float64, int(lengths.sum()))
-        self.value += 0.0
-        self.stat_index: dict[str, int] = {}
-        kinds: dict[tuple, int] = {}  # a record's stat names -> their layout
-        self.layouts: list[list[int]] = []
-        kind = []
-        for names in map(tuple, stats):
-            if names not in kinds:
-                kinds[names] = len(self.layouts)
-                self.layouts.append([self.stat_index.setdefault(n, len(self.stat_index))
-                                     for n in names])
-            kind.append(kinds[names])
+        self.stat_index = {n: i for i, n in enumerate(stats.stat_names)}
+        self.layouts = [list(layout) for layout in stats.layouts]
+        self.value = stats.value
         self.place = np.full((len(self.layouts), len(self.stat_index)), -1, dtype=np.int32)
         for row, layout in zip(self.place, self.layouts):
             row[layout] = np.arange(len(layout))
+        rank = {f.fixture_id: i for i, f in enumerate(fixtures)}
+        fixture = np.array([rank[fid] for fid in stats.fixture_ids], dtype=np.int64)[stats.fixture]
 
-        fixture = np.array(fixture, dtype=np.int64)
-        player = np.fromiter((self.player_index[r.player_id] for r in records), np.int32,
-                             len(records))
-        order = np.lexsort((player, fixture))
-        fixture, self.player = fixture[order], player[order]
+        # a record counts for the team whose lineup names its player, home first:
+        # each record reads the last lineup entry of its (fixture, player) key,
+        # entries going away before home, after one that no key matches
+        sides = [(f.away_lineup or (), f.away_team) for f in fixtures] \
+            + [(f.home_lineup or (), f.home_team) for f in fixtures]
+        teams = sorted({team for _lineup, team in sides})
+        index = {team: i for i, team in enumerate(teams)}
+        sizes = np.fromiter((len(lineup) for lineup, _team in sides), np.int64, len(sides))
+        named = np.fromiter(map(self.player_index.get, chain.from_iterable(
+            lineup for lineup, _team in sides), repeat(-1)), np.int64, int(sizes.sum()))
+        stride = len(self.player_ids) + 1  # a lineup player without records keys as no record
+        keys = np.append(-1, np.repeat(np.tile(np.arange(len(fixtures)), 2), sizes) * stride + named)
+        owner = np.append(-1, np.repeat([index[team] for _lineup, team in sides], sizes))
+        order = np.argsort(keys, kind="stable")
+        wanted = fixture * stride + stats.player
+        entry = order[np.searchsorted(keys[order], wanted, side="right") - 1]
+        team = np.where(keys[entry] == wanted, owner[entry], -1)
+        present = np.unique(team[team >= 0])
+        self.team_index = {teams[t]: i for i, t in enumerate(present.tolist())}
+
+        order = np.lexsort((stats.player, fixture))
+        fixture, self.player = fixture[order], stats.player[order]
         self.time = np.searchsorted(self.kickoffs, kickoffs).astype(np.int32)[fixture]
         self.season = np.array([f.season for f in fixtures])[fixture]
-        self.group = np.fromiter((self.group_index[r.position_group] for r in records),
-                                 np.int32, len(records))[order]
-        self.team = np.fromiter((-1 if t is None else self.team_index[t] for t in teams),
-                                np.int32, len(teams))[order]
-        self.kind = np.array(kind, dtype=np.int32)[order]
-        self.start = (np.cumsum(lengths) - lengths)[order]
+        self.group = stats.group[order]
+        self.team = np.where(team >= 0, np.searchsorted(present, team), -1).astype(np.int32)[order]
+        self.kind = stats.kind[order]
+        self.start = stats.start[order]
 
     def reader(self, recs: np.ndarray):
         """A reader of the stats of records ``recs``: given a stat column,

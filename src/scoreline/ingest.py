@@ -11,20 +11,27 @@ All three inputs are UTF-8 CSV files with a header row:
 * ``odds.csv``: long format (fixture_id, home_goals, away_goals, odds) with
   decimal odds for exact scorelines.
 
-Loading is single-threaded and strict: malformed rows fail early with the
-row number. The resulting :class:`Dataset` is immutable and safe to read
-from any number of workers.
+A leading byte-order mark is accepted. Loading is single-threaded and
+strict: malformed rows fail with the row number. The stats file, the
+largest, is read whole into columns before its rows are checked (see
+:func:`load_player_stats`). The resulting :class:`Dataset` is immutable
+and safe to read from any number of workers.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
+import hashlib
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
+
+import numpy as np
 
 POSITION_GROUPS = ("GK", "DF", "MF", "FW")
 LINEUP_SIZE = 11
@@ -148,32 +155,129 @@ class PlayerMatchStats:
 
 
 class StatsArchive:
-    """Player match records indexed by (player_id, fixture_id)."""
+    """Player match records as columns, one entry a record.
+
+    Record i is player ``player_ids[player[i]]`` in fixture
+    ``fixture_ids[fixture[i]]``, in group ``group_names[group[i]]``. Its
+    stats are ``layouts[kind[i]]``, codes into ``stat_names`` in the order
+    the record lists them, and their values start at ``value[start[i]]``, in
+    the same order; -0.0 is held as 0.0. The name lists are sorted and hold
+    the names the records use; records go in (player, fixture) order.
+    """
 
     def __init__(self, records: Iterable[PlayerMatchStats] = ()):
         """An archive of a record list, which may hold each key once."""
-        self._by_key: dict[tuple[str, str], PlayerMatchStats] = {}
-        for rec in records:
-            key = (rec.player_id, rec.fixture_id)
-            if key in self._by_key:
+        records = sorted(records, key=attrgetter("player_id", "fixture_id"))
+        keys = [(r.player_id, r.fixture_id) for r in records]
+        for key, after in zip(keys, keys[1:]):
+            if key == after:
                 raise ParseError(0, f"duplicate record for {key}")
-            self._by_key[key] = rec
+        names = sorted({name for r in records for name in r.stats})
+        stat = {name: i for i, name in enumerate(names)}
+        self._fill(_codes([r.player_id for r in records]), _codes([r.fixture_id for r in records]),
+                   _codes([r.position_group for r in records]), names,
+                   np.array([stat[n] for r in records for n in r.stats], dtype=np.int32),
+                   np.array([v for r in records for v in r.stats.values()], dtype=np.float64) + 0.0,
+                   np.array([len(r.stats) for r in records], dtype=np.int64))
 
     @classmethod
-    def indexed(cls, by_key: dict[tuple[str, str], PlayerMatchStats]) -> StatsArchive:
-        """An archive over an index already keyed by (player_id, fixture_id)."""
-        archive = cls()
-        archive._by_key = by_key
+    def _columns(cls, players, fixtures, groups, stat_names, stat, value, sizes) -> StatsArchive:
+        """An archive of records given as columns (see :meth:`_fill`)."""
+        archive = cls.__new__(cls)
+        archive._fill(players, fixtures, groups, stat_names, stat, value, sizes)
         return archive
 
-    def get(self, player_id: str, fixture_id: str) -> PlayerMatchStats | None:
-        return self._by_key.get((player_id, fixture_id))
+    def _fill(self, players, fixtures, groups, stat_names, stat, value, sizes) -> None:
+        """Hold records from columns: ``players``, ``fixtures`` and ``groups``
+        are each a sorted name list and a code per record; record i's stats
+        are the next ``sizes[i]`` entries of ``stat`` and ``value``, where
+        -0.0 is already 0.0 (a scan's sum starts from 0.0, so -0.0 adds as
+        0.0)."""
+        (self.player_ids, self.player), (self.fixture_ids, self.fixture) = players, fixtures
+        (self.group_names, self.group), self.stat_names = groups, stat_names
+        self.start = np.cumsum(sizes) - sizes
+        self.value = value
+        self.layouts, self.kind = _layouts(stat, sizes, self.start)
 
-    def records(self) -> Iterable[PlayerMatchStats]:
-        return self._by_key.values()
+    def get(self, player_id: str, fixture_id: str) -> PlayerMatchStats | None:
+        p, f = bisect_left(self.player_ids, player_id), bisect_left(self.fixture_ids, fixture_id)
+        hit = np.flatnonzero((self.player == p) & (self.fixture == f))
+        if not hit.size or self.player_ids[p] != player_id or self.fixture_ids[f] != fixture_id:
+            return None
+        return next(self._records(slice(hit[0], hit[0] + 1)))
+
+    def records(self) -> Iterator[PlayerMatchStats]:
+        """Each record as a :class:`PlayerMatchStats`, made as it is read."""
+        return self._records(slice(None))
+
+    def _records(self, which: slice) -> Iterator[PlayerMatchStats]:
+        layouts = [[self.stat_names[code] for code in layout] for layout in self.layouts]
+        for p, f, g, k, s in zip(*(a[which].tolist() for a in (
+                self.player, self.fixture, self.group, self.kind, self.start))):
+            names = layouts[k]
+            yield PlayerMatchStats(self.player_ids[p], self.fixture_ids[f], self.group_names[g],
+                                   dict(zip(names, self.value[s:s + len(names)].tolist())))
 
     def __len__(self) -> int:
-        return len(self._by_key)
+        return len(self.player)
+
+
+def _codes(cells: list[str], valid: Iterable[bool] | None = None) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct cells (those ``valid`` marks, if given), and each
+    cell's index among them, or -1."""
+    names = sorted(set(cells) if valid is None else {c for c, ok in zip(cells, valid) if ok})
+    index = {name: i for i, name in enumerate(names)}
+    return names, np.array([index.get(c, -1) for c in cells], dtype=np.int32)
+
+
+def _layouts(stat: np.ndarray, sizes: np.ndarray, start: np.ndarray
+             ) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The distinct layouts of records whose stat codes are ``stat`` cut
+    into runs of ``sizes`` at ``start``, and each record's layout index.
+    Records are compared in groups of one size."""
+    kind = np.zeros(len(sizes), dtype=np.int32)
+    layouts: list[tuple[int, ...]] = []
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        recs = np.flatnonzero(sizes == size)
+        table = np.empty((size, len(recs)), dtype=stat.dtype)  # one row per stat place
+        for j in range(size):
+            table[j] = stat[start[recs] + j]
+        first, inverse = _distinct_columns(table)
+        kind[recs] = len(layouts) + inverse
+        layouts += map(tuple, table[:, first].T.tolist())
+    return layouts, kind
+
+
+# 64 fixed odd multipliers, to hash up to 64 integers into one word
+_MIX = np.frombuffer(hashlib.shake_256(b"scoreline").digest(8 * 64), dtype="<u8") | np.uint64(1)
+
+
+def _distinct_columns(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a 2-D integer table read by columns, one column index of each
+    distinct column, and each column's index among the distinct columns.
+
+    Columns are compared by a 64-bit hash of their entries, and each one is
+    checked against the column standing for its hash; should two distinct
+    columns share a hash, whole columns are sorted instead.
+    """
+    if len(table) == 1:
+        return _first_and_inverse(table[0])
+    hashed = np.zeros(table.shape[1], dtype=np.uint64)
+    for row, mix in zip(table, np.resize(_MIX, len(table))):
+        hashed += row.astype(np.uint64) * mix
+    first, inverse = _first_and_inverse(hashed)
+    if not all(np.array_equal(row, row[first][inverse]) for row in table):
+        first, inverse = _first_and_inverse(np.unique(table, axis=1, return_inverse=True)[1])
+    return first, inverse
+
+
+def _first_and_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One index of each distinct key of a 1-D array, and each key's index
+    among the distinct keys."""
+    inverse = np.unique(keys, return_inverse=True)[1].reshape(-1)
+    first = np.empty(inverse.max(initial=-1) + 1, dtype=np.int64)
+    first[inverse] = np.arange(len(inverse))
+    return first, inverse
 
 
 @dataclass(frozen=True)
@@ -206,24 +310,31 @@ class Dataset:
         return self.fixtures[self.split_index :]
 
 
+def _pick(header: list[str], columns: tuple[str, ...], what: str) -> list[int]:
+    """The index of each of ``columns`` in ``header``: the last, for a
+    name given twice."""
+    last = {name: i for i, name in enumerate(header)}
+    missing = [c for c in columns if c not in last]
+    if missing:
+        raise ParseError(1, f"{what} file missing columns {missing}")
+    return [last[c] for c in columns]
+
+
 def _rows(path: str | Path, columns: tuple[str, ...], what: str):
     """Yield ``(rownum, cells)`` for each record of a CSV file, the raw cells
     picked by header name in ``columns`` order.
 
     A name that heads several columns reads the last of them. Blank lines
     are skipped and not numbered: records count from 2, after the header.
-    A short row reads ``""`` past its end, and extra cells are ignored.
+    A short row reads ``""`` past its end, and extra cells are ignored. A
+    leading byte-order mark is dropped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rownum = 1  # the record being read: the header, then the data
         try:
             header = next(reader, [])
-            last = {name: i for i, name in enumerate(header)}
-            missing = [c for c in columns if c not in last]
-            if missing:
-                raise ParseError(1, f"{what} file missing columns {missing}")
-            pick = itemgetter(*(last[c] for c in columns))
+            pick = itemgetter(*_pick(header, columns, what))
             pad = [""] * len(header)
             rownum = 2
             for cells in reader:
@@ -236,6 +347,154 @@ def _rows(path: str | Path, columns: tuple[str, ...], what: str):
             raise ParseError(rownum, f"unreadable {what} file: {exc}") from None
         except UnicodeDecodeError as exc:
             raise NotUtf8(path, what, exc.reason) from None
+
+
+# A factorized column: its distinct raw cells, and each row's index among them.
+Column = tuple[list[str], np.ndarray]
+
+# The plain reader's working arrays grow with its block, not with the file.
+# Blocks of 128 KB keep them near malloc's mmap threshold: freeing larger
+# ones raises that threshold for the rest of the process, and the runs of
+# a 10-club league then held about 1 MB more at their peak.
+BLOCK_BYTES = 1 << 17
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(8)], dtype=np.uint64)
+
+
+def _read_columns(path: str | Path, columns: tuple[str, ...], what: str
+                  ) -> tuple[list[Column], ParseError | None]:
+    """The picked columns of every record, factorized, and the error that
+    stopped the reading early, if any: the records before it are whole.
+
+    A plain file (see :func:`_plain_columns`) is split with NumPy, any
+    other is read through ``csv.reader`` (see :func:`_rows`); both read the
+    same cells and number the same rows.
+    """
+    plain = _plain_columns(path, columns, what)
+    if plain is not None:
+        return plain, None
+    seen: list[dict[str, int]] = [{} for _ in columns]
+    codes: list[list[int]] = [[] for _ in columns]
+    stopped = None
+    try:
+        for _rownum, cells in _rows(path, columns, what):
+            for cell, index, out in zip(cells, seen, codes):
+                out.append(index.setdefault(cell, len(index)))
+    except ParseError as exc:
+        if exc.row == 1:  # the header: no record was read
+            raise
+        stopped = exc
+    return [(list(index), np.array(out, dtype=np.int32)) for index, out in zip(seen, codes)], stopped
+
+
+def _blocks(fh) -> Iterator[bytes]:
+    """A binary file's bytes in blocks of whole lines, each of about
+    BLOCK_BYTES or one line; the last block is what follows the last
+    newline, if anything does."""
+    rest = b""
+    while chunk := fh.read(BLOCK_BYTES):
+        rest += chunk
+        cut = rest.rfind(b"\n") + 1
+        if cut:
+            yield rest[:cut]
+            rest = rest[cut:]
+    if rest:
+        yield rest
+
+
+def _plain_columns(path: str | Path, columns: tuple[str, ...], what: str) -> list[Column] | None:
+    """The picked columns of a plain CSV file, factorized one block of
+    lines at a time; None if the file is not plain.
+
+    A plain file has no ``"`` and no NUL (which ``csv.reader`` refuses
+    before Python 3.11), ends every line in ``\\n`` or ``\\r\\n``, has as
+    many commas on every line as its header, and no cell longer than
+    ``csv.field_size_limit()`` bytes: ``csv.reader`` would split each of its
+    lines at the commas. Every block is decoded before its cells are read,
+    so a file that is not UTF-8 fails here as it would in ``csv.reader``.
+    """
+    limit = csv.field_size_limit()
+    seen: list[dict[str, int]] = [{} for _ in columns]
+    parts: list[list[np.ndarray]] = [[] for _ in columns]
+    pick = None
+    with open(path, "rb") as fh:
+        for block in _blocks(fh):
+            if not block.endswith(b"\n") or b'"' in block or b"\0" in block \
+                    or b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
+                return None
+            try:
+                block.isascii() or block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise NotUtf8(path, what, exc.reason) from None
+            if pick is None:
+                head, _, block = block.removeprefix(codecs.BOM_UTF8).partition(b"\n")
+                header = head.decode("utf-8").removesuffix("\r").split(",")
+                pick = _pick(header, columns, what)
+                if max(map(len, header)) > limit:
+                    return None
+                if not block:
+                    continue
+            buf = np.frombuffer(block + bytes(8), dtype=np.uint8)  # 8 bytes past every cell
+            body = buf[:-8]
+            ends = np.flatnonzero(body == ord("\n"))
+            commas = np.flatnonzero(body == ord(","))
+            if len(commas) != (len(header) - 1) * len(ends):
+                return None
+            # each line's separators: the newline before it, its commas, its newline
+            cuts = [np.append(-1, ends[:-1]), *commas.reshape(len(ends), -1).T, ends]
+            if (cuts[1] <= cuts[0]).any() or (cuts[-2] >= cuts[-1]).any():
+                return None  # a line holds another line's commas
+            if (ends - cuts[0]).max() > limit + 1 \
+                    and max((b - a).max() for a, b in zip(cuts, cuts[1:])) > limit + 1:
+                return None  # a cell is over the limit
+            words = np.ndarray((len(body) + 1,), dtype="<u8", buffer=buf, strides=(1,))
+            for at, index, out in zip(pick, seen, parts):
+                size = cuts[at + 1] - cuts[at] - 1
+                if at == len(header) - 1:
+                    size -= body[ends - 1] == ord("\r")
+                cells, codes = _factorize(block, words, cuts[at] + 1, size)
+                remap = np.array([index.setdefault(cell, len(index)) for cell in cells],
+                                 dtype=np.int32)
+                out.append(remap[codes])
+    if pick is None:
+        return None
+    columns = []
+    for index, out in zip(seen, parts):  # joined one at a time, each freeing its blocks
+        columns.append((list(index), np.concatenate(out) if out else np.zeros(0, dtype=np.int32)))
+        out.clear()
+    return columns
+
+
+def _factorize(block: bytes, words: np.ndarray, start: np.ndarray, size: np.ndarray) -> Column:
+    """The distinct cells among ``block[start[i]:start[i] + size[i]]``,
+    decoded, and each cell's index among them.
+
+    ``words[j]`` is the little-endian 64-bit word of ``block[j:j + 8]``. A
+    cell's key is its bytes as ``size // 8 + 1`` words, zero past the cell;
+    as a plain file has no NUL, two cells have one key only if they are
+    equal. Cells are sorted by key one word count at a time, and a run of
+    equal cells (a record's key cells) only once.
+    """
+    nwords = size // 8 + 1
+    counts = np.bincount(nwords)
+    codes = np.empty(len(start), dtype=np.int32)
+    cells: list[str] = []
+    for w in np.flatnonzero(counts).tolist():
+        rows = np.flatnonzero(nwords == w) if counts[w] < len(start) else slice(None)
+        at, tail = start[rows], size[rows] - 8 * (w - 1)
+        key = np.empty((w, len(at)), dtype=np.uint64)  # one row per word
+        for j in range(w - 1):
+            key[j] = words[at + 8 * j]
+        key[-1] = words[at + 8 * (w - 1)] & _LOW_BYTES[tail]
+        head = np.zeros(len(at), dtype=bool)
+        head[0] = True
+        for word in key:
+            head[1:] |= word[1:] != word[:-1]
+        first, inverse = _distinct_columns(key[:, head])
+        codes[rows] = (len(cells) + inverse)[np.cumsum(head) - 1]
+        first = np.flatnonzero(head)[first]
+        cells += [block[a:a + n].decode("utf-8")
+                  for a, n in zip(at[first].tolist(), (tail[first] + 8 * (w - 1)).tolist())]
+    return cells, codes
 
 
 def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
@@ -317,70 +576,131 @@ def load_fixtures(path: str | Path, require_goals: bool = True) -> list[Fixture]
     return sorted(fixtures.values(), key=lambda f: (f.kickoff, f.fixture_id))
 
 
+# The stats checks of one row, in the order it takes them.
+(_NO_PLAYER, _NO_FIXTURE, _UNKNOWN_FIXTURE, _NO_GROUP, _BAD_GROUP, _NO_STAT,
+ _NOT_A_NUMBER, _NOT_FINITE, _NEGATIVE, _PASSED) = range(10)
+
+
 def load_player_stats(path: str | Path, fixtures: Iterable[Fixture]) -> StatsArchive:
     """Load the long-format stats file against already-loaded fixtures.
 
     Every record must reference a known fixture; raw stat values must be
     finite and non-negative. Stat names outside the schema are retained.
 
-    A record's key cells (player, fixture, group) are checked once per run
-    of consecutive rows that repeat them verbatim: the run's first row
-    passed those checks on the same cells. Rows in any order load the same
-    archive, and every row's checks keep their order and messages.
+    The whole file is read into factorized columns before any row is
+    checked. Each cell check runs once per distinct raw cell; a record's
+    conflicting groups and repeated stats are found as masks over the rows.
+    The error raised is the first failing row's and, of the checks it
+    fails, the first in row order: player, fixture (missing, then unknown),
+    group (missing, then invalid), stat name, value (missing or not a
+    number, not finite, negative), conflicting group, repeated stat.
     """
-    known = {f.fixture_id: f.fixture_id for f in fixtures}
-    valid_groups = {g: g for g in POSITION_GROUPS}
-    records: dict[tuple[str, str], PlayerMatchStats] = {}
-    names: dict[str, str] = {}  # raw stat_name cell -> its checked name
-    last_pid = last_fid = last_group = None  # the raw key cells of the run being read
-    for rownum, (pid, fid, group, stat, raw) in _rows(path, STATS_COLUMNS, "stats"):
-        if pid != last_pid or fid != last_fid or group != last_group:
-            last_pid, last_fid, last_group = pid, fid, group
-            player = pid.strip()
-            if not player:
-                raise ParseError(rownum, "missing value for 'player_id'")
-            fixture = fid.strip()
-            if not fixture:
-                raise ParseError(rownum, "missing value for 'fixture_id'")
-            fixture_id = known.get(fixture)
-            if fixture_id is None:
-                raise UnknownFixture(fixture)
-            position = group.strip()
-            if not position:
-                raise ParseError(rownum, "missing value for 'position_group'")
-            position_group = valid_groups.get(position)
-            if position_group is None:
-                raise ParseError(rownum, f"position_group {position!r} not in {POSITION_GROUPS}")
-            key = (player, fixture_id)
-            held = records.get(key)
-            if held is None:
-                held = records[key] = PlayerMatchStats(player, fixture_id, position_group, {})
-            # raised only after the row's stat and value checks, which come first
-            conflict = held.position_group != position_group
-            record = held.stats
-        name = names.get(stat)
-        if name is None:
-            name = stat.strip()
-            if not name:
-                raise ParseError(rownum, "missing value for 'stat_name'")
-            names[stat] = name
-        try:
-            value = float(raw)
-        except ValueError:
-            if raw.strip():
-                raise ParseError(rownum, f"value {raw!r} is not a number")
-            raise ParseError(rownum, "missing value for 'value'")
-        if not 0.0 <= value < math.inf:
-            if not math.isfinite(value):
-                raise ParseError(rownum, f"stat {name!r} is not finite")
-            raise NegativeStat(player, name)
-        if conflict:
-            raise ParseError(rownum, f"conflicting position_group for {key}")
-        if name in record:
-            raise ParseError(rownum, f"duplicate stat {name!r} for {key}")
-        record[name] = value
+    columns, stopped = _read_columns(path, STATS_COLUMNS, "stats")
+    archive = _stats_archive(columns, {f.fixture_id for f in fixtures})
+    if stopped is not None:
+        raise stopped
+    return archive
 
-    return StatsArchive.indexed(records)
+
+def _number(cell: str) -> tuple[float, int]:
+    """A raw value cell's number and the first value check it fails."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return 0.0, _NOT_A_NUMBER
+    if not 0.0 <= value < math.inf:
+        return 0.0, _NEGATIVE if math.isfinite(value) else _NOT_FINITE
+    return value, _PASSED
+
+
+def _stats_archive(columns: list[Column], known: Collection[str]) -> StatsArchive:
+    """The archive of factorized stats columns, or the first failing row's
+    error (see :func:`load_player_stats`)."""
+    (pids, pid), (fids, fid), (groups, grp), (stats, stat), (raws, raw) = columns
+    players, fixtures = [c.strip() for c in pids], [c.strip() for c in fids]
+    groups, names = [c.strip() for c in groups], [c.strip() for c in stats]
+    numbers = [_number(c) for c in raws]
+    checks = [
+        (pid, [_PASSED if p else _NO_PLAYER for p in players]),
+        (fid, [_PASSED if f in known else _UNKNOWN_FIXTURE if f else _NO_FIXTURE
+               for f in fixtures]),
+        (grp, [_PASSED if g in POSITION_GROUPS else _BAD_GROUP if g else _NO_GROUP
+               for g in groups]),
+        (stat, [_PASSED if n else _NO_STAT for n in names]),
+        (raw, [check for _value, check in numbers]),
+    ]
+    rows = limit = len(pid)  # the rows before ``limit`` pass every cell check
+    failing = [np.array(cell, dtype=np.int8)[codes] for codes, cell in checks
+               if min(cell, default=_PASSED) < _PASSED]
+    if failing:
+        fail = np.minimum.reduce(failing)
+        limit = int(np.flatnonzero(fail < _PASSED)[0])
+    (player_ids, player), (fixture_ids, fixture), (group_names, group), (stat_names, code) = (
+        _codes(cells, [check == _PASSED for check in cell]) for cells, (_, cell) in
+        zip((players, fixtures, groups, names), checks))
+    pid, fid, grp, stat, raw = (codes[:limit] for codes, _cell in checks)
+
+    # runs of rows that repeat their key cells, and the record of each
+    new = np.ones(limit, dtype=bool)
+    new[1:] = (pid[1:] != pid[:-1]) | (fid[1:] != fid[:-1]) | (grp[1:] != grp[:-1])
+    heads = np.flatnonzero(new)
+    lengths = np.diff(heads, append=limit)
+    run_player, run_fixture, run_group = player[pid[heads]], fixture[fid[heads]], group[grp[heads]]
+    _, first, record = np.unique(run_player.astype(np.int64) * len(fixture_ids) + run_fixture,
+                                 return_index=True, return_inverse=True)
+    record = record.reshape(-1)
+    conflicts = heads[run_group != run_group[first][record]]
+    # each record's rows, in file order
+    order = np.argsort(record, kind="stable")
+    ends = np.cumsum(lengths[order])
+    taken = np.repeat(heads[order] - ends + lengths[order], lengths[order]) + np.arange(limit)
+    sizes = np.bincount(record, weights=lengths, minlength=len(first)).astype(np.int64)
+    archive = StatsArchive._columns(
+        (player_ids, run_player[first]), (fixture_ids, run_fixture[first]),
+        (group_names, run_group[first]), stat_names, code[stat[taken]],
+        (np.array([value for value, _check in numbers]) + 0.0)[raw[taken]], sizes)
+
+    found = []  # (row, the error of the row)
+    if conflicts.size:
+        at = int(conflicts[0])
+        found.append((at, ParseError(at + 2, "conflicting position_group for "
+                                             f"{(players[pid[at]], fixtures[fid[at]])}")))
+    repeats = {k for k, layout in enumerate(archive.layouts) if len(set(layout)) < len(layout)}
+    for r in np.flatnonzero(np.isin(archive.kind, list(repeats))).tolist():
+        seen = set()
+        for at in taken[archive.start[r]:archive.start[r] + sizes[r]].tolist():
+            if code[stat[at]] in seen:
+                found.append((at, ParseError(at + 2, f"duplicate stat {names[stat[at]]!r} for "
+                                                     f"{(players[pid[at]], fixtures[fid[at]])}")))
+                break
+            seen.add(code[stat[at]])
+    if found:
+        raise min(found, key=itemgetter(0))[1]  # a conflict first, at one row
+    if limit < rows:
+        pid, fid, grp, stat, raw = (int(codes[limit]) for codes, _cell in checks)
+        raise _row_error(int(fail[limit]), limit + 2, players[pid], fixtures[fid], groups[grp],
+                         names[stat], raws[raw])
+    return archive
+
+
+def _row_error(check: int, rownum: int, player: str, fixture: str, group: str, stat: str,
+               raw: str) -> IngestError:
+    """The error of a row that fails ``check``, from its stripped cells and
+    its raw value."""
+    missing = {_NO_PLAYER: "player_id", _NO_FIXTURE: "fixture_id", _NO_GROUP: "position_group",
+               _NO_STAT: "stat_name"}
+    if check in missing:
+        return ParseError(rownum, f"missing value for {missing[check]!r}")
+    if check == _UNKNOWN_FIXTURE:
+        return UnknownFixture(fixture)
+    if check == _BAD_GROUP:
+        return ParseError(rownum, f"position_group {group!r} not in {POSITION_GROUPS}")
+    if check == _NOT_A_NUMBER:
+        return ParseError(rownum, f"value {raw!r} is not a number" if raw.strip()
+                          else "missing value for 'value'")
+    if check == _NOT_FINITE:
+        return ParseError(rownum, f"stat {stat!r} is not finite")
+    return NegativeStat(player, stat)
 
 
 def load_odds(path: str | Path, fixtures: Iterable[Fixture]) -> dict[str, OddsRecord]:

@@ -1,5 +1,6 @@
 """Tiny factories and reference oracles shared across test modules."""
 
+import math
 import os
 import signal
 import time
@@ -15,7 +16,18 @@ from scoreline.features import (
     MissingLineup,
     UnknownTeam,
 )
-from scoreline.ingest import Dataset, Fixture, PlayerMatchStats, StatsArchive
+from scoreline.ingest import (
+    POSITION_GROUPS,
+    STATS_COLUMNS,
+    Dataset,
+    Fixture,
+    NegativeStat,
+    ParseError,
+    PlayerMatchStats,
+    StatsArchive,
+    UnknownFixture,
+    _rows,
+)
 from scoreline.predict import ScorelinePrediction
 from scoreline.regress import forest, workers
 from scoreline.regress.tree import Tree
@@ -119,6 +131,51 @@ def nested_payload(model) -> dict:
     if model.technique == "dtr":
         return {**model.params, "root": trees[0]}
     return {"params": model.params, "trees": trees}
+
+
+def load_stats_by_rows(path, fixtures) -> StatsArchive:
+    """The stats loader as a row-at-a-time reader: each row is checked as
+    it is read, in order, and the first check it fails raises."""
+    known = {f.fixture_id for f in fixtures}
+    records: dict[tuple[str, str], PlayerMatchStats] = {}
+    for rownum, (pid, fid, group, stat, raw) in _rows(path, STATS_COLUMNS, "stats"):
+        player, fixture, position, name = pid.strip(), fid.strip(), group.strip(), stat.strip()
+        for value, column in ((player, "player_id"), (fixture, "fixture_id")):
+            if not value:
+                raise ParseError(rownum, f"missing value for {column!r}")
+            if column == "fixture_id" and value not in known:
+                raise UnknownFixture(value)
+        if not position:
+            raise ParseError(rownum, "missing value for 'position_group'")
+        if position not in POSITION_GROUPS:
+            raise ParseError(rownum, f"position_group {position!r} not in {POSITION_GROUPS}")
+        if not name:
+            raise ParseError(rownum, "missing value for 'stat_name'")
+        try:
+            value = float(raw)
+        except ValueError:
+            if raw.strip():
+                raise ParseError(rownum, f"value {raw!r} is not a number")
+            raise ParseError(rownum, "missing value for 'value'")
+        if not math.isfinite(value):
+            raise ParseError(rownum, f"stat {name!r} is not finite")
+        if value < 0:
+            raise NegativeStat(player, name)
+        key = (player, fixture)
+        record = records.setdefault(key, PlayerMatchStats(player, fixture, position, {}))
+        if record.position_group != position:
+            raise ParseError(rownum, f"conflicting position_group for {key}")
+        if name in record.stats:
+            raise ParseError(rownum, f"duplicate stat {name!r} for {key}")
+        record.stats[name] = value
+    return StatsArchive(records.values())
+
+
+def archive_records(archive: StatsArchive) -> list:
+    """An archive's records as comparable tuples, each record's stats in
+    the order it lists them."""
+    return sorted((r.player_id, r.fixture_id, r.position_group, tuple(r.stats.items()))
+                  for r in archive.records())
 
 
 def truncated_builder(dataset: Dataset, cutoff) -> FeatureBuilder:

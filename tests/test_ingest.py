@@ -1,12 +1,24 @@
 """Loader validation, chronological splitting and file round-trips."""
 
+import codecs
 import csv
 import random
 import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from helpers import archive_records, fx, load_stats_by_rows
+from hypothesis import given, settings, strategies as st
 
+from scoreline import ingest
 from scoreline.ingest import (
+    STATS_COLUMNS,
     DuplicateFixture,
     IngestError,
     MalformedLineup,
@@ -204,10 +216,21 @@ def test_non_utf8_file_names_the_file(tmp_path, where):
 # ------------------------------------------------------------------- stats
 
 
-def stats_file(tmp_path, rows):
+def stats_file(tmp_path, rows, quoted=False):
+    """A stats file of ``rows``, plain or with every cell quoted; a quoted
+    file is read by ``csv.reader``, a plain one split in bulk."""
     path = tmp_path / "s.csv"
-    path.write_text("player_id,fixture_id,position_group,stat_name,value\n"
-                    + "".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
+    header = "player_id,fixture_id,position_group,stat_name,value\n"
+    path.write_text(header + "".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
+    return quote_all(path) if quoted else path
+
+
+def quote_all(path, lineterminator="\n"):
+    """Rewrite a CSV file with every cell quoted, blank lines kept."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator=lineterminator).writerows(rows)
     return path
 
 
@@ -276,7 +299,7 @@ def _missing_cases():
                                id=f"{column}-{label}")
 
 
-@pytest.mark.parametrize("rows, error, message", [
+STATS_ERRORS = [
     *_missing_cases(),
     pytest.param([_cells(fid=" F9 ")], UnknownFixture,
                  "record references unknown fixture 'F9'", id="unknown-fixture"),
@@ -330,7 +353,10 @@ def _missing_cases():
                  id="padded-id-continuing-run-duplicate"),
     pytest.param([GOOD_ROW, _cells(pid=" a0 ", stat="d_Tkl", value="-2")], NegativeStat,
                  "player 'a0': stat 'd_Tkl' is negative", id="padded-id-joins-run-negative"),
-])
+]
+
+
+@pytest.mark.parametrize("rows, error, message", STATS_ERRORS)
 def test_stats_error_contract(tmp_path, two_fixtures, rows, error, message):
     """Every stats check: its error type, its exact message and row number,
     and which check wins when a row fails two."""
@@ -339,6 +365,213 @@ def test_stats_error_contract(tmp_path, two_fixtures, rows, error, message):
         load_player_stats(path, two_fixtures)
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("rows, error, message", STATS_ERRORS)
+def test_stats_error_contract_quoted(tmp_path, two_fixtures, rows, error, message):
+    """The same checks on the same rows with every cell quoted, which the
+    csv.reader path reads: the same error type and message."""
+    path = stats_file(tmp_path, rows, quoted=True)
+    with pytest.raises(IngestError) as exc:
+        load_player_stats(path, two_fixtures)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+STATS_HEADER = "player_id,fixture_id,position_group,stat_name,value\n"
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+@pytest.mark.parametrize("text, expected", [
+    pytest.param("value,stat_name,position_group,fixture_id,player_id\n1,g_CS,GK,F1,a0\n",
+                 [("a0", "F1", "GK", (("g_CS", 1.0),))], id="columns-in-another-order"),
+    pytest.param("note,player_id,fixture_id,position_group,stat_name,value,more\n"
+                 "x,a0,F1,GK,g_CS,1,y\n",
+                 [("a0", "F1", "GK", (("g_CS", 1.0),))], id="extra-columns"),
+    pytest.param(STATS_HEADER + "a0,F1,GK,g_CS,1,extra,cells\na0,F1,GK,g_GA,2\n",
+                 [("a0", "F1", "GK", (("g_CS", 1.0), ("g_GA", 2.0)))], id="extra-trailing-cells"),
+    pytest.param(STATS_HEADER.strip() + ",value\na0,F1,GK,g_CS,1,4\n",
+                 [("a0", "F1", "GK", (("g_CS", 4.0),))], id="repeated-header-reads-last"),
+    pytest.param(STATS_HEADER + "a0,F1,GK,g_CS\n", "row 2: missing value for 'value'",
+                 id="short-row"),
+    pytest.param(STATS_HEADER + "a0,F1,GK,g_CS,1\n\na0,F1,GK,g_GA,-1\n",
+                 "player 'a0': stat 'g_GA' is negative", id="blank-line-skipped"),
+    pytest.param(STATS_HEADER + "a0,F1,GK,g_CS,1\n\na0,F1,GK,g_GA,x\n",
+                 "row 3: value 'x' is not a number", id="blank-line-not-numbered"),
+    pytest.param(STATS_HEADER + " a0 , F1 , GK , g_CS , 1 \na0,F1,GK, g_GA,2\n",
+                 [("a0", "F1", "GK", (("g_CS", 1.0), ("g_GA", 2.0)))], id="padded-cells-stripped"),
+    pytest.param(STATS_HEADER + "a0,F1,GK,g_CS\rx,1\n", "row 2: missing value for 'value'",
+                 id="lone-cr-ends-a-line"),
+    pytest.param(STATS_HEADER + "a0,F1,GK,g_CS\na0,F1,GK,g_GA,2,x\n",
+                 "row 2: missing value for 'value'", id="short-row-then-long-row"),
+    pytest.param(STATS_HEADER + "a0,F1,GK,g_CS,x\r\n", "row 2: value 'x' is not a number",
+                 id="crlf-not-in-last-cell"),
+    pytest.param(STATS_HEADER + "a0,F1,GK,g_CS,1\r\na0,F2,GK,g_CS,2",
+                 [("a0", "F1", "GK", (("g_CS", 1.0),)), ("a0", "F2", "GK", (("g_CS", 2.0),))],
+                 id="crlf-and-no-final-newline"),
+])
+def test_stats_reader_contract(tmp_path, two_fixtures, text, expected, quoted):
+    """How a stats file's rows map to records, read in bulk or through
+    csv.reader: by header name, blank lines skipped and unnumbered, short
+    rows read as empty cells, cells stripped."""
+    path = tmp_path / "s.csv"
+    path.write_text(text, encoding="utf-8")
+    if quoted:
+        quote_all(path)
+    if isinstance(expected, str):
+        with pytest.raises(IngestError, match=f"^{re.escape(expected)}$"):
+            load_player_stats(path, two_fixtures)
+        return
+    assert archive_records(load_player_stats(path, two_fixtures)) == expected
+
+
+PLAIN_OR_NOT = {"as shipped": True, "LF": True, "quoted": False}
+
+
+@pytest.mark.parametrize("form", PLAIN_OR_NOT)
+def test_sample_stats_same_archive_from_either_reader(tmp_path, sample_dir, dataset, form):
+    """The bundled stats file as shipped (CRLF line ends), with LF line ends,
+    and with every cell quoted: the first two are split in bulk, the last
+    read by csv.reader, and all give the same archive."""
+    path = tmp_path / "player_stats.csv"
+    raw = (sample_dir / "player_stats.csv").read_bytes()
+    assert raw.count(b"\r\n") == raw.count(b"\n")
+    path.write_bytes(raw.replace(b"\r\n", b"\n") if form == "LF" else raw)
+    if form == "quoted":
+        quote_all(path, "\r\n")
+    plain = ingest._plain_columns(path, ingest.STATS_COLUMNS, "stats")
+    assert (plain is not None) == PLAIN_OR_NOT[form]
+    archive = load_player_stats(path, dataset.fixtures)
+    assert archive_records(archive) == archive_records(dataset.stats)
+    for name in ("player_ids", "fixture_ids", "group_names", "stat_names", "layouts"):
+        assert getattr(archive, name) == getattr(dataset.stats, name)
+    for name in ("player", "fixture", "group", "kind", "start", "value"):
+        assert getattr(archive, name).tobytes() == getattr(dataset.stats, name).tobytes()
+
+
+# A leading byte-order mark, as spreadsheet programs write one.
+@pytest.mark.parametrize("name", ["fixtures.csv", "player_stats.csv", "odds.csv"])
+def test_byte_order_mark_accepted(tmp_path, sample_dir, dataset, name):
+    data = tmp_path / "data"
+    shutil.copytree(sample_dir, data)
+    (data / name).write_bytes(codecs.BOM_UTF8 + (sample_dir / name).read_bytes())
+    again = load_dataset(data, test_size=8)
+    assert again.fixtures == dataset.fixtures
+    assert archive_records(again.stats) == archive_records(dataset.stats)
+    assert again.odds == dataset.odds
+
+
+def test_stats_byte_order_mark_quoted(tmp_path, two_fixtures):
+    path = stats_file(tmp_path, [GOOD_ROW], quoted=True)
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert archive_records(load_player_stats(path, two_fixtures)) == [
+        ("a0", "F1", "GK", (("g_CS", 1.0),))]
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+@pytest.mark.parametrize("where", ["first record", "last record"])
+def test_stats_not_utf8_whatever_rows_come_first(tmp_path, two_fixtures, where, quoted):
+    """The stats file is decoded whole before any row is checked, so a bad
+    byte fails as NotUtf8 even after a row that fails a check."""
+    rows = [_cells(fid="F9"), *[GOOD_ROW] * 2000, _cells(stat="d_Tkl")]
+    path = stats_file(tmp_path, rows, quoted)
+    raw = path.read_bytes()
+    at = raw.index(b"F9") if where == "first record" else len(raw) - 3
+    path.write_bytes(raw[:at] + b"\xff" + raw[at:])
+    with pytest.raises(NotUtf8) as exc:
+        load_player_stats(path, two_fixtures)
+    assert str(exc.value) == f"stats file {path} is not UTF-8 text: invalid start byte"
+
+
+# Per column, good cells, odd ones (padded, which is the same key after
+# stripping, empty, unknown, negative, not finite or not numbers) and how
+# many good cells are drawn for one odd one.
+CELLS = [(["a0", "a1", "b2"], [" a0 ", ""], 7),
+         (["F1", "F2"], [" F2", "F9", ""], 7),
+         (["GK", "DF"], ["MF ", "ST", ""], 7),
+         (["g_CS", "g_GA", "d_Tkl", "m_KP"], [" g_CS", ""], 7),
+         (["1", "0", "2.5", "10"], ["-0", " 3 ", "-1", "nan", "1e400", "inf", "x", ""], 2)]
+
+
+@st.composite
+def stats_texts(draw):
+    """A stats file's text, whether to quote its every cell, and the block
+    size to read it in: small blocks cut the file between lines. Half the
+    files hold good cells only, and fail, if at all, on conflicting groups
+    or repeated stats."""
+    clean = draw(st.booleans())
+    player, fixture, group, stat, value = (
+        st.sampled_from(good) if clean
+        else st.one_of(*[st.sampled_from(good)] * weight, st.sampled_from(odd))
+        for good, odd, weight in CELLS)
+    records = draw(st.lists(st.tuples(player, fixture, group,
+                                      st.lists(stat, min_size=1, max_size=3, unique=True)),
+                               max_size=6))
+    rows = [(p, f, g, name, draw(value)) for p, f, g, names in records for name in names]
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))  # records interleaved
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(",".join(row) for row in [STATS_COLUMNS, *rows])
+    return text + ("" if draw(st.booleans()) else end), draw(st.booleans()), \
+        draw(st.sampled_from([ingest.BLOCK_BYTES, 40]))
+
+
+def _outcome(load, path, fixtures):
+    try:
+        return archive_records(load(path, fixtures))
+    except IngestError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stats_texts())
+def test_stats_loader_matches_row_at_a_time_oracle(case):
+    """On random small stats files (padded and interleaved keys, CRLF or LF,
+    with or without a final newline, negative, NaN and overflowing values,
+    conflicting groups, plain or quoted, read in one block or many) the
+    loader gives the oracle's archive or its error."""
+    text, quoted, block = case
+    fixtures = [fx("F1", 0, "X", "Y"), fx("F2", 7, "Y", "X")]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "BLOCK_BYTES", block):
+        path = Path(tmp, "s.csv")
+        path.write_bytes(text.encode("utf-8"))
+        if quoted:
+            quote_all(path)
+        assert _outcome(load_player_stats, path, fixtures) \
+            == _outcome(load_stats_by_rows, path, fixtures)
+
+
+@pytest.mark.parametrize("first, message", [
+    ("a0,F1,GK,g_CS,1", "row 3: unreadable stats file: field larger than field limit (131072)"),
+    ("a0,F9,GK,g_CS,1", "record references unknown fixture 'F9'"),
+], ids=["unreadable", "bad-row-first"])
+def test_stats_rows_before_an_unreadable_row_are_checked_first(tmp_path, two_fixtures,
+                                                               first, message):
+    """A cell over the field limit stops csv.reader; the rows before it are
+    still checked first, as a row-at-a-time reader checks them."""
+    path = tmp_path / "s.csv"
+    path.write_text(f"{STATS_HEADER}{first}\na0,F1,GK,{'s' * 131_073},1\n", encoding="utf-8")
+    with pytest.raises(IngestError, match=f"^{re.escape(message)}$"):
+        load_player_stats(path, two_fixtures)
+
+
+def test_stats_nul_cell_read_as_csv_reader_reads_it(tmp_path, two_fixtures):
+    """csv.reader refuses a NUL before Python 3.11 and keeps it from 3.11
+    on; the loader does the same."""
+    path = tmp_path / "s.csv"
+    path.write_text(STATS_HEADER + "a0,F1,GK,g_CS,1\na0\0,F1,GK,g_CS,2\n", encoding="utf-8")
+    assert _outcome(load_player_stats, path, two_fixtures) \
+        == _outcome(load_stats_by_rows, path, two_fixtures)
+
+
+def test_hash_collision_falls_back_to_sorting():
+    """Cells and layouts are told apart by a 64-bit hash, checked: two
+    distinct columns built to share one hash still get two codes."""
+    m0, m1 = (int(m) for m in ingest._MIX[:2])
+    table = np.array([[m1, 0, m1], [0, m0, 0]], dtype=np.uint64)  # column hashes all m0 * m1
+    first, inverse = ingest._distinct_columns(table)
+    assert len(first) == 2 and inverse[0] == inverse[2] != inverse[1]
+    assert (table[:, first][:, inverse] == table).all()
 
 
 # -------------------------------------------------------------------- odds
@@ -487,3 +720,13 @@ def test_save_load_roundtrip(tmp_path, dataset):
     assert {(r.player_id, r.fixture_id): r.stats for r in again.stats.records()} \
         == {(r.player_id, r.fixture_id): r.stats for r in dataset.stats.records()}
     assert again.odds == dataset.odds
+
+
+def test_sample_generator_reproduces_bundled_files(tmp_path, sample_dir):
+    """scripts/gen_sample_data.py writes the four data/sample files byte for
+    byte, through StatsArchive(records) and save_player_stats."""
+    script = sample_dir.parent.parent / "scripts" / "gen_sample_data.py"
+    subprocess.run([sys.executable, str(script), str(tmp_path)], check=True,
+                   capture_output=True)
+    for name in ("fixtures.csv", "player_stats.csv", "odds.csv", "upcoming.csv"):
+        assert (tmp_path / name).read_bytes() == (sample_dir / name).read_bytes(), name
