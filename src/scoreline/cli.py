@@ -648,8 +648,8 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_importance(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if not cfg.approach:
-        raise UsageError("importance requires --approach")
+    if cfg.approach not in STATS_APPROACHES:  # chi-squared needs non-negative features
+        raise UsageError(f"importance requires --approach {' or '.join(STATS_APPROACHES)}")
     dataset, builder = load_context(cfg.data_dir, cfg.test_size, cfg.schema)
     rows = _importance_rows(
         {cfg.approach: build_pair(builder, dataset.train_fixtures, cfg.approach)})

@@ -10,6 +10,10 @@ Three matrix flavours share one builder:
   an archive appearance for the team inside the aggregation window instead
   of the starting eleven.
 
+:meth:`FeatureBuilder.build_matrix` is the only way to read features: it
+builds one approach and side over any set of fixtures, and reports each
+fixture it skips with the reason.
+
 Every number is computed from archive records strictly before the fixture
 kickoff, within the fixture's season plus the immediately previous one, so
 rebuilding a row after deleting all records at or past kickoff reproduces
@@ -361,7 +365,8 @@ class FeatureBuilder:
 
     The player universe for the ``players`` encoding is frozen from the
     dataset's training fixtures at construction time. The archive's
-    columns and tracks are built at the first stats build or lookup.
+    columns and tracks are built at the first stats build. Features are
+    read through :meth:`build_matrix` alone.
     """
 
     def __init__(self, dataset: Dataset, schema: FeatureSchema | None = None):
@@ -399,94 +404,11 @@ class FeatureBuilder:
             map(index.get, names, repeat(-1)), np.int64, len(names))
         return matrix
 
-    def _lookup(self, players: Sequence[str], as_of: datetime, season: int):
-        """The track, pool row and latest rows of one scalar lookup."""
-        track, pool = self._track(season), self._pools([players])
-        times = self._columns().times([as_of])
-        return track, times, track.latest(pool, times)
-
-    # -- per-player aggregation ------------------------------------------
-
-    def player_form_average(self, player_id: str, as_of: datetime, season: int):
-        """Per-stat mean over the player's windowed matches, or None if cold.
-
-        The window is every match strictly before ``as_of`` in the given
-        season plus every match of the season before it. A stat missing
-        from a record is unmeasured, not zero. Stats go in the order the
-        window first measures them.
-        """
-        track, _times, latest = self._lookup([player_id], as_of, season)
-        last = int(latest[0, 0])
-        if last < 0:
-            return None
-        archive = self._columns()
-        first = np.searchsorted(track.keys, int(archive.player[track.rec[last]]) * archive.span)
-        recs = track.rec[first:last + 1].tolist()
-        sums = np.zeros((len(recs), len(archive.stat_index)))
-        counts: dict[int, int] = {}  # in the order the window first measures each stat
-        for i, rec in enumerate(recs):
-            layout = archive.layouts[archive.kind[rec]]
-            sums[i, layout] = archive.value[archive.start[rec]:archive.start[rec] + len(layout)]
-            for col in layout:
-                counts[col] = counts.get(col, 0) + 1
-        sums = np.cumsum(sums, axis=0)[-1]  # left to right; a stored -0.0 is already 0.0
-        names = list(archive.stat_index)
-        return {names[col]: float(sums[col]) / count for col, count in counts.items()}
-
-    def _group_of(self, player_id: str, as_of: datetime, season: int) -> str | None:
-        """Position group from the player's most recent windowed record."""
-        track, _times, latest = self._lookup([player_id], as_of, season)
-        code = int(track.group[latest[0, 0]])
-        return None if code < 0 else self._columns().group_names[code]
-
-    def _league_means(self, as_of: datetime, season: int) -> dict[str, float]:
-        track, times, _latest = self._lookup((), as_of, season)
-        archive = self._columns()
-        window = track.pair[archive.time[track.pair] < times[0]]
-        kinds = dict.fromkeys(archive.kind[window].tolist())
-        cols = dict.fromkeys(chain.from_iterable(archive.layouts[k] for k in kinds))
-        names = list(archive.stat_index)
-        # each stat in the order the window first measures it
-        return {names[col]: track.league(col, times).item() for col in cols}
-
-    def _squad(self, team: str, as_of: datetime, season: int) -> tuple[str, ...]:
-        """Players with a windowed record for the team, in player-id order,
-        the order that fixes a group's summation order."""
-        archive = self._columns()
-        if team not in archive.team_index:
-            return ()
-        players, since = self._track(season).squads()
-        at = archive.team_index[team]
-        pool = players[at][since[at] < archive.times([as_of])[0]]
-        return tuple(archive.player_ids[p] for p in pool.tolist())
-
     def _code(self, group: str) -> int:
         return self._columns().group_index.get(group, -2)  # -2 matches no row, cold or not
 
     def _stat_cols(self, stat_names: Sequence[str]) -> list[int | None]:
         return [self._columns().stat_index.get(s) for s in stat_names]
-
-    def group_aggregate(
-        self,
-        players: Sequence[str],
-        group: str,
-        as_of: datetime,
-        season: int,
-        stat_names: Sequence[str],
-    ) -> tuple[list[float], bool]:
-        """Mean of the pool's per-player form averages for one group.
-
-        Cold players (no windowed record) are ignored; if nobody in the
-        pool covers a stat the league-wide windowed mean substitutes, and
-        the returned flag reports that any fallback was used.
-        """
-        track, times, latest = self._lookup(players, as_of, season)
-        code, cols = self._code(group), self._stat_cols(stat_names)
-        values, fell = track.group_values(latest, code, cols, times, track.forms(code, cols))
-        missing = np.isnan(values[0])
-        if missing.any():
-            raise EmptyGroup(group, stat_names[int(np.argmax(missing))])
-        return values[0].tolist(), bool(fell.any())
 
     # -- row assembly -----------------------------------------------------
 
@@ -554,14 +476,6 @@ class FeatureBuilder:
                     fallback_groups=tuple(fallbacks[r]),
                 )
         return out
-
-    def assemble_lineup_features(self, fixture: Fixture, side: str) -> FeatureRow:
-        """52-feature row from the two starting elevens."""
-        return _raised(self._stats_rows([fixture], "lineup_stats", side)[0])
-
-    def assemble_team_features(self, fixture: Fixture, side: str) -> FeatureRow:
-        """52-feature row averaging every windowed squad member, lineups ignored."""
-        return _raised(self._stats_rows([fixture], "team_stats", side)[0])
 
     def encode_players(self, fixture: Fixture, side: str) -> FeatureRow:
         """Membership row over the training player universe.
@@ -632,9 +546,3 @@ class FeatureBuilder:
             raise NoRowsBuilt(approach, side)
         return matrix
 
-
-def _raised(row):
-    """A built row, or the FeatureError that stopped it, raised."""
-    if isinstance(row, FeatureError):
-        raise row
-    return row

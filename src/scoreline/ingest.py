@@ -4,7 +4,8 @@ All three inputs are UTF-8 CSV files with a header row:
 
 * ``fixtures.csv``: one row per match. Kickoffs are ISO 8601 local times
   without a UTC offset. Lineups are semicolon-delimited player-id lists,
-  exactly eleven distinct ids when present, empty when unknown.
+  exactly eleven distinct ids when present, empty when unknown; no player
+  is in both lineups of one fixture.
 * ``player_stats.csv``: long format (player_id, fixture_id, position_group,
   stat_name, value). The stat schema is open; unknown stat names are kept
   verbatim.
@@ -24,7 +25,6 @@ import codecs
 import csv
 import hashlib
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime
 from operator import attrgetter, itemgetter
@@ -199,20 +199,10 @@ class StatsArchive:
         self.value = value
         self.layouts, self.kind = _layouts(stat, sizes, self.start)
 
-    def get(self, player_id: str, fixture_id: str) -> PlayerMatchStats | None:
-        p, f = bisect_left(self.player_ids, player_id), bisect_left(self.fixture_ids, fixture_id)
-        hit = np.flatnonzero((self.player == p) & (self.fixture == f))
-        if not hit.size or self.player_ids[p] != player_id or self.fixture_ids[f] != fixture_id:
-            return None
-        return next(self._records(slice(hit[0], hit[0] + 1)))
-
     def records(self) -> Iterator[PlayerMatchStats]:
         """Each record as a :class:`PlayerMatchStats`, made as it is read."""
-        return self._records(slice(None))
-
-    def _records(self, which: slice) -> Iterator[PlayerMatchStats]:
         layouts = [[self.stat_names[code] for code in layout] for layout in self.layouts]
-        for p, f, g, k, s in zip(*(a[which].tolist() for a in (
+        for p, f, g, k, s in zip(*(a.tolist() for a in (
                 self.player, self.fixture, self.group, self.kind, self.start))):
             names = layouts[k]
             yield PlayerMatchStats(self.player_ids[p], self.fixture_ids[f], self.group_names[g],
@@ -562,6 +552,10 @@ def load_fixtures(path: str | Path, require_goals: bool = True) -> list[Fixture]
                 raise ParseError(rownum, f"{col} must be non-negative, got {value}")
             goals.append(value)
 
+        home_lineup, away_lineup = _parse_lineup(home_lineup, fid), _parse_lineup(away_lineup, fid)
+        shared = [player for player in home_lineup or () if player in (away_lineup or ())]
+        if shared:
+            raise MalformedLineup(fid, f"player {shared[0]!r} listed for both sides")
         fixtures[fid] = Fixture(
             fixture_id=fid,
             season=season_no,
@@ -570,8 +564,8 @@ def load_fixtures(path: str | Path, require_goals: bool = True) -> list[Fixture]
             away_team=away,
             home_goals=goals[0],
             away_goals=goals[1],
-            home_lineup=_parse_lineup(home_lineup, fid),
-            away_lineup=_parse_lineup(away_lineup, fid),
+            home_lineup=home_lineup,
+            away_lineup=away_lineup,
         )
     return sorted(fixtures.values(), key=lambda f: (f.kickoff, f.fixture_id))
 

@@ -9,13 +9,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from scoreline.features import (
-    APPROACHES,
-    EmptyGroup,
-    FeatureBuilder,
-    MissingLineup,
-    UnknownTeam,
-)
+from scoreline.features import APPROACHES, SIDES, FeatureBuilder, NoRowsBuilt
 from scoreline.ingest import (
     POSITION_GROUPS,
     STATS_COLUMNS,
@@ -193,19 +187,12 @@ def assert_no_lookahead(dataset: Dataset, builder: FeatureBuilder) -> int:
     checked = 0
     for fixture in dataset.fixtures:
         clipped = truncated_builder(dataset, fixture.kickoff)
-        for side in ("home", "away"):
+        for side in SIDES:
             for approach in APPROACHES:
                 try:
-                    if approach == "players":
-                        full = builder.encode_players(fixture, side)
-                        cut = clipped.encode_players(fixture, side)
-                    elif approach == "lineup_stats":
-                        full = builder.assemble_lineup_features(fixture, side)
-                        cut = clipped.assemble_lineup_features(fixture, side)
-                    else:
-                        full = builder.assemble_team_features(fixture, side)
-                        cut = clipped.assemble_team_features(fixture, side)
-                except (MissingLineup, EmptyGroup, UnknownTeam):
+                    full, cut = (b.build_matrix([fixture], approach, side).rows[0]
+                                 for b in (builder, clipped))
+                except NoRowsBuilt:
                     continue
                 np.testing.assert_array_equal(full.values, cut.values)
                 checked += 1

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from scoreline import cli
 from scoreline.cli import data_fingerprint, main
 from scoreline.features import APPROACHES, SIDES, FeatureBuilder
 from scoreline.regress import workers
@@ -565,9 +566,16 @@ def test_importance_requires_approach(tmp_path):
     assert exc.value.code == 2
 
 
-def test_importance_players_rejected(tmp_path):
-    # the player encoding carries -1 markers, which chi-squared cannot take
-    assert run("importance", *base_args(tmp_path), "--approach", "players") == 1
+def test_importance_players_rejected(tmp_path, monkeypatch, capsys):
+    # the player encoding carries -1 markers, which chi-squared cannot take:
+    # a usage error, raised before any data is loaded
+    def load_context(*args):
+        raise AssertionError("importance loaded data for the players approach")
+
+    monkeypatch.setattr(cli, "load_context", load_context)
+    assert run("importance", *base_args(tmp_path), "--approach", "players") == 2
+    assert capsys.readouterr().err == (
+        "usage error: importance requires --approach lineup_stats or team_stats\n")
 
 
 def test_bet_command(tmp_path):

@@ -90,6 +90,8 @@ def test_schema_file_roundtrip(tmp_path):
 
 
 # --------------------------------------------------------- form averaging
+# The scalar hand cases here and under group aggregates check ScanBuilder,
+# the scan reference below that every built row must equal bit for bit.
 
 
 def lineup(prefix):
@@ -109,7 +111,7 @@ def form_fixture_set():
 def test_player_form_average_is_mean():
     fixtures = form_fixture_set()
     records = [rec("a0", "H1", "MF", m_KP=2), rec("a0", "H2", "MF", m_KP=4)]
-    builder = FeatureBuilder(mini_dataset(fixtures, records))
+    builder = ScanBuilder(mini_dataset(fixtures, records))
     target = fixtures[2]
     form = builder.player_form_average("a0", target.kickoff, target.season)
     assert form["m_KP"] == 3.0
@@ -117,7 +119,7 @@ def test_player_form_average_is_mean():
 
 def test_player_form_cold_start_marker():
     fixtures = form_fixture_set()
-    builder = FeatureBuilder(mini_dataset(fixtures, [rec("a0", "H1", "MF", m_KP=2)]))
+    builder = ScanBuilder(mini_dataset(fixtures, [rec("a0", "H1", "MF", m_KP=2)]))
     target = fixtures[2]
     assert builder.player_form_average("debutant", target.kickoff, target.season) is None
 
@@ -143,7 +145,7 @@ def test_player_form_window_boundaries():
         rec("a0", "S20b", "MF", m_KP=4),   # the as_of fixture itself: out
         rec("a0", "S20c", "MF", m_KP=6),   # later: out
     ]
-    builder = FeatureBuilder(mini_dataset(fixtures, records))
+    builder = ScanBuilder(mini_dataset(fixtures, records))
     as_of = fixtures[3].kickoff  # S20b
     form = builder.player_form_average("a0", as_of, 2020)
     assert form["m_KP"] == (8 + 2) / 2
@@ -153,14 +155,14 @@ def test_player_form_missing_stat_unmeasured():
     """A stat absent from one match divides by its own count, not by matches."""
     fixtures = form_fixture_set()
     records = [rec("a0", "H1", "MF", m_KP=2, m_Crs=5), rec("a0", "H2", "MF", m_KP=4)]
-    builder = FeatureBuilder(mini_dataset(fixtures, records))
+    builder = ScanBuilder(mini_dataset(fixtures, records))
     target = fixtures[2]
     form = builder.player_form_average("a0", target.kickoff, target.season)
     assert form["m_KP"] == 3.0
     assert form["m_Crs"] == 5.0
 
 
-def test_sample_form_average_spreadsheet_oracle(sample_dir, builder, dataset):
+def test_sample_form_average_spreadsheet_oracle(sample_dir, dataset):
     """Season-boundary form mean equals an independent scan of the raw files."""
     target = next(f for f in dataset.fixtures if f.season == 2021)
     player = target.home_lineup[5]
@@ -183,7 +185,7 @@ def test_sample_form_average_spreadsheet_oracle(sample_dir, builder, dataset):
             sums[r["stat_name"]] = sums.get(r["stat_name"], 0.0) + float(r["value"])
             counts[r["stat_name"]] = counts.get(r["stat_name"], 0) + 1
     expected = {s: sums[s] / counts[s] for s in sums}
-    form = builder.player_form_average(player, target.kickoff, target.season)
+    form = ScanBuilder(dataset).player_form_average(player, target.kickoff, target.season)
     assert form == pytest.approx(expected)
     assert any(seasons[r] == target.season - 1 for r in kickoffs)  # window spans seasons
 
@@ -197,7 +199,7 @@ def test_group_aggregate_mean_of_means():
         rec("a0", "H1", "DF", d_Tkl=1), rec("a0", "H2", "DF", d_Tkl=1),
         rec("a1", "H1", "DF", d_Tkl=3),
     ]
-    builder = FeatureBuilder(mini_dataset(fixtures, records))
+    builder = ScanBuilder(mini_dataset(fixtures, records))
     target = fixtures[2]
     values, used_fallback = builder.group_aggregate(
         ["a0", "a1"], "DF", target.kickoff, target.season, ["d_Tkl"])
@@ -212,7 +214,7 @@ def test_group_aggregate_all_cold_uses_league_mean():
         rec("b1", "H2", "MF", m_KP=5),
         rec("a0", "H1", "DF", d_Tkl=2),
     ]
-    builder = FeatureBuilder(mini_dataset(fixtures, records))
+    builder = ScanBuilder(mini_dataset(fixtures, records))
     target = fixtures[2]
     # a9 never played: the MF slot falls back to the league-wide mean
     values, used_fallback = builder.group_aggregate(
@@ -223,7 +225,7 @@ def test_group_aggregate_all_cold_uses_league_mean():
 
 def test_group_aggregate_unknown_stat_raises():
     fixtures = form_fixture_set()
-    builder = FeatureBuilder(mini_dataset(fixtures, [rec("a0", "H1", "DF", d_Tkl=2)]))
+    builder = ScanBuilder(mini_dataset(fixtures, [rec("a0", "H1", "DF", d_Tkl=2)]))
     target = fixtures[2]
     with pytest.raises(EmptyGroup):
         builder.group_aggregate([], "MF", target.kickoff, target.season, ["m_KP"])
@@ -276,6 +278,11 @@ def brute_group_values(stats, fixtures, pool, group, stat_names, as_of, season):
     return out
 
 
+def built_row(builder, fixture, approach, side):
+    """The one row ``build_matrix`` makes of ``fixture``."""
+    return builder.build_matrix([fixture], approach, side).rows[0]
+
+
 def brute_stats_row(sample_dir, fixture, side, own_pool, opp_pool, schema):
     fixtures, stats = load_raw(sample_dir)
     values = []
@@ -294,7 +301,7 @@ def test_lineup_row_matches_brute_force(sample_dir, dataset, builder):
     fixture = dataset.test_fixtures[2]
     for side, own, opp in (("home", fixture.home_lineup, fixture.away_lineup),
                            ("away", fixture.away_lineup, fixture.home_lineup)):
-        row = builder.assemble_lineup_features(fixture, side)
+        row = built_row(builder, fixture, "lineup_stats", side)
         expected = brute_stats_row(sample_dir, fixture, side, own, opp,
                                    builder.schema)
         np.testing.assert_allclose(row.values, expected, rtol=0, atol=1e-12)
@@ -321,7 +328,7 @@ def test_team_row_matches_brute_force(sample_dir, dataset, builder):
 
     own, opp = squad(fixture.home_team), squad(fixture.away_team)
     assert len(own) > 11  # rotation makes the squad strictly wider than a lineup
-    row = builder.assemble_team_features(fixture, "home")
+    row = built_row(builder, fixture, "team_stats", "home")
     expected = brute_stats_row(sample_dir, fixture, "home", own, opp,
                                builder.schema)
     np.testing.assert_allclose(row.values, expected, rtol=0, atol=1e-12)
@@ -344,26 +351,30 @@ def group_of_slot(i: int) -> str:
     return "GK" if i == 0 else "DF" if i < 5 else "MF" if i < 9 else "FW"
 
 
+def squad_records():
+    """Every stat of its group's schema for each player of both form-set
+    lineups, in H1 and H2: fixture T1 builds from them."""
+    return [rec(pid, fid, group_of_slot(i), **full_stats(group_of_slot(i), i))
+            for fid in ("H1", "H2") for prefix in ("a", "b")
+            for i, pid in enumerate(lineup(prefix))]
+
+
 def test_team_row_equals_lineup_row_when_lineup_is_whole_squad():
     fixtures = form_fixture_set()
-    records = []
-    for fid in ("H1", "H2"):
-        for prefix in ("a", "b"):
-            for i, pid in enumerate(lineup(prefix)):
-                group = group_of_slot(i)
-                records.append(rec(pid, fid, group, **full_stats(group, i)))
-    builder = FeatureBuilder(mini_dataset(fixtures, records))
+    builder = FeatureBuilder(mini_dataset(fixtures, squad_records()))
     target = fixtures[2]
-    lineup_row = builder.assemble_lineup_features(target, "home")
-    team_row = builder.assemble_team_features(target, "home")
+    lineup_row = built_row(builder, target, "lineup_stats", "home")
+    team_row = built_row(builder, target, "team_stats", "home")
     np.testing.assert_array_equal(lineup_row.values, team_row.values)
 
 
 def test_missing_lineup_raises():
     fixtures = form_fixture_set() + [fx("T2", 21, "A", "B", 1, 0)]
-    builder = FeatureBuilder(mini_dataset(fixtures, [rec("a0", "H1", "DF", d_Tkl=2)]))
-    with pytest.raises(MissingLineup):
-        builder.assemble_lineup_features(fixtures[-1], "home")
+    builder = FeatureBuilder(mini_dataset(fixtures, squad_records()))
+    for approach in ("players", "lineup_stats"):
+        matrix = builder.build_matrix(fixtures[2:], approach, "home")
+        assert matrix.fixture_ids() == ["T1"]
+        assert matrix.skipped == [("T2", str(MissingLineup("T2")))]
     with pytest.raises(MissingLineup):
         builder.encode_players(fixtures[-1], "home")
 
@@ -371,18 +382,20 @@ def test_missing_lineup_raises():
 def test_unknown_team_raises():
     fixtures = form_fixture_set() + [
         fx("T3", 21, "A", "Zed", 1, 0, home_lineup=lineup("a"), away_lineup=lineup("z"))]
-    builder = FeatureBuilder(mini_dataset(fixtures, [rec("a0", "H1", "DF", d_Tkl=2)]))
-    with pytest.raises(UnknownTeam):
-        builder.assemble_team_features(fixtures[-1], "home")
+    builder = FeatureBuilder(mini_dataset(fixtures, squad_records()))
+    matrix = builder.build_matrix(fixtures[2:], "team_stats", "home")
+    assert matrix.fixture_ids() == ["T1"]
+    assert matrix.skipped == [("T3", str(UnknownTeam("Zed")))]
 
 
 def test_defensive_block_holds_away_keeper_stats(dataset, builder):
     """The home row's GK block equals the away keeper's form average."""
     fixture = dataset.test_fixtures[2]
-    row = builder.assemble_lineup_features(fixture, "home")
+    row = built_row(builder, fixture, "lineup_stats", "home")
+    scan = ScanBuilder(dataset)
     keeper = next(p for p in fixture.away_lineup
-                  if builder._group_of(p, fixture.kickoff, fixture.season) == "GK")
-    form = builder.player_form_average(keeper, fixture.kickoff, fixture.season)
+                  if scan._group_of(p, fixture.kickoff, fixture.season) == "GK")
+    form = scan.player_form_average(keeper, fixture.kickoff, fixture.season)
     gk_block = row.values[40:45]
     expected = [form[s] for s in builder.schema.defensive["GK"]]
     np.testing.assert_allclose(gk_block, expected, rtol=0, atol=1e-12)
@@ -446,16 +459,8 @@ def test_home_away_swap_symmetry(dataset, builder):
                  home_lineup=fixture.away_lineup, away_lineup=fixture.home_lineup)
     object.__setattr__(swapped, "kickoff", fixture.kickoff)
     for approach in ("lineup_stats", "team_stats"):
-        if approach == "lineup_stats":
-            orig_home = builder.assemble_lineup_features(fixture, "home")
-            orig_away = builder.assemble_lineup_features(fixture, "away")
-            swap_home = builder.assemble_lineup_features(swapped, "home")
-            swap_away = builder.assemble_lineup_features(swapped, "away")
-        else:
-            orig_home = builder.assemble_team_features(fixture, "home")
-            orig_away = builder.assemble_team_features(fixture, "away")
-            swap_home = builder.assemble_team_features(swapped, "home")
-            swap_away = builder.assemble_team_features(swapped, "away")
+        orig_home, orig_away, swap_home, swap_away = (
+            built_row(builder, f, approach, side) for f in (fixture, swapped) for side in SIDES)
         np.testing.assert_array_equal(swap_home.values, orig_away.values)
         np.testing.assert_array_equal(swap_away.values, orig_home.values)
 
@@ -524,7 +529,8 @@ class ScanBuilder(FeatureBuilder):
 
     These are the per-row scans and the scalar assembly that the prefix
     tracks replaced; each call walks a player's, team's or the league's
-    whole history.
+    whole history. The form-average and group-aggregate hand cases check
+    its scalar lookups.
     """
 
     def __init__(self, dataset):
@@ -726,19 +732,7 @@ def test_chronological_pass_matches_scans_bitwise():
                 fallbacks.update(g for row in got.rows for g in row.fallback_groups)
                 skips.update(reason.split(" ")[0] for _fid, reason in got.skipped)
     assert "own:FW" in fallbacks and {"fixture", "no"} <= skips
-
-    # Direct calls after the builds, at decreasing kickoffs, use fresh windows.
-    for fixture in reversed(dataset.fixtures):
-        as_of, season = fixture.kickoff, fixture.season
-        for pid in ("a5", "b_new", "d9", "c13", "nobody"):
-            assert builder._group_of(pid, as_of, season) == reference._group_of(pid, as_of, season)
-            got = builder.player_form_average(pid, as_of, season)
-            want = reference.player_form_average(pid, as_of, season)
-            assert repr(got) == repr(want)
-        assert repr(builder._league_means(as_of, season)) == repr(reference._league_means(as_of, season))
-        for team in "ABCD":
-            assert builder._squad(team, as_of, season) == reference._squad(team, as_of, season)
-    assert {builder._group_of("a5", f.kickoff, 2020) for f in dataset.fixtures} >= {"MF", "FW"}
+    assert {reference._group_of("a5", f.kickoff, 2020) for f in dataset.fixtures} >= {"MF", "FW"}
 
 
 # ---------------------------------------------- one build, cut at the split

@@ -104,6 +104,18 @@ def test_repeated_player_in_lineup_rejected(tmp_path):
         load_fixtures(path)
 
 
+def test_player_in_both_lineups_rejected(tmp_path):
+    # one fixture's two lineups share a3, so neither side could own a3's records
+    both = LINEUP_B.replace("b10", "a3")
+    path = write_fixtures(tmp_path / "f.csv", [
+        row("F1", "2020-09-05T15:00:00"),
+        row("F2", "2020-09-12T15:00:00", hg="", ag="", lineups=(LINEUP_A, both)),
+    ])
+    with pytest.raises(MalformedLineup, match="player 'a3' listed for both sides") as exc:
+        load_fixtures(path, require_goals=False)
+    assert exc.value.fixture_id == "F2"
+
+
 def test_team_playing_itself_rejected(tmp_path):
     path = write_fixtures(tmp_path / "f.csv",
                           [row("F1", "2020-09-05T15:00:00", home="X", away="X")])
@@ -246,7 +258,7 @@ def two_fixtures(tmp_path):
 def test_stats_roundtrip(tmp_path, two_fixtures):
     path = stats_file(tmp_path, [("a0", "F1", "GK", "g_CS", "1")])
     archive = load_player_stats(path, two_fixtures)
-    assert archive.get("a0", "F1").stats["g_CS"] == 1.0
+    assert archive_records(archive) == [("a0", "F1", "GK", (("g_CS", 1.0),))]
 
 
 def test_stats_unknown_fixture(tmp_path, two_fixtures):
@@ -265,7 +277,7 @@ def test_stats_open_schema(tmp_path, two_fixtures):
     """Stat names outside the feature schema are kept verbatim."""
     path = stats_file(tmp_path, [("a0", "F1", "MF", "made_up_stat", "3.5")])
     archive = load_player_stats(path, two_fixtures)
-    assert archive.get("a0", "F1").stats["made_up_stat"] == 3.5
+    assert archive_records(archive) == [("a0", "F1", "MF", (("made_up_stat", 3.5),))]
 
 
 def test_stats_bad_group(tmp_path, two_fixtures):
