@@ -9,6 +9,16 @@ metrics, simulated standings, Kendall tau, top-4/relegation accuracy, a
 flat-stake betting backtest and chi-squared feature importance.
 """
 
+import os
+import sys
+
+# BLAS splits its sums by thread count, so pin it to one thread before NumPy
+# loads: outputs then do not depend on the machine. A caller that imported
+# NumPy first keeps its own BLAS threads.
+if "numpy" not in sys.modules:
+    os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                     "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"), "1"))
+
 from .features import APPROACHES, FeatureBuilder
 from .heuristics import HEURISTICS
 from .ingest import Dataset, load_dataset

@@ -53,12 +53,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import chain, repeat
-from operator import attrgetter
 from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
-from .ingest import LINEUP_SIZE, Dataset, Fixture
+from .ingest import LINEUP_SIZE, Dataset, Fixture, kickoff_order
 from .schema import DEFENSIVE_GROUPS, OFFENSIVE_GROUPS, FeatureSchema, default_schema
 
 APPROACHES = ("players", "lineup_stats", "team_stats")
@@ -152,9 +151,6 @@ class FeatureMatrix:
         return 1.0 - self.players_dropped / self.players_listed
 
 
-_kickoff_order = attrgetter("kickoff", "fixture_id")
-
-
 class _Columns:
     """The stats archive as columns, in kickoff order.
 
@@ -168,7 +164,7 @@ class _Columns:
     """
 
     def __init__(self, dataset: Dataset):
-        fixtures = sorted(dataset.fixtures, key=_kickoff_order)
+        fixtures = sorted(dataset.fixtures, key=kickoff_order)
         kickoffs = np.array([f.kickoff for f in fixtures], dtype="datetime64[us]")
         self.kickoffs = kickoffs[np.append(True, kickoffs[1:] != kickoffs[:-1])]  # distinct
         self.span = len(self.kickoffs) + 1  # stride of a player's track keys
@@ -528,7 +524,7 @@ class FeatureBuilder:
         else:
             names = self.schema.feature_names(side)
         matrix = FeatureMatrix(approach=approach, side=side, feature_names=names)
-        ordered = sorted(fixtures, key=_kickoff_order)
+        ordered = sorted(fixtures, key=kickoff_order)
         unplayed = [require_target and f.goals(side) is None for f in ordered]
         wanted = [f for f, skip in zip(ordered, unplayed) if not skip]
         if approach == "players":

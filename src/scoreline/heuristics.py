@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .ingest import Fixture
+from .ingest import Fixture, kickoff_order
 
 HEURISTICS = ("home-win", "tradition", "recency")
 
@@ -141,7 +141,7 @@ def last_goals_before(team: str, kickoff, history: Iterable[Fixture],
             continue
         if team != f.home_team and team != f.away_team:
             continue
-        if best is None or (f.kickoff, f.fixture_id) > (best.kickoff, best.fixture_id):
+        if best is None or kickoff_order(f) > kickoff_order(best):
             best = f
     if best is None:
         return default

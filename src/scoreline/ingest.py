@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import codecs
 import csv
-import hashlib
 import math
 from dataclasses import dataclass
 from datetime import datetime
@@ -144,6 +143,10 @@ class Fixture:
         return self.home_goals if side == "home" else self.away_goals
 
 
+# the one fixture order: by kickoff, ties broken on fixture_id
+kickoff_order = attrgetter("kickoff", "fixture_id")
+
+
 @dataclass(frozen=True)
 class PlayerMatchStats:
     """One player's stat vector for one match."""
@@ -238,27 +241,22 @@ def _layouts(stat: np.ndarray, sizes: np.ndarray, start: np.ndarray
     return layouts, kind
 
 
-# 64 fixed odd multipliers, to hash up to 64 integers into one word
-_MIX = np.frombuffer(hashlib.shake_256(b"scoreline").digest(8 * 64), dtype="<u8") | np.uint64(1)
-
-
 def _distinct_columns(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For a 2-D integer table read by columns, one column index of each
     distinct column, and each column's index among the distinct columns.
 
-    Columns are compared by a 64-bit hash of their entries, and each one is
-    checked against the column standing for its hash; should two distinct
-    columns share a hash, whole columns are sorted instead.
+    Columns are sorted whole, and each run of equal columns is one distinct
+    column (with no rows, all columns are equal).
     """
     if len(table) == 1:
         return _first_and_inverse(table[0])
-    hashed = np.zeros(table.shape[1], dtype=np.uint64)
-    for row, mix in zip(table, np.resize(_MIX, len(table))):
-        hashed += row.astype(np.uint64) * mix
-    first, inverse = _first_and_inverse(hashed)
-    if not all(np.array_equal(row, row[first][inverse]) for row in table):
-        first, inverse = _first_and_inverse(np.unique(table, axis=1, return_inverse=True)[1])
-    return first, inverse
+    order = np.lexsort(table) if len(table) else np.arange(table.shape[1])
+    ranked = table[:, order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def _first_and_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -567,7 +565,7 @@ def load_fixtures(path: str | Path, require_goals: bool = True) -> list[Fixture]
             home_lineup=home_lineup,
             away_lineup=away_lineup,
         )
-    return sorted(fixtures.values(), key=lambda f: (f.kickoff, f.fixture_id))
+    return sorted(fixtures.values(), key=kickoff_order)
 
 
 # The stats checks of one row, in the order it takes them.
@@ -735,7 +733,7 @@ def chronological_split(
 
     Deterministic: ties in kickoff break on fixture_id.
     """
-    ordered = sorted(fixtures, key=lambda f: (f.kickoff, f.fixture_id))
+    ordered = sorted(fixtures, key=kickoff_order)
     if test_size >= len(ordered):
         raise TestTooLarge(test_size, len(ordered))
     cut = len(ordered) - test_size

@@ -14,7 +14,7 @@ from .heuristics import (
     recency_predict,
     tradition_predict,
 )
-from .ingest import Fixture, write_csv
+from .ingest import Fixture, kickoff_order, write_csv
 from .regress.base import ModelBase, SchemaMismatch
 
 
@@ -66,10 +66,6 @@ class PredictionSet:
     coverage: float | None = None  # players approach: share of lineup ids known
 
 
-def _ordered(fixtures: Iterable[Fixture]) -> list[Fixture]:
-    return sorted(fixtures, key=lambda f: (f.kickoff, f.fixture_id))
-
-
 class ModelPairPredictor:
     """Home and away regression models speaking the scoreline interface."""
 
@@ -88,7 +84,7 @@ class ModelPairPredictor:
         ``matrices`` maps each side to its feature matrix of exactly
         ``fixtures``.
         """
-        fixtures = _ordered(fixtures)
+        fixtures = sorted(fixtures, key=kickoff_order)
         if not fixtures:
             raise EmptyTestSet("no fixtures to predict")
         home_m, away_m = matrices["home"], matrices["away"]
@@ -134,7 +130,7 @@ class HeuristicPredictor:
         self._history = list(history if history is not None else train_fixtures)
 
     def predict(self, fixtures: Sequence[Fixture]) -> PredictionSet:
-        fixtures = _ordered(fixtures)
+        fixtures = sorted(fixtures, key=kickoff_order)
         if not fixtures:
             raise EmptyTestSet("no fixtures to predict")
         predictions = []

@@ -1,4 +1,4 @@
-"""Multiple linear regression solved by the normal equations."""
+"""Multiple linear regression as one minimum-norm least-squares solve."""
 
 from __future__ import annotations
 
@@ -10,12 +10,12 @@ from .base import ModelBase, as_xy
 class LinearModel(ModelBase):
     technique = "lr"
 
-    def __init__(self, coef: np.ndarray, intercept: float, ridged: bool,
+    def __init__(self, coef: np.ndarray, intercept: float, rank: int,
                  feature_names=None):
         super().__init__(coef.shape[0], feature_names)
         self.coef = np.asarray(coef, dtype=np.float64)
         self.intercept = float(intercept)
-        self.ridged = bool(ridged)
+        self.rank = int(rank)
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return X @ self.coef + self.intercept
@@ -24,31 +24,20 @@ class LinearModel(ModelBase):
         return {
             "coef": self.coef.tolist(),
             "intercept": self.intercept,
-            "ridged": self.ridged,
+            "rank": self.rank,
         }
 
 
-RIDGE_LAMBDA = 1e-8
-
-
 def fit_lr(X, y, feature_names=None) -> LinearModel:
-    """Least squares fit; falls back to a tiny ridge when X'X is singular.
+    """The minimum-norm least-squares fit, intercept included.
 
-    The Gram matrix is tested with a Cholesky factorization. Collinear or
-    constant columns make it indefinite, in which case RIDGE_LAMBDA is added
-    to the diagonal (intercept included) and the model is flagged `ridged`.
+    Collinear or constant columns, or more columns than rows, leave many
+    least-squares fits; the SVD solve picks the one of least norm and
+    ``rank`` records the design's numerical rank (``p + 1`` at full rank).
     """
     X, y = as_xy(X, y)
     n, p = X.shape
     Xa = np.hstack([X, np.ones((n, 1))])
-    gram = Xa.T @ Xa
-    rhs = Xa.T @ y
-    ridged = False
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        ridged = True
-        gram = gram + RIDGE_LAMBDA * np.eye(p + 1)
-    theta = np.linalg.solve(gram, rhs)
-    return LinearModel(coef=theta[:p], intercept=theta[p], ridged=ridged,
+    theta, _, rank, _ = np.linalg.lstsq(Xa, y, rcond=None)
+    return LinearModel(coef=theta[:p], intercept=theta[p], rank=rank,
                        feature_names=feature_names)

@@ -144,9 +144,11 @@ def _check_nodes(cols_of: list, n_features: int) -> list[Tree]:
 def _model_from(technique: str, payload: dict, n_features: int, names) -> ModelBase:
     """Rebuild one model, checking the payload's indices and array shapes."""
     if technique == "lr":
+        rank = payload["rank"]
+        if isinstance(rank, bool) or not isinstance(rank, int) or not 0 <= rank <= n_features + 1:
+            raise BadArtifact(f"rank is {rank!r}, expected an integer in 0..{n_features + 1}")
         return LinearModel(coef=_vector(payload, "coef", n_features),
-                           intercept=payload["intercept"], ridged=payload["ridged"],
-                           feature_names=names)
+                           intercept=payload["intercept"], rank=rank, feature_names=names)
     if technique == "knn":
         train_X = _matrix(payload, "train_X", n_features)
         rows = train_X.shape[0]

@@ -3,8 +3,11 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -541,6 +544,29 @@ def test_grid_rerun_byte_identical(grid_dir):
                "--out-dir", grid_dir, "--all", "--seed", 0) == 0
     for name, blob in first.items():
         assert (grid_dir / name).read_bytes() == blob, name
+
+
+def test_grid_rerun_byte_identical_on_any_blas_thread_count(tmp_path):
+    """BLAS splits its sums by thread count; the package pins it to one
+    thread, so a bundle made under 1 and under 2 BLAS threads is the same,
+    manifests included (each run has its own working directory and the
+    same relative --out-dir)."""
+    src = Path(cli.__file__).resolve().parents[1]
+    bundles = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads-{threads}"
+        cwd.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                          os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "scoreline.cli", "evaluate", "--all",
+                        "--data-dir", str(SAMPLE_DIR), "--test-size", "8", "--out-dir", "bundle"],
+                       cwd=cwd, env=env, check=True, capture_output=True)
+        bundles.append({p.name: p.read_bytes() for p in (cwd / "bundle").iterdir()})
+    assert sorted(bundles[0]) == sorted(bundles[1])
+    assert set(BUNDLE_FILES) <= set(bundles[0])
+    for name in bundles[0]:
+        assert bundles[0][name] == bundles[1][name], name
 
 
 # -------------------------------------------------------- importance + bet

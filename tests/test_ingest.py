@@ -577,10 +577,11 @@ def test_stats_nul_cell_read_as_csv_reader_reads_it(tmp_path, two_fixtures):
 
 
 def test_hash_collision_falls_back_to_sorting():
-    """Cells and layouts are told apart by a 64-bit hash, checked: two
-    distinct columns built to share one hash still get two codes."""
-    m0, m1 = (int(m) for m in ingest._MIX[:2])
-    table = np.array([[m1, 0, m1], [0, m0, 0]], dtype=np.uint64)  # column hashes all m0 * m1
+    """Cells and layouts are told apart exactly: two distinct columns that
+    a 64-bit multiply-add hash of their words once mapped to one value
+    still get two codes."""
+    m0, m1 = 24316585856359949, 472767201281884923
+    table = np.array([[m1, 0, m1], [0, m0, 0]], dtype=np.uint64)  # m1*m0 + 0*m1 == 0*m0 + m0*m1
     first, inverse = ingest._distinct_columns(table)
     assert len(first) == 2 and inverse[0] == inverse[2] != inverse[1]
     assert (table[:, first][:, inverse] == table).all()

@@ -75,7 +75,7 @@ def test_lr_recovers_line():
     model = fit_lr(x.reshape(-1, 1), 2.0 * x + 1.0)
     assert abs(model.coef[0] - 2.0) < 1e-6
     assert abs(model.intercept - 1.0) < 1e-6
-    assert not model.ridged
+    assert model.rank == 2
     assert abs(model.predict(np.array([[10.0]]))[0] - 21.0) < 1e-5
 
 
@@ -101,15 +101,58 @@ def test_lr_matches_lstsq():
                                atol=1e-8)
 
 
-def test_lr_wide_matrix_ridge_fallback():
-    """Players-style matrix, more columns than rows: ridged but finite."""
+def wide_lr_data():
+    """A players-style matrix: more columns than rows."""
     rng = np.random.default_rng(13)
-    X = rng.choice([-1.0, 0.0, 1.0], size=(8, 30))
-    y = rng.normal(size=8)
+    return rng.choice([-1.0, 0.0, 1.0], size=(8, 30)), rng.normal(size=8)
+
+
+def test_lr_wide_matrix_ridge_fallback():
+    """More columns than rows: rank at most the row count, and finite."""
+    X, y = wide_lr_data()
     model = fit_lr(X, y)
-    assert model.ridged
+    assert model.rank == 8
     assert np.isfinite(model.coef).all() and np.isfinite(model.intercept)
     assert np.isfinite(model.predict(X)).all()
+
+
+def _theta(model):
+    return np.append(model.coef, model.intercept)
+
+
+def _with_intercept(X):
+    return np.hstack([X, np.ones((len(X), 1))])
+
+
+def test_lr_full_rank_matches_normal_equations():
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(40, 6))
+    y = X @ rng.normal(size=6) - 0.3 + rng.normal(scale=0.2, size=40)
+    model = fit_lr(X, y)
+    Xa = _with_intercept(X)
+    assert model.rank == 7
+    np.testing.assert_allclose(_theta(model), np.linalg.solve(Xa.T @ Xa, Xa.T @ y),
+                               rtol=1e-9, atol=1e-10)
+
+
+def duplicated_column_data():
+    """Column 2 repeats column 0, so the design has rank p of p + 1."""
+    rng = np.random.default_rng(15)
+    X = rng.normal(size=(25, 4))
+    X[:, 2] = X[:, 0]
+    return X, X @ np.array([1.0, -2.0, 0.5, 0.0]) + 1.5 + rng.normal(scale=0.1, size=25)
+
+
+@pytest.mark.parametrize("data, rank", [(wide_lr_data, 8), (duplicated_column_data, 4)],
+                         ids=["wide", "duplicated-column"])
+def test_lr_rank_deficient_is_minimum_norm(data, rank):
+    """A rank-deficient design has many least-squares fits; lr takes the
+    one of least norm, as the pseudo-inverse gives it, and records the rank."""
+    X, y = data()
+    model = fit_lr(X, y)
+    assert model.rank == rank
+    np.testing.assert_allclose(_theta(model), np.linalg.pinv(_with_intercept(X)) @ y,
+                               rtol=1e-9, atol=1e-10)
 
 
 def test_lr_dimension_mismatch():
@@ -720,6 +763,32 @@ def test_store_rejects_unknown_version(tmp_path):
     path.write_text(json.dumps(blob))
     with pytest.raises(UnsupportedVersion):
         load_model(path)
+
+
+def test_store_roundtrips_lr_rank(tmp_path):
+    path = tmp_path / "lr.json"
+    save_model(fit_lr(*duplicated_column_data()), path)
+    assert json.loads(path.read_text())["payload"]["rank"] == 4
+    assert load_model(path).rank == 4
+
+
+@pytest.mark.parametrize("rank", ["missing", 6, -1, 2.0, True, "4"])
+def test_store_rejects_lr_without_valid_rank(tmp_path, rank):
+    """An lr payload without an integer rank in 0..n_features+1, as one
+    saved before the rank was recorded, is refused."""
+    from scoreline.regress import BadArtifact
+
+    path = tmp_path / "lr.json"
+    save_model(fit_lr(*duplicated_column_data()), path)
+    blob = json.loads(path.read_text())
+    if rank == "missing":
+        del blob["payload"]["rank"]
+    else:
+        blob["payload"]["rank"] = rank
+    path.write_text(json.dumps(blob))
+    with pytest.raises(BadArtifact) as exc:
+        load_model(path)
+    assert str(path) in str(exc.value)
 
 
 def test_store_rejects_garbage(tmp_path):
