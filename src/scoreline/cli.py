@@ -284,6 +284,12 @@ def technique_params(cfg: RunConfig, technique: str) -> tuple[str, dict]:
 
 # ------------------------------------------------------------------ helpers
 
+def _data_dir(data_dir):
+    if not data_dir:
+        raise UsageError("data_dir is required (flag --data-dir or config file)")
+    return data_dir
+
+
 def data_fingerprint(data_dir) -> str:
     sha = hashlib.sha256()
     for name in DATA_FILES:
@@ -294,11 +300,11 @@ def data_fingerprint(data_dir) -> str:
     return sha.hexdigest()[:16]
 
 
-def load_context(data_dir, test_size: int, schema) -> tuple[Dataset, FeatureBuilder]:
-    """The dataset and its feature builder, per a run's or a train manifest's config."""
-    if not data_dir:
-        raise UsageError("data_dir is required (flag --data-dir or config file)")
-    dataset = load_dataset(data_dir, test_size)
+def load_context(data_dir, test_size: int, schema, *, odds: bool
+                 ) -> tuple[Dataset, FeatureBuilder]:
+    """The dataset and its feature builder, per a run's or a train manifest's
+    config; only a command that places bets reads the odds."""
+    dataset = load_dataset(_data_dir(data_dir), test_size, odds=odds)
     return dataset, FeatureBuilder(dataset, load_schema(schema) if schema else default_schema())
 
 
@@ -321,8 +327,9 @@ def fnum(x) -> str:
 
 def build_pair(builder: FeatureBuilder, fixtures, approach: str, require_target=True) -> dict:
     """The home and away feature matrices of one approach, by side."""
-    return {side: builder.build_matrix(fixtures, approach, side, require_target=require_target)
-            for side in SIDES}
+    with builder.pair():
+        return {side: builder.build_matrix(fixtures, approach, side, require_target=require_target)
+                for side in SIDES}
 
 
 def split_pairs(dataset: Dataset, builder: FeatureBuilder, approaches) -> tuple[dict, dict]:
@@ -333,9 +340,10 @@ def split_pairs(dataset: Dataset, builder: FeatureBuilder, approaches) -> tuple[
     test_ids = {f.fixture_id for f in dataset.test_fixtures}
     full, train = {}, {}
     for approach in approaches:
-        for side in SIDES:
-            full[approach, side] = builder.build_matrix(dataset.fixtures, approach, side)
-            train.setdefault(approach, {})[side] = full[approach, side].part(train_ids)
+        with builder.pair():
+            for side in SIDES:
+                full[approach, side] = builder.build_matrix(dataset.fixtures, approach, side)
+                train.setdefault(approach, {})[side] = full[approach, side].part(train_ids)
     test = {a: {side: full[a, side].part(test_ids) for side in SIDES} for a in approaches}
     return train, test
 
@@ -348,7 +356,7 @@ def train_pair(cfg: RunConfig, matrices: dict, technique: str) -> dict:
 
 
 def _train_manifest(cfg: RunConfig, label: str, models: dict, matrices: dict,
-                    schema_fp: str) -> dict:
+                    data_fp: str, schema_fp: str) -> dict:
     manifest = {
         "format_version": FORMAT_VERSION,
         "command": "train",
@@ -356,7 +364,7 @@ def _train_manifest(cfg: RunConfig, label: str, models: dict, matrices: dict,
         "approach": cfg.approach,
         "technique": cfg.technique,
         **run_record(cfg),
-        "data_fingerprint": data_fingerprint(cfg.data_dir),
+        "data_fingerprint": data_fp,
         "schema_fingerprint": schema_fp,
         "feature_count": models["home"].n_features,
         "rows": {side: len(m.rows) for side, m in matrices.items()},
@@ -378,7 +386,10 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise UsageError("heuristics need no training; use `evaluate --model`")
     if not cfg.approach or not cfg.technique:
         raise UsageError("train requires --approach and --technique")
-    dataset, builder = load_context(cfg.data_dir, cfg.test_size, cfg.schema)
+    # before loading: train reads no odds, but the fingerprint covers every
+    # data file, so a missing one fails before any artifact is written
+    data_fp = data_fingerprint(_data_dir(cfg.data_dir))
+    dataset, builder = load_context(cfg.data_dir, cfg.test_size, cfg.schema, odds=False)
     label = f"{cfg.approach}+{cfg.technique}"
     matrices = build_pair(builder, dataset.train_fixtures, cfg.approach)
     models = train_pair(cfg, matrices, cfg.technique)
@@ -388,7 +399,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     for side, model in models.items():
         save_model(model, out_dir / f"model_{side}.json")
     write_json(out_dir / "train_manifest.json",
-               _train_manifest(cfg, label, models, matrices, builder.schema.fingerprint()))
+               _train_manifest(cfg, label, models, matrices, data_fp,
+                               builder.schema.fingerprint()))
     print(f"trained {label}: {len(matrices['home'].rows)} home rows, "
           f"{len(matrices['away'].rows)} away rows, {models['home'].n_features} features")
     for side, matrix in matrices.items():
@@ -432,9 +444,10 @@ def read_train_manifest(path: Path) -> dict:
     return manifest
 
 
-def _load_artifacts(args: argparse.Namespace):
-    """A train run's manifest, its model pair, and the dataset and feature
-    builder of its config, once the command line is checked against it."""
+def _load_artifacts(args: argparse.Namespace, odds: bool):
+    """A train run's manifest, its model pair, and the dataset (with its
+    odds, if ``odds``) and feature builder of its config, once the command
+    line is checked against it."""
     art = Path(args.artifacts)
     manifest_path = art / "train_manifest.json"
     home_path = art / "model_home.json"
@@ -446,7 +459,8 @@ def _load_artifacts(args: argparse.Namespace):
     _check_trained_flags(args, manifest["config"])
     pair = ModelPairPredictor(manifest["label"], load_model(home_path), load_model(away_path))
     conf = manifest["config"]
-    return manifest, pair, *load_context(conf["data_dir"], conf["test_size"], conf.get("schema"))
+    return manifest, pair, *load_context(conf["data_dir"], conf["test_size"], conf.get("schema"),
+                                         odds=odds)
 
 
 def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -454,7 +468,7 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise UsageError("predict requires --artifacts DIR from a train run")
     if not args.fixtures:
         raise UsageError("predict requires --fixtures FILE of upcoming matches")
-    manifest, pair, _dataset, builder = _load_artifacts(args)
+    manifest, pair, _dataset, builder = _load_artifacts(args, odds=False)
     upcoming = load_fixtures(args.fixtures, require_goals=False)
     pset = pair.predict(upcoming, build_pair(builder, upcoming, manifest["approach"],
                                              require_target=False))
@@ -492,7 +506,7 @@ def _single_prediction_set(cfg: RunConfig, args: argparse.Namespace):
     run record for the manifest, per CLI selection; a trained pair keeps its
     train manifest's record, since that config made its predictions."""
     if getattr(args, "artifacts", None):
-        manifest, pair, dataset, builder = _load_artifacts(args)
+        manifest, pair, dataset, builder = _load_artifacts(args, odds=True)
         approach = manifest["approach"]
         train, test = split_pairs(dataset, builder, [approach])
         pset = pair.predict(dataset.test_fixtures, test[approach])
@@ -500,7 +514,7 @@ def _single_prediction_set(cfg: RunConfig, args: argparse.Namespace):
         record = {key: manifest[key] for key in ("config", "config_hash", "seed")}
         return [pset], dataset, importance, record
     if cfg.model is not None:
-        dataset, _builder = load_context(cfg.data_dir, cfg.test_size, cfg.schema)
+        dataset, _builder = load_context(cfg.data_dir, cfg.test_size, cfg.schema, odds=True)
         predictor = HeuristicPredictor(cfg.model, dataset.train_fixtures,
                                        history=dataset.fixtures)
         return [predictor.predict(dataset.test_fixtures)], dataset, {}, run_record(cfg)
@@ -619,7 +633,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
                                           ("--model", args.model)) if given]
         if clash:
             raise UsageError(f"--all cannot be combined with {' or '.join(clash)}")
-        dataset, builder = load_context(cfg.data_dir, cfg.test_size, cfg.schema)
+        dataset, builder = load_context(cfg.data_dir, cfg.test_size, cfg.schema, odds=True)
         train, test = split_pairs(dataset, builder, APPROACHES)
         psets = _grid_prediction_sets(cfg, dataset, train, test)
         importance = {a: train[a] for a in STATS_APPROACHES}
@@ -650,7 +664,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_importance(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.approach not in STATS_APPROACHES:  # chi-squared needs non-negative features
         raise UsageError(f"importance requires --approach {' or '.join(STATS_APPROACHES)}")
-    dataset, builder = load_context(cfg.data_dir, cfg.test_size, cfg.schema)
+    dataset, builder = load_context(cfg.data_dir, cfg.test_size, cfg.schema, odds=False)
     rows = _importance_rows(
         {cfg.approach: build_pair(builder, dataset.train_fixtures, cfg.approach)})
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "importance.csv"

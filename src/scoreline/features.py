@@ -30,7 +30,9 @@ on (player, kickoff rank). The track also keeps each stat's league mean
 before every kickoff, from the stat's first fallback on. A build takes
 one position group at a time: running sums and counts along each
 player's run give the form averages at every row of the group, read off
-at each pool member's latest row.
+at each pool member's latest row. Both sides of a fixture read the same
+form averages: inside :meth:`FeatureBuilder.pair`, the first side's build
+hands each group's table to the second side's, which drops it.
 
 Each value equals a scan of the window bit for bit:
 
@@ -50,6 +52,7 @@ Kickoffs compare as ``datetime64[us]``, exactly as the naive datetimes do.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import chain, repeat
@@ -370,6 +373,7 @@ class FeatureBuilder:
         self.schema = schema or default_schema()
         self._cols: _Columns | None = None
         self._tracks: dict[int, _Track] = {}
+        self._handoff: dict | None = None  # form tables for the second side, in a pair
 
         universe = set()
         for f in dataset.train_fixtures:
@@ -388,6 +392,26 @@ class FeatureBuilder:
         if season not in self._tracks:
             self._tracks[season] = _Track(self._columns(), season)
         return self._tracks[season]
+
+    @contextmanager
+    def pair(self):
+        """A scope for building one approach's home and away sides: each form
+        table the first side's build computes is handed to the second side's,
+        which drops it, and the scope drops any table left unread."""
+        self._handoff = {}
+        try:
+            yield
+        finally:
+            self._handoff = None
+
+    def _forms(self, track: _Track, code: int, cols: list[int | None]) -> dict[int, np.ndarray]:
+        if self._handoff is None:
+            return track.forms(code, cols)
+        key = (track, code, tuple(cols))
+        forms = self._handoff.pop(key, None)  # the second read takes the table
+        if forms is None:
+            forms = self._handoff[key] = track.forms(code, cols)
+        return forms
 
     def _pools(self, pools: Sequence[Sequence[str]]) -> np.ndarray:
         """Each pool's player indices in pool order, padded with -1."""
@@ -410,9 +434,9 @@ class FeatureBuilder:
 
     def _assemble(self, track: _Track, own: np.ndarray, opp: np.ndarray, times: np.ndarray):
         """The 52 values, fallback groups and first EmptyGroup (or None) of
-        each row, from its own and opposing pools. The form averages of one
-        group at a time are alive: a group's own and opposing blocks share
-        them."""
+        each row, from its own and opposing pools. A group's own and opposing
+        blocks share its form averages; outside :meth:`pair`, only one
+        group's are alive at a time."""
         latest = {"own": track.latest(own, times), "opp": track.latest(opp, times)}
         blocks = [(label, group, stats)  # in row order
                   for label, groups, names in (("own", OFFENSIVE_GROUPS, self.schema.offensive),
@@ -422,7 +446,8 @@ class FeatureBuilder:
         for group in dict.fromkeys(group for _label, group, _stats in blocks):
             code = self._code(group)
             mine = [i for i, block in enumerate(blocks) if block[1] == group]
-            forms = track.forms(code, self._stat_cols([s for i in mine for s in blocks[i][2]]))
+            forms = self._forms(track, code,
+                                self._stat_cols([s for i in mine for s in blocks[i][2]]))
             for i in mine:
                 label, _group, stats = blocks[i]
                 results[i] = track.group_values(latest[label], code, self._stat_cols(stats),

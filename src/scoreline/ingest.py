@@ -281,12 +281,13 @@ class Dataset:
     """Immutable bundle of fixtures, stats and odds with a train/test cut.
 
     Fixtures are sorted by (kickoff, fixture_id); ``split_index`` leaves
-    exactly the configured number of test fixtures after it.
+    exactly the configured number of test fixtures after it. ``odds`` is
+    None when the odds file was not read.
     """
 
     fixtures: tuple[Fixture, ...]
     stats: StatsArchive
-    odds: Mapping[str, OddsRecord]
+    odds: Mapping[str, OddsRecord] | None
     split_index: int
 
     @property
@@ -740,14 +741,15 @@ def chronological_split(
     return ordered[:cut], ordered[cut:]
 
 
-def load_dataset(data_dir: str | Path, test_size: int = 100) -> Dataset:
-    """Load the three DATA_FILES from a directory."""
+def load_dataset(data_dir: str | Path, test_size: int = 100, odds: bool = True) -> Dataset:
+    """Load the DATA_FILES from a directory; ``odds=False`` leaves odds.csv
+    unread and the dataset's ``odds`` None."""
     fixtures_csv, stats_csv, odds_csv = (Path(data_dir, name) for name in DATA_FILES)
     train, test = chronological_split(load_fixtures(fixtures_csv), test_size)
     ordered = tuple(train + test)
     archive = load_player_stats(stats_csv, ordered)
-    odds = load_odds(odds_csv, ordered)
-    return Dataset(fixtures=ordered, stats=archive, odds=odds, split_index=len(train))
+    book = load_odds(odds_csv, ordered) if odds else None
+    return Dataset(fixtures=ordered, stats=archive, odds=book, split_index=len(train))
 
 
 def _fmt(value: float) -> str:

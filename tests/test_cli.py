@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from scoreline import cli
+from scoreline import cli, ingest
 from scoreline.cli import data_fingerprint, main
 from scoreline.features import APPROACHES, SIDES, FeatureBuilder
 from scoreline.regress import workers
@@ -454,6 +454,58 @@ def test_unreadable_csv_returns_1(tmp_path, capsys):
                "--out-dir", tmp_path / "out", "--model", "home-win") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: row 3: unreadable odds file: field larger than field limit"), err
+
+
+# ------------------------------------------ odds: read only where bets are placed
+
+
+def odds_free_commands(data, out):
+    """train, predict and importance on ``data``: none of them reads odds."""
+    assert run("train", "--data-dir", data, "--test-size", 8, "--out-dir", out / "art",
+               "--approach", "team_stats", "--technique", "lr") == 0
+    assert run("predict", "--artifacts", out / "art", "--fixtures", SAMPLE_DIR / "upcoming.csv",
+               "--out", out / "predictions.csv") == 0
+    assert run("importance", "--data-dir", data, "--test-size", 8,
+               "--approach", "lineup_stats", "--out", out / "importance.csv") == 0
+
+
+def test_malformed_odds_fail_only_betting_commands(tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(SAMPLE_DIR, data)
+    lines = (data / "odds.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    fid, home, away, _odds = lines[5].rstrip("\n").split(",")
+    lines[5] = f"{fid},{home},{away},0.5\n"
+    (data / "odds.csv").write_text("".join(lines), encoding="utf-8")
+    odds_free_commands(data, tmp_path)
+    capsys.readouterr()
+    for argv in (("evaluate", "--model", "home-win"), ("bet", "--model", "home-win")):
+        assert run(*argv, "--data-dir", data, "--test-size", 8,
+                   "--out-dir", tmp_path / argv[0]) == 1, argv
+        assert capsys.readouterr().err == (
+            f"error: fixture {fid!r}: odds for ({home}, {away}) must exceed 1.0\n"), argv
+
+
+def test_odds_free_commands_never_load_odds(tmp_path, monkeypatch):
+    def load_odds(*args):
+        raise AssertionError("odds loaded")
+
+    monkeypatch.setattr(ingest, "load_odds", load_odds)
+    odds_free_commands(SAMPLE_DIR, tmp_path)
+
+
+def test_train_without_odds_file_writes_nothing(tmp_path, capsys):
+    """train reads no odds, but its manifest fingerprints every data file:
+    a missing one fails before any artifact is written."""
+    data = tmp_path / "data"
+    shutil.copytree(SAMPLE_DIR, data)
+    (data / "odds.csv").unlink()
+    out = tmp_path / "art"
+    assert run("train", "--data-dir", data, "--test-size", 8, "--out-dir", out,
+               "--approach", "team_stats", "--technique", "lr") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] No such file or directory: ") and \
+        err.rstrip().endswith("odds.csv'") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("where", ["archive", "upcoming"])

@@ -19,6 +19,7 @@ from scoreline.features import (
     MissingLineup,
     NoRowsBuilt,
     UnknownTeam,
+    _Track,
 )
 from scoreline.schema import (
     DEFENSIVE_COUNTS,
@@ -765,3 +766,37 @@ def test_parts_of_one_build_equal_separate_builds():
                 full.part(unbuilt)
     players = builder.build_matrix(dataset.fixtures, "players", "home").part(test_ids)
     assert players.players_dropped > 0 and players.coverage < 1.0  # b_new debuts there
+
+
+# ------------------------------------------- both sides of one pair build
+
+
+@pytest.mark.parametrize("require_target", [True, False])
+@pytest.mark.parametrize("approach", ["lineup_stats", "team_stats"])
+def test_pair_build_shares_forms_and_equals_separate_builds(
+        monkeypatch, dataset, approach, require_target):
+    """Inside ``pair``, the away build reads the form tables the home build
+    computed: each table is computed once, each side equals a build of it
+    alone on a fresh builder, and no table outlives the pair."""
+    computed = []
+    forms = _Track.forms
+
+    def counted(track, code, cols):
+        computed.append(code)
+        return forms(track, code, cols)
+
+    monkeypatch.setattr(_Track, "forms", counted)
+    alone = {side: FeatureBuilder(dataset).build_matrix(dataset.fixtures, approach, side,
+                                                        require_target)
+             for side in SIDES}
+    separate = len(computed)
+    computed.clear()
+    builder = FeatureBuilder(dataset)
+    with builder.pair():
+        for side in SIDES:
+            assert_same_matrix(
+                builder.build_matrix(dataset.fixtures, approach, side, require_target),
+                alone[side])
+        assert builder._handoff == {}  # the away build took every table
+    assert builder._handoff is None
+    assert 2 * len(computed) == separate > 0
