@@ -53,7 +53,7 @@ from .predict import (
 from .regress import BadArtifact, RegressError, StoreError, fit_model, load_model, save_model
 from .regress.store import read_json
 from .regress.tree import tree_size
-from .schema import SchemaError, default_schema, load_schema
+from .schema import FeatureSchema, SchemaError, default_schema, load_schema
 
 # each CLI technique's engine and the fit keywords it fixes
 TECHNIQUE_ENGINES = {
@@ -301,11 +301,11 @@ def data_fingerprint(data_dir) -> str:
 
 
 def load_context(data_dir, test_size: int, schema, *, odds: bool
-                 ) -> tuple[Dataset, FeatureBuilder]:
-    """The dataset and its feature builder, per a run's or a train manifest's
+                 ) -> tuple[Dataset, FeatureSchema]:
+    """The dataset and the feature schema, per a run's or a train manifest's
     config; only a command that places bets reads the odds."""
     dataset = load_dataset(_data_dir(data_dir), test_size, odds=odds)
-    return dataset, FeatureBuilder(dataset, load_schema(schema) if schema else default_schema())
+    return dataset, load_schema(schema) if schema else default_schema()
 
 
 def run_record(cfg: RunConfig) -> dict:
@@ -325,25 +325,35 @@ def fnum(x) -> str:
     return repr(float(x))
 
 
-def build_pair(builder: FeatureBuilder, fixtures, approach: str, require_target=True) -> dict:
+def _matrices(dataset: Dataset, schema: FeatureSchema, fixtures, approaches,
+              require_target=True):
+    """Each approach's home and away matrices over ``fixtures``, as
+    (approach, side, matrix), from one feature builder: the stats
+    approaches and both sides read the same form tables, and the builder
+    with its tables is dropped once the last matrix is out, before any fit."""
+    builder = FeatureBuilder(dataset, schema)
+    for approach in approaches:
+        for side in SIDES:
+            yield approach, side, builder.build_matrix(fixtures, approach, side, require_target)
+
+
+def build_pair(dataset: Dataset, schema: FeatureSchema, fixtures, approach: str,
+               require_target=True) -> dict:
     """The home and away feature matrices of one approach, by side."""
-    with builder.pair():
-        return {side: builder.build_matrix(fixtures, approach, side, require_target=require_target)
-                for side in SIDES}
+    return {side: m for _a, side, m in _matrices(dataset, schema, fixtures, [approach],
+                                                 require_target)}
 
 
-def split_pairs(dataset: Dataset, builder: FeatureBuilder, approaches) -> tuple[dict, dict]:
+def split_pairs(dataset: Dataset, schema: FeatureSchema, approaches) -> tuple[dict, dict]:
     """Train and test matrices by approach and side, cut from one build per
     side over every fixture. Every train part is cut before any test part,
     so the first ``NoRowsBuilt`` is the one separate builds would raise."""
     train_ids = {f.fixture_id for f in dataset.train_fixtures}
     test_ids = {f.fixture_id for f in dataset.test_fixtures}
     full, train = {}, {}
-    for approach in approaches:
-        with builder.pair():
-            for side in SIDES:
-                full[approach, side] = builder.build_matrix(dataset.fixtures, approach, side)
-                train.setdefault(approach, {})[side] = full[approach, side].part(train_ids)
+    for approach, side, matrix in _matrices(dataset, schema, dataset.fixtures, approaches):
+        full[approach, side] = matrix
+        train.setdefault(approach, {})[side] = matrix.part(train_ids)
     test = {a: {side: full[a, side].part(test_ids) for side in SIDES} for a in approaches}
     return train, test
 
@@ -389,9 +399,9 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     # before loading: train reads no odds, but the fingerprint covers every
     # data file, so a missing one fails before any artifact is written
     data_fp = data_fingerprint(_data_dir(cfg.data_dir))
-    dataset, builder = load_context(cfg.data_dir, cfg.test_size, cfg.schema, odds=False)
+    dataset, schema = load_context(cfg.data_dir, cfg.test_size, cfg.schema, odds=False)
     label = f"{cfg.approach}+{cfg.technique}"
-    matrices = build_pair(builder, dataset.train_fixtures, cfg.approach)
+    matrices = build_pair(dataset, schema, dataset.train_fixtures, cfg.approach)
     models = train_pair(cfg, matrices, cfg.technique)
 
     out_dir = Path(cfg.out_dir)
@@ -399,8 +409,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     for side, model in models.items():
         save_model(model, out_dir / f"model_{side}.json")
     write_json(out_dir / "train_manifest.json",
-               _train_manifest(cfg, label, models, matrices, data_fp,
-                               builder.schema.fingerprint()))
+               _train_manifest(cfg, label, models, matrices, data_fp, schema.fingerprint()))
     print(f"trained {label}: {len(matrices['home'].rows)} home rows, "
           f"{len(matrices['away'].rows)} away rows, {models['home'].n_features} features")
     for side, matrix in matrices.items():
@@ -446,7 +455,7 @@ def read_train_manifest(path: Path) -> dict:
 
 def _load_artifacts(args: argparse.Namespace, odds: bool):
     """A train run's manifest, its model pair, and the dataset (with its
-    odds, if ``odds``) and feature builder of its config, once the command
+    odds, if ``odds``) and feature schema of its config, once the command
     line is checked against it."""
     art = Path(args.artifacts)
     manifest_path = art / "train_manifest.json"
@@ -468,9 +477,9 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise UsageError("predict requires --artifacts DIR from a train run")
     if not args.fixtures:
         raise UsageError("predict requires --fixtures FILE of upcoming matches")
-    manifest, pair, _dataset, builder = _load_artifacts(args, odds=False)
+    manifest, pair, dataset, schema = _load_artifacts(args, odds=False)
     upcoming = load_fixtures(args.fixtures, require_goals=False)
-    pset = pair.predict(upcoming, build_pair(builder, upcoming, manifest["approach"],
+    pset = pair.predict(upcoming, build_pair(dataset, schema, upcoming, manifest["approach"],
                                              require_target=False))
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "predictions.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -506,15 +515,15 @@ def _single_prediction_set(cfg: RunConfig, args: argparse.Namespace):
     run record for the manifest, per CLI selection; a trained pair keeps its
     train manifest's record, since that config made its predictions."""
     if getattr(args, "artifacts", None):
-        manifest, pair, dataset, builder = _load_artifacts(args, odds=True)
+        manifest, pair, dataset, schema = _load_artifacts(args, odds=True)
         approach = manifest["approach"]
-        train, test = split_pairs(dataset, builder, [approach])
+        train, test = split_pairs(dataset, schema, [approach])
         pset = pair.predict(dataset.test_fixtures, test[approach])
         importance = {approach: train[approach]} if approach in STATS_APPROACHES else {}
         record = {key: manifest[key] for key in ("config", "config_hash", "seed")}
         return [pset], dataset, importance, record
     if cfg.model is not None:
-        dataset, _builder = load_context(cfg.data_dir, cfg.test_size, cfg.schema, odds=True)
+        dataset, _schema = load_context(cfg.data_dir, cfg.test_size, cfg.schema, odds=True)
         predictor = HeuristicPredictor(cfg.model, dataset.train_fixtures,
                                        history=dataset.fixtures)
         return [predictor.predict(dataset.test_fixtures)], dataset, {}, run_record(cfg)
@@ -633,8 +642,8 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
                                           ("--model", args.model)) if given]
         if clash:
             raise UsageError(f"--all cannot be combined with {' or '.join(clash)}")
-        dataset, builder = load_context(cfg.data_dir, cfg.test_size, cfg.schema, odds=True)
-        train, test = split_pairs(dataset, builder, APPROACHES)
+        dataset, schema = load_context(cfg.data_dir, cfg.test_size, cfg.schema, odds=True)
+        train, test = split_pairs(dataset, schema, APPROACHES)
         psets = _grid_prediction_sets(cfg, dataset, train, test)
         importance = {a: train[a] for a in STATS_APPROACHES}
         record = run_record(cfg)
@@ -664,9 +673,9 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_importance(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.approach not in STATS_APPROACHES:  # chi-squared needs non-negative features
         raise UsageError(f"importance requires --approach {' or '.join(STATS_APPROACHES)}")
-    dataset, builder = load_context(cfg.data_dir, cfg.test_size, cfg.schema, odds=False)
+    dataset, schema = load_context(cfg.data_dir, cfg.test_size, cfg.schema, odds=False)
     rows = _importance_rows(
-        {cfg.approach: build_pair(builder, dataset.train_fixtures, cfg.approach)})
+        {cfg.approach: build_pair(dataset, schema, dataset.train_fixtures, cfg.approach)})
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "importance.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, IMPORTANCE_COLUMNS, rows)

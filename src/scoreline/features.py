@@ -30,9 +30,10 @@ on (player, kickoff rank). The track also keeps each stat's league mean
 before every kickoff, from the stat's first fallback on. A build takes
 one position group at a time: running sums and counts along each
 player's run give the form averages at every row of the group, read off
-at each pool member's latest row. Both sides of a fixture read the same
-form averages: inside :meth:`FeatureBuilder.pair`, the first side's build
-hands each group's table to the second side's, which drops it.
+at each pool member's latest row. The track keeps each group's table, so
+every later build on the same builder (either side, either stats
+approach) reads it instead of computing it again; a builder, and the
+tables with it, lives as long as one command's feature build.
 
 Each value equals a scan of the window bit for bit:
 
@@ -52,7 +53,6 @@ Kickoffs compare as ``datetime64[us]``, exactly as the naive datetimes do.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import chain, repeat
@@ -237,8 +237,8 @@ class _Track:
     Rows are the pair's records ordered by player, then kickoff, keyed
     ``player * span + kickoff rank``; ``runs`` bounds each player's rows.
     ``group`` and ``slot`` (a row's place among its group's rows) end with
-    an entry for row -1, a cold player. Each stat's league means and the
-    squads are found on first use.
+    an entry for row -1, a cold player. Each stat's league means, each
+    group's form averages and the squads are found on first use and kept.
     """
 
     def __init__(self, archive: _Columns, season: int):
@@ -256,6 +256,7 @@ class _Track:
             self.slot[rows] = np.arange(np.count_nonzero(rows), dtype=np.int32)
         self._squads: tuple[np.ndarray, np.ndarray] | None = None
         self._league: dict[int, np.ndarray] = {}  # by stat column, per kickoff rank
+        self._forms: dict[tuple, dict[int, np.ndarray]] = {}  # by group code and columns
         self._pair_column = archive.reader(self.pair)
 
     def league(self, col: int | None, times: np.ndarray) -> np.ndarray:
@@ -284,12 +285,15 @@ class _Track:
     def forms(self, code: int, cols: Sequence[int | None]) -> dict[int, np.ndarray]:
         """The form averages of stat columns ``cols`` at each row of group
         ``code``: the player's per-stat sums over their rows up to it,
-        divided by the stat's count; NaN where unmeasured."""
-        cols = list(dict.fromkeys(col for col in cols if col is not None))
+        divided by the stat's count; NaN where unmeasured. Readers index
+        the arrays, which copies, and never write to them."""
+        cols = tuple(dict.fromkeys(col for col in cols if col is not None))
+        if (code, cols) in self._forms:
+            return self._forms[code, cols]
         width = len(cols)
         mine = self.group[:-1] == code
         if not mine.any():
-            return {col: np.zeros(0) for col in cols}
+            return self._forms.setdefault((code, cols), {col: np.zeros(0) for col in cols})
         begins, sizes = self.runs[:-1], np.diff(self.runs)
         players = np.add.reduceat(mine, begins) > 0  # those with a row of the group
         lengths = sizes[players]
@@ -305,7 +309,7 @@ class _Track:
             np.cumsum(acc[begin:end], axis=0, out=acc[begin:end])
         sums, counts = acc[mine[rows], :width], acc[mine[rows], width:]
         means = np.divide(sums, counts, out=np.full(sums.shape, np.nan), where=counts > 0)
-        return dict(zip(cols, means.T))
+        return self._forms.setdefault((code, cols), dict(zip(cols, means.T)))
 
     def squads(self) -> tuple[np.ndarray, np.ndarray]:
         """Per team, its players in id order padded with -1, and the time of
@@ -364,8 +368,10 @@ class FeatureBuilder:
 
     The player universe for the ``players`` encoding is frozen from the
     dataset's training fixtures at construction time. The archive's
-    columns and tracks are built at the first stats build. Features are
-    read through :meth:`build_matrix` alone.
+    columns and tracks are built at the first stats build, and the tracks
+    keep every form table they compute, so a builder serves one command's
+    builds and is then dropped. Features are read through
+    :meth:`build_matrix` alone.
     """
 
     def __init__(self, dataset: Dataset, schema: FeatureSchema | None = None):
@@ -373,7 +379,6 @@ class FeatureBuilder:
         self.schema = schema or default_schema()
         self._cols: _Columns | None = None
         self._tracks: dict[int, _Track] = {}
-        self._handoff: dict | None = None  # form tables for the second side, in a pair
 
         universe = set()
         for f in dataset.train_fixtures:
@@ -392,26 +397,6 @@ class FeatureBuilder:
         if season not in self._tracks:
             self._tracks[season] = _Track(self._columns(), season)
         return self._tracks[season]
-
-    @contextmanager
-    def pair(self):
-        """A scope for building one approach's home and away sides: each form
-        table the first side's build computes is handed to the second side's,
-        which drops it, and the scope drops any table left unread."""
-        self._handoff = {}
-        try:
-            yield
-        finally:
-            self._handoff = None
-
-    def _forms(self, track: _Track, code: int, cols: list[int | None]) -> dict[int, np.ndarray]:
-        if self._handoff is None:
-            return track.forms(code, cols)
-        key = (track, code, tuple(cols))
-        forms = self._handoff.pop(key, None)  # the second read takes the table
-        if forms is None:
-            forms = self._handoff[key] = track.forms(code, cols)
-        return forms
 
     def _pools(self, pools: Sequence[Sequence[str]]) -> np.ndarray:
         """Each pool's player indices in pool order, padded with -1."""
@@ -435,8 +420,7 @@ class FeatureBuilder:
     def _assemble(self, track: _Track, own: np.ndarray, opp: np.ndarray, times: np.ndarray):
         """The 52 values, fallback groups and first EmptyGroup (or None) of
         each row, from its own and opposing pools. A group's own and opposing
-        blocks share its form averages; outside :meth:`pair`, only one
-        group's are alive at a time."""
+        blocks read the same form averages, which the track keeps."""
         latest = {"own": track.latest(own, times), "opp": track.latest(opp, times)}
         blocks = [(label, group, stats)  # in row order
                   for label, groups, names in (("own", OFFENSIVE_GROUPS, self.schema.offensive),
@@ -446,8 +430,7 @@ class FeatureBuilder:
         for group in dict.fromkeys(group for _label, group, _stats in blocks):
             code = self._code(group)
             mine = [i for i, block in enumerate(blocks) if block[1] == group]
-            forms = self._forms(track, code,
-                                self._stat_cols([s for i in mine for s in blocks[i][2]]))
+            forms = track.forms(code, self._stat_cols([s for i in mine for s in blocks[i][2]]))
             for i in mine:
                 label, _group, stats = blocks[i]
                 results[i] = track.group_values(latest[label], code, self._stat_cols(stats),

@@ -1,6 +1,7 @@
 """End-to-end CLI runs against the bundled sample data."""
 
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -587,6 +589,58 @@ def test_grid_builds_each_matrix_once(tmp_path, monkeypatch):
     assert run("evaluate", *base_args(tmp_path), "--all", "--forest-trees", 2,
                "--svr-max-iter", 50) == 0
     assert sorted(calls) == sorted((a, s) for a in APPROACHES for s in SIDES)
+
+
+def test_heuristic_commands_build_no_features(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a heuristic run constructed a FeatureBuilder")
+
+    monkeypatch.setattr(cli, "FeatureBuilder", refuse)
+    for command in ("evaluate", "bet"):
+        assert run(command, *base_args(tmp_path / command), "--model", "home-win") == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--approach", "team_stats", "--technique", "rfr", "--forest-trees", 2),
+    ("evaluate", "--all", "--forest-trees", 2),
+])
+def test_no_feature_builder_alive_during_fits(tmp_path, monkeypatch, argv):
+    """Matrices are built before any fit, and the builder, with every form
+    table it keeps, is gone by the first fit."""
+    builders, fits = [], []
+    construct, fit = cli.FeatureBuilder, cli.fit_model
+
+    def tracked(*args, **kwargs):
+        builder = construct(*args, **kwargs)
+        builders.append(weakref.ref(builder))
+        return builder
+
+    def checked(*args, **kwargs):
+        gc.collect()
+        assert builders and not any(ref() for ref in builders)
+        fits.append(args[0])
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "FeatureBuilder", tracked)
+    monkeypatch.setattr(cli, "fit_model", checked)
+    assert run(argv[0], *base_args(tmp_path), *argv[1:]) == 0
+    assert len(builders) == 1 and fits
+
+
+@pytest.mark.skipif(workers.usable_cpus() < 2, reason="a forest forks only on 2 or more CPUs")
+def test_forest_train_forks_without_warning(tmp_path):
+    """From Python 3.12, os.fork warns when the process runs other OS
+    threads; scoreline pins BLAS to one thread, so forking a forest's
+    workers must not warn."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-W", "error:This process:DeprecationWarning", "-m", "scoreline.cli",
+         "train", *map(str, base_args(tmp_path)), "--approach", "team_stats",
+         "--technique", "rfr", "--forest-trees", "4"],
+        env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_grid_rerun_byte_identical(grid_dir):

@@ -768,35 +768,39 @@ def test_parts_of_one_build_equal_separate_builds():
     assert players.players_dropped > 0 and players.coverage < 1.0  # b_new debuts there
 
 
-# ------------------------------------------- both sides of one pair build
+# ------------------------------------- every build of one builder, one table each
 
 
 @pytest.mark.parametrize("require_target", [True, False])
 @pytest.mark.parametrize("approach", ["lineup_stats", "team_stats"])
 def test_pair_build_shares_forms_and_equals_separate_builds(
         monkeypatch, dataset, approach, require_target):
-    """Inside ``pair``, the away build reads the form tables the home build
-    computed: each table is computed once, each side equals a build of it
-    alone on a fresh builder, and no table outlives the pair."""
-    computed = []
+    """One builder that builds home and away of both stats approaches,
+    ``approach`` first, computes each (track, group, columns) form table
+    exactly once and hands the same table to every build; each side equals
+    a build of it alone on a fresh builder."""
+    reads = []
     forms = _Track.forms
 
-    def counted(track, code, cols):
-        computed.append(code)
-        return forms(track, code, cols)
+    def recorded(track, code, cols):
+        table = forms(track, code, cols)
+        reads.append(((track, code, tuple(dict.fromkeys(c for c in cols if c is not None))),
+                      table))
+        return table
 
-    monkeypatch.setattr(_Track, "forms", counted)
-    alone = {side: FeatureBuilder(dataset).build_matrix(dataset.fixtures, approach, side,
-                                                        require_target)
-             for side in SIDES}
-    separate = len(computed)
-    computed.clear()
+    monkeypatch.setattr(_Track, "forms", recorded)
+    other = "team_stats" if approach == "lineup_stats" else "lineup_stats"
+    builds = [(a, side) for a in (approach, other) for side in SIDES]
+    alone = {build: FeatureBuilder(dataset).build_matrix(dataset.fixtures, *build, require_target)
+             for build in builds}
+    separate = len({id(table) for _key, table in reads})
+    reads.clear()
     builder = FeatureBuilder(dataset)
-    with builder.pair():
-        for side in SIDES:
-            assert_same_matrix(
-                builder.build_matrix(dataset.fixtures, approach, side, require_target),
-                alone[side])
-        assert builder._handoff == {}  # the away build took every table
-    assert builder._handoff is None
-    assert 2 * len(computed) == separate > 0
+    for build in builds:
+        assert_same_matrix(builder.build_matrix(dataset.fixtures, *build, require_target),
+                           alone[build])
+    tables = {}
+    for key, table in reads:
+        assert tables.setdefault(key, table) is table  # computed at the first read, then kept
+    assert separate == 4 * len(tables) > 0
+    assert len(reads) == separate
