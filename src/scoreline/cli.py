@@ -213,10 +213,9 @@ HYPERPARAMETERS = (
     Setting("svr_epsilon", float, 0.1, _NON_NEGATIVE, dict.fromkeys(_SVRS, "epsilon"),
             "half-width of the insensitive tube"),
     Setting("svr_tol", float, 1e-6, _NON_NEGATIVE, dict.fromkeys(_SVRS, "tol"),
-            "stopping tolerance: the linear SVR's duality gap relative to its "
-            "objective, the RBF SVR's KKT gap"),
+            "stopping tolerance: the duality gap relative to max(1, objective)"),
     Setting("svr_max_iter", int, 50_000, _AT_LEAST_1, dict.fromkeys(_SVRS, "max_iter"),
-            "iteration cap: Newton steps (linear) or SMO pair steps (RBF)"),
+            "cap on the interior-point solver's Newton steps"),
     Setting("svr_gamma", _parse_gamma, "scale", None, {"svr-rbf": "gamma"},
             'RBF width: "scale" or a positive float'),
 )

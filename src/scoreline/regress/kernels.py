@@ -7,10 +7,10 @@ bit for bit. Where the order of equal values matters, it is the input
 order: ``best_split`` keeps tied values in the node's row order, as a
 stable sort does, and ``knn_neighbor_means`` prefers the lower training
 row at equal distance. The tests pin the outputs as hex goldens and
-compare them with scalar-loop references. The two SVR solvers, loops of
-whole-array steps, are checked against independent solves: SMO (kernel
-SVR) against scipy's SLSQP on the dual, and the interior-point method
-(linear SVR) against SMO on the linear Gram matrix.
+compare them with scalar-loop references. The SVR solver, a loop of
+whole-array Newton steps, is checked against an independent solve of the
+same dual by scipy's SLSQP, on the linear Gram matrix and on an RBF
+kernel, and its two spaces (design and Gram matrix) against each other.
 """
 
 from __future__ import annotations
@@ -230,70 +230,93 @@ def _longest_step(v, dv) -> float:
     return min(1.0, float(np.min(-v[shrink] / dv[shrink]))) if shrink.any() else 1.0
 
 
-def svr_linear_train(X, y, c_reg, epsilon, max_iter, tol):
+def svr_train(X, y, c_reg, epsilon, max_iter, tol, K=None):
     """Mehrotra's predictor-corrector interior-point method on the epsilon-SVR dual.
 
-    The dual is the one :func:`svr_kernel_train` solves, with ``Q = ZZ'``
-    for ``Z = [X; -X]``: minimize ``0.5 a'Qa + q'a`` subject to ``s'a = 0``
-    and ``0 <= a <= C``. The upper slacks ``t = C - a`` are variables of
-    their own, so they keep their precision near C. Each Newton system
-    ``(Q + D) da = g`` is solved by Sherman-Morrison-Woodbury through one
-    p x p system ``I + X' diag(1/D_alpha + 1/D_alpha*) X``, at O(n p^2) a
-    step, and the equality is eliminated by a scalar Schur complement. The
+    The dual has 2n variables ``a = (alpha, alpha*)`` with signs
+    ``s = (+1, ..., -1, ...)``: minimize ``0.5 a'Qa + q'a`` subject to
+    ``s'a = 0`` and ``0 <= a <= C``, where ``q = (eps - y, eps + y)`` and
+    ``Q = [K, -K; -K, K]`` for the Gram matrix ``K`` of the rows. The
+    equality keeps the bias unregularised. The upper slacks ``t = C - a``
+    are variables of their own, so they keep their precision near C. The
     start, ``a = t = C/2`` with multipliers ``z - u = q``, is feasible
     (Ferris & Munson, SIAM J. Optim. 13(3), 2002; Mehrotra, SIAM J. Optim.
     2(4), 1992).
 
-    Each iterate gives ``w = Z'a`` and the bias that minimizes the tube
-    loss for that w (:func:`tube_bias`). The best primal objective P and
-    the best dual value ``-(0.5 a'Qa + q'a)`` seen bound the optimum from
-    both sides. Stops when the gap between them is at most
-    ``tol * max(1, P)``, when the mean complementarity falls below
+    Each Newton system ``(Q + D) da = g`` is solved by Sherman-Morrison-
+    Woodbury in the coefficients ``beta = alpha - alpha*``, with
+    ``m = 1/D_alpha + 1/D_alpha*``, and the equality is eliminated by a
+    scalar Schur complement. Without ``K`` the rows are the design X
+    (``K = XX'``) and each system is the p x p ``I + X' diag(m) X``, at
+    O(n p^2) a step: the smaller space when p < n. With ``K`` (any n x n
+    positive semi-definite Gram matrix; X is then unused) each system is
+    the n x n ``I + diag(m) K``, at O(n^3) a step. The two are the same by
+    the push-through identity ``X (I + X'MX)^-1 X' = K (I + MK)^-1``.
+
+    Each iterate gives beta, the bias that minimizes the tube loss for it
+    (:func:`tube_bias`) and its primal objective P: :func:`svr_objective`
+    of ``w = X'beta`` without ``K``, :func:`svr_kernel_objective` of beta
+    with it. The best P and the best dual value ``-(0.5 a'Qa + q'a)`` seen
+    bound the optimum from both sides. Stops when the gap between them is
+    at most ``tol * max(1, P)``, when the mean complementarity falls below
     ``COMPLEMENTARITY_FLOOR``, or after ``max_iter`` Newton steps. Returns
-    ``(w, b, objective, iterations, converged, gap)`` of the best primal
-    iterate, with the objective of :func:`svr_objective`; converged means
-    the gap test held.
+    ``(coef, b, objective, iterations, converged, gap)`` of the best primal
+    iterate, where coef is w without ``K`` and beta with it; converged
+    means the gap test held.
     """
-    n, p = X.shape
+    n = y.shape[0]
     s = np.concatenate((np.ones(n), -np.ones(n)))
     q = np.concatenate((epsilon - y, epsilon + y))
     a = np.full(2 * n, 0.5 * c_reg)
     t = a.copy()
-    # multipliers of a >= 0 and t >= 0: a = C/2 gives w = Z'a = 0, so Qa = 0
+    # multipliers of a >= 0 and t >= 0: a = C/2 gives beta = 0, so Qa = 0
     # and z - u = q zeroes the dual residual Qa + q + rho s - z + u
     z = 1.0 + np.fmax(q, 0.0)
     u = 1.0 + np.fmax(-q, 0.0)
     rho = 0.0  # multiplier of s'a = 0
-    best_obj, best_w, best_b = np.inf, None, 0.0
+    best_obj, best_coef, best_b = np.inf, None, 0.0
     dual = -np.inf
     it = 0
     while True:
-        w = X.T @ (a[:n] - a[n:])
-        xw = X @ w
-        b = tube_bias(y - xw, epsilon)
-        obj = svr_objective(X, y, w, b, c_reg, epsilon)
-        if best_w is None or obj < best_obj:
-            best_obj, best_w, best_b = obj, w, b
+        beta = a[:n] - a[n:]
+        if K is None:
+            coef = X.T @ beta  # w
+            fit = X @ coef
+            b = tube_bias(y - fit, epsilon)
+            obj = svr_objective(X, y, coef, b, c_reg, epsilon)
+            norm2 = coef @ coef
+        else:
+            coef, fit = beta, K @ beta
+            b = tube_bias(y - fit, epsilon)
+            obj = svr_kernel_objective(K, y, beta, b, c_reg, epsilon)
+            norm2 = beta @ fit
+        if best_coef is None or obj < best_obj:
+            best_obj, best_coef, best_b = obj, coef, b
         if abs(s @ a) < FEASIBILITY_TOL:
-            dual = max(dual, -(0.5 * (w @ w) + q @ a))
+            dual = max(dual, -(0.5 * norm2 + q @ a))  # 0.5 a'Qa = 0.5 beta'K beta
         gap = best_obj - dual
         converged = gap <= tol * max(1.0, best_obj)
         mu = (a @ z + t @ u) / (4 * n)
         if converged or not mu >= COMPLEMENTARITY_FLOOR or it == max_iter:  # NaN stops
             break
 
-        r_dual = np.concatenate((xw, -xw)) + q + rho * s - z + u
+        r_dual = np.concatenate((fit, -fit)) + q + rho * s - z + u
         r_eq = s @ a
         r_box = a + t - c_reg
         D = z / a + u / t
-        S = np.eye(p) + X.T @ ((1.0 / D[:n] + 1.0 / D[n:])[:, None] * X)
+        m = 1.0 / D[:n] + 1.0 / D[n:]
+        if K is None:
+            S = np.eye(X.shape[1]) + X.T @ (m[:, None] * X)
+        else:
+            S = np.eye(n) + m[:, None] * K
 
         def solve(V):
             """(Q + D)^-1 V, column by column, by Woodbury. S grows
             ill-conditioned near the optimum; an explicit inverse of it
             loses the digits the gap test needs, a solve keeps them."""
             E = V / D[:, None]
-            k = X @ np.linalg.solve(S, X.T @ (E[:n] - E[n:]))
+            r = E[:n] - E[n:]
+            k = X @ np.linalg.solve(S, X.T @ r) if K is None else K @ np.linalg.solve(S, r)
             return E - np.concatenate((k, -k)) / D[:, None]
 
         def newton(h, h_s, r_az, r_tu):
@@ -325,105 +348,7 @@ def svr_linear_train(X, y, c_reg, epsilon, max_iter, tol):
         u = u + step * du
         rho += step * drho
         it += 1
-    return best_w, best_b, best_obj, it, bool(converged), float(gap)
-
-
-TAU = 1e-12  # libsvm's floor for a non-positive pair curvature
-
-
-def svr_kernel_train(K, y, c_reg, epsilon, max_iter, tol):
-    """SMO on the epsilon-SVR dual, with libsvm's pair selection and bias.
-
-    The dual has 2n variables ``a = (alpha, alpha*)`` with signs
-    ``s = (+1, ..., -1, ...)``: minimize ``0.5 a'Qa + p'a`` subject to
-    ``s'a = 0`` and ``0 <= a <= C``, where ``p = (eps - y, eps + y)`` and
-    ``Q[t, u] = s_t s_u K[t mod n, u mod n]``. The equality constraint
-    keeps the bias unregularised. Each step picks the pair (i, j) by the
-    second-order working-set selection of Fan, Chen and Lin (JMLR 2005),
-    ties going to the lowest index, and solves the pair exactly. Rows of
-    ``Q`` are rows of ``K`` with signs applied, so nothing larger than
-    ``K`` is stored.
-
-    Stops when the KKT gap ``m(a) - M(a)`` is at most ``tol``, or after
-    ``max_iter`` steps. The bias is libsvm's: minus the mean of
-    ``s_t G_t`` over the free variables, or minus the midpoint of the
-    feasible interval when none is free. Returns ``(beta, b, objective,
-    iterations, converged, gap)`` with ``beta = alpha - alpha*`` and the
-    primal objective of :func:`svr_kernel_objective`.
-    """
-    n = y.shape[0]
-    s = np.concatenate((np.ones(n), -np.ones(n)))
-    alpha = np.zeros(2 * n)
-    grad = np.concatenate((epsilon - y, epsilon + y))  # G = Qa + p
-    diag = np.tile(np.diag(K), 2)
-    it = 0
-    while True:
-        at_upper, at_lower = alpha >= c_reg, alpha <= 0.0
-        up = np.where(s > 0, ~at_upper, ~at_lower)
-        low = np.where(s > 0, ~at_lower, ~at_upper)
-        v = -s * grad
-        v_up = np.where(up, v, -np.inf)
-        i = int(np.argmax(v_up))
-        gap = v_up[i] - np.min(np.where(low, v, np.inf))
-        if gap <= tol or it == max_iter:
-            break
-        k_i = np.tile(K[i % n], 2)
-        descent = v_up[i] - v
-        curvature = diag[i] + diag - 2.0 * k_i
-        curvature[curvature <= 0.0] = TAU
-        score = np.where(low & (descent > 0.0), -(descent * descent) / curvature, np.inf)
-        j = int(np.argmin(score))
-
-        quad = curvature[j]
-        a_i, a_j = alpha[i], alpha[j]
-        if s[i] != s[j]:
-            delta = (-grad[i] - grad[j]) / quad
-            diff = a_i - a_j
-            a_i += delta
-            a_j += delta
-            if diff > 0.0:
-                if a_j < 0.0:
-                    a_j, a_i = 0.0, diff
-                if a_i > c_reg:
-                    a_i, a_j = c_reg, c_reg - diff
-            else:
-                if a_i < 0.0:
-                    a_i, a_j = 0.0, -diff
-                if a_j > c_reg:
-                    a_j, a_i = c_reg, c_reg + diff
-        else:
-            delta = (grad[i] - grad[j]) / quad
-            total = a_i + a_j
-            a_i -= delta
-            a_j += delta
-            if total > c_reg:
-                if a_i > c_reg:
-                    a_i, a_j = c_reg, total - c_reg
-                if a_j > c_reg:
-                    a_j, a_i = c_reg, total - c_reg
-            else:
-                if a_j < 0.0:
-                    a_j, a_i = 0.0, total
-                if a_i < 0.0:
-                    a_i, a_j = 0.0, total
-        # G_u += Q[u, i] da_i + Q[u, j] da_j, with Q's signs factored out
-        change = (s[i] * (a_i - alpha[i])) * K[i % n] + (s[j] * (a_j - alpha[j])) * K[j % n]
-        grad[:n] += change
-        grad[n:] -= change
-        alpha[i], alpha[j] = a_i, a_j
-        it += 1
-
-    sg = s * grad
-    free = ~(at_upper | at_lower)
-    if free.any():
-        rho = left_sum(sg[free]) / np.count_nonzero(free)
-    else:
-        upper = (at_upper & (s < 0)) | (at_lower & (s > 0))
-        rho = 0.5 * (np.min(sg[upper]) + np.max(sg[~upper]))
-    beta = alpha[:n] - alpha[n:]
-    b = -float(rho)
-    obj = svr_kernel_objective(K, y, beta, b, c_reg, epsilon)
-    return beta, b, obj, it, bool(gap <= tol), float(gap)
+    return best_coef, best_b, best_obj, it, bool(converged), float(gap)
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:

@@ -1,14 +1,11 @@
 """Epsilon-insensitive support vector regression.
 
 Both kernels minimize 0.5*||w||^2 + C * sum(max(0, |y - f(x)| - epsilon))
-on standardized features, with an unregularised bias, by solving the same
-dual. The RBF kernel is trained by SMO (libsvm's solver), which stops once
-the KKT gap is at most ``tol``. The linear kernel is trained by a
-primal-dual interior-point method, which stops once the duality gap is at
-most ``tol`` relative to the objective. Either solver stops at
-``max_iter`` otherwise (SMO pair steps or Newton steps), and the
-interior-point method also once rounding noise stalls it; either way
-with a NotConvergedWarning.
+on standardized features, with an unregularised bias, by one primal-dual
+interior-point method on the dual (:func:`kernels.svr_train`). It stops
+once the duality gap is at most ``tol * max(1, objective)``, or otherwise
+after ``max_iter`` Newton steps or once rounding noise stalls it, with a
+NotConvergedWarning.
 """
 
 from __future__ import annotations
@@ -18,12 +15,12 @@ import warnings
 import numpy as np
 
 from .base import ModelBase, Scaler, TooFewRows, as_xy, standardize_apply, standardize_fit
-from .kernels import rbf_kernel, svr_kernel_train, svr_linear_train
+from .kernels import rbf_kernel, svr_train
 
 
 class NotConvergedWarning(RuntimeWarning):
-    """Solver stopped before its stopping rule held: at max_iterations, or
-    (linear kernel) once rounding noise stalled it."""
+    """Solver stopped before its duality gap test held: at max_iterations,
+    or once rounding noise stalled it."""
 
 
 class SvrModel(ModelBase):
@@ -76,8 +73,8 @@ def resolve_gamma(gamma, Xs: np.ndarray) -> float:
             var = 1.0
         return 1.0 / (Xs.shape[1] * var)
     g = float(gamma)
-    if g <= 0.0:
-        raise ValueError(f"gamma must be positive, got {g}")
+    if not (np.isfinite(g) and g > 0.0):
+        raise ValueError(f"gamma must be a finite positive number, got {g}")
     return g
 
 
@@ -86,20 +83,23 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
             feature_names=None) -> SvrModel:
     """Fit SVR on standardized features.
 
-    Minimizes 0.5*||w||^2 + C * sum of epsilon-insensitive residual losses.
-    The RBF kernel runs SMO on the dual until the KKT gap is at most `tol`;
-    the linear kernel runs an interior-point method until the duality gap
-    is at most `tol` * max(1, objective). Either stops at `max_iter` SMO or
-    Newton steps otherwise, recorded as a non-converged status and warned
-    about, never raised.
+    Minimizes 0.5*||w||^2 + C * sum of epsilon-insensitive residual losses
+    by the interior-point method, until the duality gap is at most
+    `tol` * max(1, objective). Its Newton systems are p x p in the features
+    for a linear design with fewer columns than rows, and n x n in the Gram
+    matrix (XX' or the RBF kernel) otherwise. A fit that stops at
+    `max_iter` Newton steps first is recorded as a non-converged status
+    and warned about, never raised.
     """
     X, y = as_xy(X, y)
     if X.shape[0] < 2:
         raise TooFewRows(f"SVR needs at least 2 rows, got {X.shape[0]}")
-    if C <= 0.0:
-        raise ValueError(f"C must be positive, got {C}")
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    if not (np.isfinite(C) and C > 0.0):
+        raise ValueError(f"C must be a finite positive number, got {C}")
+    if not (np.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon must be a finite non-negative number, got {epsilon}")
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite non-negative number, got {tol}")
     if kernel not in ("linear", "rbf"):
         raise ValueError(f"unknown kernel {kernel!r}")
     if max_iter < 1:
@@ -113,24 +113,23 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
         "C": float(C), "epsilon": float(epsilon), "kernel": kernel,
         "tol": float(tol), "max_iterations": int(max_iter),
     }
-    if kernel == "linear":
-        w, b, obj, iters, converged, gap = svr_linear_train(
-            Xs, yc, float(C), float(epsilon), int(max_iter), float(tol))
-        solved = {"w": w, "b": b}
-        unmet = "duality gap"
+    K = None  # a linear design with p < n: the Newton systems stay p x p
+    if kernel == "rbf":
+        params["gamma"] = resolve_gamma(gamma, Xs)
+        K = rbf_kernel(Xs, Xs, params["gamma"])
+    elif Xs.shape[1] >= Xs.shape[0]:
+        K = Xs @ Xs.T
+    coef, b, obj, iters, converged, gap = svr_train(
+        Xs, yc, float(C), float(epsilon), int(max_iter), float(tol), K=K)
+    if kernel == "rbf":
+        solved = {"beta": coef, "train_X": Xs, "gamma": params["gamma"]}
     else:
-        g = resolve_gamma(gamma, Xs)
-        params["gamma"] = g
-        K = np.ascontiguousarray(rbf_kernel(Xs, Xs, g))
-        beta, b, obj, iters, converged, gap = svr_kernel_train(
-            K, yc, float(C), float(epsilon), int(max_iter), float(tol))
-        solved = {"beta": beta, "b": b, "train_X": Xs, "gamma": g}
-        unmet = "KKT gap"
+        solved = {"w": coef if K is None else Xs.T @ coef}
     status = {"converged": converged, "iterations": int(iters),
               "objective": float(obj), "gap": gap}
     if not converged:
         warnings.warn(f"SVR stopped after {iters} of max_iterations={max_iter} steps "
-                      f"with {unmet} {gap:.6g} above tol={float(tol):g}",
+                      f"with duality gap {gap:.6g} above tol={float(tol):g}",
                       NotConvergedWarning, stacklevel=2)
     return SvrModel(kernel, scaler, params, status, X.shape[1],
-                    feature_names=feature_names, **solved)
+                    feature_names=feature_names, b=b, **solved)

@@ -79,18 +79,35 @@ class FeatureSchema:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _from_mapping(raw: dict) -> FeatureSchema:
-    try:
-        offensive = {g: tuple(raw["offensive"][g]) for g in OFFENSIVE_GROUPS}
-        defensive = {g: tuple(raw["defensive"][g]) for g in DEFENSIVE_GROUPS}
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"schema file is missing group {exc}")
-    return FeatureSchema(offensive=offensive, defensive=defensive)
+def _from_mapping(raw) -> FeatureSchema:
+    """The schema of a parsed JSON value: an object whose ``offensive`` and
+    ``defensive`` objects map each group to a list of non-empty stat names."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"the top level must be a JSON object, not {type(raw).__name__}")
+    parts = {}
+    for part, groups in (("offensive", OFFENSIVE_GROUPS), ("defensive", DEFENSIVE_GROUPS)):
+        section = raw.get(part)
+        if not isinstance(section, dict):
+            raise SchemaError(f"no {part} object")
+        for group in groups:
+            names = section.get(group)
+            if not (isinstance(names, list)
+                    and all(isinstance(name, str) and name for name in names)):
+                raise SchemaError(f"{part} {group} must be a list of non-empty stat names")
+        parts[part] = {group: tuple(section[group]) for group in groups}
+    return FeatureSchema(**parts)
 
 
 def load_schema(path: str | Path) -> FeatureSchema:
-    with open(path, encoding="utf-8") as fh:
-        return _from_mapping(json.load(fh))
+    """The schema in a JSON file; a file that is not one, or not valid
+    JSON, raises SchemaError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _from_mapping(json.load(fh))
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, too deep
+        raise SchemaError(f"schema file {path} is not valid JSON: {exc}") from None
+    except SchemaError as exc:
+        raise SchemaError(f"schema file {path}: {exc}") from None
 
 
 def default_schema() -> FeatureSchema:

@@ -18,6 +18,7 @@ from scoreline import cli, ingest
 from scoreline.cli import data_fingerprint, main
 from scoreline.features import APPROACHES, SIDES, FeatureBuilder
 from scoreline.regress import workers
+from scoreline.schema import default_schema
 
 from conftest import SAMPLE_DIR
 from helpers import assert_no_child_left, forest_children_fail, nested_tree, open_fd_count
@@ -98,6 +99,37 @@ def test_bad_data_dir_returns_1(tmp_path):
     assert run("train", "--data-dir", empty, "--test-size", 8,
                "--out-dir", tmp_path, "--approach", "players",
                "--technique", "lr") == 1
+
+
+def _schema_with_first_name(name) -> str:
+    schema = default_schema()
+    raw = {"offensive": {g: list(v) for g, v in schema.offensive.items()},
+           "defensive": {g: list(v) for g, v in schema.defensive.items()}}
+    raw["offensive"]["DF"][0] = name
+    return json.dumps(raw)
+
+
+MALFORMED_SCHEMAS = {
+    "integer name": (_schema_with_first_name(5), "offensive DF must be a list of non-empty"),
+    "list name": (_schema_with_first_name(["xG"]), "offensive DF must be a list of non-empty"),
+    "too deep": ("[" * 200_000, "is not valid JSON"),
+    "top-level list": ("[1, 2]", "top level must be a JSON object, not list"),
+}
+
+
+@pytest.mark.parametrize("command", [["train", "--approach", "team_stats", "--technique", "lr"],
+                                     ["evaluate", "--model", "home-win"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("case", MALFORMED_SCHEMAS)
+def test_malformed_schema_returns_1(tmp_path, capsys, case, command):
+    """A --schema file that is not an object of lists of stat names, or
+    not parseable JSON, is one "error:" line naming the file: exit 1."""
+    text, reason = MALFORMED_SCHEMAS[case]
+    path = tmp_path / "schema.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(*command, *base_args(tmp_path / "out"), "--schema", path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: schema file {path}") and err.count("\n") == 1, err
+    assert reason in err, err
 
 
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts open files in /proc")

@@ -2,9 +2,9 @@
 
 Each golden of the split and neighbour kernels was taken from the
 scalar-loop implementation the vectorised kernels replaced. The SVR goldens
-pin the two dual solvers: SMO (kernel SVR), which an independent SLSQP
-solve of the same dual checks, and the interior-point method (linear SVR),
-which SMO on the linear Gram matrix checks. Floats travel as
+pin the interior-point dual solver in both of its spaces: p x p on the
+design X and n x n on a Gram matrix K. An independent SLSQP solve of the
+same dual checks each. Floats travel as
 ``float.hex()`` strings, so every comparison is exact, not approximate.
 The inputs lean on the cases where a reordered sum or a different tie rule
 would show: tied and integer-valued columns, constant targets, equal
@@ -23,9 +23,8 @@ from scoreline.regress.kernels import (
     knn_neighbor_means,
     rbf_kernel,
     svr_kernel_objective,
-    svr_kernel_train,
-    svr_linear_train,
     svr_objective,
+    svr_train,
 )
 
 
@@ -79,7 +78,7 @@ def svr_data():
 LINEAR_RUNS = {"converges": (1.0, 0.1, 50_000, 1e-6),
                "hits_cap": (1.0, 0.1, 5, 1e-6)}
 KERNEL_RUNS = {"converges": (1.0, 0.1, 50_000, 1e-6),
-               "hits_cap": (1.0, 0.1, 20, 1e-6)}
+               "hits_cap": (1.0, 0.1, 3, 1e-6)}
 GAMMA = 0.3
 # the subgradient solver's objective after 400 iterations on svr_data()
 SUBGRADIENT_OBJECTIVE = "0x1.d6880f51f8e6ep+4"
@@ -173,41 +172,41 @@ GOLDEN_RBF_ROWS = [
 GOLDEN_KERNEL = {
     "converges": {
         "coef": [
-            "0x1.0000000000000p+0", "0x1.9ecbb027384acp-9", "0x1.721ad6a7855aep-1",
-            "-0x1.0000000000000p+0", "-0x1.0000000000000p+0", "0x1.ad3311cbee1abp-4",
-            "-0x1.11cb15acfaa30p-1", "0x1.0000000000000p+0", "-0x1.fc2cd1d4b2deap-1",
-            "0x1.0000000000000p+0", "-0x1.0000000000000p+0", "0x1.0000000000000p+0",
-            "-0x1.047a23c5db358p-3", "0x1.b5b8ff56d6fecp-1", "-0x1.0000000000000p+0",
-            "-0x1.080e03e64d8bdp-4", "-0x1.0000000000000p+0", "-0x1.435d4600c8227p-1",
-            "0x1.0000000000000p+0", "0x0.0p+0", "0x1.388bdb9a89400p-1",
-            "0x0.0p+0", "0x1.0000000000000p+0", "-0x1.0000000000000p+0",
-            "-0x1.91cf04a0b7aafp-2", "-0x1.0000000000000p+0", "0x1.0000000000000p+0",
-            "-0x1.b1bd04c40cd87p-4", "0x1.1aefba5708fe6p-1", "0x0.0p+0",
+            "0x1.fffffdad9ce55p-1", "0x1.84e13228c57e5p-8", "0x1.7201eecb71ecdp-1",
+            "-0x1.fffffb9584f9fp-1", "-0x1.fffffed76cf78p-1", "0x1.acdbcee7e9fc2p-4",
+            "-0x1.12790319b7a7ep-1", "0x1.fffff428eb923p-1", "-0x1.fbd03e7ecbba1p-1",
+            "0x1.fffffed543c2cp-1", "-0x1.ffffff48ef825p-1", "0x1.fffffe347929bp-1",
+            "-0x1.08ec349c571b7p-3", "0x1.b570deaa570afp-1", "-0x1.fffff7fa3eee4p-1",
+            "-0x1.05ec34bf225a9p-4", "-0x1.fffffbe340633p-1", "-0x1.436c5b7e978a0p-1",
+            "0x1.fffffed730d14p-1", "-0x1.505b68e7a88c0p-23", "0x1.38dac4a04021ap-1",
+            "0x1.4e5be91021420p-23", "0x1.ffff1714f6d2cp-1", "-0x1.fffffd9cf0b2bp-1",
+            "-0x1.9211636aa4c0fp-2", "-0x1.ffffff8c3f460p-1", "0x1.ffffff9bc2122p-1",
+            "-0x1.b0c4c960785aep-4", "0x1.1add9028f233ap-1", "0x1.c9c5fad410080p-24",
         ],
-        "b": "-0x1.62679301c6bf4p-7",
-        "obj": "0x1.c56b55b30dc55p+4",
-        "it": 105,
+        "b": "-0x1.58c9c76f77640p-7",
+        "obj": "0x1.c56b5e876b080p+4",
+        "it": 7,
         "conv": True,
-        "gap": "0x1.8a775c149c000p-21",
+        "gap": "0x1.a3fff9d000000p-17",
     },
     "hits_cap": {
         "coef": [
-            "0x1.0000000000000p+0", "0x0.0p+0", "0x1.66afc3c4af434p-1",
-            "-0x1.0000000000000p+0", "-0x1.0000000000000p+0", "0x1.bc0d00bbcec3ap-4",
-            "-0x1.80bd318d2f9f6p-2", "0x1.0000000000000p+0", "-0x1.fa6a194b7a05ap-1",
-            "0x1.0000000000000p+0", "-0x1.0000000000000p+0", "0x1.0000000000000p+0",
-            "-0x1.303e5bb0a6eeep-3", "0x1.dab9956079a22p-1", "-0x1.0000000000000p+0",
-            "-0x1.28bf7fbda88d9p-3", "-0x1.0000000000000p+0", "-0x1.3fa1673968305p-1",
-            "0x1.0000000000000p+0", "0x0.0p+0", "0x1.ee493aa9f8a88p-2",
-            "0x0.0p+0", "0x1.0000000000000p+0", "-0x1.0000000000000p+0",
-            "-0x1.978c2ed6359d8p-2", "-0x1.0000000000000p+0", "0x1.0000000000000p+0",
-            "-0x1.148f9cba4bd82p-4", "0x1.0ef20497d31c6p-1", "0x0.0p+0",
+            "0x1.ed223a5011416p-1", "0x1.135a39ebab0d9p-3", "0x1.867e3d04f1f20p-1",
+            "-0x1.e96574ab029a8p-1", "-0x1.f6775bd0ec55fp-1", "0x1.54e7edc6cb1dep-3",
+            "-0x1.3b1fd7899bb4fp-1", "0x1.bfc9b279d065cp-1", "-0x1.bbafda14c87dcp-1",
+            "0x1.f70192567fd1cp-1", "-0x1.fa6002a2829bap-1", "0x1.f1a1af8fafc3cp-1",
+            "-0x1.f6a091f9ae350p-3", "0x1.8e01b8f1a9c1ep-1", "-0x1.c306a557fbfc1p-1",
+            "-0x1.ae39ddf6bc45cp-4", "-0x1.ea676368a6dafp-1", "-0x1.3260d68ed657cp-1",
+            "0x1.f5d0ac6e746b6p-1", "-0x1.d358d27aea07ap-5", "0x1.1a414df7df6b9p-1",
+            "0x1.e6ba4c186d620p-6", "0x1.addd4c10905b7p-1", "-0x1.ed8e47be0b33cp-1",
+            "-0x1.984e2ead5e4acp-2", "-0x1.fc35eb082e8abp-1", "0x1.fcea3327ddcdbp-1",
+            "-0x1.d73cdd67debbfp-4", "0x1.01fa46977b712p-1", "0x1.88a7d8436820fp-3",
         ],
-        "b": "-0x1.48535d0b46804p-8",
-        "obj": "0x1.c6839d999eb78p+4",
-        "it": 20,
+        "b": "0x1.b37874b8a14c0p-7",
+        "obj": "0x1.c6848dc565001p+4",
+        "it": 3,
         "conv": False,
-        "gap": "0x1.8228bd9cf7ea8p-5",
+        "gap": "0x1.f77c04c555440p-2",
     },
 }
 
@@ -290,7 +289,7 @@ def test_knn_identical():
 def test_svr_linear_identical():
     X, y = svr_data()
     for name, run in LINEAR_RUNS.items():
-        assert run_svr(svr_linear_train(X, y, *run)) == GOLDEN_LINEAR[name], name
+        assert run_svr(svr_train(X, y, *run)) == GOLDEN_LINEAR[name], name
     *_, tol = LINEAR_RUNS["converges"]
     obj = float.fromhex(GOLDEN_LINEAR["converges"]["obj"])
     assert GOLDEN_LINEAR["converges"]["conv"] is True
@@ -301,72 +300,16 @@ def test_svr_linear_identical():
 
 def test_ipm_objective_not_above_subgradient():
     X, y = svr_data()
-    _w, _b, obj, _it, conv, _gap = svr_linear_train(X, y, *LINEAR_RUNS["converges"])
+    _w, _b, obj, _it, conv, _gap = svr_train(X, y, *LINEAR_RUNS["converges"])
     assert conv
     assert all(obj <= float.fromhex(old) for old in SUBGRADIENT_LINEAR_OBJECTIVES)
 
 
-def linear_gram_cases():
-    """name -> (Xs, y, C, epsilon) for the interior-point/SMO comparison."""
-    rng = np.random.default_rng(5)
-    X, y = svr_data()
-    wide = rng.normal(size=(12, 20))  # p > n, with one all-zero column
-    wide[:, 7] = 0.0
-    return {
-        "svr_data": (X, y, 1.0, 0.1),
-        "p_above_n_zero_column": (wide, wide[:, 0] - wide[:, 3] + rng.normal(size=12), 1.0, 0.1),
-        "saturated_c": (X[:15], rng.normal(scale=3.0, size=15), 0.01, 0.1),
-        "large_c": (X[:20], y[:20], 10.0, 0.05),
-        "wide_tube": (X[:10], rng.uniform(-0.5, 0.5, size=10), 1.0, 5.0),
-    }
-
-
-def test_ipm_matches_smo_on_linear_gram():
-    """The same dual, solved by SMO on K = XX' to a 1e-12 KKT gap."""
-    for name, (X, y, c_reg, eps) in linear_gram_cases().items():
-        w, b, obj, _it, _conv, gap = svr_linear_train(X, y, c_reg, eps, 100, 1e-8)
-        beta, _b, ref, _it, ref_conv, _gap = svr_kernel_train(X @ X.T, y, c_reg, eps,
-                                                              1_000_000, 1e-12)
-        assert ref_conv, name
-        assert abs(obj - ref) <= 1e-6 * max(1.0, ref), (name, obj, ref)
-        assert obj == svr_objective(X, y, w, b, c_reg, eps), name
-        assert gap >= 0.0, name
-        if name == "wide_tube":  # a = 0 is optimal: a flat fit through the middle
-            assert np.all(beta == 0.0) and np.abs(w).max() < 1e-12
-        if name == "saturated_c":  # all but the rows nearest the bias sit at C
-            assert np.mean(np.abs(beta) == c_reg) > 0.9
-
-
-def test_rbf_and_kernel_svr_identical():
-    X, y = svr_data()
-    K = rbf_kernel(X, X, GAMMA)
-    assert hexify(K[:3]) == GOLDEN_RBF_ROWS
-    for name, run in KERNEL_RUNS.items():
-        assert run_svr(svr_kernel_train(K, y, *run)) == GOLDEN_KERNEL[name], name
-    assert GOLDEN_KERNEL["converges"]["conv"] is True
-    assert GOLDEN_KERNEL["hits_cap"]["it"] == KERNEL_RUNS["hits_cap"][2]
-    assert float.fromhex(GOLDEN_KERNEL["hits_cap"]["gap"]) > KERNEL_RUNS["hits_cap"][3]
-
-
-def test_smo_objective_not_above_subgradient():
-    X, y = svr_data()
-    _beta, _b, obj, *_ = svr_kernel_train(rbf_kernel(X, X, GAMMA), y,
-                                          *KERNEL_RUNS["converges"])
-    assert obj <= float.fromhex(SUBGRADIENT_OBJECTIVE)
-
-
-def dual_objective(K, y, beta, epsilon):
-    """0.5 beta'K beta + eps * sum|beta| - y'beta: the dual at alpha =
-    max(beta, 0), alpha* = max(-beta, 0)."""
-    return 0.5 * beta @ K @ beta + epsilon * np.abs(beta).sum() - y @ beta
-
-
-def test_smo_matches_slsqp_dual():
-    """The same dual over (alpha, alpha*), solved by scipy's SLSQP."""
-    X, y = svr_data()
-    X, y = X[:25], y[:25]
-    n, c_reg, eps = 25, 1.0, 0.1
-    K = rbf_kernel(X, X, GAMMA)
+def slsqp_dual(K, y, c_reg, eps):
+    """(beta, minimum) of the epsilon-SVR dual over (alpha, alpha*),
+    0.5 beta'K beta + eps * sum(a) - y'beta with beta = alpha - alpha*,
+    subject to sum(beta) = 0 and 0 <= a <= C, solved by scipy's SLSQP."""
+    n = y.shape[0]
     signs = np.concatenate((np.ones(n), -np.ones(n)))
 
     def dual(a):
@@ -383,29 +326,125 @@ def test_smo_matches_slsqp_dual():
                                  "jac": lambda a: signs}],
                    options={"ftol": 1e-15, "maxiter": 1000})
     assert abs(signs @ ref.x) < 1e-9 and ref.x.min() > -1e-9 and ref.x.max() < c_reg + 1e-9
-    beta, _b, obj, _it, conv, _gap = svr_kernel_train(K, y, c_reg, eps, 50_000, 1e-6)
-    assert conv
-    assert abs(dual_objective(K, y, beta, eps) - ref.fun) <= 1e-6 * abs(ref.fun)
-    # strong duality: the primal objective is minus the dual optimum
-    assert abs(obj + ref.fun) <= 1e-6 * abs(ref.fun)
+    return ref.x[:n] - ref.x[n:], ref.fun
 
 
-def test_smo_solution_satisfies_kkt():
+def linear_gram_cases():
+    """name -> (Xs, y, C, epsilon) for the interior-point/SLSQP comparison."""
+    rng = np.random.default_rng(5)
+    X, y = svr_data()
+    wide = rng.normal(size=(12, 20))  # p > n, with one all-zero column
+    wide[:, 7] = 0.0
+    return {
+        "svr_data": (X, y, 1.0, 0.1),
+        "p_above_n_zero_column": (wide, wide[:, 0] - wide[:, 3] + rng.normal(size=12), 1.0, 0.1),
+        "saturated_c": (X[:15], rng.normal(scale=3.0, size=15), 0.01, 0.1),
+        "large_c": (X[:20], y[:20], 10.0, 0.05),
+        "wide_tube": (X[:10], rng.uniform(-0.5, 0.5, size=10), 1.0, 5.0),
+    }
+
+
+def test_ipm_matches_slsqp_on_linear_gram():
+    """The same dual on K = XX', solved by SLSQP: by strong duality the
+    primal optimum is minus the dual minimum."""
+    for name, (X, y, c_reg, eps) in linear_gram_cases().items():
+        w, b, obj, _it, conv, gap = svr_train(X, y, c_reg, eps, 100, 1e-8)
+        beta, ref = slsqp_dual(X @ X.T, y, c_reg, eps)
+        assert conv, name
+        assert abs(obj + ref) <= 1e-6 * max(1.0, abs(ref)), (name, obj, -ref)
+        assert obj == svr_objective(X, y, w, b, c_reg, eps), name
+        assert gap >= 0.0, name
+        if name == "wide_tube":  # a = 0 is optimal: a flat fit through the middle
+            assert np.abs(beta).max() < 1e-9 and np.abs(w).max() < 1e-9
+        if name == "saturated_c":  # all but the rows nearest the bias sit at C
+            assert np.mean(np.abs(beta) > c_reg - 1e-9) > 0.9
+
+
+def test_design_and_gram_spaces_agree():
+    """A p < n problem solved once on X (p x p systems) and once on only
+    K = XX' (n x n systems) reaches the same optimum. The objective is
+    1-strongly convex in w = X'beta, so each w lies within sqrt(2 gap) of
+    the optimal one."""
+    X, y = svr_data()
+    c_reg, eps, _cap, tol = LINEAR_RUNS["converges"]
+    w, _b, obj, _it, conv, gap = svr_train(X, y, *LINEAR_RUNS["converges"])
+    beta, b_k, obj_k, _it, conv_k, gap_k = svr_train(None, y, *LINEAR_RUNS["converges"],
+                                                     K=X @ X.T)
+    assert conv and conv_k
+    assert abs(obj - obj_k) <= tol * max(1.0, obj, obj_k)
+    assert obj_k == svr_kernel_objective(X @ X.T, y, beta, b_k, c_reg, eps)
+    assert np.linalg.norm(X.T @ beta - w) <= np.sqrt(2.0 * gap) + np.sqrt(2.0 * gap_k)
+
+
+def test_rbf_and_kernel_svr_identical():
     X, y = svr_data()
     K = rbf_kernel(X, X, GAMMA)
-    c_reg, eps, _cap, tol = KERNEL_RUNS["converges"]
-    beta, b, _obj, _it, conv, gap = svr_kernel_train(K, y, *KERNEL_RUNS["converges"])
-    assert conv and gap <= tol
-    slack = tol + 1e-12
-    r = y - (K @ beta + b)
-    assert abs(beta.sum()) < 1e-12
-    assert np.all(np.abs(beta) <= c_reg)
-    zero, at_c = beta == 0.0, np.abs(beta) == c_reg
-    free = ~(zero | at_c)
-    assert free.any() and at_c.any()
-    assert np.all(np.abs(r[zero]) <= eps + slack)
-    assert np.all(np.abs(r[free] - eps * np.sign(beta[free])) <= slack)
-    assert np.all(np.sign(beta[at_c]) * r[at_c] >= eps - slack)
+    assert hexify(K[:3]) == GOLDEN_RBF_ROWS
+    for name, run in KERNEL_RUNS.items():
+        assert run_svr(svr_train(None, y, *run, K=K)) == GOLDEN_KERNEL[name], name
+    *_, tol = KERNEL_RUNS["converges"]
+    obj = float.fromhex(GOLDEN_KERNEL["converges"]["obj"])
+    assert GOLDEN_KERNEL["converges"]["conv"] is True
+    assert float.fromhex(GOLDEN_KERNEL["converges"]["gap"]) <= tol * max(1.0, obj)
+    assert GOLDEN_KERNEL["hits_cap"]["it"] == KERNEL_RUNS["hits_cap"][2]
+    assert float.fromhex(GOLDEN_KERNEL["hits_cap"]["gap"]) > KERNEL_RUNS["hits_cap"][3]
+
+
+def test_rbf_ipm_objective_not_above_subgradient():
+    X, y = svr_data()
+    _beta, _b, obj, *_ = svr_train(None, y, *KERNEL_RUNS["converges"],
+                                   K=rbf_kernel(X, X, GAMMA))
+    assert obj <= float.fromhex(SUBGRADIENT_OBJECTIVE)
+
+
+def dual_objective(K, y, beta, epsilon):
+    """0.5 beta'K beta + eps * sum|beta| - y'beta: the dual at alpha =
+    max(beta, 0), alpha* = max(-beta, 0)."""
+    return 0.5 * beta @ K @ beta + epsilon * np.abs(beta).sum() - y @ beta
+
+
+def test_rbf_ipm_matches_slsqp_dual():
+    """The same dual over (alpha, alpha*) on an RBF kernel, solved by SLSQP."""
+    X, y = svr_data()
+    X, y = X[:25], y[:25]
+    c_reg, eps = 1.0, 0.1
+    K = rbf_kernel(X, X, GAMMA)
+    _ref_beta, ref = slsqp_dual(K, y, c_reg, eps)
+    beta, _b, obj, _it, conv, _gap = svr_train(None, y, c_reg, eps, 50_000, 1e-6, K=K)
+    assert conv
+    assert abs(dual_objective(K, y, beta, eps) - ref) <= 1e-6 * abs(ref)
+    # strong duality: the primal objective is minus the dual optimum
+    assert abs(obj + ref) <= 1e-6 * abs(ref)
+
+
+def test_rbf_ipm_solution_satisfies_kkt():
+    """At the interior-point solution the complementarity products of the
+    KKT conditions, each non-negative on a feasible beta, sum to at most
+    the duality gap; at a tight tolerance each row sits where its
+    coefficient says: inside the tube at 0, on its edge when free, on or
+    outside it at C."""
+    X, y = svr_data()
+    K = rbf_kernel(X, X, GAMMA)
+    c_reg, eps, cap, tol = KERNEL_RUNS["converges"]
+    for run_tol, slack in ((tol, None), (1e-10, 1e-6)):
+        beta, b, obj, _it, conv, gap = svr_train(None, y, c_reg, eps, cap, run_tol, K=K)
+        assert conv and gap <= run_tol * max(1.0, obj)
+        assert abs(beta.sum()) < 1e-12
+        assert np.all(np.abs(beta) <= c_reg)
+        r = y - (K @ beta + b)
+        alpha, alpha_star = np.fmax(beta, 0.0), np.fmax(-beta, 0.0)
+        products = (alpha * np.fmax(eps - r, 0.0) + (c_reg - alpha) * np.fmax(r - eps, 0.0)
+                    + alpha_star * np.fmax(eps + r, 0.0)
+                    + (c_reg - alpha_star) * np.fmax(-r - eps, 0.0))
+        assert products.sum() <= gap * (1.0 + 1e-6)
+        if slack is None:
+            continue
+        zero, at_c = np.abs(beta) <= slack, np.abs(beta) >= c_reg - slack
+        free = ~(zero | at_c)
+        assert free.any() and at_c.any() and zero.any()
+        assert np.all(np.abs(r[zero]) <= eps + slack)
+        assert np.all(np.abs(r[free] - eps * np.sign(beta[free])) <= slack)
+        assert np.all(np.sign(beta[at_c]) * r[at_c] >= eps - slack)
 
 
 def test_svr_objectives_identical():

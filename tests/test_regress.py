@@ -657,7 +657,7 @@ def test_svr_rbf_constant_target_inside_tube():
     model = fit_svr(X, np.full(25, 1.5), epsilon=2.0, kernel="rbf")
     assert np.all(model.beta == 0.0) and model.b == 1.5
     assert np.all(model.predict(X) == 1.5)
-    assert model.status["iterations"] == 0 and model.status["converged"]
+    assert model.status["converged"]
     assert model.status["objective"] == 0.0
 
 
@@ -665,7 +665,7 @@ def test_svr_rbf_cap_warns_with_kkt_gap():
     rng = np.random.default_rng(48)
     X = rng.normal(size=(30, 2))
     y = rng.normal(size=30)
-    with pytest.warns(NotConvergedWarning, match="KKT gap .* above tol"):
+    with pytest.warns(NotConvergedWarning, match="duality gap .* above tol"):
         model = fit_svr(X, y, kernel="rbf", max_iter=3)
     assert not model.status["converged"] and model.status["iterations"] == 3
     assert model.status["gap"] > model.params["tol"]
@@ -681,6 +681,22 @@ def test_svr_validation():
         fit_svr(X, y, epsilon=-0.1)
     with pytest.raises(ValueError):
         fit_svr(X, y, kernel="poly")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"C": float("nan")}, {"C": float("inf")}, {"epsilon": float("nan")},
+    {"epsilon": float("inf")}, {"tol": float("nan")}, {"tol": float("inf")},
+    {"tol": -1e-6}, {"kernel": "rbf", "tol": float("nan")},
+    {"kernel": "rbf", "gamma": float("nan")}, {"kernel": "rbf", "gamma": float("inf")},
+], ids=repr)
+def test_svr_rejects_non_finite_hyperparameters(kwargs):
+    """fit_svr is public through fit_model: a NaN or infinite C, epsilon,
+    tol or gamma, or a negative tol, is refused before any solve."""
+    rng = np.random.default_rng(49)
+    X = rng.normal(size=(12, 2))
+    y = rng.normal(size=12)
+    with pytest.raises(ValueError, match="finite"):
+        fit_svr(X, y, **kwargs)
 
 
 # ---------------------------------------------------------------- contract
