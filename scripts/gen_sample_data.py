@@ -13,6 +13,7 @@ Deterministic for a fixed seed: rerunning reproduces identical files.
 
 from __future__ import annotations
 
+import argparse
 import sys
 from datetime import datetime, timedelta
 from math import exp
@@ -294,6 +295,8 @@ def generate(out_dir: Path) -> None:
 
 
 if __name__ == "__main__":
-    target = Path(sys.argv[1]) if len(sys.argv) > 1 else (
-        Path(__file__).resolve().parent.parent / "data" / "sample")
-    generate(target)
+    parser = argparse.ArgumentParser(description="Write the bundled synthetic league.")
+    parser.add_argument("out_dir", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parent.parent / "data" / "sample",
+                        help="directory to write the four CSV files to (default: data/sample)")
+    generate(parser.parse_args().out_dir)

@@ -15,8 +15,10 @@ All three inputs are UTF-8 CSV files with a header row:
 A leading byte-order mark is accepted. Loading is single-threaded and
 strict: malformed rows fail with the row number. The stats file, the
 largest, is read whole into columns before its rows are checked (see
-:func:`load_player_stats`). The resulting :class:`Dataset` is immutable
-and safe to read from any number of workers.
+:func:`load_player_stats`); a column keeps one code a row, in the
+narrowest unsigned type that holds its distinct cells. The resulting
+:class:`Dataset` is immutable and safe to read from any number of
+workers.
 """
 
 from __future__ import annotations
@@ -223,6 +225,11 @@ def _codes(cells: list[str], valid: Iterable[bool] | None = None) -> tuple[list[
     return names, np.array([index.get(c, -1) for c in cells], dtype=np.int32)
 
 
+def _code_dtype(count: int) -> np.dtype:
+    """The narrowest unsigned type that holds the codes 0..count - 1."""
+    return np.min_scalar_type(max(count - 1, 0))
+
+
 def _layouts(stat: np.ndarray, sizes: np.ndarray, start: np.ndarray
              ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """The distinct layouts of records whose stat codes are ``stat`` cut
@@ -338,13 +345,16 @@ def _rows(path: str | Path, columns: tuple[str, ...], what: str):
             raise NotUtf8(path, what, exc.reason) from None
 
 
-# A factorized column: its distinct raw cells, and each row's index among them.
+# A factorized column: its distinct raw cells, and each row's index among
+# them, in the narrowest unsigned type that holds them (see _code_dtype).
 Column = tuple[list[str], np.ndarray]
 
-# The plain reader's working arrays grow with its block, not with the file.
-# Blocks of 128 KB keep them near malloc's mmap threshold: freeing larger
-# ones raises that threshold for the rest of the process, and the runs of
-# a 10-club league then held about 1 MB more at their peak.
+# The plain reader's working arrays grow with its block, not with the file;
+# what outlives a block is its codes, each in the narrowest unsigned type
+# that holds the column's distinct cells so far, joined at the end. Blocks
+# of 128 KB keep the working arrays near malloc's mmap threshold: freeing
+# larger ones raises that threshold for the rest of the process, and the
+# runs of a 10-club league then held about 1 MB more at their peak.
 BLOCK_BYTES = 1 << 17
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(8)], dtype=np.uint64)
 
@@ -372,7 +382,8 @@ def _read_columns(path: str | Path, columns: tuple[str, ...], what: str
         if exc.row == 1:  # the header: no record was read
             raise
         stopped = exc
-    return [(list(index), np.array(out, dtype=np.int32)) for index, out in zip(seen, codes)], stopped
+    return [(list(index), np.array(out, dtype=_code_dtype(len(index))))
+            for index, out in zip(seen, codes)], stopped
 
 
 def _blocks(fh) -> Iterator[bytes]:
@@ -441,14 +452,15 @@ def _plain_columns(path: str | Path, columns: tuple[str, ...], what: str) -> lis
                 if at == len(header) - 1:
                     size -= body[ends - 1] == ord("\r")
                 cells, codes = _factorize(block, words, cuts[at] + 1, size)
-                remap = np.array([index.setdefault(cell, len(index)) for cell in cells],
-                                 dtype=np.int32)
-                out.append(remap[codes])
+                remap = [index.setdefault(cell, len(index)) for cell in cells]
+                out.append(np.array(remap, dtype=_code_dtype(len(index)))[codes])
     if pick is None:
         return None
     columns = []
     for index, out in zip(seen, parts):  # joined one at a time, each freeing its blocks
-        columns.append((list(index), np.concatenate(out) if out else np.zeros(0, dtype=np.int32)))
+        dtype = _code_dtype(len(index))
+        columns.append((list(index), np.concatenate(out, dtype=dtype) if out
+                        else np.zeros(0, dtype=dtype)))
         out.clear()
     return columns
 
@@ -643,11 +655,17 @@ def _stats_archive(columns: list[Column], known: Collection[str]) -> StatsArchiv
                                  return_index=True, return_inverse=True)
     record = record.reshape(-1)
     conflicts = heads[run_group != run_group[first][record]]
-    # each record's rows, in file order
+    # each record's rows, in file order: its runs in turn, summed in place
+    # from steps of 1 and, at each run's first place, the jump to its head
     order = np.argsort(record, kind="stable")
-    ends = np.cumsum(lengths[order])
-    taken = np.repeat(heads[order] - ends + lengths[order], lengths[order]) + np.arange(limit)
+    run_heads, run_lengths = heads[order], lengths[order]
+    taken = np.ones(limit, dtype=np.min_scalar_type(-limit))
+    taken[np.cumsum(run_lengths) - run_lengths] = run_heads - np.append(
+        0, run_heads[:-1] + run_lengths[:-1] - 1)
+    np.cumsum(taken, out=taken)
     sizes = np.bincount(record, weights=lengths, minlength=len(first)).astype(np.int64)
+    # a failing cell's code -1 wraps, but no taken row holds one
+    code = code.astype(_code_dtype(len(stat_names)))
     archive = StatsArchive._columns(
         (player_ids, run_player[first]), (fixture_ids, run_fixture[first]),
         (group_names, run_group[first]), stat_names, code[stat[taken]],

@@ -95,7 +95,8 @@ class ModelBase:
     def _predict(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    # serialization hooks, see store.py
+    # serialization hook, see store.py: JSON values, where a NumPy array
+    # stands for its tolist()
     def payload(self) -> dict:
         raise NotImplementedError
 

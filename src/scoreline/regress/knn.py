@@ -26,10 +26,10 @@ class KnnModel(ModelBase):
     def payload(self) -> dict:
         return {
             "k": self.k,
-            "train_X": self.train_X.tolist(),
-            "train_y": self.train_y.tolist(),
-            "scaler_mean": self.scaler.mean.tolist(),
-            "scaler_std": self.scaler.std.tolist(),
+            "train_X": self.train_X,
+            "train_y": self.train_y,
+            "scaler_mean": self.scaler.mean,
+            "scaler_std": self.scaler.std,
         }
 
 

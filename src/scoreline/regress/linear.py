@@ -22,7 +22,7 @@ class LinearModel(ModelBase):
 
     def payload(self) -> dict:
         return {
-            "coef": self.coef.tolist(),
+            "coef": self.coef,
             "intercept": self.intercept,
             "rank": self.rank,
         }

@@ -40,6 +40,9 @@ def read_json(path, what: str):
 
 
 def save_model(model: ModelBase, path) -> None:
+    """Write ``json.dumps(envelope, sort_keys=True) + "\\n"``, each NumPy
+    array of the payload as its ``tolist()``, one tree or matrix row at a
+    time (see :func:`_json_pieces`)."""
     envelope = {
         "format_version": FORMAT_VERSION,
         "technique": model.technique,
@@ -48,8 +51,38 @@ def save_model(model: ModelBase, path) -> None:
         "fingerprint": model.fingerprint,
         "payload": model.payload(),
     }
-    # no indent: with one, CPython's json falls back to its pure-Python encoder
-    Path(path).write_text(json.dumps(envelope, sort_keys=True) + "\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_json_pieces(envelope))
+        fh.write("\n")
+
+
+# No indent: with one, CPython's json falls back to its pure-Python encoder.
+_ENCODER = json.JSONEncoder(sort_keys=True, default=np.ndarray.tolist)
+
+
+def _json_pieces(value):
+    """The text of ``_ENCODER.encode(value)`` in pieces: a dict with string
+    keys key by key, a list of lists, dicts or arrays (a forest's trees)
+    and an array of rows item by item, anything else whole, an array
+    converted by ``tolist()`` only then. So no piece outgrows one tree or
+    one row, where one encoding of a forest keeps a chunk for each of its
+    node values until it joins them."""
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        yield "{"
+        for i, key in enumerate(sorted(value)):
+            yield (", " if i else "") + json.dumps(key) + ": "
+            yield from _json_pieces(value[key])
+        yield "}"
+    elif (isinstance(value, np.ndarray) and value.ndim > 1
+          or isinstance(value, list) and all(isinstance(item, (list, dict, np.ndarray))
+                                             for item in value)):
+        yield "["
+        for i, item in enumerate(value):
+            yield ", " if i else ""
+            yield from _json_pieces(item)
+        yield "]"
+    else:
+        yield _ENCODER.encode(value)
 
 
 def _vector(payload: dict, key: str, length: int) -> np.ndarray:

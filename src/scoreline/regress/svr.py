@@ -53,15 +53,15 @@ class SvrModel(ModelBase):
             "params": self.params,
             "status": self.status,
             "b": self.b,
-            "scaler_mean": self.scaler.mean.tolist(),
-            "scaler_std": self.scaler.std.tolist(),
+            "scaler_mean": self.scaler.mean,
+            "scaler_std": self.scaler.std,
         }
         if self.kernel == "linear":
-            out["w"] = self.w.tolist()
+            out["w"] = self.w
         else:
-            out["beta"] = self.beta.tolist()
+            out["beta"] = self.beta
             out["gamma"] = self.gamma
-            out["train_X"] = self.train_X.tolist()
+            out["train_X"] = self.train_X
         return out
 
 

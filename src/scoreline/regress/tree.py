@@ -142,9 +142,7 @@ class TreeModel(ModelBase):
         return predict_trees(self.trees, X)
 
     def payload(self) -> dict:
-        return {"params": self.params,
-                "trees": [{name: col.tolist() for name, col in zip(Tree._fields, tree)}
-                          for tree in self.trees]}
+        return {"params": self.params, "trees": [tree._asdict() for tree in self.trees]}
 
 
 def check_tree_params(max_depth: int, min_leaf: int) -> None:

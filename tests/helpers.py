@@ -121,7 +121,8 @@ def nested_tree(arrays: dict, node: int = 0) -> dict:
 def nested_payload(model) -> dict:
     """A dtr or rfr model's payload in the nested form of format version 1,
     in which the tree goldens were hashed."""
-    trees = [nested_tree(arrays) for arrays in model.payload()["trees"]]
+    trees = [nested_tree({name: col.tolist() for name, col in tree._asdict().items()})
+             for tree in model.trees]
     if model.technique == "dtr":
         return {**model.params, "root": trees[0]}
     return {"params": model.params, "trees": trees}

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -444,7 +445,7 @@ PLAIN_OR_NOT = {"as shipped": True, "LF": True, "quoted": False}
 def test_sample_stats_same_archive_from_either_reader(tmp_path, sample_dir, dataset, form):
     """The bundled stats file as shipped (CRLF line ends), with LF line ends,
     and with every cell quoted: the first two are split in bulk, the last
-    read by csv.reader, and all give the same archive."""
+    read by csv.reader, and all give the same code types and archive."""
     path = tmp_path / "player_stats.csv"
     raw = (sample_dir / "player_stats.csv").read_bytes()
     assert raw.count(b"\r\n") == raw.count(b"\n")
@@ -453,12 +454,45 @@ def test_sample_stats_same_archive_from_either_reader(tmp_path, sample_dir, data
         quote_all(path, "\r\n")
     plain = ingest._plain_columns(path, ingest.STATS_COLUMNS, "stats")
     assert (plain is not None) == PLAIN_OR_NOT[form]
+    # each column of the sample has under 256 distinct cells: one byte a code
+    columns = ingest._read_columns(path, ingest.STATS_COLUMNS, "stats")[0]
+    assert [codes.dtype for _, codes in columns] == [np.dtype(np.uint8)] * 5
     archive = load_player_stats(path, dataset.fixtures)
     assert archive_records(archive) == archive_records(dataset.stats)
     for name in ("player_ids", "fixture_ids", "group_names", "stat_names", "layouts"):
         assert getattr(archive, name) == getattr(dataset.stats, name)
     for name in ("player", "fixture", "group", "kind", "start", "value"):
+        assert getattr(archive, name).dtype == getattr(dataset.stats, name).dtype
         assert getattr(archive, name).tobytes() == getattr(dataset.stats, name).tobytes()
+
+
+def test_stats_loader_peak_memory_scales_with_the_archive(tmp_path):
+    """A stats file of many reader blocks loads within a traced peak of a
+    few times the archive's arrays: the columns keep one narrow code a
+    row, and the record order one index a row. With int32 codes and int64
+    orders the peak was over six times the archive."""
+    rng = random.Random(11)
+    fixtures = [fx(f"F{i:03d}", i, "A", "B") for i in range(160)]
+    lines = [STATS_HEADER]
+    for fixture in fixtures:
+        for player in rng.sample(range(400), 22):
+            group = ingest.POSITION_GROUPS[player % 4]
+            lines += [f"p{player:03d},{fixture.fixture_id},{group},s_{stat:02d},"
+                      f"{rng.randrange(300) / 4}\n" for stat in range(15)]
+    path = tmp_path / "s.csv"
+    path.write_text("".join(lines), encoding="utf-8")
+    assert path.stat().st_size >= 8 * ingest.BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        archive = load_player_stats(path, fixtures)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(getattr(archive, name).nbytes
+               for name in ("player", "fixture", "group", "kind", "start", "value"))
+    assert peak < 5 * kept, (peak, kept)
+    # player codes outgrow one byte a few blocks in: the parts join as uint16
+    assert archive_records(archive) == archive_records(load_stats_by_rows(path, fixtures))
 
 
 # A leading byte-order mark, as spreadsheet programs write one.
@@ -743,3 +777,12 @@ def test_sample_generator_reproduces_bundled_files(tmp_path, sample_dir):
                    capture_output=True)
     for name in ("fixtures.csv", "player_stats.csv", "odds.csv", "upcoming.csv"):
         assert (tmp_path / name).read_bytes() == (sample_dir / name).read_bytes(), name
+
+
+def test_sample_generator_help_writes_nothing(tmp_path, sample_dir):
+    script = sample_dir.parent.parent / "scripts" / "gen_sample_data.py"
+    done = subprocess.run([sys.executable, str(script), "--help"], cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: gen_sample_data.py")
+    assert list(tmp_path.iterdir()) == []

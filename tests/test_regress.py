@@ -5,6 +5,7 @@ import json
 import os
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -764,6 +765,47 @@ def test_store_roundtrip_all_engines(tmp_path):
         loaded = load_model(path)
         assert loaded.technique == model.technique
         np.testing.assert_array_equal(loaded.predict(X), model.predict(X))
+
+
+def plain_json(value):
+    """A payload value with each NumPy array replaced by its tolist()."""
+    if isinstance(value, dict):
+        return {key: plain_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [plain_json(item) for item in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+@pytest.mark.parametrize("index", range(6), ids=["lr", "knn", "dtr", "rfr", "svr", "svr-rbf"])
+def test_store_writes_one_json_dumps(tmp_path, index):
+    """A model file holds exactly json.dumps of its envelope, keys sorted,
+    and a newline, although the store writes it a tree or a row at a time."""
+    from scoreline.regress.store import FORMAT_VERSION
+
+    model = fitted_models()[0][index]
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    envelope = {"format_version": FORMAT_VERSION, "technique": model.technique,
+                "n_features": model.n_features, "feature_names": list(model.feature_names),
+                "fingerprint": model.fingerprint, "payload": plain_json(model.payload())}
+    assert path.read_bytes() == (json.dumps(envelope, sort_keys=True) + "\n").encode()
+
+
+def test_store_save_peak_memory_below_file_size(tmp_path):
+    """Saving a 100-tree forest traces a peak below the file's size: the
+    store encodes one tree at a time and writes each piece as it goes,
+    where one json.dumps of the whole forest peaked at over 12 times it."""
+    rng = np.random.default_rng(53)
+    model = fit_rfr(rng.normal(size=(400, 20)), rng.poisson(1.4, size=400) * 1.0,
+                    n_trees=100, seed=2)
+    path = tmp_path / "forest.json"
+    tracemalloc.start()
+    try:
+        save_model(model, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size, (peak, path.stat().st_size)
 
 
 def test_store_rejects_unknown_version(tmp_path):
