@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -47,10 +48,12 @@ from .predict import (
     PredictError,
     PREDICTION_COLUMNS,
     PredictionSet,
+    pair_scorelines,
     prediction_rows,
     save_predictions_csv,
 )
-from .regress import BadArtifact, RegressError, StoreError, fit_model, load_model, save_model
+from .regress import (BadArtifact, RegressError, StoreError, fit_model, load_model, save_model,
+                      workers)
 from .regress.store import read_json
 from .regress.tree import tree_size
 from .schema import FeatureSchema, SchemaError, default_schema, load_schema
@@ -357,11 +360,42 @@ def split_pairs(dataset: Dataset, schema: FeatureSchema, approaches) -> tuple[di
     return train, test
 
 
-def train_pair(cfg: RunConfig, matrices: dict, technique: str) -> dict:
-    """Fit home and away models of one technique on their training matrices."""
-    engine, params = technique_params(cfg, technique)
-    return {side: fit_model(engine, m.X(), m.y(), params, feature_names=m.feature_names)
-            for side, m in matrices.items()}
+def run_fits(cfg: RunConfig, train: dict, approaches, techniques, finish=None) -> dict:
+    """Fit one model per (side, approach, technique) job on
+    ``train[approach][side]``; returns each job's ``finish(job, model)``, or
+    its model, by job.
+
+    The jobs, listed side-major, are cut into contiguous groups, one per
+    usable CPU (``workers.split``); this process runs the first and a
+    forked child each other (``workers.run_groups``), so on two CPUs the
+    home fits run here and the away fits in one child. A group runs each
+    of its fits even after one fails, and the error raised is the first in
+    (approach, technique, side) order, the one a sequential run raises.
+    No result depends on the number of groups.
+    """
+    jobs = list(itertools.product(SIDES, approaches, techniques))
+
+    def work(group: slice) -> list:
+        outcomes = []
+        for job in jobs[group]:
+            side, approach, technique = job
+            matrix = train[approach][side]
+            engine, params = technique_params(cfg, technique)
+            try:
+                model = fit_model(engine, matrix.X(), matrix.y(), params,
+                                  feature_names=matrix.feature_names)
+                outcomes.append((None, finish(job, model) if finish else model))
+            except Exception as exc:  # raised below, in sequential order
+                outcomes.append((exc, None))
+        return outcomes
+
+    done = dict(zip(jobs, itertools.chain.from_iterable(
+        workers.run_groups(work, workers.split(len(jobs))))))
+    for approach, technique, side in itertools.product(approaches, techniques, SIDES):
+        error = done[side, approach, technique][0]
+        if error is not None:
+            raise error
+    return {job: result for job, (_error, result) in done.items()}
 
 
 def _train_manifest(cfg: RunConfig, label: str, models: dict, matrices: dict,
@@ -401,7 +435,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     dataset, schema = load_context(cfg.data_dir, cfg.test_size, cfg.schema, odds=False)
     label = f"{cfg.approach}+{cfg.technique}"
     matrices = build_pair(dataset, schema, dataset.train_fixtures, cfg.approach)
-    models = train_pair(cfg, matrices, cfg.technique)
+    models = {side: model for (side, _a, _t), model in
+              run_fits(cfg, {cfg.approach: matrices}, [cfg.approach], [cfg.technique]).items()}
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -495,17 +530,24 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
 def _grid_prediction_sets(cfg: RunConfig, dataset: Dataset, train: dict,
                           test: dict) -> list[PredictionSet]:
     """Heuristics, then every approach x technique; ``train`` and ``test``
-    hold each approach's matrices by side."""
+    hold each approach's matrices by side. Each fit returns only its raw
+    predictions of the test matrix: no model outlives its fit or crosses a pipe."""
     psets = []
     for name in HEURISTICS:
         predictor = HeuristicPredictor(name, dataset.train_fixtures,
                                        history=dataset.fixtures)
         psets.append(predictor.predict(dataset.test_fixtures))
+
+    def predict_test(job, model):
+        side, approach, _technique = job
+        return model.predict(test[approach][side].X())
+
+    raw = run_fits(cfg, train, APPROACHES, ML_TECHNIQUES, predict_test)
     for approach in APPROACHES:
         for technique in ML_TECHNIQUES:
-            models = train_pair(cfg, train[approach], technique)
-            pair = ModelPairPredictor(f"{approach}+{technique}", models["home"], models["away"])
-            psets.append(pair.predict(dataset.test_fixtures, test[approach]))
+            psets.append(pair_scorelines(
+                f"{approach}+{technique}", dataset.test_fixtures, test[approach],
+                {side: raw[side, approach, technique] for side in SIDES}))
     return psets
 
 

@@ -84,36 +84,47 @@ class ModelPairPredictor:
         ``matrices`` maps each side to its feature matrix of exactly
         ``fixtures``.
         """
-        fixtures = sorted(fixtures, key=kickoff_order)
-        if not fixtures:
-            raise EmptyTestSet("no fixtures to predict")
-        home_m, away_m = matrices["home"], matrices["away"]
-        raw_home = dict(zip(home_m.fixture_ids(),
-                            self.home_model.predict(home_m.X())))
-        raw_away = dict(zip(away_m.fixture_ids(),
-                            self.away_model.predict(away_m.X())))
+        raw = {side: model.predict(matrices[side].X())
+               for side, model in (("home", self.home_model), ("away", self.away_model))}
+        return pair_scorelines(self.label, fixtures, matrices, raw)
 
-        skipped: dict[str, str] = {}
-        for fid, reason in home_m.skipped + away_m.skipped:
-            skipped.setdefault(fid, reason)
-        predictions = []
-        for fixture in fixtures:
-            fid = fixture.fixture_id
-            if fid not in raw_home or fid not in raw_away:
-                skipped.setdefault(fid, "row not built for both sides")
-                continue
-            rh = float(raw_home[fid])
-            ra = float(raw_away[fid])
-            predictions.append(ScorelinePrediction(
-                fixture_id=fid, model=self.label,
-                raw_home=rh, raw_away=ra,
-                pred_home=round_goals(rh), pred_away=round_goals(ra),
-                actual_home=fixture.home_goals, actual_away=fixture.away_goals))
-        order = {f.fixture_id: i for i, f in enumerate(fixtures)}
-        skip_list = sorted(skipped.items(), key=lambda kv: order[kv[0]])
-        coverage = home_m.coverage if home_m.approach == "players" else None
-        return PredictionSet(model=self.label, predictions=predictions,
-                             skipped=skip_list, coverage=coverage)
+
+def pair_scorelines(label: str, fixtures: Sequence[Fixture], matrices: dict,
+                    raw: dict) -> PredictionSet:
+    """One scoreline per fixture with a row on both sides, labelled ``label``.
+
+    ``matrices`` maps each side to its feature matrix of exactly
+    ``fixtures``, and ``raw`` each side to its model's raw goal
+    predictions of that matrix's rows.
+    """
+    fixtures = sorted(fixtures, key=kickoff_order)
+    if not fixtures:
+        raise EmptyTestSet("no fixtures to predict")
+    home_m, away_m = matrices["home"], matrices["away"]
+    raw_home = dict(zip(home_m.fixture_ids(), raw["home"]))
+    raw_away = dict(zip(away_m.fixture_ids(), raw["away"]))
+
+    skipped: dict[str, str] = {}
+    for fid, reason in home_m.skipped + away_m.skipped:
+        skipped.setdefault(fid, reason)
+    predictions = []
+    for fixture in fixtures:
+        fid = fixture.fixture_id
+        if fid not in raw_home or fid not in raw_away:
+            skipped.setdefault(fid, "row not built for both sides")
+            continue
+        rh = float(raw_home[fid])
+        ra = float(raw_away[fid])
+        predictions.append(ScorelinePrediction(
+            fixture_id=fid, model=label,
+            raw_home=rh, raw_away=ra,
+            pred_home=round_goals(rh), pred_away=round_goals(ra),
+            actual_home=fixture.home_goals, actual_away=fixture.away_goals))
+    order = {f.fixture_id: i for i, f in enumerate(fixtures)}
+    skip_list = sorted(skipped.items(), key=lambda kv: order[kv[0]])
+    coverage = home_m.coverage if home_m.approach == "players" else None
+    return PredictionSet(model=label, predictions=predictions,
+                         skipped=skip_list, coverage=coverage)
 
 
 class HeuristicPredictor:

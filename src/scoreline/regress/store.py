@@ -85,18 +85,25 @@ def _json_pieces(value):
         yield _ENCODER.encode(value)
 
 
+def _finite(key: str, arr: np.ndarray) -> np.ndarray:
+    # a JSON null converts to NaN, so this refuses nulls too
+    if not np.isfinite(arr).all():
+        raise BadArtifact(f"{key} holds a null or non-finite value")
+    return arr
+
+
 def _vector(payload: dict, key: str, length: int) -> np.ndarray:
     arr = np.asarray(payload[key], dtype=np.float64)
     if arr.shape != (length,):
         raise BadArtifact(f"{key} has shape {arr.shape}, expected ({length},)")
-    return arr
+    return _finite(key, arr)
 
 
 def _matrix(payload: dict, key: str, width: int) -> np.ndarray:
     arr = np.asarray(payload[key], dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != width:
         raise BadArtifact(f"{key} has shape {arr.shape}, expected (rows, {width})")
-    return arr
+    return _finite(key, arr)
 
 
 def _positive(payload: dict, key: str) -> float:
@@ -108,8 +115,11 @@ def _positive(payload: dict, key: str) -> float:
 
 
 def _scaler_from(payload: dict, n_features: int) -> Scaler:
-    return Scaler(mean=_vector(payload, "scaler_mean", n_features),
-                  std=_vector(payload, "scaler_std", n_features))
+    mean = _vector(payload, "scaler_mean", n_features)
+    std = _vector(payload, "scaler_std", n_features)
+    if (std < 0.0).any():
+        raise BadArtifact("scaler_std holds a negative value")
+    return Scaler(mean=mean, std=std)
 
 
 def _trees(blobs: list, n_features: int) -> list[Tree]:
@@ -185,9 +195,9 @@ def _model_from(technique: str, payload: dict, n_features: int, names) -> ModelB
     if technique == "knn":
         train_X = _matrix(payload, "train_X", n_features)
         rows = train_X.shape[0]
-        k = int(payload["k"])
-        if not 1 <= k <= rows:
-            raise BadArtifact(f"k={k} outside 1..{rows} training rows")
+        k = payload["k"]
+        if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= rows:
+            raise BadArtifact(f"k is {k!r}, expected an integer in 1..{rows}, the training rows")
         return KnnModel(train_X=train_X, train_y=_vector(payload, "train_y", rows), k=k,
                         scaler=_scaler_from(payload, n_features), feature_names=names)
     if technique in ("dtr", "rfr"):

@@ -1,10 +1,13 @@
 """Run independent groups of work in forked children, one group per usable CPU.
 
-A forked child starts as a copy of this process, so it needs no pickled
-inputs and no fresh import; only its result comes back, pickled, down its
-own pipe. Forking a process that runs other threads is unsafe, so work runs
-in this process alone where another Python thread is alive, or where the
-platform has no ``os.fork``.
+A command's model fits are the work (``scoreline.cli.run_fits``): its
+fits are cut into contiguous groups, this process runs the first and a
+forked child each other. A forked child starts as a copy of this process,
+so it needs no pickled inputs and no fresh import; only its result comes
+back, pickled, down its own pipe. Forking a process that runs other
+threads is unsafe, so work runs in this process alone where another
+Python thread is alive, or where the platform has no ``os.fork``. A
+child's memory is not counted in this process's peak RSS.
 """
 
 from __future__ import annotations

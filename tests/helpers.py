@@ -201,11 +201,11 @@ def assert_no_lookahead(dataset: Dataset, builder: FeatureBuilder) -> int:
 
 
 def forest_children_fail(monkeypatch, how: str) -> None:
-    """Make every forked child of this process fail as it grows its trees:
+    """Make every forked child of this process fail as it grows a forest:
     raise a ValueError ("raises"), exit 3 without a result ("exits"), die
     of SIGKILL ("killed"), or hang while this process is interrupted as it
-    grows its own group ("interrupted"). Otherwise this process grows its
-    own group as before; forests grow in three groups."""
+    grows its own forests ("interrupted"). Otherwise this process grows
+    its forests as before; a fit run spreads over three groups."""
     parent, grow = os.getpid(), forest.grow_trees
 
     def failing(*args, **kwargs):

@@ -4,6 +4,7 @@ import csv
 import gc
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -62,9 +63,9 @@ def test_train_rerun_byte_identical(tmp_path, monkeypatch):
     assert run(*args) == 0
     names = ("model_home.json", "model_away.json", "train_manifest.json")
     first = {n: (tmp_path / n).read_bytes() for n in names}
-    # the forest's trees grow in one group per usable CPU; the artifacts
+    # the two fits spread over one group per usable CPU; the artifacts
     # must not depend on how many there are
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3):
         monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
         assert run(*args) == 0
         for n in names:
@@ -329,7 +330,22 @@ CORRUPTIONS = {
     "svr-rbf": ("svr-rbf", lambda payload: payload["beta"].pop()),
     "svr-rbf-gamma-null": ("svr-rbf", lambda payload: payload.update(gamma=None)),
     "svr-rbf-gamma-negative": ("svr-rbf", lambda payload: payload.update(gamma=-5.0)),
+    "knn-k-fraction": ("knn", lambda payload: payload.update(k=2.5)),
+    "knn-k-true": ("knn", lambda payload: payload.update(k=True)),
+    "knn-scaler-mean-null": ("knn", lambda payload: _set_cell(payload, "scaler_mean", None)),
+    "knn-scaler-mean-nan": ("knn", lambda payload: _set_cell(payload, "scaler_mean", math.nan)),
+    "knn-train-x-null": ("knn", lambda payload: _set_cell(payload, "train_X", None)),
+    "knn-train-x-nan": ("knn", lambda payload: _set_cell(payload, "train_X", math.nan)),
+    "svr-scaler-std-null": ("svr", lambda payload: _set_cell(payload, "scaler_std", None)),
+    "svr-scaler-std-nan": ("svr", lambda payload: _set_cell(payload, "scaler_std", math.nan)),
+    "svr-scaler-std-negative": ("svr", lambda payload: _set_cell(payload, "scaler_std", -1.0)),
 }
+
+
+def _set_cell(payload, key, value):
+    """Set the last cell of a payload vector, or of a matrix's last row."""
+    cells = payload[key][-1] if isinstance(payload[key][-1], list) else payload[key]
+    cells[-1] = value
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
@@ -347,7 +363,8 @@ def test_predict_rejects_corrupted_artifact(tmp_path, case, capsys):
     assert run("predict", "--out-dir", tmp_path, "--artifacts", artifacts,
                "--fixtures", Path(SAMPLE_DIR) / "upcoming.csv") == 1
     err = capsys.readouterr().err
-    assert "model_home.json" in err and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "model_home.json" in err
 
 
 MALFORMED_MANIFESTS = {
@@ -659,11 +676,11 @@ def test_no_feature_builder_alive_during_fits(tmp_path, monkeypatch, argv):
     assert len(builders) == 1 and fits
 
 
-@pytest.mark.skipif(workers.usable_cpus() < 2, reason="a forest forks only on 2 or more CPUs")
+@pytest.mark.skipif(workers.usable_cpus() < 2, reason="train forks only on 2 or more CPUs")
 def test_forest_train_forks_without_warning(tmp_path):
     """From Python 3.12, os.fork warns when the process runs other OS
-    threads; scoreline pins BLAS to one thread, so forking a forest's
-    workers must not warn."""
+    threads; scoreline pins BLAS to one thread, so forking the child that
+    fits the away forest must not warn."""
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         str(src), os.environ.get("PYTHONPATH")]))}
@@ -675,13 +692,37 @@ def test_forest_train_forks_without_warning(tmp_path):
     assert (done.returncode, done.stderr) == (0, "")
 
 
-def test_grid_rerun_byte_identical(grid_dir):
+def test_grid_rerun_byte_identical(grid_dir, monkeypatch):
     first = {name: (grid_dir / name).read_bytes() for name in BUNDLE_FILES}
     first["importance.csv"] = (grid_dir / "importance.csv").read_bytes()
-    assert run("evaluate", "--data-dir", SAMPLE_DIR, "--test-size", 8,
-               "--out-dir", grid_dir, "--all", "--seed", 0) == 0
-    for name, blob in first.items():
-        assert (grid_dir / name).read_bytes() == blob, name
+    # the grid's fits spread over one group per usable CPU; the bundle and
+    # its manifest must not depend on how many there are
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        assert run("evaluate", "--data-dir", SAMPLE_DIR, "--test-size", 8,
+                   "--out-dir", grid_dir, "--all", "--seed", 0) == 0
+        for name, blob in first.items():
+            assert (grid_dir / name).read_bytes() == blob, (cpus, name)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_commands_fork_one_child_per_extra_group(tmp_path, monkeypatch, cpus):
+    """train's two fits and the grid's 36 each run in one fit run, one
+    group per usable CPU and never more than the fits: W usable CPUs fork
+    at most W - 1 children per command, not a set per forest."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    for argv, fits in ((["train", "--approach", "team_stats", "--technique", "rfr"], 2),
+                       (["evaluate", "--all"], 36)):
+        forks.clear()
+        assert run(argv[0], *base_args(tmp_path / argv[0]), *argv[1:]) == 0
+        assert len(forks) == min(cpus, fits) - 1, argv
 
 
 def test_grid_rerun_byte_identical_on_any_blas_thread_count(tmp_path):

@@ -8,6 +8,7 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,12 +22,15 @@ from helpers import (
     open_fd_count,
 )
 
+from scoreline import cli
+from scoreline.features import SIDES
 from scoreline.regress import (
     DimensionMismatch,
     ForestModel,
     KTooLarge,
     NonFiniteInput,
     NotConvergedWarning,
+    RegressError,
     SchemaMismatch,
     TooFewRows,
     WorkerDied,
@@ -384,9 +388,9 @@ def payload_digest(model):
     return hashlib.sha256(json.dumps(nested_payload(model), sort_keys=True).encode()).hexdigest()
 
 
-# a forest grows one group of trees per usable CPU; each test that takes
-# `cpus` forces that count (the forest's tree count for "n_trees"), and its
-# one-CPU case keeps the test's plain id
+# a fit run spreads its fits over one group per usable CPU; each test that
+# takes `cpus` forces that count (the forest's tree count for "n_trees"),
+# and its one-CPU case keeps the test's plain id
 CPU_COUNTS = (1, 2, 3, "n_trees")
 
 
@@ -399,12 +403,9 @@ def force_cpus(monkeypatch, cpus, n_trees):
     monkeypatch.setattr(workers, "usable_cpus", lambda: n_trees if cpus == "n_trees" else cpus)
 
 
-@pytest.mark.parametrize("name, cpus", [
-    param for name in sorted(TREE_FITS)
-    for param in with_cpus(name, CPU_COUNTS if name.startswith("rfr") else (1,))])
-def test_tree_and_forest_goldens(name, cpus, monkeypatch):
+@pytest.mark.parametrize("name", sorted(TREE_FITS))
+def test_tree_and_forest_goldens(name):
     fit, params = TREE_FITS[name]
-    force_cpus(monkeypatch, cpus, params.get("n_trees"))
     assert payload_digest(fit(*tied_goal_data(), **params)) == TREE_GOLDENS[name]
 
 
@@ -459,14 +460,29 @@ def test_lockstep_growth_equals_growing_each_tree_alone(targets, cpus, monkeypat
                         bootstrap_fraction=0.5, seed=8),
                    dict(n_trees=2, max_depth=5, min_leaf=3, max_features=5, bootstrap=False,
                         bootstrap_fraction=1.0, seed=2)):
+        # every group of a run grows the forest, the first in this process
+        # and each other in a forked child
         force_cpus(monkeypatch, cpus, params["n_trees"])
-        model = fit_rfr(X, y, **params)
-        expected = reference_forest_trees(X, y, **params)
-        got = nested_payload(model)["trees"]
-        assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True), params
+        expected = json.dumps(reference_forest_trees(X, y, **params), sort_keys=True)
+        models = workers.run_groups(lambda group: fit_rfr(X, y, **params),
+                                    workers.split(params["n_trees"]))
+        for model in models:
+            assert json.dumps(nested_payload(model)["trees"], sort_keys=True) == expected, params
     tree = fit_dtr(X, y, max_depth=7, min_leaf=2)
     alone = reference_tree(X, y, np.arange(70), max_depth=7, min_leaf=2, max_features=9, rng=None)
     assert json.dumps(nested_payload(tree)["root"], sort_keys=True) == json.dumps(alone, sort_keys=True)
+
+
+def tied_fit_run(techniques, approaches=("first", "second"), argv=()):
+    """``cli.run_fits`` of ``techniques`` with the train config of ``argv``
+    over stand-in matrices of tied_goal_data, one per (approach, side);
+    each side's feature names start with the side."""
+    X, y = tied_goal_data()
+    cfg = cli.resolve_config(cli.build_parser().parse_args(["train", *map(str, argv)]))
+    train = {approach: {side: SimpleNamespace(
+        X=lambda: X, y=lambda: y, feature_names=[f"{side} {j}" for j in range(X.shape[1])])
+        for side in SIDES} for approach in approaches}
+    return cli.run_fits(cfg, train, approaches, techniques)
 
 
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts open files in /proc")
@@ -477,15 +493,37 @@ def test_lockstep_growth_equals_growing_each_tree_alone(targets, cpus, monkeypat
     ("interrupted", KeyboardInterrupt, None),
 ], ids=["raises", "exits", "killed", "interrupted"])
 def test_failed_forest_worker_raises_and_leaves_nothing(monkeypatch, how, error, message):
-    X, y = tied_goal_data()
+    """Four forest fits in three groups: this process grows the first and
+    each of two forked children the others, and the children fail."""
     open_fds = open_fd_count()
     forest_children_fail(monkeypatch, how)
     start = time.monotonic()
     with pytest.raises(error, match=message) as caught:
-        fit_rfr(X, y, n_trees=6, seed=1)
+        tied_fit_run(["rfr"], argv=["--forest-trees", 6, "--seed", 1])
     assert type(caught.value) is error
     assert time.monotonic() - start < 30  # a hung child is killed, not waited for
     assert_no_child_left(open_fds)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_failed_fits_raise_the_sequential_runs_error(monkeypatch, cpus):
+    """A home dtr fit and an away knn fit fail. A run in one group meets
+    first ``first+knn`` away, which comes before ``first+dtr`` home in
+    (approach, technique, side) order; on two CPUs the home fits run here
+    and the away fits in a child, so the failures fall in different
+    groups, and the same error must be raised."""
+    fit = cli.fit_model
+
+    def failing(engine, X, y, params, feature_names=None):
+        side = feature_names[0].split()[0]
+        if (engine, side) in (("dtr", "home"), ("knn", "away")):
+            raise RegressError(f"{engine} {side} fit failed")
+        return fit(engine, X, y, params, feature_names=feature_names)
+
+    monkeypatch.setattr(cli, "fit_model", failing)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    with pytest.raises(RegressError, match="^knn away fit failed$"):
+        tied_fit_run(["lr", "knn", "dtr"], argv=["--forest-trees", 4])
 
 
 def test_worker_warnings_reach_the_parent_in_order():
@@ -512,13 +550,16 @@ def test_no_fork_while_another_thread_runs(monkeypatch):
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        fit, params = TREE_FITS["rfr_seed_0"]
-        model = fit(*tied_goal_data(), **params)
+        # the forest of TREE_FITS["rfr_seed_0"], four times in one group
+        models = tied_fit_run(["rfr"], argv=["--forest-trees", 15, "--tree-depth", 5,
+                                             "--tree-min-leaf", 2, "--seed", 0])
     finally:
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
-    assert payload_digest(model) == TREE_GOLDENS["rfr_seed_0"]
+    assert len(models) == 4
+    for model in models.values():
+        assert payload_digest(model) == TREE_GOLDENS["rfr_seed_0"]
 
 
 def test_fits_reject_non_finite_cells():
