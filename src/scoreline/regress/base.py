@@ -95,11 +95,6 @@ class ModelBase:
     def _predict(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    # serialization hook, see store.py: JSON values, where a NumPy array
-    # stands for its tolist()
-    def payload(self) -> dict:
-        raise NotImplementedError
-
 
 def as_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=np.float64)

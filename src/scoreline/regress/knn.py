@@ -23,15 +23,6 @@ class KnnModel(ModelBase):
         Xs = np.ascontiguousarray(standardize_apply(self.scaler, X))
         return knn_neighbor_means(self.train_X, self.train_y, Xs, self.k)
 
-    def payload(self) -> dict:
-        return {
-            "k": self.k,
-            "train_X": self.train_X,
-            "train_y": self.train_y,
-            "scaler_mean": self.scaler.mean,
-            "scaler_std": self.scaler.std,
-        }
-
 
 def fit_knn(X, y, k: int = 5, feature_names=None) -> KnnModel:
     """Memorize the training set; prediction averages the k nearest targets.

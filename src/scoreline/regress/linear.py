@@ -20,13 +20,6 @@ class LinearModel(ModelBase):
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return X @ self.coef + self.intercept
 
-    def payload(self) -> dict:
-        return {
-            "coef": self.coef,
-            "intercept": self.intercept,
-            "rank": self.rank,
-        }
-
 
 def fit_lr(X, y, feature_names=None) -> LinearModel:
     """The minimum-norm least-squares fit, intercept included.

@@ -1,9 +1,18 @@
-"""Versioned JSON persistence for trained models."""
+"""Versioned JSON persistence for trained models.
+
+The format is the table ``ENVELOPE`` and, per technique, ``PAYLOADS``: each
+key, the model attribute it holds and its kind. Saving writes the
+attributes; loading reads each key through its kind. A stored number is a
+finite JSON number, never a bool or null, and an integer where a count or
+an index belongs."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import reprlib
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -43,14 +52,9 @@ def save_model(model: ModelBase, path) -> None:
     """Write ``json.dumps(envelope, sort_keys=True) + "\\n"``, each NumPy
     array of the payload as its ``tolist()``, one tree or matrix row at a
     time (see :func:`_json_pieces`)."""
-    envelope = {
-        "format_version": FORMAT_VERSION,
-        "technique": model.technique,
-        "n_features": model.n_features,
-        "feature_names": list(model.feature_names) if model.feature_names else None,
-        "fingerprint": model.fingerprint,
-        "payload": model.payload(),
-    }
+    envelope = {"format_version": FORMAT_VERSION, "fingerprint": model.fingerprint,
+                **fields_of(model, ENVELOPE),
+                "payload": fields_of(model, PAYLOADS[model.technique])}
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_json_pieces(envelope))
         fh.write("\n")
@@ -61,12 +65,14 @@ _ENCODER = json.JSONEncoder(sort_keys=True, default=np.ndarray.tolist)
 
 
 def _json_pieces(value):
-    """The text of ``_ENCODER.encode(value)`` in pieces: a dict with string
-    keys key by key, a list of lists, dicts or arrays (a forest's trees)
-    and an array of rows item by item, anything else whole, an array
-    converted by ``tolist()`` only then. So no piece outgrows one tree or
-    one row, where one encoding of a forest keeps a chunk for each of its
-    node values until it joins them."""
+    """The text of ``_ENCODER.encode(value)``, a Tree as the dict of its node
+    arrays, in pieces: a dict with string keys key by key, a list of lists,
+    dicts, Trees or arrays (a forest's trees) and an array of rows item by
+    item, anything else whole, an array converted by ``tolist()`` only then.
+    So no piece outgrows one tree or one row, where one encoding of a forest
+    keeps a chunk for each of its node values until it joins them."""
+    if isinstance(value, Tree):
+        value = value._asdict()
     if isinstance(value, dict) and all(isinstance(key, str) for key in value):
         yield "{"
         for i, key in enumerate(sorted(value)):
@@ -74,7 +80,7 @@ def _json_pieces(value):
             yield from _json_pieces(value[key])
         yield "}"
     elif (isinstance(value, np.ndarray) and value.ndim > 1
-          or isinstance(value, list) and all(isinstance(item, (list, dict, np.ndarray))
+          or isinstance(value, list) and all(isinstance(item, (list, dict, Tree, np.ndarray))
                                              for item in value)):
         yield "["
         for i, item in enumerate(value):
@@ -85,69 +91,48 @@ def _json_pieces(value):
         yield _ENCODER.encode(value)
 
 
-def _finite(key: str, arr: np.ndarray) -> np.ndarray:
-    # a JSON null converts to NaN, so this refuses nulls too
-    if not np.isfinite(arr).all():
-        raise BadArtifact(f"{key} holds a null or non-finite value")
+def _numbers(key: str, value, ndim: int) -> np.ndarray:
+    """``value`` as an array of ``ndim`` axes, each cell a JSON number: not
+    a bool, a null, a string or a row of another length."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # rows of unequal length
+        arr = np.asarray(None)
+    if arr.ndim != ndim or arr.dtype.kind not in "iuf" or bool in map(type, (
+            value if ndim == 1 else itertools.chain.from_iterable(value) if ndim else (value,))):
+        raise BadArtifact(f"{key} is not a {'list of ' * ndim}JSON number{'s' * (ndim > 0)}")
     return arr
 
 
-def _vector(payload: dict, key: str, length: int) -> np.ndarray:
-    arr = np.asarray(payload[key], dtype=np.float64)
-    if arr.shape != (length,):
-        raise BadArtifact(f"{key} has shape {arr.shape}, expected ({length},)")
-    return _finite(key, arr)
-
-
-def _matrix(payload: dict, key: str, width: int) -> np.ndarray:
-    arr = np.asarray(payload[key], dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != width:
-        raise BadArtifact(f"{key} has shape {arr.shape}, expected (rows, {width})")
-    return _finite(key, arr)
-
-
-def _positive(payload: dict, key: str) -> float:
-    value = payload[key]
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0.0 < value < math.inf):
-        raise BadArtifact(f"{key} is {value!r}, expected a finite positive number")
-    return float(value)
-
-
-def _scaler_from(payload: dict, n_features: int) -> Scaler:
-    mean = _vector(payload, "scaler_mean", n_features)
-    std = _vector(payload, "scaler_std", n_features)
-    if (std < 0.0).any():
-        raise BadArtifact("scaler_std holds a negative value")
-    return Scaler(mean=mean, std=std)
-
-
-def _trees(blobs: list, n_features: int) -> list[Tree]:
-    """Each tree's node arrays, checked so that predict can neither index
-    outside them nor loop: every split node's children lie after it.
-
-    Shapes, element types and emptiness are checked tree by tree; values
-    and links once, over the trees' joined arrays. An error names the
-    first tree's first failing check, as checking tree by tree would.
-    """
+def _trees(key: str, blobs, got: dict) -> list[Tree]:
+    """The trees, as many as ``params.n_trees`` if read and else one, checked
+    so that predict can neither index outside them nor loop. Shapes, element
+    types and emptiness are checked tree by tree; values and links once, on
+    the joined arrays. An error names the first tree's first failing check."""
+    if not isinstance(blobs, list):
+        raise BadArtifact(f"{key} is {reprlib.repr(blobs)}, expected a JSON array")
+    n_trees = got.get("params.n_trees")
+    if len(blobs) != (n_trees or 1):
+        raise BadArtifact(f"the forest holds {len(blobs)} trees, params.n_trees is {n_trees}"
+                          if n_trees else f"the tree model holds {len(blobs)} trees, not 1")
     cols_of = []
     for blob in blobs:
-        cols = [np.asarray(blob[name]) for name in Tree._fields]
-        problem = None
-        if len({col.shape for col in cols}) != 1 or cols[0].ndim != 1:
-            problem = f"a tree's node arrays differ in shape: {[c.shape for c in cols]}"
-        elif not cols[0].size:
-            problem = "a tree has no nodes"
-        else:
-            problem = next((f"a tree's {name} holds {col.dtype} values"
-                            for name, col, fill in zip(Tree._fields, cols, LEAF)
-                            if col.dtype.kind not in ("if" if isinstance(fill, float) else "i")),
-                           None)
-        if problem:
-            _check_nodes(cols_of, n_features)  # an earlier tree's error comes first
-            raise BadArtifact(problem)
+        try:  # a missing array reads as False, which is not a list
+            cols = [_numbers(f"a tree's {name}", isinstance(blob, dict) and blob.get(name), 1)
+                    for name in Tree._fields]
+            if len({col.shape for col in cols}) != 1:
+                raise BadArtifact("a tree's node arrays differ in shape: "
+                                  f"{[col.shape for col in cols]}")
+            if not cols[0].size:
+                raise BadArtifact("a tree has no nodes")
+            for name, col, fill in zip(Tree._fields, cols, LEAF):
+                if col.dtype.kind not in ("if" if isinstance(fill, float) else "i"):
+                    raise BadArtifact(f"a tree's {name} holds {col.dtype} values")
+        except BadArtifact:
+            _check_nodes(cols_of, got["n_features"])  # an earlier tree's error comes first
+            raise
         cols_of.append(cols)
-    return _check_nodes(cols_of, n_features)
+    return _check_nodes(cols_of, got["n_features"])
 
 
 def _check_nodes(cols_of: list, n_features: int) -> list[Tree]:
@@ -184,65 +169,122 @@ def _check_nodes(cols_of: list, n_features: int) -> list[Tree]:
             for start, size in zip(starts.tolist(), sizes.tolist())]
 
 
-def _model_from(technique: str, payload: dict, n_features: int, names) -> ModelBase:
-    """Rebuild one model, checking the payload's indices and array shapes."""
-    if technique == "lr":
-        rank = payload["rank"]
-        if isinstance(rank, bool) or not isinstance(rank, int) or not 0 <= rank <= n_features + 1:
-            raise BadArtifact(f"rank is {rank!r}, expected an integer in 0..{n_features + 1}")
-        return LinearModel(coef=_vector(payload, "coef", n_features),
-                           intercept=payload["intercept"], rank=rank, feature_names=names)
-    if technique == "knn":
-        train_X = _matrix(payload, "train_X", n_features)
-        rows = train_X.shape[0]
-        k = payload["k"]
-        if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= rows:
-            raise BadArtifact(f"k is {k!r}, expected an integer in 1..{rows}, the training rows")
-        return KnnModel(train_X=train_X, train_y=_vector(payload, "train_y", rows), k=k,
-                        scaler=_scaler_from(payload, n_features), feature_names=names)
-    if technique in ("dtr", "rfr"):
-        params, trees = payload["params"], payload["trees"]
-        if technique == "dtr" and len(trees) != 1:
-            raise BadArtifact(f"the tree model holds {len(trees)} trees, not 1")
-        if technique == "rfr" and (not trees or len(trees) != params["n_trees"]):
-            raise BadArtifact(
-                f"the forest holds {len(trees)} trees, params.n_trees is {params['n_trees']!r}")
-        model = TreeModel if technique == "dtr" else ForestModel
-        return model(_trees(trees, n_features), n_features, params, feature_names=names)
-    if technique == "svr":
-        kernel = payload["kernel"]
-        common = dict(kernel=kernel, scaler=_scaler_from(payload, n_features),
-                      params=payload["params"], status=payload["status"],
-                      n_features=n_features, feature_names=names, b=payload["b"])
-        if kernel == "linear":
-            return SvrModel(**common, w=_vector(payload, "w", n_features))
-        if kernel == "rbf":
-            train_X = _matrix(payload, "train_X", n_features)
-            return SvrModel(**common, beta=_vector(payload, "beta", train_X.shape[0]),
-                            train_X=train_X, gamma=_positive(payload, "gamma"))
-        raise BadArtifact(f"unknown SVR kernel {kernel!r}")
-    raise BadArtifact(f"unknown technique {technique!r}")
+# A kind reads one stored value: ``kind(key, value, got)`` returns what the
+# model keeps or raises BadArtifact. ``got`` holds the values read before it.
+
+def _numeric(shape=(), low=-math.inf, high=lambda got: math.inf, integer=False):
+    """Finite JSON numbers in ``low..high(got)``, integers if ``integer``:
+    one, or an array of ``shape``, each axis None for any length or a
+    function of ``got``."""
+    def read(key, value, got):
+        arr = _numbers(key, value, len(shape))
+        arr, top = (arr if integer else arr.astype(np.float64, copy=False)), high(got)
+        want = tuple(n if axis is None else axis(got) for n, axis in zip(arr.shape, shape))
+        if (arr.shape != want or arr.dtype.kind != ("i" if integer else "f")
+                or not (np.isfinite(arr) & (low <= arr) & (arr <= top)).all()):
+            raise BadArtifact(f"{key} is {reprlib.repr(value)}, expected "
+                              f"{'integers' if integer else 'finite numbers'} in {low}..{top}"
+                              + f", shape {want}" * bool(shape))
+        return arr if shape else arr.item()
+    return read
+
+
+def _carried(expected: str, fits):
+    """A value for which ``fits`` holds, carried as it is."""
+    def read(key, value, got):
+        if not fits(value):
+            raise BadArtifact(f"{key} is {reprlib.repr(value)}, expected {expected}")
+        return value
+    return read
+
+
+def _rows(got):
+    return len(got["train_X"])
+
+
+_features = itemgetter("n_features")
+OBJECT = _carried("a JSON object", lambda value: isinstance(value, dict))
+KERNEL = _carried("linear or rbf", lambda value: value in ("linear", "rbf"))
+NUMBER, VECTOR, MATRIX = _numeric(), _numeric((_features,)), _numeric((None, _features))
+SCALER = [("scaler_mean", "scaler.mean", VECTOR),
+          ("scaler_std", "scaler.std", _numeric((_features,), low=0.0))]
+SVR = [("kernel", "kernel", KERNEL), ("params", "params", OBJECT),
+       ("status", "status", OBJECT), ("b", "b", NUMBER), *SCALER]
+
+# Each row: the payload key (dotted: a field of a stored object), the model
+# attribute it holds (None: read, not kept), its kind. Rows are read in order.
+PAYLOADS = {
+    "lr": [("coef", "coef", VECTOR), ("intercept", "intercept", NUMBER),
+           ("rank", "rank", _numeric(low=0, high=lambda got: got["n_features"] + 1,
+                                     integer=True))],
+    "knn": [("train_X", "train_X", MATRIX), ("train_y", "train_y", _numeric((_rows,))),
+            ("k", "k", _numeric(low=1, high=_rows, integer=True)), *SCALER],
+    "dtr": [("params", "params", OBJECT), ("trees", "trees", _trees)],
+    "rfr": [("params", "params", OBJECT),
+            ("params.n_trees", None, _numeric(low=1, integer=True)),
+            ("trees", "trees", _trees)],
+    "svr": {"linear": [*SVR, ("w", "w", VECTOR)],
+            "rbf": [*SVR, ("train_X", "train_X", MATRIX), ("beta", "beta", _numeric((_rows,))),
+                    ("gamma", "gamma", _numeric(low=math.ulp(0.0)))]},
+}
+ENVELOPE = [("technique", "technique", _carried(f"one of {', '.join(PAYLOADS)}",
+                                                lambda value: value in tuple(PAYLOADS))),
+            ("n_features", "n_features", _numeric(low=0, integer=True)),
+            ("feature_names", "feature_names", _carried("null or a list of strings", lambda v: (
+                v is None or isinstance(v, list) and all(type(name) is str for name in v))))]
+MODELS = {model.technique: model
+          for model in (LinearModel, KnnModel, TreeModel, ForestModel, SvrModel)}
+
+
+def fields_of(model: ModelBase, table) -> dict:
+    """Each key of ``table`` (for svr, of its kernel's) and the model
+    attribute it holds, NumPy arrays and Trees as they are."""
+    table = table[model.kernel] if isinstance(table, dict) else table
+    return {key: attrgetter(attr)(model) for key, attr, _kind in table if attr}
+
+
+def _read(blob: dict, key: str, kind, got: dict):
+    """``blob``'s field ``key`` (dotted: a field of an object read before;
+    missing: null) read as ``kind``, also kept in ``got``."""
+    for name in key.split("."):
+        blob = blob.get(name)
+    got[key] = kind(key, blob, got)
+    return got[key]
+
+
+def _model_from(envelope: dict) -> ModelBase:
+    """The model whose attributes are the envelope's fields, each read
+    through its kind; the model class's __init__ is not run."""
+    got = {}
+    for key, _attr, kind in ENVELOPE:
+        _read(envelope, key, kind, got)
+    payload, table = _read(envelope, "payload", OBJECT, got), PAYLOADS[got["technique"]]
+    if isinstance(table, dict):  # svr, one table per kernel
+        table = table[_read(payload, "kernel", KERNEL, got)]
+    fields = {attr: _read(payload, key, kind, got) for key, attr, kind in table}
+    fields.pop(None, None)
+    if "scaler.mean" in fields:
+        fields["scaler"] = Scaler(mean=fields.pop("scaler.mean"), std=fields.pop("scaler.std"))
+    model = MODELS[got["technique"]].__new__(MODELS[got["technique"]])
+    ModelBase.__init__(model, got["n_features"], got["feature_names"])
+    vars(model).update(fields)
+    return model
 
 
 def load_model(path) -> ModelBase:
-    """Read a saved model; a payload whose structure does not fit its
-    declared feature count raises BadArtifact instead of failing later in
-    predict."""
+    """Read a saved model through its table; a field that does not fit
+    raises BadArtifact instead of failing later in predict."""
     envelope = read_json(path, "model artifact")
     if not isinstance(envelope, dict) or "format_version" not in envelope:
         raise BadArtifact(f"{path} is not a model artifact")
-    version = envelope["format_version"]
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersion(
-            f"{path} uses format_version={version}, this build reads {FORMAT_VERSION}; "
-            "retrain the model")
+    if envelope["format_version"] != FORMAT_VERSION:
+        raise UnsupportedVersion(f"{path} uses format_version={envelope['format_version']}, "
+                                 f"this build reads {FORMAT_VERSION}; retrain the model")
     try:
-        n_features = int(envelope["n_features"])
-        model = _model_from(envelope["technique"], envelope["payload"], n_features,
-                            envelope["feature_names"])
+        model = _model_from(envelope)
     except BadArtifact as exc:
         raise BadArtifact(f"{path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # a backstop: every field has a check
         raise BadArtifact(f"{path} is missing or malformed fields: {exc}") from exc
     if envelope.get("fingerprint") != model.fingerprint:
         raise BadArtifact(f"{path} fingerprint does not match its feature layout")

@@ -34,11 +34,7 @@ class SvrModel(ModelBase):
         self.scaler = scaler
         self.params = dict(params)
         self.status = dict(status)
-        self.w = None if w is None else np.asarray(w, dtype=np.float64)
-        self.b = float(b)
-        self.beta = None if beta is None else np.asarray(beta, dtype=np.float64)
-        self.train_X = None if train_X is None else np.asarray(train_X, dtype=np.float64)
-        self.gamma = None if gamma is None else float(gamma)
+        self.w, self.b, self.beta, self.train_X, self.gamma = w, float(b), beta, train_X, gamma
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         Xs = standardize_apply(self.scaler, X)
@@ -46,23 +42,6 @@ class SvrModel(ModelBase):
             return Xs @ self.w + self.b
         K = rbf_kernel(Xs, self.train_X, self.gamma)
         return K @ self.beta + self.b
-
-    def payload(self) -> dict:
-        out = {
-            "kernel": self.kernel,
-            "params": self.params,
-            "status": self.status,
-            "b": self.b,
-            "scaler_mean": self.scaler.mean,
-            "scaler_std": self.scaler.std,
-        }
-        if self.kernel == "linear":
-            out["w"] = self.w
-        else:
-            out["beta"] = self.beta
-            out["gamma"] = self.gamma
-            out["train_X"] = self.train_X
-        return out
 
 
 def resolve_gamma(gamma, Xs: np.ndarray) -> float:
@@ -122,9 +101,9 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
     coef, b, obj, iters, converged, gap = svr_train(
         Xs, yc, float(C), float(epsilon), int(max_iter), float(tol), K=K)
     if kernel == "rbf":
-        solved = {"beta": coef, "train_X": Xs, "gamma": params["gamma"]}
+        solved = dict(beta=coef, train_X=Xs, gamma=params["gamma"])
     else:
-        solved = {"w": coef if K is None else Xs.T @ coef}
+        solved = dict(w=coef if K is None else Xs.T @ coef)
     status = {"converged": converged, "iterations": int(iters),
               "objective": float(obj), "gap": gap}
     if not converged:

@@ -141,9 +141,6 @@ class TreeModel(ModelBase):
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return predict_trees(self.trees, X)
 
-    def payload(self) -> dict:
-        return {"params": self.params, "trees": [tree._asdict() for tree in self.trees]}
-
 
 def check_tree_params(max_depth: int, min_leaf: int) -> None:
     if max_depth < 1:

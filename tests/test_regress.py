@@ -809,7 +809,10 @@ def test_store_roundtrip_all_engines(tmp_path):
 
 
 def plain_json(value):
-    """A payload value with each NumPy array replaced by its tolist()."""
+    """A payload value with each NumPy array replaced by its tolist() and
+    each Tree by the dict of its node arrays."""
+    if isinstance(value, Tree):
+        return plain_json(value._asdict())
     if isinstance(value, dict):
         return {key: plain_json(item) for key, item in value.items()}
     if isinstance(value, list):
@@ -821,14 +824,15 @@ def plain_json(value):
 def test_store_writes_one_json_dumps(tmp_path, index):
     """A model file holds exactly json.dumps of its envelope, keys sorted,
     and a newline, although the store writes it a tree or a row at a time."""
-    from scoreline.regress.store import FORMAT_VERSION
+    from scoreline.regress.store import FORMAT_VERSION, PAYLOADS, fields_of
 
     model = fitted_models()[0][index]
     path = tmp_path / "m.json"
     save_model(model, path)
     envelope = {"format_version": FORMAT_VERSION, "technique": model.technique,
                 "n_features": model.n_features, "feature_names": list(model.feature_names),
-                "fingerprint": model.fingerprint, "payload": plain_json(model.payload())}
+                "fingerprint": model.fingerprint,
+                "payload": plain_json(fields_of(model, PAYLOADS[model.technique]))}
     assert path.read_bytes() == (json.dumps(envelope, sort_keys=True) + "\n").encode()
 
 
@@ -888,6 +892,87 @@ def test_store_rejects_lr_without_valid_rank(tmp_path, rank):
     with pytest.raises(BadArtifact) as exc:
         load_model(path)
     assert str(path) in str(exc.value)
+
+
+# fitted_models() in order, then a one-tree forest, where params.n_trees
+# true equals its tree count
+ENGINES = ["lr", "knn", "dtr", "rfr", "svr", "svr-rbf", "rfr-one-tree"]
+DELETE = object()
+
+
+@pytest.fixture(scope="module")
+def saved_engines(tmp_path_factory):
+    """Each engine's model file, as text, fitted and saved once."""
+    out = tmp_path_factory.mktemp("engines")
+    models, X, y = fitted_models()
+    models.append(fit_rfr(X, y, n_trees=1, min_leaf=2, seed=1,
+                          feature_names=models[0].feature_names))
+    for engine, model in zip(ENGINES, models):
+        save_model(model, out / engine)
+    return {engine: (out / engine).read_text() for engine in ENGINES}
+
+
+def artifact_leaves(blob):
+    """The path of each field the loader reads: the envelope's fields, each
+    payload key, the first cell (and row) of each array, the first tree
+    and its node arrays, and a forest's ``params.n_trees``."""
+    paths = [("technique",), ("n_features",), ("feature_names",), ("feature_names", 0),
+             ("fingerprint",), ("payload",)]
+    for key, value in blob["payload"].items():
+        paths.append(("payload", key))
+        if key == "trees":
+            paths.append(("payload", key, 0))
+            for name in value[0]:
+                paths += [("payload", key, 0, name), ("payload", key, 0, name, 0)]
+        elif isinstance(value, list):
+            paths += [("payload", key, 0)] + [("payload", key, 0, 0)] * isinstance(value[0], list)
+    if "n_trees" in blob["payload"].get("params", {}):
+        paths.append(("payload", "params", "n_trees"))
+    return paths
+
+
+def mutants(blob, path):
+    """The values to put at ``path``: JSON values that are never a number
+    (and deletion), 2.5 where an integer belongs and -1 where a std or k
+    does. An empty object is left out where a carried object is one."""
+    key = next(part for part in reversed(path) if isinstance(part, str))
+    values = [None, True, "x", float("nan"), [], {}, DELETE]
+    integers = ("n_features", "rank", "k", "n_trees", "feature", "left", "right", "n")
+    values += [2.5] * (key in integers)
+    values += [-1] * (key in ("scaler_std", "k"))
+    if key == "status" or key == "params" and "n_trees" not in blob["payload"]["params"]:
+        values.remove({})
+    return values
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_store_refuses_every_mutated_field(tmp_path, saved_engines, engine):
+    """Each field the loader reads, set to a value that does not fit it or
+    deleted, is refused by a named check: never loaded, never left to the
+    catch-all for missing or malformed fields."""
+    from scoreline.regress import BadArtifact
+
+    text, path = saved_engines[engine], tmp_path / "model.json"
+    escaped = []
+    for leaf in artifact_leaves(json.loads(text)):
+        for value in mutants(json.loads(text), leaf):
+            blob = json.loads(text)
+            *outer, last = leaf
+            target = blob
+            for part in outer:
+                target = target[part]
+            if value is DELETE:
+                del target[last]
+            else:
+                target[last] = value
+            path.write_text(json.dumps(blob))
+            try:
+                load_model(path)
+                escaped.append((leaf, value, "loaded"))
+            except BadArtifact as exc:
+                if "missing or malformed fields" in str(exc):
+                    escaped.append((leaf, value, str(exc)))
+    assert not escaped, escaped
 
 
 def test_store_rejects_garbage(tmp_path):
