@@ -12,20 +12,23 @@ All three inputs are UTF-8 CSV files with a header row:
 * ``odds.csv``: long format (fixture_id, home_goals, away_goals, odds) with
   decimal odds for exact scorelines.
 
-A leading byte-order mark is accepted. Loading is single-threaded and
-strict: malformed rows fail with the row number. The stats file, the
-largest, is read whole into columns before its rows are checked (see
-:func:`load_player_stats`); a column keeps one code a row, in the
-narrowest unsigned type that holds its distinct cells. The resulting
-:class:`Dataset` is immutable and safe to read from any number of
-workers.
+A leading byte-order mark is accepted. Loading is strict: malformed rows
+fail with the row number. The stats file, the largest, is read whole into
+columns before its rows are checked (see :func:`load_player_stats`); a
+column keeps one code a row, in the narrowest unsigned type that holds its
+distinct cells. A large plain stats file is read in byte ranges, one per
+usable CPU, in forked children (see :func:`_plain_columns`); every other
+read is single-threaded. The resulting :class:`Dataset` is immutable and
+safe to read from any number of workers.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
+import functools
 import math
+import os
 from dataclasses import dataclass
 from datetime import datetime
 from operator import attrgetter, itemgetter
@@ -33,6 +36,8 @@ from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping
 
 import numpy as np
+
+from .regress import workers
 
 POSITION_GROUPS = ("GK", "DF", "MF", "FW")
 LINEUP_SIZE = 11
@@ -68,8 +73,11 @@ class NotUtf8(IngestError):
     """The decoder reads a file in chunks, so no row number is known."""
 
     def __init__(self, path, what: str, reason: str):
-        self.path = path
+        self.path, self.what, self.reason = path, what, reason
         super().__init__(f"{what} file {path} is not UTF-8 text: {reason}")
+
+    def __reduce__(self):  # a stats range read in a child sends it back
+        return type(self), (self.path, self.what, self.reason)
 
 
 class DuplicateFixture(IngestError):
@@ -356,6 +364,11 @@ Column = tuple[list[str], np.ndarray]
 # larger ones raises that threshold for the rest of the process, and the
 # runs of a 10-club league then held about 1 MB more at their peak.
 BLOCK_BYTES = 1 << 17
+# A plain file's data lines are read in byte ranges of at least about
+# RANGE_BYTES, one per usable CPU: each range past the first costs a fork,
+# a pickled result and a merge, and on a 2-vCPU host two ranges of a
+# 0.94 MB stats file read no faster than one.
+RANGE_BYTES = 1 << 20
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(8)], dtype=np.uint64)
 
 
@@ -386,12 +399,13 @@ def _read_columns(path: str | Path, columns: tuple[str, ...], what: str
             for index, out in zip(seen, codes)], stopped
 
 
-def _blocks(fh) -> Iterator[bytes]:
-    """A binary file's bytes in blocks of whole lines, each of about
-    BLOCK_BYTES or one line; the last block is what follows the last
-    newline, if anything does."""
+def _blocks(fh, size: int) -> Iterator[bytes]:
+    """The next ``size`` bytes of a binary file (fewer, if it ends first) in
+    blocks of whole lines, each of about BLOCK_BYTES or one line; the last
+    block is what follows the last newline, if anything does."""
     rest = b""
-    while chunk := fh.read(BLOCK_BYTES):
+    while size > 0 and (chunk := fh.read(min(BLOCK_BYTES, size))):
+        size -= len(chunk)
         rest += chunk
         cut = rest.rfind(b"\n") + 1
         if cut:
@@ -401,9 +415,23 @@ def _blocks(fh) -> Iterator[bytes]:
         yield rest
 
 
+def _plain(block: bytes) -> bool:
+    """Whether a block of lines ends in ``\\n`` and has no ``"``, no NUL and
+    no ``\\r`` outside a ``\\r\\n``."""
+    return block.endswith(b"\n") and b'"' not in block and b"\0" not in block \
+        and (b"\r" not in block or block.count(b"\r") == block.count(b"\r\n"))
+
+
+def _remap(index: dict[str, int], cells: list[str]) -> np.ndarray:
+    """Each cell's code in ``index``, which gains the cells it lacks in
+    turn, in the narrowest unsigned type that holds every code of it."""
+    remap = [index.setdefault(cell, len(index)) for cell in cells]
+    return np.array(remap, dtype=_code_dtype(len(index)))
+
+
 def _plain_columns(path: str | Path, columns: tuple[str, ...], what: str) -> list[Column] | None:
-    """The picked columns of a plain CSV file, factorized one block of
-    lines at a time; None if the file is not plain.
+    """The picked columns of a plain CSV file, factorized; None if the file
+    is not plain.
 
     A plain file has no ``"`` and no NUL (which ``csv.reader`` refuses
     before Python 3.11), ends every line in ``\\n`` or ``\\r\\n``, has as
@@ -411,33 +439,80 @@ def _plain_columns(path: str | Path, columns: tuple[str, ...], what: str) -> lis
     ``csv.field_size_limit()`` bytes: ``csv.reader`` would split each of its
     lines at the commas. Every block is decoded before its cells are read,
     so a file that is not UTF-8 fails here as it would in ``csv.reader``.
+
+    The data lines are cut into contiguous byte ranges, each from a line
+    start: one per group of ``workers.split``, but none under about
+    RANGE_BYTES. This process reads the first and a forked child each other
+    (see :func:`_range_columns`), and the ranges' cells are merged in file
+    order, each range remapped as a block is. The first range that is not
+    plain or not UTF-8 decides the read, so any number of ranges reads a
+    file as one range does.
     """
-    limit = csv.field_size_limit()
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        start, end = fh.tell(), fh.seek(0, os.SEEK_END)
+        if not _plain(head):
+            return None
+        try:
+            header = head.removeprefix(codecs.BOM_UTF8).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise NotUtf8(path, what, exc.reason) from None
+        header = header.removesuffix("\n").removesuffix("\r").split(",")
+        pick = _pick(header, columns, what)
+        if max(map(len, header)) > csv.field_size_limit():
+            return None
+        groups = len(workers.split((end - start) // RANGE_BYTES))
+        bounds = [start]
+        for g in range(1, groups):  # each bound moved on to the next line start
+            fh.seek(start + (end - start) * g // groups - 1)
+            fh.readline()
+            bounds.append(fh.tell())
     seen: list[dict[str, int]] = [{} for _ in columns]
     parts: list[list[np.ndarray]] = [[] for _ in columns]
-    pick = None
+    read = functools.partial(_range_columns, path, what, len(header), pick)
+    for outcome in workers.run_groups(read, list(zip(bounds, bounds[1:] + [end]))):
+        if outcome is None:
+            return None
+        if isinstance(outcome, NotUtf8):
+            raise outcome
+        for (cells, codes), index, out in zip(outcome, seen, parts):
+            fresh = not index  # then each cell's code is its code in the range
+            remap = _remap(index, cells)
+            out += codes if fresh else [remap[part] for part in codes]
+            codes.clear()
+    columns = []
+    for index, out in zip(seen, parts):  # joined one at a time, each freeing its blocks
+        dtype = _code_dtype(len(index))
+        columns.append((list(index), np.concatenate(out, dtype=dtype) if out
+                        else np.zeros(0, dtype=dtype)))
+        out.clear()
+    return columns
+
+
+def _range_columns(path: str | Path, what: str, width: int, pick: list[int], span: tuple[int, int]
+                   ) -> list[tuple[list[str], list[np.ndarray]]] | NotUtf8 | None:
+    """The picked columns of the data lines in the byte range ``span`` of a
+    file whose header has ``width`` cells, factorized one block of lines
+    at a time: each column's distinct cells and its codes into them, a
+    part a block. None if a block is not plain, and the NotUtf8 error if
+    one is not UTF-8 (the first such block decides)."""
+    limit = csv.field_size_limit()
+    seen: list[dict[str, int]] = [{} for _ in pick]
+    parts: list[list[np.ndarray]] = [[] for _ in pick]
     with open(path, "rb") as fh:
-        for block in _blocks(fh):
-            if not block.endswith(b"\n") or b'"' in block or b"\0" in block \
-                    or b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
+        fh.seek(span[0])
+        for block in _blocks(fh, span[1] - span[0]):
+            if not _plain(block):
                 return None
             try:
                 block.isascii() or block.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise NotUtf8(path, what, exc.reason) from None
-            if pick is None:
-                head, _, block = block.removeprefix(codecs.BOM_UTF8).partition(b"\n")
-                header = head.decode("utf-8").removesuffix("\r").split(",")
-                pick = _pick(header, columns, what)
-                if max(map(len, header)) > limit:
-                    return None
-                if not block:
-                    continue
+                return NotUtf8(path, what, exc.reason)
             buf = np.frombuffer(block + bytes(8), dtype=np.uint8)  # 8 bytes past every cell
             body = buf[:-8]
             ends = np.flatnonzero(body == ord("\n"))
             commas = np.flatnonzero(body == ord(","))
-            if len(commas) != (len(header) - 1) * len(ends):
+            if len(commas) != (width - 1) * len(ends):
                 return None
             # each line's separators: the newline before it, its commas, its newline
             cuts = [np.append(-1, ends[:-1]), *commas.reshape(len(ends), -1).T, ends]
@@ -449,20 +524,11 @@ def _plain_columns(path: str | Path, columns: tuple[str, ...], what: str) -> lis
             words = np.ndarray((len(body) + 1,), dtype="<u8", buffer=buf, strides=(1,))
             for at, index, out in zip(pick, seen, parts):
                 size = cuts[at + 1] - cuts[at] - 1
-                if at == len(header) - 1:
+                if at == width - 1:
                     size -= body[ends - 1] == ord("\r")
                 cells, codes = _factorize(block, words, cuts[at] + 1, size)
-                remap = [index.setdefault(cell, len(index)) for cell in cells]
-                out.append(np.array(remap, dtype=_code_dtype(len(index)))[codes])
-    if pick is None:
-        return None
-    columns = []
-    for index, out in zip(seen, parts):  # joined one at a time, each freeing its blocks
-        dtype = _code_dtype(len(index))
-        columns.append((list(index), np.concatenate(out, dtype=dtype) if out
-                        else np.zeros(0, dtype=dtype)))
-        out.clear()
-    return columns
+                out.append(_remap(index, cells)[codes])
+    return [(list(index), out) for index, out in zip(seen, parts)]
 
 
 def _factorize(block: bytes, words: np.ndarray, start: np.ndarray, size: np.ndarray) -> Column:

@@ -1,13 +1,15 @@
 """Run independent groups of work in forked children, one group per usable CPU.
 
-A command's model fits are the work (``scoreline.cli.run_fits``): its
-fits are cut into contiguous groups, this process runs the first and a
-forked child each other. A forked child starts as a copy of this process,
-so it needs no pickled inputs and no fresh import; only its result comes
-back, pickled, down its own pipe. Forking a process that runs other
-threads is unsafe, so work runs in this process alone where another
-Python thread is alive, or where the platform has no ``os.fork``. A
-child's memory is not counted in this process's peak RSS.
+Two kinds of work run here: a command's model fits
+(``scoreline.cli.run_fits``), and the byte ranges of a large stats file
+(``scoreline.ingest``). The work is cut into contiguous groups, this
+process runs the first and a forked child each other. A forked child
+starts as a copy of this process, so it needs no pickled inputs and no
+fresh import; only its result comes back, pickled, down its own pipe.
+Forking a process that runs other threads is unsafe, so work runs in this
+process alone where another Python thread is alive, or where the platform
+has no ``os.fork``. A child's memory is not counted in this process's
+peak RSS.
 """
 
 from __future__ import annotations
@@ -36,10 +38,11 @@ def usable_cpus() -> int:
 def split(n_items: int) -> list[slice]:
     """``n_items`` as contiguous groups whose sizes differ by at most one:
     one group per usable CPU but never more than ``n_items``, and a single
-    group where this process cannot fork safely."""
+    group where this process cannot fork safely or there are no items (an
+    empty one)."""
     groups = 1
     if hasattr(os, "fork") and threading.active_count() == 1:
-        groups = min(n_items, usable_cpus())
+        groups = max(1, min(n_items, usable_cpus()))
     bounds = [n_items * g // groups for g in range(groups + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 

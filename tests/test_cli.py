@@ -6,10 +6,12 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -709,7 +711,8 @@ def test_grid_rerun_byte_identical(grid_dir, monkeypatch):
 def test_commands_fork_one_child_per_extra_group(tmp_path, monkeypatch, cpus):
     """train's two fits and the grid's 36 each run in one fit run, one
     group per usable CPU and never more than the fits: W usable CPUs fork
-    at most W - 1 children per command, not a set per forest."""
+    at most W - 1 children per command, not a set per forest. The sample's
+    stats file is under the range minimum, so its read forks nothing."""
     forks, fork = [], os.fork
 
     def counted():
@@ -723,6 +726,95 @@ def test_commands_fork_one_child_per_extra_group(tmp_path, monkeypatch, cpus):
         forks.clear()
         assert run(argv[0], *base_args(tmp_path / argv[0]), *argv[1:]) == 0
         assert len(forks) == min(cpus, fits) - 1, argv
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+def test_predict_forks_one_child_per_extra_stats_range(tmp_path, team_artifacts, monkeypatch,
+                                                       cpus):
+    """predict fits nothing, so its forks are the stats read's. With the
+    range minimum at 100 000 bytes the sample's stats file holds three
+    ranges: W usable CPUs fork min(W, 3) - 1 children, and none while
+    another thread runs, and every run writes the same predictions."""
+    forks, fork = [], os.fork
+
+    def counted():
+        if threading.active_count() > 1:
+            raise AssertionError("os.fork called while another thread runs")
+        forks.append(os.getpid())
+        return fork()
+
+    def predict(name):
+        out = tmp_path / name
+        assert run("predict", "--artifacts", team_artifacts,
+                   "--fixtures", Path(SAMPLE_DIR) / "upcoming.csv", "--out", out) == 0
+        return out.read_bytes()
+
+    assert (SAMPLE_DIR / "player_stats.csv").stat().st_size // 100_000 == 3
+    alone = predict("alone.csv")
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(ingest, "RANGE_BYTES", 100_000)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    assert predict("ranges.csv") == alone
+    assert len(forks) == min(cpus, 3) - 1
+    forks.clear()
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert predict("threaded.csv") == alone
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+
+
+def _mutated_line(kind: str, rng: random.Random, line: bytes) -> list[bytes]:
+    """A stats line (its line end kept) after one mutation at a random cell
+    and place, as the lines that replace it."""
+    body = line.rstrip(b"\r\n")
+    cells, end = body.split(b","), line[len(body):]
+    at = rng.randrange(len(cells))
+    if kind in ('"', "\0", "\xff"):
+        place = rng.randrange(len(cells[at]) + 1)
+        cells[at] = cells[at][:place] + kind.encode("latin-1") + cells[at][place:]
+    elif kind == "dropped cell":
+        del cells[at]
+    elif kind == "inserted cell":
+        cells.insert(at, b"x")
+    elif kind == "repeated line":
+        return [line, line]
+    else:
+        cells[-1] = kind.encode()
+    return [b",".join(cells) + end]
+
+
+@pytest.mark.parametrize("kind", ['"', "\0", "\xff", "nan", "inf", "1e400", "-1", "dropped cell",
+                                  "inserted cell", "repeated line"])
+def test_mutated_stats_file_fails_alike_in_one_range_or_two(tmp_path, monkeypatch, capsys, kind):
+    """The sample league with one stats line mutated at seeded places, read
+    in one byte range and in two: evaluate exits with the same code and the
+    same single "error:" line either way, never a traceback."""
+    raw = (SAMPLE_DIR / "player_stats.csv").read_bytes()
+    lines = raw.splitlines(keepends=True)
+    monkeypatch.setattr(ingest, "RANGE_BYTES", len(raw) // 3)
+    for seed in range(3):
+        rng = random.Random(f"{kind} {seed}")
+        at = rng.randrange(1, len(lines))
+        data = tmp_path / f"data-{seed}"
+        shutil.copytree(SAMPLE_DIR, data)
+        (data / "player_stats.csv").write_bytes(
+            b"".join(lines[:at] + _mutated_line(kind, rng, lines[at]) + lines[at + 1:]))
+        outcomes = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+            code = run("evaluate", "--model", "recency", "--data-dir", data, "--test-size", 8,
+                       "--out-dir", tmp_path / "out")
+            outcomes.append((code, capsys.readouterr().err))
+        (code, err), case = outcomes[0], (kind, seed, at)
+        assert outcomes[1] == outcomes[0], case
+        assert (code, err) == (0, "") or (code == 1 and err.startswith("error: ")
+                                          and err.count("\n") == 1), (case, code, err)
 
 
 def test_grid_rerun_byte_identical_on_any_blas_thread_count(tmp_path):

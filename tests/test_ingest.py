@@ -38,6 +38,7 @@ from scoreline.ingest import (
     save_odds,
     save_player_stats,
 )
+from scoreline.regress import workers
 
 FIXTURE_HEADER = ("fixture_id,season,kickoff,home_team,away_team,"
                   "home_goals,away_goals,home_lineup,away_lineup\n")
@@ -439,13 +440,32 @@ def test_stats_reader_contract(tmp_path, two_fixtures, text, expected, quoted):
 
 
 PLAIN_OR_NOT = {"as shipped": True, "LF": True, "quoted": False}
+RANGE_COUNTS = (1, 2, 3)
 
 
-@pytest.mark.parametrize("form", PLAIN_OR_NOT)
-def test_sample_stats_same_archive_from_either_reader(tmp_path, sample_dir, dataset, form):
+def with_ranges(values):
+    """Each of ``values`` (ids) with each of RANGE_COUNTS, its id unchanged
+    at one range."""
+    return [pytest.param(value, ranges, id=value if ranges == 1 else f"{value}-ranges_{ranges}")
+            for value in values for ranges in RANGE_COUNTS]
+
+
+def force_ranges(monkeypatch, ranges):
+    """Read a plain stats file in ``ranges`` byte ranges (fewer only if its
+    data lines hold fewer bytes): that many usable CPUs, and a range
+    minimum of one byte."""
+    monkeypatch.setattr(workers, "usable_cpus", lambda: ranges)
+    monkeypatch.setattr(ingest, "RANGE_BYTES", 1)
+
+
+@pytest.mark.parametrize("form, ranges", with_ranges(PLAIN_OR_NOT))
+def test_sample_stats_same_archive_from_either_reader(tmp_path, sample_dir, dataset, form,
+                                                      ranges, monkeypatch):
     """The bundled stats file as shipped (CRLF line ends), with LF line ends,
     and with every cell quoted: the first two are split in bulk, the last
-    read by csv.reader, and all give the same code types and archive."""
+    read by csv.reader, and all give the same code types and archive, read
+    in one byte range or several."""
+    force_ranges(monkeypatch, ranges)
     path = tmp_path / "player_stats.csv"
     raw = (sample_dir / "player_stats.csv").read_bytes()
     assert raw.count(b"\r\n") == raw.count(b"\n")
@@ -514,11 +534,15 @@ def test_stats_byte_order_mark_quoted(tmp_path, two_fixtures):
         ("a0", "F1", "GK", (("g_CS", 1.0),))]
 
 
-@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+@pytest.mark.parametrize("form, ranges", with_ranges(["plain", "quoted"]))
 @pytest.mark.parametrize("where", ["first record", "last record"])
-def test_stats_not_utf8_whatever_rows_come_first(tmp_path, two_fixtures, where, quoted):
+def test_stats_not_utf8_whatever_rows_come_first(tmp_path, two_fixtures, where, form, ranges,
+                                                 monkeypatch):
     """The stats file is decoded whole before any row is checked, so a bad
-    byte fails as NotUtf8 even after a row that fails a check."""
+    byte fails as NotUtf8 even after a row that fails a check, in the first
+    byte range or the last."""
+    force_ranges(monkeypatch, ranges)
+    quoted = form == "quoted"
     rows = [_cells(fid="F9"), *[GOOD_ROW] * 2000, _cells(stat="d_Tkl")]
     path = stats_file(tmp_path, rows, quoted)
     raw = path.read_bytes()
@@ -527,6 +551,37 @@ def test_stats_not_utf8_whatever_rows_come_first(tmp_path, two_fixtures, where, 
     with pytest.raises(NotUtf8) as exc:
         load_player_stats(path, two_fixtures)
     assert str(exc.value) == f"stats file {path} is not UTF-8 text: invalid start byte"
+
+
+@pytest.mark.parametrize("ranges", [2, 3])
+def test_stats_first_range_not_plain_decides_over_a_later_range_not_utf8(
+        tmp_path, two_fixtures, monkeypatch, ranges):
+    """The first range holds a ``"`` that opens a quoted cell, a later one a
+    0xff byte. One range meets the ``"`` first and falls back to csv.reader,
+    which stops at the quoted cell's field limit before it decodes the 0xff;
+    any number of ranges must read the file as one range does, not fail on
+    the 0xff of a later range."""
+    path = tmp_path / "s.csv"
+    path.write_bytes(STATS_HEADER.encode() + b'a0,F1,GK,g_CS,"1\n'
+                     + b"a1,F1,GK,g_GA,2\n" * 12_000 + b"a2,F2,GK,g_CS,\xff\n")
+    expected = (ParseError, "row 2: unreadable stats file: field larger than field limit (131072)")
+    assert _outcome(load_stats_by_rows, path, two_fixtures) == expected
+    for count in (1, ranges):
+        force_ranges(monkeypatch, count)
+        assert _outcome(load_player_stats, path, two_fixtures) == expected, count
+
+
+@pytest.mark.parametrize("text, ranges", with_ranges(["empty", "header only"]))
+def test_stats_file_without_records_in_any_number_of_ranges(tmp_path, two_fixtures, monkeypatch,
+                                                            text, ranges):
+    """An empty stats file has no header; one with a header alone has no
+    records, and its data lines make no byte range, whatever the CPU count."""
+    force_ranges(monkeypatch, ranges)
+    path = tmp_path / "s.csv"
+    path.write_text(STATS_HEADER if text == "header only" else "", encoding="utf-8")
+    expected = [] if text == "header only" else (
+        ParseError, f"row 1: stats file missing columns {list(STATS_COLUMNS)}")
+    assert _outcome(load_player_stats, path, two_fixtures) == expected
 
 
 # Per column, good cells, odd ones (padded, which is the same key after
@@ -541,10 +596,11 @@ CELLS = [(["a0", "a1", "b2"], [" a0 ", ""], 7),
 
 @st.composite
 def stats_texts(draw):
-    """A stats file's text, whether to quote its every cell, and the block
-    size to read it in: small blocks cut the file between lines. Half the
-    files hold good cells only, and fail, if at all, on conflicting groups
-    or repeated stats."""
+    """A stats file's text, whether to quote its every cell, the block size
+    to read it in, and the number of byte ranges to cut its data lines in,
+    with a range minimum of a few bytes: small blocks and several ranges
+    cut the file between lines. Half the files hold good cells only, and
+    fail, if at all, on conflicting groups or repeated stats."""
     clean = draw(st.booleans())
     player, fixture, group, stat, value = (
         st.sampled_from(good) if clean
@@ -559,7 +615,8 @@ def stats_texts(draw):
     end = draw(st.sampled_from(["\n", "\r\n"]))
     text = end.join(",".join(row) for row in [STATS_COLUMNS, *rows])
     return text + ("" if draw(st.booleans()) else end), draw(st.booleans()), \
-        draw(st.sampled_from([ingest.BLOCK_BYTES, 40]))
+        draw(st.sampled_from([ingest.BLOCK_BYTES, 40])), draw(st.sampled_from(RANGE_COUNTS)), \
+        draw(st.integers(1, 16))
 
 
 def _outcome(load, path, fixtures):
@@ -574,11 +631,14 @@ def _outcome(load, path, fixtures):
 def test_stats_loader_matches_row_at_a_time_oracle(case):
     """On random small stats files (padded and interleaved keys, CRLF or LF,
     with or without a final newline, negative, NaN and overflowing values,
-    conflicting groups, plain or quoted, read in one block or many) the
-    loader gives the oracle's archive or its error."""
-    text, quoted, block = case
+    conflicting groups, plain or quoted, read in one block or many, in one
+    byte range or several) the loader gives the oracle's archive or its
+    error."""
+    text, quoted, block, ranges, minimum = case
     fixtures = [fx("F1", 0, "X", "Y"), fx("F2", 7, "Y", "X")]
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "BLOCK_BYTES", block):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "BLOCK_BYTES", block), \
+            mock.patch.object(ingest, "RANGE_BYTES", minimum), \
+            mock.patch.object(workers, "usable_cpus", lambda: ranges):
         path = Path(tmp, "s.csv")
         path.write_bytes(text.encode("utf-8"))
         if quoted:

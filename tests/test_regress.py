@@ -540,6 +540,16 @@ def test_worker_warnings_reach_the_parent_in_order():
         for category, when in ((UserWarning, "starts"), (NotConvergedWarning, "ends"))]
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_no_items_make_one_empty_group(monkeypatch, cpus):
+    """Work of no items (a stats file with a header alone) is one empty
+    group, run in this process."""
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    assert workers.split(0) == [slice(0, 0)]
+    assert workers.run_groups(lambda group: [os.getpid(), *range(5)[group]],
+                              workers.split(0)) == [[os.getpid()]]
+
+
 def test_no_fork_while_another_thread_runs(monkeypatch):
     def forbidden():
         raise AssertionError("os.fork called while another thread runs")
