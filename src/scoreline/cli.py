@@ -64,10 +64,22 @@ TECHNIQUE_ENGINES = {
     "svr": ("svr", {"kernel": "linear"}), "svr-rbf": ("svr", {"kernel": "rbf"}),
 }
 ML_TECHNIQUES = tuple(TECHNIQUE_ENGINES)
-SCENARIOS = ("home", "away", "betting", "standings", "top4", "relegation")
-HIGHER_IS_BETTER = {
+# each ranked scenario, in overview.csv column order, and whether a higher
+# value ranks better
+SCENARIOS = {
     "home": False, "away": False, "betting": True,
     "standings": True, "top4": True, "relegation": True,
+}
+# each per-model bundle file and its header, in the order the bundle writes them
+REPORTS = {
+    "fitness.csv": ("model", "side", "n", "mae", "rmse", "r2"),
+    "standings.csv": ("model", "source", "position", "team", "played", "points",
+                      "goal_diff", "goals_for"),
+    "tau.csv": ("model", "tau"),
+    "zones.csv": ("model", "top4_pct", "bottom3_pct"),
+    "betting.csv": ("model", "stake", "policy", "bets_placed", "bets_skipped",
+                    "correct_scorelines", "total_payout", "net_earnings"),
+    "predictions.csv": PREDICTION_COLUMNS,
 }
 STATS_APPROACHES = ("lineup_stats", "team_stats")
 IMPORTANCE_COLUMNS = ("approach", "side", "feature", "score")
@@ -582,76 +594,57 @@ def _importance_rows(train: dict) -> list[list]:
     return rows
 
 
-def _evaluate_bundle(cfg: RunConfig, dataset: Dataset, psets: list,
-                     out_dir: Path, seed: int) -> dict:
-    """Write the full report bundle; returns the scenario value map."""
-    by_id = {f.fixture_id: f for f in dataset.fixtures}
-    fitness_rows = []
-    standings_rows = []
-    tau_rows = []
-    zone_rows = []
-    bet_rows = []
-    values = {s: {} for s in SCENARIOS}
+def _model_reports(cfg: RunConfig, dataset: Dataset, by_id: dict,
+                   pset: PredictionSet) -> tuple[dict, dict, list]:
+    """One model's rows of each REPORTS file, its value in each scenario and
+    its summary notes, over the test fixtures it predicted."""
+    label, preds = pset.model, pset.predictions
+    covered = [by_id[p.fixture_id] for p in preds]
+    fits = {side: fitness([getattr(p, f"raw_{side}") for p in preds],
+                          [getattr(p, f"actual_{side}") for p in preds]) for side in SIDES}
+    pred_table = simulate_standings(preds, covered)
+    act_table = actual_standings(covered)
+    tau = kendall_tau(pred_table, act_table)
     notes = []
+    try:
+        top4 = zone_accuracy(pred_table, act_table, "top-4")
+        bottom3 = zone_accuracy(pred_table, act_table, "bottom-3")
+    except EvaluateError as exc:
+        top4 = bottom3 = None
+        notes.append(f"{label}: zone accuracy unavailable ({exc})")
+    ledger = bet_run(preds, dataset.odds, cfg.stake, cfg.missing_odds)
+    notes += [f"{label}: skipped {fid}: {reason}" for fid, reason in pset.skipped]
+    rows = {
+        "fitness.csv": [[label, side, fr.n, fnum(fr.mae), fnum(fr.rmse), fnum(fr.r2)]
+                        for side, fr in fits.items()],
+        "standings.csv": [[label, table.source, pos, row.team, row.played, row.points,
+                           row.goal_diff, row.goals_for]
+                          for table in (pred_table, act_table)
+                          for pos, row in enumerate(table.rows, start=1)],
+        "tau.csv": [[label, fnum(tau)]],
+        "zones.csv": [[label, fnum(top4), fnum(bottom3)]],
+        "betting.csv": [[label, fnum(ledger.stake), ledger.policy, ledger.bets_placed,
+                         ledger.bets_skipped, sum(e.correct for e in ledger.entries),
+                         fnum(ledger.total_payout), fnum(ledger.net_earnings)]],
+        "predictions.csv": prediction_rows([pset]),
+    }
+    values = {"home": fits["home"].mae, "away": fits["away"].mae,
+              "betting": ledger.net_earnings, "standings": tau,
+              "top4": top4, "relegation": bottom3}
+    return rows, values, notes
 
-    for pset in psets:
-        label = pset.model
-        preds = pset.predictions
-        covered = [by_id[p.fixture_id] for p in preds]
-        fr_home = fitness([p.raw_home for p in preds],
-                          [p.actual_home for p in preds], label, "home")
-        fr_away = fitness([p.raw_away for p in preds],
-                          [p.actual_away for p in preds], label, "away")
-        for fr in (fr_home, fr_away):
-            fitness_rows.append([fr.model, fr.side, fr.n, fnum(fr.mae),
-                                 fnum(fr.rmse), fnum(fr.r2)])
-        values["home"][label] = fr_home.mae
-        values["away"][label] = fr_away.mae
 
-        pred_table = simulate_standings(preds, covered)
-        act_table = actual_standings(covered)
-        for source, table in (("predicted", pred_table), ("actual", act_table)):
-            for pos, row in enumerate(table.rows, start=1):
-                standings_rows.append([label, source, pos, row.team, row.played,
-                                       row.points, row.goal_diff, row.goals_for])
-        tau = kendall_tau(pred_table, act_table)
-        values["standings"][label] = tau
-        tau_rows.append([label, fnum(tau)])
-        try:
-            top4 = zone_accuracy(pred_table, act_table, "top-4")
-            bottom3 = zone_accuracy(pred_table, act_table, "bottom-3")
-        except EvaluateError as exc:
-            top4 = bottom3 = None
-            notes.append(f"{label}: zone accuracy unavailable ({exc})")
-        values["top4"][label] = top4
-        values["relegation"][label] = bottom3
-        zone_rows.append([label, fnum(top4), fnum(bottom3)])
-
-        ledger = bet_run(preds, dataset.odds, cfg.stake, cfg.missing_odds)
-        values["betting"][label] = ledger.net_earnings
-        correct = sum(1 for e in ledger.entries if e.correct)
-        bet_rows.append([label, fnum(ledger.stake), ledger.policy,
-                         ledger.bets_placed, ledger.bets_skipped, correct,
-                         fnum(ledger.total_payout), fnum(ledger.net_earnings)])
-
-        for fid, reason in pset.skipped:
-            notes.append(f"{label}: skipped {fid}: {reason}")
-
-    ranks = {s: rank_models(values[s], HIGHER_IS_BETTER[s]) for s in SCENARIOS}
+def _evaluate_bundle(cfg: RunConfig, dataset: Dataset, psets: list,
+                     out_dir: Path, seed: int) -> str:
+    """Write the full report bundle; returns the summary text."""
+    by_id = {f.fixture_id: f for f in dataset.fixtures}
+    model_rows, model_values, model_notes = zip(
+        *(_model_reports(cfg, dataset, by_id, pset) for pset in psets))
+    ranks = {s: rank_models({p.model: v[s] for p, v in zip(psets, model_values)}, higher)
+             for s, higher in SCENARIOS.items()}
     overview = rank_sum_overview(ranks, models=[p.model for p in psets])
-
-    write_csv(out_dir / "fitness.csv",
-              ["model", "side", "n", "mae", "rmse", "r2"], fitness_rows)
-    write_csv(out_dir / "standings.csv",
-              ["model", "source", "position", "team", "played", "points",
-               "goal_diff", "goals_for"], standings_rows)
-    write_csv(out_dir / "tau.csv", ["model", "tau"], tau_rows)
-    write_csv(out_dir / "zones.csv", ["model", "top4_pct", "bottom3_pct"],
-              zone_rows)
-    write_csv(out_dir / "betting.csv",
-              ["model", "stake", "policy", "bets_placed", "bets_skipped",
-               "correct_scorelines", "total_payout", "net_earnings"], bet_rows)
-    write_csv(out_dir / "predictions.csv", PREDICTION_COLUMNS, prediction_rows(psets))
+    for name, header in REPORTS.items():
+        write_csv(out_dir / name, header, [row for rows in model_rows for row in rows[name]])
     write_csv(out_dir / "overview.csv",
               ["model", *SCENARIOS, "rank_sum"],
               [[row.model, *(r for _, r in row.ranks), row.rank_sum]
@@ -668,13 +661,13 @@ def _evaluate_bundle(cfg: RunConfig, dataset: Dataset, psets: list,
     for i, row in enumerate(overview, start=1):
         scen = ", ".join(f"{name} {rank}" for name, rank in row.ranks)
         summary.append(f"{i:3d}. {row.model:24s} rank sum {row.rank_sum:3d}  ({scen})")
+    notes = [f"  {note}" for one_model in model_notes for note in one_model]
     if notes:
-        summary.append("")
-        summary.append("notes:")
-        summary.extend(f"  {note}" for note in notes)
+        summary += ["", "notes:", *notes]
     summary.append("")
-    (out_dir / "summary.txt").write_text("\n".join(summary), encoding="utf-8")
-    return values
+    text = "\n".join(summary)
+    (out_dir / "summary.txt").write_text(text, encoding="utf-8")
+    return text
 
 
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -693,7 +686,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _evaluate_bundle(cfg, dataset, psets, out_dir, record["seed"])
+    summary = _evaluate_bundle(cfg, dataset, psets, out_dir, record["seed"])
     if importance:
         write_csv(out_dir / "importance.csv", IMPORTANCE_COLUMNS,
                   _importance_rows(importance))
@@ -707,7 +700,7 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     }
     write_json(out_dir / "evaluate_manifest.json", manifest)
     print(f"evaluated {len(psets)} model(s); reports in {out_dir}")
-    print((out_dir / "summary.txt").read_text(encoding="utf-8"), end="")
+    print(summary, end="")
     return 0
 
 

@@ -48,21 +48,19 @@ class MissingScenario(EvaluateError):
 
 @dataclass(frozen=True)
 class FitnessReport:
-    """MAE / RMSE / R2 for one model on one side's raw goal predictions.
+    """MAE / RMSE / R2 of one side's raw goal predictions.
 
     r2 is None when the actual goals are constant (zero total variance),
     reported downstream as not-applicable.
     """
 
-    model: str
-    side: str
     mae: float
     rmse: float
     r2: float | None
     n: int
 
 
-def fitness(raw_pred, actual, model: str = "", side: str = "") -> FitnessReport:
+def fitness(raw_pred, actual) -> FitnessReport:
     pred = np.asarray(raw_pred, dtype=np.float64)
     y = np.asarray(actual, dtype=np.float64)
     if pred.shape != y.shape or pred.ndim != 1:
@@ -77,8 +75,7 @@ def fitness(raw_pred, actual, model: str = "", side: str = "") -> FitnessReport:
         r2 = None
     else:
         r2 = float(1.0 - np.sum(err * err) / ss_tot)
-    return FitnessReport(model=model, side=side, mae=mae, rmse=rmse, r2=r2,
-                         n=int(pred.size))
+    return FitnessReport(mae=mae, rmse=rmse, r2=r2, n=int(pred.size))
 
 
 # ------------------------------------------------------------- standings

@@ -3,6 +3,7 @@
 import csv
 import gc
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -493,6 +494,112 @@ def test_evaluate_needs_a_selection(tmp_path, team_artifacts, capsys):
         err = capsys.readouterr().err
         assert "--all" in err and named in err, err
     assert not (tmp_path / "overview.csv").exists()
+
+
+# sha256 of every CSV and the summary of each heuristic's bundle on the
+# sample league (test 8), run from the repository root with a relative
+# --data-dir so that the summary's data line is the same on every host.
+# Heuristic rows are integers, correctly rounded means and square roots, so
+# their bytes do not depend on the BLAS build; ML rows' late digits do.
+HEURISTIC_BUNDLE_SHA256 = {
+    "home-win": {
+        "betting.csv": "eeaaecf81589ae16151d0558fe60eede765a0e971dbb6093d02e0285bc69f2ae",
+        "fitness.csv": "17d50212efb1168d6f1d0ca0bffe17aab49125982626e218df77ce62a689e873",
+        "overview.csv": "c87486f6de8476b78903b0aa51055b516a8bb6beabc52536b2f71df69af8a9f2",
+        "predictions.csv": "0540cd1621dff34f19e30408fed4a9d3c563647c8fcbafc9b7183a3f1c5a44bb",
+        "standings.csv": "9e7f9c3702a2dee9384e13adf54221788bef7002341dcfae51295ed6a9934016",
+        "tau.csv": "4822e083a6c5cf32b4e84db3b9e1ae565f507ba6e98dcc5f733838096ab2b7af",
+        "zones.csv": "906288026d9c5f9cf7ff356bcd5cd433e3e58c1312e3938ceb3cc1f391bee296",
+        "summary.txt": "3629a1fbe0a4b5a8579613fd7f2a1e810b04a2971a9844bad724e30a6d6e89f7",
+    },
+    "tradition": {
+        "betting.csv": "ed1c087f13259ec8dfaa9bac5531b71ed6b0d36c88cf2cd2341587ba625f8d30",
+        "fitness.csv": "3dd00c08200dcab3dce5bb4359b22f0b17972a5301d9be29d09dd93191649e06",
+        "overview.csv": "37ba2c27d549c94dd1150b8db674d3a7f14d970c1cf1b17842237dfbc7a5cf82",
+        "predictions.csv": "9d70d740ae85b05d4be251cceaa9a6e74960fd759b9554dc563d28b32ee0267e",
+        "standings.csv": "a14a3c52534572df70d5e6c959a54b1278c92d1763762dfa4d2f61e2d8feafcd",
+        "tau.csv": "04a1e140918ad09fe41f4cb83db644ff29ebbe4dd56cee0bfa347f645777b9fa",
+        "zones.csv": "78d5efa558c8815f8e1b32c23714d60623a55a85f3e7b984339bf5263041206d",
+        "summary.txt": "76982010f82dbd4917a08f1e2d6274a1565909f2653c5305cdbed243aefa74a1",
+    },
+    "recency": {
+        "betting.csv": "ed0adeb30067a72950378ca7431529b8fed0897447d17943f43d0c84be6d38d6",
+        "fitness.csv": "342ffe880c3271412732405e6a58cb1d705932fd0777d58c7e14499b5237e995",
+        "overview.csv": "98456cf2f98719b32383edf7e720770ab0d8b172ec3f7b092b744ff313bf8e67",
+        "predictions.csv": "9bc39b25c882e2e4d19efd996527aaffced87e6d74e9b086016d67f735b9f407",
+        "standings.csv": "891efa7384faee96641798f49e6e41e5bb8cbbad203cca56ec7158c265d51541",
+        "tau.csv": "83ad13486686dd0da3d4a82d55dc3fd6e55bcad9704481b5c46447a9f3c48527",
+        "zones.csv": "e9e65ce4da4d7b8491efb31b366ef493f6488e127a626bfc5ee6b1e4af2c5620",
+        "summary.txt": "6ce0585f9ceddbda0f344e31c9edf6097306bdf5590f5e31d3b734524cabc293",
+    },
+}
+
+
+@pytest.mark.parametrize("model", list(HEURISTIC_BUNDLE_SHA256))
+def test_heuristic_bundle_bytes(tmp_path, monkeypatch, capsys, model):
+    monkeypatch.chdir(Path(SAMPLE_DIR).parents[1])
+    assert run("evaluate", "--data-dir", Path("data", "sample"), "--test-size", 8,
+               "--model", model, "--out-dir", tmp_path) == 0
+    written = {p.name for p in tmp_path.iterdir() if p.suffix in (".csv", ".txt")}
+    assert written == set(HEURISTIC_BUNDLE_SHA256[model])
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in written} == HEURISTIC_BUNDLE_SHA256[model]
+    # the command prints the summary it wrote
+    assert capsys.readouterr().out.endswith((tmp_path / "summary.txt").read_text())
+
+
+def test_summary_notes_zones_unavailable(tmp_path):
+    """One test fixture makes a two-team table: no top-4 or bottom-3 zone,
+    so the zone cells are empty and the summary says why."""
+    assert run("evaluate", "--data-dir", SAMPLE_DIR, "--test-size", 1,
+               "--model", "home-win", "--out-dir", tmp_path) == 0
+    assert (tmp_path / "summary.txt").read_text().endswith(
+        "\nnotes:\n  home-win: zone accuracy unavailable "
+        "(top-4 needs at least 4 teams, have 2)\n")
+    assert read_csv(tmp_path / "zones.csv")[1] == [["home-win", "", ""]]
+
+
+def test_summary_notes_skipped_fixture(tmp_path):
+    """A lineup model cannot predict a test fixture without lineups: it is
+    scored over the fixtures it predicted, and the summary and manifest
+    name the one it skipped."""
+    data = shutil.copytree(SAMPLE_DIR, tmp_path / "data")
+    fixtures = data / "fixtures.csv"
+    lines = fixtures.read_text(encoding="utf-8").splitlines()
+    lines = [",".join(line.split(",")[:-2] + ["", ""]) if line.startswith("F033,") else line
+             for line in lines]
+    fixtures.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run("train", "--data-dir", data, "--test-size", 8, "--approach", "lineup_stats",
+               "--technique", "lr", "--out-dir", tmp_path / "trained") == 0
+    out = tmp_path / "eval"
+    assert run("evaluate", "--artifacts", tmp_path / "trained", "--out-dir", out) == 0
+    reason = "fixture 'F033' has no lineups"
+    assert (out / "summary.txt").read_text().endswith(
+        f"\nnotes:\n  lineup_stats+lr: skipped F033: {reason}\n")
+    assert [row[2] for row in read_csv(out / "fitness.csv")[1]] == ["7", "7"]
+    _, (bets,) = read_csv(out / "betting.csv")
+    assert int(bets[3]) + int(bets[4]) == 7  # placed + no quote for the predicted score
+    manifest = json.loads((out / "evaluate_manifest.json").read_text())
+    assert manifest["skipped"] == {"lineup_stats+lr": [["F033", reason]]}
+
+
+def test_every_benchmark_hook_target_resolves(tmp_path, monkeypatch):
+    """perfbench times each layer by wrapping a name where the CLI looks it
+    up, and reports a layer whose name has moved as unmeasured. Every target
+    must resolve, and a heuristic bundle must still make each metric call
+    that the evaluation layer's time is measured from."""
+    monkeypatch.syspath_prepend(str(Path(SAMPLE_DIR).parents[1] / "perfbench"))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        assert tracer.unmeasured == []
+        assert run("evaluate", *base_args(tmp_path), "--model", "home-win") == 0
+    finally:
+        tracer.unhook()
+    assert tracer.unmeasured == []
+    # fitness x2, both standings, tau, zones x2, bet_run, rank_models x6, rank_sum_overview
+    assert sum(span.name == "evaluate.metrics_s" for span in tracer.spans) == 15
 
 
 def test_unreadable_csv_returns_1(tmp_path, capsys):
