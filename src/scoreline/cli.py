@@ -22,7 +22,6 @@ from typing import NamedTuple
 from .evaluate import (
     EvaluateError,
     MISSING_ODDS_POLICIES,
-    actual_standings,
     bet_run,
     chi2_importance,
     fitness,
@@ -33,7 +32,7 @@ from .evaluate import (
     zone_accuracy,
 )
 from .features import APPROACHES, SIDES, FeatureBuilder, FeatureError
-from .heuristics import HEURISTICS, HeuristicError
+from .heuristics import HEURISTICS, HeuristicError, actual_standings
 from .ingest import (
     DATA_FILES,
     Dataset,
@@ -243,8 +242,8 @@ UNTRAINED = ("out_dir", "stake", "missing_odds")
 def parse_config_file(path) -> dict:
     """key = value lines; blank lines and full-line # comments ignored."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -425,7 +424,7 @@ def _train_manifest(cfg: RunConfig, label: str, models: dict, matrices: dict,
         "rows": {side: len(m.rows) for side, m in matrices.items()},
         "skipped": {side: [list(s) for s in m.skipped] for side, m in matrices.items()},
     }
-    if cfg.approach == "players":
+    if matrices["home"].coverage is not None:
         manifest["coverage"] = {side: m.coverage for side, m in matrices.items()}
     if cfg.technique in _SVRS:
         manifest["svr_status"] = {side: m.status for side, m in models.items()}

@@ -1,4 +1,7 @@
-"""Evaluation suite: fitness, standings, Kendall tau, zones, betting, chi2."""
+"""Evaluation suite: fitness, standings, Kendall tau, zones, betting, chi2.
+
+The real table, ``actual_standings``, is in ``heuristics`` beside Tradition.
+"""
 
 from __future__ import annotations
 
@@ -96,18 +99,6 @@ def simulate_standings(predictions: Sequence[ScorelinePrediction],
     return points_table(results, source="predicted")
 
 
-def actual_standings(test_fixtures: Iterable[Fixture]) -> StandingsTable:
-    """Real points earned over the same fixtures."""
-    results = [
-        (f.home_team, f.away_team, f.home_goals, f.away_goals)
-        for f in test_fixtures
-        if f.home_goals is not None and f.away_goals is not None
-    ]
-    if not results:
-        raise EmptyInput("no completed fixtures to build standings from")
-    return points_table(results, source="actual")
-
-
 def _check_same_teams(table_a: StandingsTable, table_b: StandingsTable) -> list[str]:
     teams_a = set(table_a.teams())
     teams_b = set(table_b.teams())
@@ -152,7 +143,8 @@ def kendall_tau(table_a: StandingsTable, table_b: StandingsTable) -> float:
     return (concordant - discordant) / denom
 
 
-ZONES = {"top-4": ("top", 4), "bottom-3": ("bottom", 3)}
+# each zone's size and its slice of the table
+ZONES = {"top-4": (4, slice(None, 4)), "bottom-3": (3, slice(-3, None))}
 
 
 def zone_accuracy(pred_table: StandingsTable, actual_table: StandingsTable,
@@ -164,17 +156,12 @@ def zone_accuracy(pred_table: StandingsTable, actual_table: StandingsTable,
     """
     if zone not in ZONES:
         raise EvaluateError(f"zone must be one of {sorted(ZONES)}, got {zone!r}")
-    end, size = ZONES[zone]
+    size, cut = ZONES[zone]
     _check_same_teams(pred_table, actual_table)
     if len(pred_table.rows) < size:
         raise TooFewTeams(f"{zone} needs at least {size} teams, have {len(pred_table.rows)}")
-    if end == "top":
-        pred_zone = set(pred_table.teams()[:size])
-        act_zone = set(actual_table.teams()[:size])
-    else:
-        pred_zone = set(pred_table.teams()[-size:])
-        act_zone = set(actual_table.teams()[-size:])
-    return 100.0 * len(pred_zone & act_zone) / size
+    overlap = set(pred_table.teams()[cut]) & set(actual_table.teams()[cut])
+    return 100.0 * len(overlap) / size
 
 
 # --------------------------------------------------------------- betting
@@ -204,7 +191,7 @@ class BettingLedger:
 
     @property
     def bets_skipped(self) -> int:
-        return sum(1 for e in self.entries if not e.odds_found and self.policy == "skip")
+        return len(self.entries) - self.bets_placed
 
     @property
     def total_payout(self) -> float:
@@ -237,21 +224,12 @@ def bet_run(predictions: Sequence[ScorelinePrediction],
         if p.actual_home is None or p.actual_away is None:
             continue
         record = odds.get(p.fixture_id)
-        quote = None
-        if record is not None:
-            quote = record.scoreline_odds.get((p.pred_home, p.pred_away))
+        quote = None if record is None else record.scoreline_odds.get((p.pred_home, p.pred_away))
         correct = p.correct_scoreline
-        if quote is None:
-            ledger.entries.append(BetEntry(
-                fixture_id=p.fixture_id, pred_home=p.pred_home,
-                pred_away=p.pred_away, correct=correct, odds_found=False,
-                odds=None, payout=0.0))
-            continue
-        payout = stake * quote if correct else 0.0
         ledger.entries.append(BetEntry(
             fixture_id=p.fixture_id, pred_home=p.pred_home,
-            pred_away=p.pred_away, correct=correct, odds_found=True,
-            odds=quote, payout=payout))
+            pred_away=p.pred_away, correct=correct, odds_found=quote is not None,
+            odds=quote, payout=stake * quote if correct and quote is not None else 0.0))
     return ledger
 
 

@@ -147,8 +147,10 @@ class FeatureMatrix:
         return sum(row.dropped_players for row in self.rows)
 
     @property
-    def coverage(self) -> float:
-        """Share of listed lineup players present in the universe."""
+    def coverage(self) -> float | None:
+        """Share of listed lineup players present in the universe; None outside players."""
+        if self.approach != "players":
+            return None
         if self.players_listed == 0:
             return 1.0
         return 1.0 - self.players_dropped / self.players_listed

@@ -1,17 +1,20 @@
 """Baseline predictors: Home Win, Tradition and Recency.
 
 All three produce integer scorelines directly, no features or training
-beyond what a league table or result history gives them.
+beyond what a league table or result history gives them. Tradition's
+table, ``actual_standings``, is also the evaluation's real table.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .ingest import Fixture, kickoff_order
 
 HEURISTICS = ("home-win", "tradition", "recency")
+DEBUT_GOALS = 1  # Recency's prediction for a team with no earlier match
 
 
 class HeuristicError(Exception):
@@ -58,6 +61,14 @@ class StandingsTable:
         return self.rows[self.rank_of(team) - 1].points
 
 
+@dataclass
+class _Tally:
+    played: int = 0
+    points: int = 0
+    goal_diff: int = 0
+    goals_for: int = 0
+
+
 def points_table(results: Iterable[tuple[str, str, int, int]],
                  source: str) -> StandingsTable:
     """Standings from (home, away, home_goals, away_goals) tuples.
@@ -65,44 +76,24 @@ def points_table(results: Iterable[tuple[str, str, int, int]],
     Three points for a win, one for a draw. Ties in points break by goal
     difference, then goals for, then team name.
     """
-    played: dict[str, int] = {}
-    points: dict[str, int] = {}
-    scored: dict[str, int] = {}
-    conceded: dict[str, int] = {}
+    tallies: dict[str, _Tally] = defaultdict(_Tally)
     for home, away, hg, ag in results:
-        for team in (home, away):
-            if team not in points:
-                played[team] = 0
-                points[team] = 0
-                scored[team] = 0
-                conceded[team] = 0
-        played[home] += 1
-        played[away] += 1
-        scored[home] += hg
-        conceded[home] += ag
-        scored[away] += ag
-        conceded[away] += hg
-        if hg > ag:
-            points[home] += 3
-        elif hg < ag:
-            points[away] += 3
-        else:
-            points[home] += 1
-            points[away] += 1
-    rows = [
-        TableRow(team=t, played=played[t], points=points[t],
-                 goal_diff=scored[t] - conceded[t], goals_for=scored[t])
-        for t in points
-    ]
+        for team, scored, conceded in ((home, hg, ag), (away, ag, hg)):
+            tally = tallies[team]
+            tally.played += 1
+            tally.points += 3 if scored > conceded else 1 if scored == conceded else 0
+            tally.goal_diff += scored - conceded
+            tally.goals_for += scored
+    rows = [TableRow(team=team, **vars(tally)) for team, tally in tallies.items()]
     rows.sort(key=lambda r: (-r.points, -r.goal_diff, -r.goals_for, r.team))
     return StandingsTable(rows=tuple(rows), source=source)
 
 
-def build_training_table(train_fixtures: Sequence[Fixture]) -> StandingsTable:
-    """Actual standings over the completed training fixtures."""
+def actual_standings(fixtures: Iterable[Fixture]) -> StandingsTable:
+    """Real standings over the completed ``fixtures``."""
     results = [
         (f.home_team, f.away_team, f.home_goals, f.away_goals)
-        for f in train_fixtures
+        for f in fixtures
         if f.home_goals is not None and f.away_goals is not None
     ]
     if not results:
@@ -130,8 +121,7 @@ def tradition_predict(fixture: Fixture, table: StandingsTable) -> tuple[int, int
     return (1, 0) if home_key < away_key else (0, 1)
 
 
-def last_goals_before(team: str, kickoff, history: Iterable[Fixture],
-                      default: int = 1) -> int:
+def last_goals_before(team: str, kickoff, history: Iterable[Fixture]) -> int:
     """Goals the team scored in its most recent completed match before kickoff."""
     best: Fixture | None = None
     for f in history:
@@ -144,18 +134,15 @@ def last_goals_before(team: str, kickoff, history: Iterable[Fixture],
         if best is None or kickoff_order(f) > kickoff_order(best):
             best = f
     if best is None:
-        return default
+        return DEBUT_GOALS
     return best.home_goals if team == best.home_team else best.away_goals
 
 
-def recency_predict(fixture: Fixture, history: Iterable[Fixture],
-                    default: int = 1) -> tuple[int, int]:
+def recency_predict(fixture: Fixture, history: Sequence[Fixture]) -> tuple[int, int]:
     """Each side repeats its goals from its own previous completed match.
 
     Only matches with kickoff strictly before the fixture's count; a team
-    with no prior match defaults to 1.
+    with no prior match gets DEBUT_GOALS.
     """
-    history = list(history)
-    home = last_goals_before(fixture.home_team, fixture.kickoff, history, default)
-    away = last_goals_before(fixture.away_team, fixture.kickoff, history, default)
-    return (home, away)
+    return (last_goals_before(fixture.home_team, fixture.kickoff, history),
+            last_goals_before(fixture.away_team, fixture.kickoff, history))

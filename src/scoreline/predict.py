@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from .heuristics import (
     HEURISTICS,
-    StandingsTable,
-    build_training_table,
+    actual_standings,
     home_win_predict,
     recency_predict,
     tradition_predict,
@@ -56,6 +56,15 @@ class ScorelinePrediction:
         return (self.actual_home is not None
                 and self.pred_home == self.actual_home
                 and self.pred_away == self.actual_away)
+
+
+def _scoreline(label: str, fixture: Fixture, raw_home, raw_away) -> ScorelinePrediction:
+    """``fixture``'s prediction from raw goals, each rounded by ``round_goals``."""
+    rh, ra = float(raw_home), float(raw_away)
+    return ScorelinePrediction(
+        fixture_id=fixture.fixture_id, model=label, raw_home=rh, raw_away=ra,
+        pred_home=round_goals(rh), pred_away=round_goals(ra),
+        actual_home=fixture.home_goals, actual_away=fixture.away_goals)
 
 
 @dataclass
@@ -113,18 +122,11 @@ def pair_scorelines(label: str, fixtures: Sequence[Fixture], matrices: dict,
         if fid not in raw_home or fid not in raw_away:
             skipped.setdefault(fid, "row not built for both sides")
             continue
-        rh = float(raw_home[fid])
-        ra = float(raw_away[fid])
-        predictions.append(ScorelinePrediction(
-            fixture_id=fid, model=label,
-            raw_home=rh, raw_away=ra,
-            pred_home=round_goals(rh), pred_away=round_goals(ra),
-            actual_home=fixture.home_goals, actual_away=fixture.away_goals))
+        predictions.append(_scoreline(label, fixture, raw_home[fid], raw_away[fid]))
     order = {f.fixture_id: i for i, f in enumerate(fixtures)}
     skip_list = sorted(skipped.items(), key=lambda kv: order[kv[0]])
-    coverage = home_m.coverage if home_m.approach == "players" else None
     return PredictionSet(model=label, predictions=predictions,
-                         skipped=skip_list, coverage=coverage)
+                         skipped=skip_list, coverage=home_m.coverage)
 
 
 class HeuristicPredictor:
@@ -135,28 +137,20 @@ class HeuristicPredictor:
         if name not in HEURISTICS:
             raise ValueError(f"unknown heuristic {name!r}; expected one of {HEURISTICS}")
         self.label = name
-        self._table: StandingsTable | None = None
-        if name == "tradition":
-            self._table = build_training_table(train_fixtures)
-        self._history = list(history if history is not None else train_fixtures)
+        if name == "home-win":
+            self._rule = home_win_predict
+        elif name == "tradition":
+            self._rule = partial(tradition_predict, table=actual_standings(train_fixtures))
+        else:
+            self._rule = partial(recency_predict, history=list(
+                history if history is not None else train_fixtures))
 
     def predict(self, fixtures: Sequence[Fixture]) -> PredictionSet:
         fixtures = sorted(fixtures, key=kickoff_order)
         if not fixtures:
             raise EmptyTestSet("no fixtures to predict")
-        predictions = []
-        for fixture in fixtures:
-            if self.label == "home-win":
-                ph, pa = home_win_predict(fixture)
-            elif self.label == "tradition":
-                ph, pa = tradition_predict(fixture, self._table)
-            else:
-                ph, pa = recency_predict(fixture, self._history)
-            predictions.append(ScorelinePrediction(
-                fixture_id=fixture.fixture_id, model=self.label,
-                raw_home=float(ph), raw_away=float(pa),
-                pred_home=ph, pred_away=pa,
-                actual_home=fixture.home_goals, actual_away=fixture.away_goals))
+        predictions = [_scoreline(self.label, fixture, *self._rule(fixture))
+                       for fixture in fixtures]
         return PredictionSet(model=self.label, predictions=predictions, skipped=[])
 
 

@@ -19,7 +19,6 @@ from helpers import assert_no_lookahead, exhaustive_tree_sse, fx, leaf_tree
 
 from scoreline.cli import main
 from scoreline.evaluate import (
-    actual_standings,
     bet_run,
     chi2_importance,
     fitness,
@@ -27,7 +26,7 @@ from scoreline.evaluate import (
     simulate_standings,
     zone_accuracy,
 )
-from scoreline.heuristics import StandingsTable, TableRow
+from scoreline.heuristics import StandingsTable, TableRow, actual_standings
 from scoreline.ingest import load_dataset
 from scoreline.predict import HeuristicPredictor, round_goals
 from scoreline.regress import (

@@ -175,8 +175,14 @@ def test_config_file_with_cli_override(tmp_path):
     manifest = json.loads((tmp_path / "out" / "train_manifest.json").read_text())
     assert manifest["config"]["knn_k"] == 7
 
+    # a byte order mark before the first line is not part of it
+    conf.write_bytes(b"\xef\xbb\xbf" + conf.read_bytes())
+    assert run("train", "--config", conf) == 0
+    manifest = json.loads((tmp_path / "out" / "train_manifest.json").read_text())
+    assert manifest["config"]["knn_k"] == 3
 
-def test_config_file_errors(tmp_path):
+
+def test_config_file_errors(tmp_path, capsys):
     bad_key = tmp_path / "bad.conf"
     bad_key.write_text("knn_q = 3\n", encoding="utf-8")
     assert run("train", "--config", bad_key) == 2
@@ -187,6 +193,13 @@ def test_config_file_errors(tmp_path):
     no_equals.write_text("just words\n", encoding="utf-8")
     assert run("train", "--config", no_equals) == 2
     assert run("train", "--config", tmp_path / "absent.conf") == 2
+    # a file that is not UTF-8 is a usage error naming it
+    undecodable = tmp_path / "latin.conf"
+    undecodable.write_bytes(b"seed = 1 \xff\n")
+    capsys.readouterr()
+    assert run("train", "--config", undecodable) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot read config file {undecodable}: "), err
 
 
 def test_hyperparameter_validation_returns_2(tmp_path):
@@ -535,15 +548,74 @@ HEURISTIC_BUNDLE_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("model", list(HEURISTIC_BUNDLE_SHA256))
-def test_heuristic_bundle_bytes(tmp_path, monkeypatch, capsys, model):
-    monkeypatch.chdir(Path(SAMPLE_DIR).parents[1])
-    assert run("evaluate", "--data-dir", Path("data", "sample"), "--test-size", 8,
+# The same on the benchmark's 20-club league (test 30), run from the
+# directory that holds it with --data-dir league: 20-team tables, a
+# relegation zone and 30 bets per heuristic.
+LEAGUE_20_BUNDLE_SHA256 = {
+    "home-win": {
+        "betting.csv": "6369b0679f64abbef480ff405f44bd182aa8d1c3c9417064a102ee1b785833f6",
+        "fitness.csv": "22f3827e17b48a4ef270299524546d21fe47f36e12d64306a4ff947e9d092492",
+        "overview.csv": "c87486f6de8476b78903b0aa51055b516a8bb6beabc52536b2f71df69af8a9f2",
+        "predictions.csv": "4a83fdf356588297795dec9623e1ef1f2c0f03de3c8aa97b4f639e787b6382bf",
+        "standings.csv": "c7e418b68da18b7002cb8ac2c01844ce4ff1203a419e214cf5933d3319aaa554",
+        "tau.csv": "b61060375a6095aced92ab5110545e294feddedfd59ec34e89a1fea9a9ab4361",
+        "zones.csv": "2063233448f46cb6d532ffea83079d54aeaadedff2403eaf124631b5666d87b2",
+        "summary.txt": "ec14be9512597814fcccdec8053e54cc17e66422f929211e6ac181ad9b209a7f",
+    },
+    "tradition": {
+        "betting.csv": "0c612fb12ad8ac689da32aaf474799023166d5649e60d9d35cb634ca986bd2b6",
+        "fitness.csv": "57772095481487a46a97769631a0495f0b84d54df658255865c75916f4b1b181",
+        "overview.csv": "37ba2c27d549c94dd1150b8db674d3a7f14d970c1cf1b17842237dfbc7a5cf82",
+        "predictions.csv": "210e36de7b9bbaaee79319d3c4a3871a548fd8c306c64d4d9d8b829eef56196f",
+        "standings.csv": "03fa7a0c950eca24a57a94c16259ff5243e19e6e169cd66120def2ccb57852c1",
+        "tau.csv": "98cdef7a4c88a5fe8d26bb819bbf4574286a9d12f2b85fc1277ba37e63e4f004",
+        "zones.csv": "e99ce4f5ca3673fa646af930579ccabd02cef308781ec787ce50dd798888674a",
+        "summary.txt": "f3803c85e125930a248adb6709e424a01337d2eb190334a08b47ccb167eacb09",
+    },
+    "recency": {
+        "betting.csv": "117402a0eb71e243cdc4ef1d2f1724ec8d123f81a7e705697d637b6b313dbc90",
+        "fitness.csv": "3c9c95796846bcab556352d3842d6b79a20ba57b724180011ef1703916082f42",
+        "overview.csv": "98456cf2f98719b32383edf7e720770ab0d8b172ec3f7b092b744ff313bf8e67",
+        "predictions.csv": "85de3d74aa2fd6916818e60a98dc7cc4f8427f276ce238f8868ba8caf29b7160",
+        "standings.csv": "00225d4c7fcdd85e1e461187c5ea25bec0f757a715a28e8fd7956d8ea4f04316",
+        "tau.csv": "5e9c41fd9f82463f0719c0293dfbd72c1fa821167b47cf9f715d79d0a70cf366",
+        "zones.csv": "e9e65ce4da4d7b8491efb31b366ef493f6488e127a626bfc5ee6b1e4af2c5620",
+        "summary.txt": "f5bc08e8a837de387da1b80607de0206b6cdfbf6fd1f3bc0e92a1d116dfca2d2",
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def league_20(tmp_path_factory):
+    """A directory holding the benchmark's 20-club league as ``league``.
+    The generator draws from random.Random, so every Python version gets
+    the same league."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.syspath_prepend(str(Path(SAMPLE_DIR).parents[1] / "perfbench"))
+        league = importlib.import_module("league")
+    root = tmp_path_factory.mktemp("league-20")
+    league.generate(root / "league", teams=20, seasons=1, extra_rounds=3, rolling=1, seed=1)
+    return root
+
+
+@pytest.mark.parametrize("model, league", [
+    *(pytest.param(model, "sample", id=model) for model in HEURISTIC_BUNDLE_SHA256),
+    *(pytest.param(model, "league-20", id=f"league-20-{model}")
+      for model in LEAGUE_20_BUNDLE_SHA256),
+])
+def test_heuristic_bundle_bytes(tmp_path, monkeypatch, capsys, request, model, league):
+    if league == "sample":
+        monkeypatch.chdir(Path(SAMPLE_DIR).parents[1])
+        data, test_size, digests = Path("data", "sample"), 8, HEURISTIC_BUNDLE_SHA256[model]
+    else:
+        monkeypatch.chdir(request.getfixturevalue("league_20"))
+        data, test_size, digests = Path("league"), 30, LEAGUE_20_BUNDLE_SHA256[model]
+    assert run("evaluate", "--data-dir", data, "--test-size", test_size,
                "--model", model, "--out-dir", tmp_path) == 0
     written = {p.name for p in tmp_path.iterdir() if p.suffix in (".csv", ".txt")}
-    assert written == set(HEURISTIC_BUNDLE_SHA256[model])
+    assert written == set(digests)
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in written} == HEURISTIC_BUNDLE_SHA256[model]
+            for name in written} == digests
     # the command prints the summary it wrote
     assert capsys.readouterr().out.endswith((tmp_path / "summary.txt").read_text())
 

@@ -9,7 +9,7 @@ import scipy.stats
 
 from helpers import fx, pred
 
-from scoreline.heuristics import StandingsTable, TableRow
+from scoreline.heuristics import StandingsTable, TableRow, actual_standings
 from scoreline.evaluate import (
     EmptyInput,
     EvaluateError,
@@ -18,7 +18,6 @@ from scoreline.evaluate import (
     NegativeFeature,
     TeamSetMismatch,
     TooFewTeams,
-    actual_standings,
     bet_run,
     chi2_importance,
     fitness,

@@ -9,7 +9,7 @@ from helpers import fx
 from scoreline.heuristics import (
     EmptyTrainingSet,
     UnknownTeam,
-    build_training_table,
+    actual_standings,
     home_win_predict,
     last_goals_before,
     points_table,
@@ -89,7 +89,7 @@ def test_sample_training_table_spreadsheet_oracle(sample_dir, dataset):
             gf[home] += hg
             gf[away] += ag
     expected = sorted(points, key=lambda t: (-points[t], -gd[t], -gf[t], t))
-    table = build_training_table(dataset.train_fixtures)
+    table = actual_standings(dataset.train_fixtures)
     assert list(table.teams()) == expected
     for team in expected:
         assert table.points_of(team) == points[team]
@@ -97,7 +97,7 @@ def test_sample_training_table_spreadsheet_oracle(sample_dir, dataset):
 
 def test_empty_training_set():
     with pytest.raises(EmptyTrainingSet):
-        build_training_table([fx("U1", 0, "A", "B")])  # no goals recorded
+        actual_standings([fx("U1", 0, "A", "B")])  # no goals recorded
 
 
 # ---------------------------------------------------------------- home win
@@ -129,7 +129,7 @@ def test_tradition_higher_team_wins():
 
 
 def test_tradition_never_draws_one_goal_total(dataset):
-    table = build_training_table(dataset.train_fixtures)
+    table = actual_standings(dataset.train_fixtures)
     for fixture in dataset.test_fixtures:
         ph, pa = tradition_predict(fixture, table)
         assert ph + pa == 1
