@@ -32,6 +32,10 @@ class NonFiniteInput(RegressError):
     pass
 
 
+class BadParameter(RegressError, ValueError):
+    """An engine argument outside its range, or an unknown name."""
+
+
 @dataclass(frozen=True)
 class Scaler:
     """Per-column training mean and standard deviation (population)."""

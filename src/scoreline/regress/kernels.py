@@ -253,16 +253,17 @@ def svr_train(X, y, c_reg, epsilon, max_iter, tol, K=None):
     the n x n ``I + diag(m) K``, at O(n^3) a step. The two are the same by
     the push-through identity ``X (I + X'MX)^-1 X' = K (I + MK)^-1``.
 
-    Each iterate gives beta, the bias that minimizes the tube loss for it
-    (:func:`tube_bias`) and its primal objective P: :func:`svr_objective`
-    of ``w = X'beta`` without ``K``, :func:`svr_kernel_objective` of beta
-    with it. The best P and the best dual value ``-(0.5 a'Qa + q'a)`` seen
-    bound the optimum from both sides. Stops when the gap between them is
-    at most ``tol * max(1, P)``, when the mean complementarity falls below
-    ``COMPLEMENTARITY_FLOOR``, or after ``max_iter`` Newton steps. Returns
-    ``(coef, b, objective, iterations, converged, gap)`` of the best primal
-    iterate, where coef is w without ``K`` and beta with it; converged
-    means the gap test held.
+    Each iterate is scored once from its fit (``Xw`` with ``w = X'beta``
+    without ``K``, ``K beta`` with it): the bias that minimizes the tube
+    loss for it (:func:`tube_bias`) and its primal objective P, bit for bit
+    :func:`svr_objective` or :func:`svr_kernel_objective`, the tests'
+    references. The best P and the best dual value ``-(0.5 a'Qa + q'a)``
+    seen bound the optimum from both sides. Stops when the gap between
+    them is finite and at most ``tol * max(1, P)``, when the mean
+    complementarity falls below ``COMPLEMENTARITY_FLOOR``, or after
+    ``max_iter`` Newton steps. Returns ``(coef, b, objective, iterations,
+    converged, gap)`` of the best primal iterate, where coef is w without
+    ``K`` and beta with it; converged means the gap test held.
     """
     n = y.shape[0]
     s = np.concatenate((np.ones(n), -np.ones(n)))
@@ -282,20 +283,18 @@ def svr_train(X, y, c_reg, epsilon, max_iter, tol, K=None):
         if K is None:
             coef = X.T @ beta  # w
             fit = X @ coef
-            b = tube_bias(y - fit, epsilon)
-            obj = svr_objective(X, y, coef, b, c_reg, epsilon)
             norm2 = coef @ coef
         else:
             coef, fit = beta, K @ beta
-            b = tube_bias(y - fit, epsilon)
-            obj = svr_kernel_objective(K, y, beta, b, c_reg, epsilon)
             norm2 = beta @ fit
+        b = tube_bias(y - fit, epsilon)
+        obj = 0.5 * norm2 + c_reg * tube_loss(y - (fit + b), epsilon)
         if best_coef is None or obj < best_obj:
             best_obj, best_coef, best_b = obj, coef, b
         if abs(s @ a) < FEASIBILITY_TOL:
             dual = max(dual, -(0.5 * norm2 + q @ a))  # 0.5 a'Qa = 0.5 beta'K beta
         gap = best_obj - dual
-        converged = gap <= tol * max(1.0, best_obj)
+        converged = np.isfinite(gap) and gap <= tol * max(1.0, best_obj)
         mu = (a @ z + t @ u) / (4 * n)
         if converged or not mu >= COMPLEMENTARITY_FLOOR or it == max_iter:  # NaN stops
             break

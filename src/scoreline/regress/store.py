@@ -18,11 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .base import ModelBase, Scaler
-from .forest import ForestModel
 from .knn import KnnModel
 from .linear import LinearModel
 from .svr import SvrModel
-from .tree import LEAF, Tree, TreeModel
+from .tree import LEAF, ForestModel, Tree, TreeModel
 
 FORMAT_VERSION = 2
 

@@ -14,7 +14,8 @@ import warnings
 
 import numpy as np
 
-from .base import ModelBase, Scaler, TooFewRows, as_xy, standardize_apply, standardize_fit
+from .base import (BadParameter, ModelBase, RegressError, Scaler, TooFewRows, as_xy,
+                   standardize_apply, standardize_fit)
 from .kernels import rbf_kernel, svr_train
 
 
@@ -53,7 +54,7 @@ def resolve_gamma(gamma, Xs: np.ndarray) -> float:
         return 1.0 / (Xs.shape[1] * var)
     g = float(gamma)
     if not (np.isfinite(g) and g > 0.0):
-        raise ValueError(f"gamma must be a finite positive number, got {g}")
+        raise BadParameter(f"gamma must be a finite positive number, got {g}")
     return g
 
 
@@ -68,21 +69,23 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
     for a linear design with fewer columns than rows, and n x n in the Gram
     matrix (XX' or the RBF kernel) otherwise. A fit that stops at
     `max_iter` Newton steps first is recorded as a non-converged status
-    and warned about, never raised.
+    and warned about, never raised. A singular Newton system, or a best
+    objective or gap that is not finite (a C too large for the solver),
+    raises RegressError.
     """
     X, y = as_xy(X, y)
     if X.shape[0] < 2:
         raise TooFewRows(f"SVR needs at least 2 rows, got {X.shape[0]}")
     if not (np.isfinite(C) and C > 0.0):
-        raise ValueError(f"C must be a finite positive number, got {C}")
+        raise BadParameter(f"C must be a finite positive number, got {C}")
     if not (np.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon must be a finite non-negative number, got {epsilon}")
+        raise BadParameter(f"epsilon must be a finite non-negative number, got {epsilon}")
     if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be a finite non-negative number, got {tol}")
+        raise BadParameter(f"tol must be a finite non-negative number, got {tol}")
     if kernel not in ("linear", "rbf"):
-        raise ValueError(f"unknown kernel {kernel!r}")
+        raise BadParameter(f"unknown kernel {kernel!r}")
     if max_iter < 1:
-        raise ValueError(f"max_iterations must be at least 1, got {max_iter}")
+        raise BadParameter(f"max_iterations must be at least 1, got {max_iter}")
 
     scaler = standardize_fit(X)
     Xs = np.ascontiguousarray(standardize_apply(scaler, X))
@@ -98,8 +101,14 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
         K = rbf_kernel(Xs, Xs, params["gamma"])
     elif Xs.shape[1] >= Xs.shape[0]:
         K = Xs @ Xs.T
-    coef, b, obj, iters, converged, gap = svr_train(
-        Xs, yc, float(C), float(epsilon), int(max_iter), float(tol), K=K)
+    try:
+        coef, b, obj, iters, converged, gap = svr_train(
+            Xs, yc, float(C), float(epsilon), int(max_iter), float(tol), K=K)
+    except np.linalg.LinAlgError as exc:
+        raise RegressError(f"the {kernel} SVR at C={C:g} cannot be solved: {exc}") from exc
+    if not (np.isfinite(obj) and np.isfinite(gap)):
+        raise RegressError(f"the {kernel} SVR at C={C:g} cannot be solved: "
+                           f"objective {obj:g}, duality gap {gap:g}")
     if kernel == "rbf":
         solved = dict(beta=coef, train_X=Xs, gamma=params["gamma"])
     else:

@@ -1,12 +1,15 @@
-"""CART-style decision tree regression."""
+"""CART regression trees and bagged forests of them. A decision tree is the
+forest of one tree grown on every row, each split scanning every column
+(Breiman, Machine Learning 45(1), 2001): fit_dtr is that call of fit_rfr."""
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .base import ModelBase, TooFewRows, as_xy
+from .base import BadParameter, ModelBase, TooFewRows, as_xy
 from .kernels import best_split, dense_ranks
 
 
@@ -37,9 +40,9 @@ def grow_trees(X: np.ndarray, y: np.ndarray, roots_rows, rngs, *,
     X / y), in lockstep.
 
     Tree t draws its feature subsets from ``rngs[t]``, or scans every
-    column when that is None or ``max_features`` covers them all; a tree
-    that scans every column never consults its generator, so it is
-    bitwise independent of the RNG. Each tree keeps its own preorder stack
+    column when ``max_features`` covers them all; a tree that scans every
+    column never consults its generator, so it is bitwise independent of
+    the RNG. Each tree keeps its own preorder stack
     (node, left subtree, right subtree), and a tree that draws takes one
     split node a round, so each generator sees the draws in preorder, as
     in a tree grown alone. Each round scores the split nodes of every tree
@@ -49,13 +52,13 @@ def grow_trees(X: np.ndarray, y: np.ndarray, roots_rows, rngs, *,
     p = X.shape[1]
     ranks = dense_ranks(X)
     full = np.arange(p, dtype=np.int64)
+    draws = max_features < p
     # no list of the root rows outlives this: each is freed once it splits
     stacks = [[(0, rows, 0)] for rows in roots_rows]
     trees = [Tree(*([fill] for fill in LEAF)) for _ in stacks]
     while True:
         batch = []
         for tree, stack, rng in zip(trees, stacks, rngs):
-            draws = rng is not None and max_features < p
             while stack:
                 node, node_rows, depth = stack.pop()
                 node_y = y[node_rows]
@@ -142,29 +145,86 @@ class TreeModel(ModelBase):
         return predict_trees(self.trees, X)
 
 
-def check_tree_params(max_depth: int, min_leaf: int) -> None:
+class ForestModel(TreeModel):
+    """The mean of several trees' predictions."""
+
+    technique = "rfr"
+
+
+def resolve_max_features(spec, p: int) -> int:
+    """Feature-subset size per split: "sqrt" (ceil), an int, or None for all."""
+    if spec is None or spec == "all":
+        return p
+    if spec == "sqrt":
+        return math.ceil(math.sqrt(p))
+    m = int(spec)
+    if not 1 <= m <= p:
+        raise BadParameter(f"feature subset size {m} outside 1..{p}")
+    return m
+
+
+def fit_rfr(X, y, n_trees: int = 100, max_depth: int = 6, min_leaf: int = 5,
+            max_features="sqrt", bootstrap: bool = True,
+            bootstrap_fraction: float = 1.0, seed: int = 0,
+            feature_names=None) -> ForestModel:
+    """Fit a bagged ensemble of CART trees on raw (unstandardized) features.
+
+    Splits minimize summed child SSE with midpoint thresholds; ties go to
+    the lowest feature index, then the lowest threshold. A tree stops
+    growing at ``max_depth``, when a node cannot give both children
+    ``min_leaf`` rows, or when targets are constant.
+
+    Each tree draws from its own generator, spawned from the seed, in a
+    fixed order: bootstrap rows first, then per-split feature subsets in
+    preorder. With one tree, no bootstrap and a full feature subset, no
+    random draw happens at all: that fit is :func:`fit_dtr`.
+
+    Every tree grows in this process, all in one lockstep. A command that
+    fits several models spreads whole fits over the CPUs instead (see
+    ``scoreline.cli.run_fits``).
+    """
+    X, y = as_xy(X, y)
     if max_depth < 1:
-        raise ValueError(f"max_depth must be at least 1, got {max_depth}")
+        raise BadParameter(f"max_depth must be at least 1, got {max_depth}")
     if min_leaf < 1:
-        raise ValueError(f"min_leaf must be at least 1, got {min_leaf}")
+        raise BadParameter(f"min_leaf must be at least 1, got {min_leaf}")
+    if n_trees < 1:
+        raise BadParameter(f"n_trees must be at least 1, got {n_trees}")
+    if not 0.0 < bootstrap_fraction <= 1.0:
+        raise BadParameter(f"bootstrap fraction {bootstrap_fraction} outside (0, 1]")
+    n, p = X.shape
+    if n < 2 * min_leaf:
+        raise TooFewRows(
+            f"need at least {2 * min_leaf} rows for min_leaf={min_leaf}, got {n}")
+    m_feat = resolve_max_features(max_features, p)
+    sample_size = max(1, int(round(n * bootstrap_fraction)))
+
+    rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(n_trees)]
+    all_rows = np.arange(n, dtype=np.int64)
+
+    trees = grow_trees(
+        X, y, (rng.integers(0, n, size=sample_size) if bootstrap else all_rows for rng in rngs),
+        rngs, max_depth=max_depth, min_leaf=min_leaf, max_features=m_feat)
+
+    params = {
+        "n_trees": n_trees,
+        "max_depth": max_depth,
+        "min_leaf": min_leaf,
+        "max_features": max_features if isinstance(max_features, str) or max_features is None else int(max_features),
+        "bootstrap": bool(bootstrap),
+        "bootstrap_fraction": float(bootstrap_fraction),
+        "seed": int(seed),
+    }
+    return ForestModel(trees, p, params, feature_names=feature_names)
 
 
 def fit_dtr(X, y, max_depth: int = 6, min_leaf: int = 5,
             feature_names=None) -> TreeModel:
-    """Grow a CART regression tree on raw (unstandardized) features.
-
-    Splits minimize summed child SSE with midpoint thresholds; ties go to
-    the lowest feature index, then the lowest threshold. Growth stops at
-    ``max_depth``, when a node cannot give both children ``min_leaf`` rows,
-    or when targets are constant.
-    """
-    X, y = as_xy(X, y)
-    check_tree_params(max_depth, min_leaf)
-    if X.shape[0] < 2 * min_leaf:
-        raise TooFewRows(
-            f"need at least {2 * min_leaf} rows for min_leaf={min_leaf}, got {X.shape[0]}")
-    rows = np.arange(X.shape[0], dtype=np.int64)
-    trees = grow_trees(X, y, [rows], [None], max_depth=max_depth,
-                       min_leaf=min_leaf, max_features=X.shape[1])
-    return TreeModel(trees, X.shape[1], {"max_depth": int(max_depth), "min_leaf": int(min_leaf)},
+    """Grow one CART regression tree: the forest of one tree on every row,
+    each split scanning every column, which draws nothing (see
+    :func:`fit_rfr` for the split and stopping rules)."""
+    forest = fit_rfr(X, y, n_trees=1, max_depth=max_depth, min_leaf=min_leaf,
+                     max_features="all", bootstrap=False, feature_names=feature_names)
+    return TreeModel(forest.trees, forest.n_features,
+                     {"max_depth": int(max_depth), "min_leaf": int(min_leaf)},
                      feature_names=feature_names)

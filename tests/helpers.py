@@ -23,7 +23,7 @@ from scoreline.ingest import (
     _rows,
 )
 from scoreline.predict import ScorelinePrediction
-from scoreline.regress import forest, workers
+from scoreline.regress import tree, workers
 from scoreline.regress.tree import Tree
 
 BASE_KICKOFF = datetime(2020, 9, 1, 15, 0)
@@ -206,7 +206,7 @@ def forest_children_fail(monkeypatch, how: str) -> None:
     of SIGKILL ("killed"), or hang while this process is interrupted as it
     grows its own forests ("interrupted"). Otherwise this process grows
     its forests as before; a fit run spreads over three groups."""
-    parent, grow = os.getpid(), forest.grow_trees
+    parent, grow = os.getpid(), tree.grow_trees
 
     def failing(*args, **kwargs):
         if os.getpid() == parent:
@@ -222,7 +222,7 @@ def forest_children_fail(monkeypatch, how: str) -> None:
             time.sleep(60)
         return grow(*args, **kwargs)
 
-    monkeypatch.setattr(forest, "grow_trees", failing)
+    monkeypatch.setattr(tree, "grow_trees", failing)
     monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
 
 

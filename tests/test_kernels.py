@@ -360,6 +360,16 @@ def test_ipm_matches_slsqp_on_linear_gram():
             assert np.mean(np.abs(beta) > c_reg - 1e-9) > 0.9
 
 
+def test_svr_train_never_converges_on_an_infinite_gap():
+    """At C = 1e308 the first objective overflows while the dual stays
+    finite: an infinite gap is never within tol of an infinite objective."""
+    y = np.array([0.0, 1.0, 2.0])
+    with np.errstate(all="ignore"):
+        _beta, _b, obj, _it, conv, gap = svr_train(None, y, 1e308, 0.1, 50, 1e-6, K=np.eye(3))
+    assert obj == np.inf and gap == np.inf
+    assert not conv
+
+
 def test_design_and_gram_spaces_agree():
     """A p < n problem solved once on X (p x p systems) and once on only
     K = XX' (n x n systems) reaches the same optimum. The objective is

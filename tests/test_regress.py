@@ -25,6 +25,7 @@ from helpers import (
 from scoreline import cli
 from scoreline.features import SIDES
 from scoreline.regress import (
+    BadParameter,
     DimensionMismatch,
     ForestModel,
     KTooLarge,
@@ -310,14 +311,21 @@ def test_rfr_ensemble_mean_golden():
 
 
 def test_rfr_degenerates_to_dtr():
+    """One tree on every row, scanning every column, draws nothing: its
+    node arrays are the decision tree's whatever the seed."""
     rng = np.random.default_rng(31)
     X = rng.normal(size=(40, 5))
     y = rng.normal(size=40)
     tree = fit_dtr(X, y, max_depth=4, min_leaf=2)
-    forest = fit_rfr(X, y, n_trees=1, max_depth=4, min_leaf=2,
-                     max_features="all", bootstrap=False, seed=123)
     queries = rng.normal(size=(25, 5))
-    np.testing.assert_array_equal(forest.predict(queries), tree.predict(queries))
+    for seed in (0, 1, 123):
+        forest = fit_rfr(X, y, n_trees=1, max_depth=4, min_leaf=2,
+                         max_features="all", bootstrap=False, seed=seed)
+        (grown,), (single,) = forest.trees, tree.trees
+        for name, got, want in zip(Tree._fields, grown, single):
+            assert got.dtype == want.dtype, (seed, name)
+            np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}, {name}")
+        np.testing.assert_array_equal(forest.predict(queries), tree.predict(queries))
 
 
 def test_rfr_deterministic_given_seed():
@@ -347,6 +355,39 @@ def test_rfr_param_validation():
         fit_rfr(X, y, bootstrap_fraction=0.0)
     with pytest.raises(ValueError):
         fit_rfr(X, y, max_features=9)
+
+
+ENGINE = {"dtr": fit_dtr, "rfr": fit_rfr, "svr": fit_svr,
+          "unknown": lambda X, y, **kwargs: fit_model("gbm", X, y, kwargs)}
+ENGINE_ARGUMENT_ERRORS = [
+    ("dtr", {"max_depth": 0}, "max_depth must be at least 1, got 0"),
+    ("rfr", {"max_depth": 0}, "max_depth must be at least 1, got 0"),
+    ("dtr", {"min_leaf": 0}, "min_leaf must be at least 1, got 0"),
+    ("rfr", {"min_leaf": 0}, "min_leaf must be at least 1, got 0"),
+    ("rfr", {"n_trees": 0}, "n_trees must be at least 1, got 0"),
+    ("rfr", {"bootstrap_fraction": 1.5}, "bootstrap fraction 1.5 outside (0, 1]"),
+    ("rfr", {"max_features": 3}, "feature subset size 3 outside 1..2"),
+    ("svr", {"C": 0.0}, "C must be a finite positive number, got 0.0"),
+    ("svr", {"epsilon": -0.1}, "epsilon must be a finite non-negative number, got -0.1"),
+    ("svr", {"tol": -1e-6}, "tol must be a finite non-negative number, got -1e-06"),
+    ("svr", {"kernel": "poly"}, "unknown kernel 'poly'"),
+    ("svr", {"max_iter": 0}, "max_iterations must be at least 1, got 0"),
+    ("svr", {"kernel": "rbf", "gamma": 0.0}, "gamma must be a finite positive number, got 0.0"),
+    ("unknown", {}, "unknown technique 'gbm'; expected one of ('lr', 'knn', 'dtr', 'rfr', 'svr')"),
+]
+
+
+@pytest.mark.parametrize("engine, kwargs, message", ENGINE_ARGUMENT_ERRORS,
+                         ids=[f"{engine}-{'-'.join(kwargs) or 'technique'}"
+                              for engine, kwargs, _ in ENGINE_ARGUMENT_ERRORS])
+def test_engine_argument_errors_are_typed(engine, kwargs, message):
+    """Every engine argument check raises BadParameter, a RegressError the
+    command line reports as a data error and a ValueError as before."""
+    X, y = np.arange(24.0).reshape(12, 2), np.arange(12.0)
+    with pytest.raises(BadParameter) as caught:
+        ENGINE[engine](X, y, **kwargs)
+    assert str(caught.value) == message
+    assert isinstance(caught.value, RegressError) and isinstance(caught.value, ValueError)
 
 
 def tied_goal_data():
@@ -749,6 +790,35 @@ def test_svr_rejects_non_finite_hyperparameters(kwargs):
     y = rng.normal(size=12)
     with pytest.raises(ValueError, match="finite"):
         fit_svr(X, y, **kwargs)
+
+
+# seven rows in three columns, the third and last equal, so their RBF
+# kernel is singular (the first six alone are not); the four rows of
+# UNSOLVABLE_WIDE make the linear solve run on their 4 x 4 Gram matrix
+UNSOLVABLE = (np.array([[0, -2, -1], [-3, -3, -3], [-2, 2, 1], [3, 0, 1], [3, 2, 1],
+                        [0, 0, 3], [-2, 2, 1]], dtype=float),
+              np.array([0, 1, 4, 2, 0, 3, 3], dtype=float))
+UNSOLVABLE_WIDE = (np.array([[-1, 2, -1, -2], [2, 3, -3, -3], [1, -1, 1, -2], [3, 0, 3, 2]],
+                            dtype=float),
+                   np.array([3, 1, 3, 0], dtype=float))
+
+
+@pytest.mark.parametrize("rows, kernel, C, reason", [
+    (7, "linear", 1e250, "objective 8.4e+250, duality gap inf"),
+    (7, "linear", 1e308, "objective inf, duality gap inf"),
+    (7, "rbf", 1e30, "Singular matrix"),
+    (6, "rbf", 1e308, "objective inf, duality gap inf"),
+    (4, "linear", 1e15, "Singular matrix"),
+], ids=["linear-gap", "linear-objective", "rbf-singular", "rbf-objective", "gram-singular"])
+def test_svr_penalty_too_large_to_solve_is_an_error(rows, kernel, C, reason):
+    """A penalty so large that a Newton system is singular, or that the
+    best objective or the duality gap overflows, fails the fit with a
+    RegressError naming the kernel and C; it is never a converged model
+    holding an infinite number."""
+    X, y = UNSOLVABLE_WIDE if rows == 4 else (UNSOLVABLE[0][:rows], UNSOLVABLE[1][:rows])
+    with np.errstate(all="ignore"), pytest.raises(RegressError) as caught:
+        fit_svr(X, y, C=C, kernel=kernel)
+    assert str(caught.value) == f"the {kernel} SVR at C={C:g} cannot be solved: {reason}"
 
 
 # ---------------------------------------------------------------- contract
