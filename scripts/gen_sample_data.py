@@ -285,7 +285,7 @@ def generate(out_dir: Path) -> None:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_fixtures(fixtures, out_dir / "fixtures.csv")
-    save_player_stats(StatsArchive(records), out_dir / "player_stats.csv")
+    save_player_stats(StatsArchive.of(records), out_dir / "player_stats.csv")
     save_odds(odds, out_dir / "odds.csv")
     save_fixtures(upcoming, out_dir / "upcoming.csv")
     quotes_total = sum(len(o.scoreline_odds) for o in odds.values())

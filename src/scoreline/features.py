@@ -493,18 +493,13 @@ class FeatureBuilder:
             raise MissingLineup(fixture.fixture_id)
         values = np.zeros(len(self.player_universe), dtype=np.float64)
         dropped = 0
-        for player in fixture.home_lineup:
-            idx = self._universe_index.get(player)
-            if idx is None:
-                dropped += 1
-            else:
-                values[idx] = 1.0
-        for player in fixture.away_lineup:
-            idx = self._universe_index.get(player)
-            if idx is None:
-                dropped += 1
-            else:
-                values[idx] = -1.0
+        for sign, lineup in ((1.0, fixture.home_lineup), (-1.0, fixture.away_lineup)):
+            for player in lineup:
+                idx = self._universe_index.get(player)
+                if idx is None:
+                    dropped += 1
+                else:
+                    values[idx] = sign
         return FeatureRow(
             fixture_id=fixture.fixture_id,
             side=side,

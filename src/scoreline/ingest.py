@@ -17,9 +17,11 @@ fail with the row number. The stats file, the largest, is read whole into
 columns before its rows are checked (see :func:`load_player_stats`); a
 column keeps one code a row, in the narrowest unsigned type that holds its
 distinct cells. A large plain stats file is read in byte ranges, one per
-usable CPU, in forked children (see :func:`_plain_columns`); every other
-read is single-threaded. The resulting :class:`Dataset` is immutable and
-safe to read from any number of workers.
+usable CPU, in forked children, and each range in blocks: one cut makes
+both (see :func:`_line_starts`), and one join merges the blocks of a range
+and the ranges of the file (see :func:`_join`). Every other read is
+single-threaded. The resulting :class:`Dataset` is immutable and safe to
+read from any number of workers.
 """
 
 from __future__ import annotations
@@ -176,9 +178,25 @@ class StatsArchive:
     the record lists them, and their values start at ``value[start[i]]``, in
     the same order; -0.0 is held as 0.0. The name lists are sorted and hold
     the names the records use; records go in (player, fixture) order.
+
+    The stats reader builds an archive from columns; :meth:`of` builds one
+    from a list of records.
     """
 
-    def __init__(self, records: Iterable[PlayerMatchStats] = ()):
+    def __init__(self, players, fixtures, groups, stat_names, stat, value, sizes):
+        """An archive of records given as columns: ``players``, ``fixtures``
+        and ``groups`` are each a sorted name list and a code per record;
+        record i's stats are the next ``sizes[i]`` entries of ``stat`` and
+        ``value``, where -0.0 is already 0.0 (a scan's sum starts from 0.0,
+        so -0.0 adds as 0.0)."""
+        (self.player_ids, self.player), (self.fixture_ids, self.fixture) = players, fixtures
+        (self.group_names, self.group), self.stat_names = groups, stat_names
+        self.start = np.cumsum(sizes) - sizes
+        self.value = value
+        self.layouts, self.kind = _layouts(stat, sizes, self.start)
+
+    @classmethod
+    def of(cls, records: Iterable[PlayerMatchStats] = ()) -> StatsArchive:
         """An archive of a record list, which may hold each key once."""
         records = sorted(records, key=attrgetter("player_id", "fixture_id"))
         keys = [(r.player_id, r.fixture_id) for r in records]
@@ -187,30 +205,11 @@ class StatsArchive:
                 raise ParseError(0, f"duplicate record for {key}")
         names = sorted({name for r in records for name in r.stats})
         stat = {name: i for i, name in enumerate(names)}
-        self._fill(_codes([r.player_id for r in records]), _codes([r.fixture_id for r in records]),
+        return cls(_codes([r.player_id for r in records]), _codes([r.fixture_id for r in records]),
                    _codes([r.position_group for r in records]), names,
                    np.array([stat[n] for r in records for n in r.stats], dtype=np.int32),
                    np.array([v for r in records for v in r.stats.values()], dtype=np.float64) + 0.0,
                    np.array([len(r.stats) for r in records], dtype=np.int64))
-
-    @classmethod
-    def _columns(cls, players, fixtures, groups, stat_names, stat, value, sizes) -> StatsArchive:
-        """An archive of records given as columns (see :meth:`_fill`)."""
-        archive = cls.__new__(cls)
-        archive._fill(players, fixtures, groups, stat_names, stat, value, sizes)
-        return archive
-
-    def _fill(self, players, fixtures, groups, stat_names, stat, value, sizes) -> None:
-        """Hold records from columns: ``players``, ``fixtures`` and ``groups``
-        are each a sorted name list and a code per record; record i's stats
-        are the next ``sizes[i]`` entries of ``stat`` and ``value``, where
-        -0.0 is already 0.0 (a scan's sum starts from 0.0, so -0.0 adds as
-        0.0)."""
-        (self.player_ids, self.player), (self.fixture_ids, self.fixture) = players, fixtures
-        (self.group_names, self.group), self.stat_names = groups, stat_names
-        self.start = np.cumsum(sizes) - sizes
-        self.value = value
-        self.layouts, self.kind = _layouts(stat, sizes, self.start)
 
     def records(self) -> Iterator[PlayerMatchStats]:
         """Each record as a :class:`PlayerMatchStats`, made as it is read."""
@@ -353,20 +352,21 @@ def _rows(path: str | Path, columns: tuple[str, ...], what: str):
             raise NotUtf8(path, what, exc.reason) from None
 
 
-# A factorized column: its distinct raw cells, and each row's index among
-# them, in the narrowest unsigned type that holds them (see _code_dtype).
-Column = tuple[list[str], np.ndarray]
+# A factorized column: its distinct raw cells (bytes, until the plain reader
+# decodes them), and each row's index among them, in the narrowest unsigned
+# type that holds them (see _code_dtype).
+Column = tuple[list, np.ndarray]
 
 # The plain reader's working arrays grow with its block, not with the file;
-# what outlives a block is its codes, each in the narrowest unsigned type
-# that holds the column's distinct cells so far, joined at the end. Blocks
-# of 128 KB keep the working arrays near malloc's mmap threshold: freeing
-# larger ones raises that threshold for the rest of the process, and the
-# runs of a 10-club league then held about 1 MB more at their peak.
+# what outlives a block is its distinct cells and a code a row, joined per
+# byte range at the range's end. Blocks of at most about 128 KB keep the
+# working arrays near malloc's mmap threshold: freeing larger ones raises
+# that threshold for the rest of the process, and the runs of a 10-club
+# league then held about 1 MB more at their peak.
 BLOCK_BYTES = 1 << 17
 # A plain file's data lines are read in byte ranges of at least about
 # RANGE_BYTES, one per usable CPU: each range past the first costs a fork,
-# a pickled result and a merge, and on a 2-vCPU host two ranges of a
+# a pickled result and a join, and on a 2-vCPU host two ranges of a
 # 0.94 MB stats file read no faster than one.
 RANGE_BYTES = 1 << 20
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(8)], dtype=np.uint64)
@@ -399,20 +399,19 @@ def _read_columns(path: str | Path, columns: tuple[str, ...], what: str
             for index, out in zip(seen, codes)], stopped
 
 
-def _blocks(fh, size: int) -> Iterator[bytes]:
-    """The next ``size`` bytes of a binary file (fewer, if it ends first) in
-    blocks of whole lines, each of about BLOCK_BYTES or one line; the last
-    block is what follows the last newline, if anything does."""
-    rest = b""
-    while size > 0 and (chunk := fh.read(min(BLOCK_BYTES, size))):
-        size -= len(chunk)
-        rest += chunk
-        cut = rest.rfind(b"\n") + 1
-        if cut:
-            yield rest[:cut]
-            rest = rest[cut:]
-    if rest:
-        yield rest
+def _line_starts(fh, start: int, end: int, parts: int) -> list[int]:
+    """The bounds of ``parts`` runs of whole lines of a binary file between
+    ``start`` and ``end``, two line starts (or ``end`` the file's end):
+    each inner bound is the first line start at or after an even cut of
+    the bytes. A bound met again is dropped, so a line longer than a run
+    makes no empty run, and no bytes make no run."""
+    bounds = [start]
+    for g in range(1, parts + 1):
+        fh.seek(start + (end - start) * g // parts - 1)  # the byte before the cut
+        fh.readline()
+        if fh.tell() > bounds[-1]:
+            bounds.append(fh.tell())
+    return bounds
 
 
 def _plain(block: bytes) -> bool:
@@ -422,11 +421,21 @@ def _plain(block: bytes) -> bool:
         and (b"\r" not in block or block.count(b"\r") == block.count(b"\r\n"))
 
 
-def _remap(index: dict[str, int], cells: list[str]) -> np.ndarray:
+def _remap(index: dict[bytes, int], cells: list[bytes]) -> np.ndarray:
     """Each cell's code in ``index``, which gains the cells it lacks in
     turn, in the narrowest unsigned type that holds every code of it."""
     remap = [index.setdefault(cell, len(index)) for cell in cells]
     return np.array(remap, dtype=_code_dtype(len(index)))
+
+
+def _join(parts: Iterable[Column]) -> Column:
+    """One column of factorized parts in file order: the parts' cells in
+    the order first met, each part remapped (see :func:`_remap`), and the
+    codes joined in the narrowest unsigned type that holds them."""
+    index: dict[bytes, int] = {}
+    codes = [_remap(index, cells)[part] for cells, part in parts]
+    dtype = _code_dtype(len(index))
+    return list(index), np.concatenate([np.zeros(0, dtype), *codes], dtype=dtype)
 
 
 def _plain_columns(path: str | Path, columns: tuple[str, ...], what: str) -> list[Column] | None:
@@ -440,13 +449,14 @@ def _plain_columns(path: str | Path, columns: tuple[str, ...], what: str) -> lis
     lines at the commas. Every block is decoded before its cells are read,
     so a file that is not UTF-8 fails here as it would in ``csv.reader``.
 
-    The data lines are cut into contiguous byte ranges, each from a line
-    start: one per group of ``workers.split``, but none under about
-    RANGE_BYTES. This process reads the first and a forked child each other
-    (see :func:`_range_columns`), and the ranges' cells are merged in file
-    order, each range remapped as a block is. The first range that is not
-    plain or not UTF-8 decides the read, so any number of ranges reads a
-    file as one range does.
+    The data lines are cut into byte ranges of whole lines (see
+    :func:`_line_starts`): one per group of ``workers.split``, but none
+    under about RANGE_BYTES. This process reads the first and a forked
+    child each other (see :func:`_range_columns`), and the ranges' columns
+    are joined in file order (see :func:`_join`); each distinct cell is
+    decoded once, after the join. The first range that is not plain or not
+    UTF-8 decides the read, so any number of ranges reads a file as one
+    range does.
     """
     with open(path, "rb") as fh:
         head = fh.readline()
@@ -461,47 +471,34 @@ def _plain_columns(path: str | Path, columns: tuple[str, ...], what: str) -> lis
         pick = _pick(header, columns, what)
         if max(map(len, header)) > csv.field_size_limit():
             return None
-        groups = len(workers.split((end - start) // RANGE_BYTES))
-        bounds = [start]
-        for g in range(1, groups):  # each bound moved on to the next line start
-            fh.seek(start + (end - start) * g // groups - 1)
-            fh.readline()
-            bounds.append(fh.tell())
-    seen: list[dict[str, int]] = [{} for _ in columns]
-    parts: list[list[np.ndarray]] = [[] for _ in columns]
+        bounds = _line_starts(fh, start, end, len(workers.split((end - start) // RANGE_BYTES)))
     read = functools.partial(_range_columns, path, what, len(header), pick)
-    for outcome in workers.run_groups(read, list(zip(bounds, bounds[1:] + [end]))):
+    ranges = workers.run_groups(read, list(zip(bounds, bounds[1:])) or [(start, end)])
+    for outcome in ranges:
         if outcome is None:
             return None
         if isinstance(outcome, NotUtf8):
             raise outcome
-        for (cells, codes), index, out in zip(outcome, seen, parts):
-            fresh = not index  # then each cell's code is its code in the range
-            remap = _remap(index, cells)
-            out += codes if fresh else [remap[part] for part in codes]
-            codes.clear()
-    columns = []
-    for index, out in zip(seen, parts):  # joined one at a time, each freeing its blocks
-        dtype = _code_dtype(len(index))
-        columns.append((list(index), np.concatenate(out, dtype=dtype) if out
-                        else np.zeros(0, dtype=dtype)))
-        out.clear()
-    return columns
+    return [([cell.decode("utf-8") for cell in cells], codes)
+            for cells, codes in map(_join, zip(*ranges))]
 
 
 def _range_columns(path: str | Path, what: str, width: int, pick: list[int], span: tuple[int, int]
-                   ) -> list[tuple[list[str], list[np.ndarray]]] | NotUtf8 | None:
+                   ) -> list[Column] | NotUtf8 | None:
     """The picked columns of the data lines in the byte range ``span`` of a
-    file whose header has ``width`` cells, factorized one block of lines
-    at a time: each column's distinct cells and its codes into them, a
-    part a block. None if a block is not plain, and the NotUtf8 error if
-    one is not UTF-8 (the first such block decides)."""
+    file whose header has ``width`` cells, factorized: each column's
+    distinct cells, as bytes, and its codes into them. The range is cut
+    into blocks of whole lines of about BLOCK_BYTES each (see
+    :func:`_line_starts`), each block factorized alone and the blocks
+    joined (see :func:`_join`). None if a block is not plain, and the
+    NotUtf8 error if one is not UTF-8 (the first such block decides)."""
     limit = csv.field_size_limit()
-    seen: list[dict[str, int]] = [{} for _ in pick]
-    parts: list[list[np.ndarray]] = [[] for _ in pick]
+    parts: list[list[Column]] = [[] for _ in pick]
     with open(path, "rb") as fh:
-        fh.seek(span[0])
-        for block in _blocks(fh, span[1] - span[0]):
+        bounds = _line_starts(fh, *span, math.ceil((span[1] - span[0]) / BLOCK_BYTES))
+        for lo, hi in zip(bounds, bounds[1:]):
+            fh.seek(lo)
+            block = fh.read(hi - lo)
             if not _plain(block):
                 return None
             try:
@@ -522,18 +519,17 @@ def _range_columns(path: str | Path, what: str, width: int, pick: list[int], spa
                     and max((b - a).max() for a, b in zip(cuts, cuts[1:])) > limit + 1:
                 return None  # a cell is over the limit
             words = np.ndarray((len(body) + 1,), dtype="<u8", buffer=buf, strides=(1,))
-            for at, index, out in zip(pick, seen, parts):
+            for at, out in zip(pick, parts):
                 size = cuts[at + 1] - cuts[at] - 1
                 if at == width - 1:
                     size -= body[ends - 1] == ord("\r")
-                cells, codes = _factorize(block, words, cuts[at] + 1, size)
-                out.append(_remap(index, cells)[codes])
-    return [(list(index), out) for index, out in zip(seen, parts)]
+                out.append(_factorize(block, words, cuts[at] + 1, size))
+    return [_join(out) for out in parts]
 
 
 def _factorize(block: bytes, words: np.ndarray, start: np.ndarray, size: np.ndarray) -> Column:
-    """The distinct cells among ``block[start[i]:start[i] + size[i]]``,
-    decoded, and each cell's index among them.
+    """The distinct cells among ``block[start[i]:start[i] + size[i]]``, as
+    bytes, and each cell's index among them.
 
     ``words[j]`` is the little-endian 64-bit word of ``block[j:j + 8]``. A
     cell's key is its bytes as ``size // 8 + 1`` words, zero past the cell;
@@ -544,7 +540,7 @@ def _factorize(block: bytes, words: np.ndarray, start: np.ndarray, size: np.ndar
     nwords = size // 8 + 1
     counts = np.bincount(nwords)
     codes = np.empty(len(start), dtype=np.int32)
-    cells: list[str] = []
+    cells: list[bytes] = []
     for w in np.flatnonzero(counts).tolist():
         rows = np.flatnonzero(nwords == w) if counts[w] < len(start) else slice(None)
         at, tail = start[rows], size[rows] - 8 * (w - 1)
@@ -559,9 +555,9 @@ def _factorize(block: bytes, words: np.ndarray, start: np.ndarray, size: np.ndar
         first, inverse = _distinct_columns(key[:, head])
         codes[rows] = (len(cells) + inverse)[np.cumsum(head) - 1]
         first = np.flatnonzero(head)[first]
-        cells += [block[a:a + n].decode("utf-8")
+        cells += [block[a:a + n]
                   for a, n in zip(at[first].tolist(), (tail[first] + 8 * (w - 1)).tolist())]
-    return cells, codes
+    return cells, codes.astype(_code_dtype(len(cells)))
 
 
 def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
@@ -732,7 +728,7 @@ def _stats_archive(columns: list[Column], known: Collection[str]) -> StatsArchiv
     sizes = np.bincount(record, weights=lengths, minlength=len(first)).astype(np.int64)
     # a failing cell's code -1 wraps, but no taken row holds one
     code = code.astype(_code_dtype(len(stat_names)))
-    archive = StatsArchive._columns(
+    archive = StatsArchive(
         (player_ids, run_player[first]), (fixture_ids, run_fixture[first]),
         (group_names, run_group[first]), stat_names, code[stat[taken]],
         (np.array([value for value, _check in numbers]) + 0.0)[raw[taken]], sizes)

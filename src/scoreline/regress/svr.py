@@ -101,9 +101,10 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
         K = rbf_kernel(Xs, Xs, params["gamma"])
     elif Xs.shape[1] >= Xs.shape[0]:
         K = Xs @ Xs.T
-    try:
-        coef, b, obj, iters, converged, gap = svr_train(
-            Xs, yc, float(C), float(epsilon), int(max_iter), float(tol), K=K)
+    try:  # an overflow or a 0/0 shows in the objective and gap checked below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            coef, b, obj, iters, converged, gap = svr_train(
+                Xs, yc, float(C), float(epsilon), int(max_iter), float(tol), K=K)
     except np.linalg.LinAlgError as exc:
         raise RegressError(f"the {kernel} SVR at C={C:g} cannot be solved: {exc}") from exc
     if not (np.isfinite(obj) and np.isfinite(gap)):

@@ -56,7 +56,7 @@ def mini_dataset(fixtures, records, odds=None, split_index=None) -> Dataset:
     ordered = tuple(sorted(fixtures, key=lambda f: (f.kickoff, f.fixture_id)))
     if split_index is None:
         split_index = len(ordered)
-    return Dataset(fixtures=ordered, stats=StatsArchive(records),
+    return Dataset(fixtures=ordered, stats=StatsArchive.of(records),
                    odds=dict(odds or {}), split_index=split_index)
 
 
@@ -163,7 +163,7 @@ def load_stats_by_rows(path, fixtures) -> StatsArchive:
         if name in record.stats:
             raise ParseError(rownum, f"duplicate stat {name!r} for {key}")
         record.stats[name] = value
-    return StatsArchive(records.values())
+    return StatsArchive.of(records.values())
 
 
 def archive_records(archive: StatsArchive) -> list:
@@ -178,7 +178,7 @@ def truncated_builder(dataset: Dataset, cutoff) -> FeatureBuilder:
     by_id = {f.fixture_id: f for f in dataset.fixtures}
     kept = [r for r in dataset.stats.records()
             if by_id[r.fixture_id].kickoff < cutoff]
-    clipped = Dataset(fixtures=dataset.fixtures, stats=StatsArchive(kept),
+    clipped = Dataset(fixtures=dataset.fixtures, stats=StatsArchive.of(kept),
                       odds=dataset.odds, split_index=dataset.split_index)
     return FeatureBuilder(clipped)
 

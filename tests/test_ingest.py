@@ -584,6 +584,23 @@ def test_stats_file_without_records_in_any_number_of_ranges(tmp_path, two_fixtur
     assert _outcome(load_player_stats, path, two_fixtures) == expected
 
 
+@pytest.mark.parametrize("ranges", RANGE_COUNTS)
+def test_stats_line_longer_than_a_block_keeps_the_bulk_path(tmp_path, two_fixtures, monkeypatch,
+                                                            ranges):
+    """A line longer than a block, and than a byte range, makes no empty
+    block or range: the file is still split in bulk, and gives the
+    row-at-a-time archive. An empty block would not be plain, and would
+    send the file to csv.reader with the same archive."""
+    force_ranges(monkeypatch, ranges)
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", 64)
+    rows = [_cells(pid=f"a{i}", stat=stat) for i in range(4) for stat in ("g_CS", "g_GA")]
+    rows[3:3] = [_cells(pid="p" * 220, fid="F2")]
+    path = stats_file(tmp_path, rows)
+    assert ingest._plain_columns(path, ingest.STATS_COLUMNS, "stats") is not None
+    assert archive_records(load_player_stats(path, two_fixtures)) \
+        == archive_records(load_stats_by_rows(path, two_fixtures))
+
+
 # Per column, good cells, odd ones (padded, which is the same key after
 # stripping, empty, unknown, negative, not finite or not numbers) and how
 # many good cells are drawn for one odd one.
@@ -831,7 +848,7 @@ def test_save_load_roundtrip(tmp_path, dataset):
 
 def test_sample_generator_reproduces_bundled_files(tmp_path, sample_dir):
     """scripts/gen_sample_data.py writes the four data/sample files byte for
-    byte, through StatsArchive(records) and save_player_stats."""
+    byte, through StatsArchive.of(records) and save_player_stats."""
     script = sample_dir.parent.parent / "scripts" / "gen_sample_data.py"
     subprocess.run([sys.executable, str(script), str(tmp_path)], check=True,
                    capture_output=True)

@@ -821,6 +821,23 @@ def test_svr_penalty_too_large_to_solve_is_an_error(rows, kernel, C, reason):
     assert str(caught.value) == f"the {kernel} SVR at C={C:g} cannot be solved: {reason}"
 
 
+@pytest.mark.parametrize("kernel, C, warned", [
+    ("rbf", 1e308, []),  # and a RegressError
+    ("linear", 1e200, [NotConvergedWarning]),
+], ids=["rbf", "linear"])
+def test_svr_penalty_at_the_solvers_limit_warns_no_overflow(kernel, C, warned):
+    """The solver's overflows and 0/0s at a penalty near its limit show in
+    the objective and gap that the fit checks, so the fit ends in its one
+    RegressError or NotConvergedWarning, with no NumPy RuntimeWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            fit_svr(*UNSOLVABLE, C=C, kernel=kernel)
+        except RegressError:
+            assert kernel == "rbf"
+    assert [w.category for w in caught] == warned
+
+
 # ---------------------------------------------------------------- contract
 
 
