@@ -641,7 +641,7 @@ def _evaluate_bundle(cfg: RunConfig, dataset: Dataset, psets: list,
         *(_model_reports(cfg, dataset, by_id, pset) for pset in psets))
     ranks = {s: rank_models({p.model: v[s] for p, v in zip(psets, model_values)}, higher)
              for s, higher in SCENARIOS.items()}
-    overview = rank_sum_overview(ranks, models=[p.model for p in psets])
+    overview = rank_sum_overview(ranks)
     for name, header in REPORTS.items():
         write_csv(out_dir / name, header, [row for rows in model_rows for row in rows[name]])
     write_csv(out_dir / "overview.csv",

@@ -300,8 +300,7 @@ class OverviewRow:
     rank_sum: int
 
 
-def rank_sum_overview(scenario_ranks: Mapping[str, Mapping[str, int]],
-                      models: Sequence[str] | None = None) -> list[OverviewRow]:
+def rank_sum_overview(scenario_ranks: Mapping[str, Mapping[str, int]]) -> list[OverviewRow]:
     """Combine per-scenario ranks into a rank-sum table, best first.
 
     Every model must carry a rank in every scenario; ordering is by rank
@@ -310,10 +309,8 @@ def rank_sum_overview(scenario_ranks: Mapping[str, Mapping[str, int]],
     scenarios = list(scenario_ranks)
     if not scenarios:
         raise EmptyInput("no scenarios to combine")
-    if models is None:
-        models = sorted({m for ranks in scenario_ranks.values() for m in ranks})
     rows = []
-    for model in models:
+    for model in sorted({m for ranks in scenario_ranks.values() for m in ranks}):
         per = []
         for scenario in scenarios:
             if model not in scenario_ranks[scenario]:

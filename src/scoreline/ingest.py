@@ -443,7 +443,8 @@ def _plain_columns(path: str | Path, columns: tuple[str, ...], what: str) -> lis
     is not plain.
 
     A plain file has no ``"`` and no NUL (which ``csv.reader`` refuses
-    before Python 3.11), ends every line in ``\\n`` or ``\\r\\n``, has as
+    before Python 3.11), ends every line in ``\\n`` or ``\\r\\n`` (the last
+    may lack its end, as ``csv.reader`` allows), has as
     many commas on every line as its header, and no cell longer than
     ``csv.field_size_limit()`` bytes: ``csv.reader`` would split each of its
     lines at the commas. Every block is decoded before its cells are read,
@@ -499,6 +500,8 @@ def _range_columns(path: str | Path, what: str, width: int, pick: list[int], spa
         for lo, hi in zip(bounds, bounds[1:]):
             fh.seek(lo)
             block = fh.read(hi - lo)
+            if not block.endswith(b"\n"):  # the file's last line, which may lack its end
+                block += b"\n"
             if not _plain(block):
                 return None
             try:

@@ -80,8 +80,7 @@ def best_split(X, y, feat_idx, min_leaf, rows, ranks):
     scored in blocks of one power-of-two width, padded at the tail with the
     sentinel row (top rank, target 0): a padded node sorts as it would
     alone, so every sum it gets is the one it would get alone. A block
-    holds at most ``SPLIT_CELLS`` cells, or one node, and all blocks of a
-    call share one set of work arrays.
+    holds at most ``SPLIT_CELLS`` cells, or one node.
     """
     n_nodes, m = feat_idx.shape
     sizes = np.array([r.shape[0] for r in rows], dtype=np.int64)
@@ -92,30 +91,18 @@ def best_split(X, y, feat_idx, min_leaf, rows, ranks):
     for k, size in enumerate(sizes.tolist()):
         if size >= 2 * min_leaf:  # else no split keeps min_leaf rows a side
             by_width.setdefault(1 << (size - 1).bit_length(), []).append(k)
-    blocks = []
+    y_pad = np.append(y, 0.0)
     for width, ks in by_width.items():
         per = max(1, SPLIT_CELLS // (width * m))
-        blocks += [(width, ks[i:i + per]) for i in range(0, len(ks), per)]
-    if blocks:
-        block_rows = max(width * len(ks) for width, ks in blocks)
-        # a sort key is a rank shifted above a padded-row position
-        key_type = np.int32 if ranks.shape[1] << (block_rows - 1).bit_length() \
-            <= np.iinfo(np.int32).max else np.int64
-        work = (np.empty(block_rows * m, dtype=key_type),
-                np.empty(block_rows * m, dtype=np.intp), np.empty(block_rows * m, dtype=bool),
-                *(np.empty(block_rows * m) for _ in range(4)))
-        ranks = ranks.astype(key_type, copy=False)
-        y_pad = np.append(y, 0.0)
-    for width, ks in blocks:
-        block = np.array(ks)
-        idx = np.full((block.shape[0], width), ranks.shape[1] - 1, dtype=np.intp)
-        for r, k in enumerate(ks):
-            idx[r, :sizes[k]] = rows[k]
-        sses[block], feats[block], pair[block] = _score_block(
-            y_pad, ranks, idx, sizes[block], feat_idx[block], min_leaf, work)
+        for start in range(0, len(ks), per):
+            block = np.array(ks[start:start + per])
+            idx = np.full((block.shape[0], width), ranks.shape[1] - 1, dtype=np.intp)
+            for r, k in enumerate(block.tolist()):
+                idx[r, :sizes[k]] = rows[k]
+            sses[block], feats[block], pair[block] = _score_block(
+                y_pad, ranks, idx, sizes[block], feat_idx[block], min_leaf)
     found = sses < np.inf
     feats[~found] = -1
-    sses[~found] = np.inf
     thrs = np.zeros(n_nodes)
     below, above = X[pair[found], feats[found, None]].T
     mid = 0.5 * (below + above)
@@ -125,55 +112,45 @@ def best_split(X, y, feat_idx, min_leaf, rows, ranks):
     return feats, thrs, sses
 
 
-def _score_block(y_pad, ranks, idx, sizes, feat_idx, lo, work):
+def _score_block(y_pad, ranks, idx, sizes, feat_idx, lo):
     """The least SSE of each node padded to one width, with its feature
     and the rows either side of it: ``idx`` holds each node's rows, then
-    the sentinel row. The arrays of ``work`` are flat buffers of at least
-    a block's cells, written in place.
+    the sentinel row.
 
     A cell's sort key is its rank shifted above its position in ``idx``
     (node-major), so the keys are distinct, any sort puts a lane in the
     order a stable sort by rank gives, and the low bits address the row.
     """
     n_nodes, width = idx.shape
-    m = feat_idx.shape[1]
     hi = int(sizes.max()) - lo + 1  # split before sorted row i, lo <= i < hi
-    full, part = (n_nodes, m, width), (n_nodes, m, hi - lo)
-    keys, pos, invalid, sse, cs, cs2, tmp = (
-        buf[:shape[0] * shape[1] * shape[2]].reshape(shape)
-        for buf, shape in zip(work, (full, full, part, part, full, full, part)))
     bits = (idx.size - 1).bit_length()
     low = (1 << bits) - 1
-    np.add(feat_idx[:, :, None] * ranks.shape[1], idx[:, None, :], out=pos)
-    ranks.take(pos, out=keys)
+    key_type = np.int32 if ranks.shape[1] << bits <= np.iinfo(np.int32).max else np.int64
+    keys = ranks.take(feat_idx[:, :, None] * ranks.shape[1] + idx[:, None, :]).astype(
+        key_type, copy=False)
     keys <<= bits
-    keys |= np.arange(idx.size, dtype=keys.dtype).reshape(n_nodes, 1, width)
+    keys |= np.arange(idx.size, dtype=key_type).reshape(n_nodes, 1, width)
     keys.sort(axis=-1)
-    np.bitwise_and(keys, low, out=pos)
-    ys = work[3][:keys.size].reshape(full)  # sse's buffer, free until the SSE
-    y_pad[idx].take(pos, out=ys)
-    ys.cumsum(axis=-1, out=cs)
+    ys = y_pad[idx].take(keys & low)
+    cs = ys.cumsum(axis=-1)
     ys *= ys
-    ys.cumsum(axis=-1, out=cs2)
+    cs2 = ys.cumsum(axis=-1, out=ys)
     i = np.arange(lo, hi, dtype=np.float64)
     nodes, last = np.arange(n_nodes), sizes - 1
     sl, sq = cs[..., lo - 1:hi - 1], cs2[..., lo - 1:hi - 1]
-    # sse = (sq - sl * sl / i) + ((total2 - sq) - sr * sr / (n - i)), in place
-    np.multiply(sl, sl, out=sse)
+    # sse = (sq - sl * sl / i) + ((total2 - sq) - sr * sr / (n - i))
+    sse = sl * sl
     sse /= i
     np.subtract(sq, sse, out=sse)
-    np.subtract(cs[nodes, :, last][:, :, None], sl, out=tmp)  # sr
-    tmp *= tmp
+    sr = cs[nodes, :, last][:, :, None] - sl
+    sr *= sr
     # past a node's own hi the right side is empty or padding: those cells
     # are masked below, and the floor keeps their division finite
-    tmp /= np.maximum(sizes[:, None, None] - i, 1.0)
-    right = work[4][:sse.size].reshape(part)  # cs's buffer: sl is spent
-    np.subtract(cs2[nodes, :, last][:, :, None], sq, out=right)
-    right -= tmp
+    sr /= np.maximum(sizes[:, None, None] - i, 1.0)
+    right = cs2[nodes, :, last][:, :, None] - sq
+    right -= sr
     sse += right
-    ties = work[1][:sse.size].reshape(part)  # pos's buffer: ys is gathered
-    np.bitwise_xor(keys[..., lo:hi], keys[..., lo - 1:hi - 1], out=ties)
-    np.less_equal(ties, low, out=invalid)  # equal ranks
+    invalid = (keys[..., lo:hi] ^ keys[..., lo - 1:hi - 1]) <= low  # equal ranks
     invalid |= i >= (sizes - lo + 1)[:, None, None]
     np.putmask(sse, invalid, np.inf)
     flat = sse.reshape(n_nodes, -1).argmin(axis=1)

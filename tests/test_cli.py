@@ -4,6 +4,7 @@ import csv
 import gc
 import hashlib
 import importlib
+import inspect
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from scoreline import cli, ingest
+from scoreline import cli, ingest, regress
 from scoreline.cli import data_fingerprint, main
 from scoreline.features import APPROACHES, SIDES, FeatureBuilder
 from scoreline.regress import workers
@@ -200,6 +201,23 @@ def test_config_file_errors(tmp_path, capsys):
     assert run("train", "--config", undecodable) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: cannot read config file {undecodable}: "), err
+
+
+def test_every_setting_default_is_its_engine_default():
+    """A hyperparameter's default is spelled twice: in its Setting and as
+    the keyword default of each engine fit it feeds. The two agree, in
+    value and type, for every technique the setting feeds."""
+    checked = []
+    for technique, (engine, _fixed) in cli.TECHNIQUE_ENGINES.items():
+        params = inspect.signature(regress._FITS[engine]).parameters
+        for setting in cli.SETTINGS.values():
+            if technique in setting.engine:
+                default = params[setting.engine[technique]].default
+                assert (type(setting.default), setting.default) == (type(default), default), \
+                    (technique, setting.name)
+                checked.append((technique, setting.name))
+    # every technique a setting feeds is one the CLI offers
+    assert len(checked) == sum(len(s.engine) for s in cli.SETTINGS.values()) > 0
 
 
 def test_hyperparameter_validation_returns_2(tmp_path):

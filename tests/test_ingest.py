@@ -439,7 +439,8 @@ def test_stats_reader_contract(tmp_path, two_fixtures, text, expected, quoted):
     assert archive_records(load_player_stats(path, two_fixtures)) == expected
 
 
-PLAIN_OR_NOT = {"as shipped": True, "LF": True, "quoted": False}
+PLAIN_OR_NOT = {"as shipped": True, "LF": True, "quoted": False,
+                "as shipped unterminated": True, "LF unterminated": True}
 RANGE_COUNTS = (1, 2, 3)
 
 
@@ -462,14 +463,19 @@ def force_ranges(monkeypatch, ranges):
 def test_sample_stats_same_archive_from_either_reader(tmp_path, sample_dir, dataset, form,
                                                       ranges, monkeypatch):
     """The bundled stats file as shipped (CRLF line ends), with LF line ends,
-    and with every cell quoted: the first two are split in bulk, the last
+    and with every cell quoted: the first two are split in bulk, also when
+    their last line lacks its line end (unterminated), the quoted one is
     read by csv.reader, and all give the same code types and archive, read
     in one byte range or several."""
     force_ranges(monkeypatch, ranges)
     path = tmp_path / "player_stats.csv"
     raw = (sample_dir / "player_stats.csv").read_bytes()
     assert raw.count(b"\r\n") == raw.count(b"\n")
-    path.write_bytes(raw.replace(b"\r\n", b"\n") if form == "LF" else raw)
+    if form.startswith("LF"):
+        raw = raw.replace(b"\r\n", b"\n")
+    if form.endswith("unterminated"):
+        raw = raw.removesuffix(b"\n").removesuffix(b"\r")
+    path.write_bytes(raw)
     if form == "quoted":
         quote_all(path, "\r\n")
     plain = ingest._plain_columns(path, ingest.STATS_COLUMNS, "stats")

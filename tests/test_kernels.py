@@ -281,6 +281,18 @@ def test_a_batch_scores_each_node_as_alone(monkeypatch):
     assert (got[:, 0] >= 0).sum() > 20 and (got[:, 0] < 0).any()
 
 
+def test_a_node_too_wide_for_int32_keys_splits_as_the_loop_does():
+    """40 000 rows pad to width 65 536: 16 position bits, and the top rank
+    40 000 shifted above them overflows int32, so the sort keys are int64."""
+    n = 40_000
+    assert (n + 1) << (n - 1).bit_length() > np.iinfo(np.int32).max
+    rng = np.random.default_rng(23)
+    X = np.round(rng.normal(size=(n, 2)), 2)
+    y = rng.integers(0, 5, size=n).astype(np.float64)
+    feat, thr, sse = loop_best_split(X, y, np.arange(2), 5)
+    assert run_split(X, y, np.arange(2), 5) == [int(feat), float(thr).hex(), float(sse).hex()]
+
+
 def test_knn_identical():
     for name, args in knn_cases().items():
         assert hexify(knn_neighbor_means(*args)) == GOLDEN_KNN[name], name
