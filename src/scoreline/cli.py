@@ -96,48 +96,24 @@ class MissingArtifact(Exception):
 
 # ------------------------------------------------------------------ config
 
-def _parse_bool(raw: str, key: str) -> bool:
+def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise UsageError(f"config key {key} expects a boolean, got {raw!r}")
-
-
-def _parse_forest_features(raw):
-    if raw in ("sqrt", "all"):
-        return raw
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise UsageError(f'forest_features must be "sqrt", "all" or a positive int, got {raw!r}')
-    return value
-
-
-def _parse_gamma(raw):
-    if raw == "scale":
-        return raw
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise UsageError(f'svr_gamma must be "scale" or a positive finite number, got {raw!r}')
-    return value
+    raise ValueError(f"not a boolean: {raw!r}")
 
 
 class Setting(NamedTuple):
     """One run setting. Its config key is ``name`` and its flag is ``flag``,
     by default ``--`` plus the name with ``-`` for ``_``.
 
-    ``kind`` is int, float, bool or str, a tuple of choices, or a parser
-    that turns the merged text into a value and checks it. ``valid`` is a
-    (predicate, "what the value must be") pair. ``engine`` maps each
-    technique the setting feeds to its fit keyword. ``commands`` name the
-    subcommands that read it and so take its flag.
+    ``kind`` is int, float, bool or str, or a tuple of choices; ``words``
+    are the keywords an int or float setting takes in place of a number.
+    ``valid`` is a (predicate, "what the value must be") pair. ``engine``
+    maps each technique the setting feeds to its fit keyword. ``commands``
+    name the subcommands that read it and so take its flag.
     """
 
     name: str
@@ -148,23 +124,33 @@ class Setting(NamedTuple):
     help: str = ""
     flag: str | None = None
     commands: tuple = ("train", "evaluate")
+    words: tuple = ()
 
     def read(self, raw: str):
-        """A config file's text as this setting's type."""
+        """A config file's text as this setting's type, or as one of its words."""
+        if raw in self.words:
+            return raw
         if self.kind in (int, float):
             return self.kind(raw)
         if self.kind is bool:
-            return _parse_bool(raw, self.name)
+            return _parse_bool(raw)
         return raw
 
     def resolve(self, value):
-        """The merged value, parsed and range-checked."""
+        """The merged value, a words setting's flag text converted, range-checked."""
         if isinstance(self.kind, tuple):
             if value is not None and value not in self.kind:
                 raise UsageError(f"{self.name} must be one of {self.kind}, got {value!r}")
-        elif self.kind not in (int, float, bool, str):
-            return self.kind(value)
-        elif self.kind is float and not math.isfinite(value):
+        elif value in self.words:
+            return value
+        elif self.words and isinstance(value, str):  # a flag's text
+            try:
+                value = self.kind(value)
+            except ValueError:
+                raise UsageError(
+                    f"{self.name} must be {', '.join(map(json.dumps, self.words))} or "
+                    f"{'an integer' if self.kind is int else 'a number'}, got {value!r}") from None
+        if self.kind is float and not math.isfinite(value):
             raise UsageError(f"{self.name} must be a finite number, got {value!r}")
         if self.valid is not None and not self.valid[0](value):
             raise UsageError(f"{self.name} must be {self.valid[1]}, got {value!r}")
@@ -181,7 +167,7 @@ class Setting(NamedTuple):
             kwargs.update(action="store_const", const=not self.default)
         elif isinstance(self.kind, tuple):
             kwargs.update(choices=self.kind)
-        elif self.kind in (int, float):
+        elif self.kind in (int, float) and not self.words:  # resolve converts a words text
             kwargs.update(type=self.kind)
         group.add_argument(self.option, **kwargs)
 
@@ -216,8 +202,8 @@ HYPERPARAMETERS = (
     Setting("tree_min_leaf", int, 5, _AT_LEAST_1, dict.fromkeys(_TREES, "min_leaf"),
             "minimum rows per leaf"),
     Setting("forest_trees", int, 100, _AT_LEAST_1, {"rfr": "n_trees"}, "trees per forest"),
-    Setting("forest_features", _parse_forest_features, "sqrt", None,
-            {"rfr": "max_features"}, 'per-split feature subset: "sqrt", "all" or an int'),
+    Setting("forest_features", int, "sqrt", _AT_LEAST_1, {"rfr": "max_features"},
+            'per-split feature subset: "sqrt", "all" or an int', words=("sqrt", "all")),
     Setting("forest_bootstrap", bool, True, None, {"rfr": "bootstrap"},
             "turn off bootstrap sampling of each tree's rows",
             flag="--forest-no-bootstrap"),
@@ -230,8 +216,8 @@ HYPERPARAMETERS = (
             "stopping tolerance: the duality gap relative to max(1, objective)"),
     Setting("svr_max_iter", int, 50_000, _AT_LEAST_1, dict.fromkeys(_SVRS, "max_iter"),
             "cap on the interior-point solver's Newton steps"),
-    Setting("svr_gamma", _parse_gamma, "scale", None, {"svr-rbf": "gamma"},
-            'RBF width: "scale" or a positive float'),
+    Setting("svr_gamma", float, "scale", _POSITIVE, {"svr-rbf": "gamma"},
+            'RBF width: "scale" or a positive float', words=("scale",)),
 )
 SETTINGS = {s.name: s for s in RUN_SETTINGS + HYPERPARAMETERS}
 # the settings a trained pair's manifest does not fix: an --artifacts run

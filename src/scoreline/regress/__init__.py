@@ -7,7 +7,6 @@ from .base import (
     ModelBase,
     NonFiniteInput,
     RegressError,
-    Scaler,
     SchemaMismatch,
     TooFewRows,
     standardize_apply,
@@ -44,7 +43,6 @@ __all__ = [
     "NonFiniteInput",
     "NotConvergedWarning",
     "RegressError",
-    "Scaler",
     "SchemaMismatch",
     "StoreError",
     "SvrModel",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,28 +35,22 @@ class BadParameter(RegressError, ValueError):
     """An engine argument outside its range, or an unknown name."""
 
 
-@dataclass(frozen=True)
-class Scaler:
+def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column training mean and standard deviation (population)."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-
-def standardize_fit(X: np.ndarray) -> Scaler:
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
         raise DimensionMismatch("cannot standardize an empty matrix")
-    return Scaler(mean=X.mean(axis=0), std=X.std(axis=0))
+    return X.mean(axis=0), X.std(axis=0)
 
 
-def standardize_apply(scaler: Scaler, X: np.ndarray) -> np.ndarray:
+def standardize_apply(scaler: tuple, X: np.ndarray) -> np.ndarray:
     """Columns get training mean 0 and std 1; zero-variance columns map to 0."""
+    mean, std = scaler
     X = np.asarray(X, dtype=np.float64)
-    out = X - scaler.mean
-    safe = np.where(scaler.std > 0.0, scaler.std, 1.0)
+    out = X - mean
+    safe = np.where(std > 0.0, std, 1.0)
     out = out / safe
-    out[:, scaler.std == 0.0] = 0.0
+    out[:, std == 0.0] = 0.0
     return out
 
 

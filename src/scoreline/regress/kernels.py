@@ -177,17 +177,6 @@ def knn_neighbor_means(train_X, train_y, query_X, k):
     return left_sum(train_y[picks]) / k
 
 
-def svr_objective(X, y, w, b, c_reg, epsilon):
-    """Primal objective 0.5*||w||^2 + C * sum(max(0, |y - Xw - b| - eps))."""
-    return 0.5 * (w @ w) + c_reg * tube_loss(y - (X @ w + b), epsilon)
-
-
-def svr_kernel_objective(K, y, beta, b, c_reg, epsilon):
-    """Kernelized objective 0.5*beta'Kbeta + C * sum(max(0, |y - Kbeta - b| - eps))."""
-    k_beta = K @ beta
-    return 0.5 * (beta @ k_beta) + c_reg * tube_loss(y - (k_beta + b), epsilon)
-
-
 COMPLEMENTARITY_FLOOR = 1e-13  # below it the duality gap is rounding noise
 FEASIBILITY_TOL = 1e-9  # |s'a| at most this for a dual value to bound the optimum
 STEP_FRACTION = 0.99  # of the longest step that keeps every variable positive
@@ -233,8 +222,8 @@ def svr_train(X, y, c_reg, epsilon, max_iter, tol, K=None):
     Each iterate is scored once from its fit (``Xw`` with ``w = X'beta``
     without ``K``, ``K beta`` with it): the bias that minimizes the tube
     loss for it (:func:`tube_bias`) and its primal objective P, bit for bit
-    :func:`svr_objective` or :func:`svr_kernel_objective`, the tests'
-    references. The best P and the best dual value ``-(0.5 a'Qa + q'a)``
+    the reference objectives ``svr_objective`` and ``svr_kernel_objective``
+    in ``tests/test_kernels.py``. The best P and the best dual value ``-(0.5 a'Qa + q'a)``
     seen bound the optimum from both sides. Stops when the gap between
     them is finite and at most ``tol * max(1, P)``, when the mean
     complementarity falls below ``COMPLEMENTARITY_FLOOR``, or after

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import KTooLarge, ModelBase, Scaler, as_xy, standardize_apply, standardize_fit
+from .base import KTooLarge, ModelBase, as_xy, standardize_apply, standardize_fit
 from .kernels import knn_neighbor_means
 
 
@@ -12,15 +12,15 @@ class KnnModel(ModelBase):
     technique = "knn"
 
     def __init__(self, train_X: np.ndarray, train_y: np.ndarray, k: int,
-                 scaler: Scaler, feature_names=None):
+                 scaler: tuple, feature_names=None):
         super().__init__(train_X.shape[1], feature_names)
         self.train_X = np.ascontiguousarray(train_X, dtype=np.float64)
         self.train_y = np.ascontiguousarray(train_y, dtype=np.float64)
         self.k = int(k)
-        self.scaler = scaler
+        self.scaler_mean, self.scaler_std = scaler
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        Xs = np.ascontiguousarray(standardize_apply(self.scaler, X))
+        Xs = np.ascontiguousarray(standardize_apply((self.scaler_mean, self.scaler_std), X))
         return knn_neighbor_means(self.train_X, self.train_y, Xs, self.k)
 
 

@@ -1,10 +1,10 @@
 """Versioned JSON persistence for trained models.
 
 The format is the table ``ENVELOPE`` and, per technique, ``PAYLOADS``: each
-key, the model attribute it holds and its kind. Saving writes the
-attributes; loading reads each key through its kind. A stored number is a
-finite JSON number, never a bool or null, and an integer where a count or
-an index belongs."""
+key, which names the model attribute that holds it, and its kind. Saving
+writes the attributes; loading reads each key through its kind. A stored
+number is a finite JSON number, never a bool or null, and an integer where
+a count or an index belongs."""
 
 from __future__ import annotations
 
@@ -12,12 +12,12 @@ import itertools
 import json
 import math
 import reprlib
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .base import ModelBase, Scaler
+from .base import ModelBase
 from .knn import KnnModel
 from .linear import LinearModel
 from .svr import SvrModel
@@ -205,41 +205,38 @@ _features = itemgetter("n_features")
 OBJECT = _carried("a JSON object", lambda value: isinstance(value, dict))
 KERNEL = _carried("linear or rbf", lambda value: value in ("linear", "rbf"))
 NUMBER, VECTOR, MATRIX = _numeric(), _numeric((_features,)), _numeric((None, _features))
-SCALER = [("scaler_mean", "scaler.mean", VECTOR),
-          ("scaler_std", "scaler.std", _numeric((_features,), low=0.0))]
-SVR = [("kernel", "kernel", KERNEL), ("params", "params", OBJECT),
-       ("status", "status", OBJECT), ("b", "b", NUMBER), *SCALER]
+SCALER = [("scaler_mean", VECTOR), ("scaler_std", _numeric((_features,), low=0.0))]
+SVR = [("kernel", KERNEL), ("params", OBJECT), ("status", OBJECT), ("b", NUMBER), *SCALER]
 
-# Each row: the payload key (dotted: a field of a stored object), the model
-# attribute it holds (None: read, not kept), its kind. Rows are read in order.
+# Each row: the key, which names the model attribute that holds it (dotted:
+# a field of a stored object, read and checked, not kept), and its kind.
+# Rows are read in order.
 PAYLOADS = {
-    "lr": [("coef", "coef", VECTOR), ("intercept", "intercept", NUMBER),
-           ("rank", "rank", _numeric(low=0, high=lambda got: got["n_features"] + 1,
-                                     integer=True))],
-    "knn": [("train_X", "train_X", MATRIX), ("train_y", "train_y", _numeric((_rows,))),
-            ("k", "k", _numeric(low=1, high=_rows, integer=True)), *SCALER],
-    "dtr": [("params", "params", OBJECT), ("trees", "trees", _trees)],
-    "rfr": [("params", "params", OBJECT),
-            ("params.n_trees", None, _numeric(low=1, integer=True)),
-            ("trees", "trees", _trees)],
-    "svr": {"linear": [*SVR, ("w", "w", VECTOR)],
-            "rbf": [*SVR, ("train_X", "train_X", MATRIX), ("beta", "beta", _numeric((_rows,))),
-                    ("gamma", "gamma", _numeric(low=math.ulp(0.0)))]},
+    "lr": [("coef", VECTOR), ("intercept", NUMBER),
+           ("rank", _numeric(low=0, high=lambda got: got["n_features"] + 1, integer=True))],
+    "knn": [("train_X", MATRIX), ("train_y", _numeric((_rows,))),
+            ("k", _numeric(low=1, high=_rows, integer=True)), *SCALER],
+    "dtr": [("params", OBJECT), ("trees", _trees)],
+    "rfr": [("params", OBJECT), ("params.n_trees", _numeric(low=1, integer=True)),
+            ("trees", _trees)],
+    "svr": {"linear": [*SVR, ("w", VECTOR)],
+            "rbf": [*SVR, ("train_X", MATRIX), ("beta", _numeric((_rows,))),
+                    ("gamma", _numeric(low=math.ulp(0.0)))]},
 }
-ENVELOPE = [("technique", "technique", _carried(f"one of {', '.join(PAYLOADS)}",
-                                                lambda value: value in tuple(PAYLOADS))),
-            ("n_features", "n_features", _numeric(low=0, integer=True)),
-            ("feature_names", "feature_names", _carried("null or a list of strings", lambda v: (
+ENVELOPE = [("technique", _carried(f"one of {', '.join(PAYLOADS)}",
+                                   lambda value: value in tuple(PAYLOADS))),
+            ("n_features", _numeric(low=0, integer=True)),
+            ("feature_names", _carried("null or a list of strings", lambda v: (
                 v is None or isinstance(v, list) and all(type(name) is str for name in v))))]
 MODELS = {model.technique: model
           for model in (LinearModel, KnnModel, TreeModel, ForestModel, SvrModel)}
 
 
 def fields_of(model: ModelBase, table) -> dict:
-    """Each key of ``table`` (for svr, of its kernel's) and the model
-    attribute it holds, NumPy arrays and Trees as they are."""
+    """Each undotted key of ``table`` (for svr, of its kernel's) and the
+    model attribute of that name, NumPy arrays and Trees as they are."""
     table = table[model.kernel] if isinstance(table, dict) else table
-    return {key: attrgetter(attr)(model) for key, attr, _kind in table if attr}
+    return {key: getattr(model, key) for key, _kind in table if "." not in key}
 
 
 def _read(blob: dict, key: str, kind, got: dict):
@@ -253,20 +250,19 @@ def _read(blob: dict, key: str, kind, got: dict):
 
 def _model_from(envelope: dict) -> ModelBase:
     """The model whose attributes are the envelope's fields, each read
-    through its kind; the model class's __init__ is not run."""
+    through its kind and set under its undotted key; the model class's
+    __init__ is not run."""
     got = {}
-    for key, _attr, kind in ENVELOPE:
+    for key, kind in ENVELOPE:
         _read(envelope, key, kind, got)
     payload, table = _read(envelope, "payload", OBJECT, got), PAYLOADS[got["technique"]]
     if isinstance(table, dict):  # svr, one table per kernel
         table = table[_read(payload, "kernel", KERNEL, got)]
-    fields = {attr: _read(payload, key, kind, got) for key, attr, kind in table}
-    fields.pop(None, None)
-    if "scaler.mean" in fields:
-        fields["scaler"] = Scaler(mean=fields.pop("scaler.mean"), std=fields.pop("scaler.std"))
+    for key, kind in table:
+        _read(payload, key, kind, got)
     model = MODELS[got["technique"]].__new__(MODELS[got["technique"]])
     ModelBase.__init__(model, got["n_features"], got["feature_names"])
-    vars(model).update(fields)
+    vars(model).update((key, got[key]) for key, _kind in table if "." not in key)
     return model
 
 

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .base import (BadParameter, ModelBase, RegressError, Scaler, TooFewRows, as_xy,
+from .base import (BadParameter, ModelBase, RegressError, TooFewRows, as_xy,
                    standardize_apply, standardize_fit)
 from .kernels import rbf_kernel, svr_train
 
@@ -27,18 +27,18 @@ class NotConvergedWarning(RuntimeWarning):
 class SvrModel(ModelBase):
     technique = "svr"
 
-    def __init__(self, kernel: str, scaler: Scaler, params: dict, status: dict,
+    def __init__(self, kernel: str, scaler: tuple, params: dict, status: dict,
                  n_features: int, feature_names=None, *,
                  w=None, b=0.0, beta=None, train_X=None, gamma=None):
         super().__init__(n_features, feature_names)
         self.kernel = kernel
-        self.scaler = scaler
+        self.scaler_mean, self.scaler_std = scaler
         self.params = dict(params)
         self.status = dict(status)
         self.w, self.b, self.beta, self.train_X, self.gamma = w, float(b), beta, train_X, gamma
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        Xs = standardize_apply(self.scaler, X)
+        Xs = standardize_apply((self.scaler_mean, self.scaler_std), X)
         if self.kernel == "linear":
             return Xs @ self.w + self.b
         K = rbf_kernel(Xs, self.train_X, self.gamma)

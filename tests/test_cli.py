@@ -201,6 +201,41 @@ def test_config_file_errors(tmp_path, capsys):
     assert run("train", "--config", undecodable) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: cannot read config file {undecodable}: "), err
+    # an unreadable boolean, keyword-or-number or number names its file and line
+    for key, text in (("forest_bootstrap", "maybe"), ("forest_features", "abc"),
+                      ("svr_gamma", "wide")):
+        conf = tmp_path / f"{key}.conf"
+        conf.write_text(f"{key} = {text}\n", encoding="utf-8")
+        assert run("train", "--config", conf) == 2
+        assert capsys.readouterr().err == f"usage error: {conf}:1: bad value for {key}: {text!r}\n"
+
+
+WORDS_TEXTS = (
+    [("forest_features", text) for text in ("sqrt", "all", "7", "+7", "7.0", "0", "abc")]
+    + [("svr_gamma", text) for text in ("scale", "1", "0.5", "1e-300", "-0.5", "nan", "inf",
+                                        "wide")])
+
+
+@pytest.mark.parametrize("key, text", WORDS_TEXTS, ids=[f"{k}={t}" for k, t in WORDS_TEXTS])
+def test_words_setting_reads_alike_from_flag_and_config(tmp_path, key, text):
+    """A setting that takes a keyword or a number resolves a text to the
+    same type and value, or rejects it, whether given as a flag or as a
+    config line: the type enters the config hash, so 1 and 1.0 differ."""
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{key} = {text}\n", encoding="utf-8")
+    option = cli.SETTINGS[key].option
+    outcomes = []
+    for argv in ([f"{option}={text}"], ["--config", str(conf)]):
+        args = cli.build_parser().parse_args(["train", *argv])
+        try:
+            value = getattr(cli.resolve_config(args), key)
+        except cli.UsageError:
+            outcomes.append("rejected")
+        else:
+            outcomes.append((type(value), value))
+    assert outcomes[0] == outcomes[1], outcomes
+    # forest_features takes an int and svr_gamma a float, as their defaults' engines do
+    assert outcomes[0] == {"7": (int, 7), "1": (float, 1.0)}.get(text, outcomes[0])
 
 
 def test_every_setting_default_is_its_engine_default():

@@ -10,7 +10,8 @@ The inputs lean on the cases where a reordered sum or a different tie rule
 would show: tied and integer-valued columns, constant targets, equal
 distances and nodes at the edge of ``min_leaf``. The scalar loops
 themselves stay below as references for a randomized bit-for-bit
-comparison.
+comparison, next to the SVR's primal objectives, which the solver's
+reported objective equals bit for bit.
 """
 
 import numpy as np
@@ -22,9 +23,8 @@ from scoreline.regress.kernels import (
     dense_ranks,
     knn_neighbor_means,
     rbf_kernel,
-    svr_kernel_objective,
-    svr_objective,
     svr_train,
+    tube_loss,
 )
 
 
@@ -480,6 +480,17 @@ def test_svr_objectives_identical():
 
 
 # ------------------------------------------------------- scalar references
+
+def svr_objective(X, y, w, b, c_reg, epsilon):
+    """Primal objective 0.5*||w||^2 + C * sum(max(0, |y - Xw - b| - eps))."""
+    return 0.5 * (w @ w) + c_reg * tube_loss(y - (X @ w + b), epsilon)
+
+
+def svr_kernel_objective(K, y, beta, b, c_reg, epsilon):
+    """Kernelized objective 0.5*beta'Kbeta + C * sum(max(0, |y - Kbeta - b| - eps))."""
+    k_beta = K @ beta
+    return 0.5 * (beta @ k_beta) + c_reg * tube_loss(y - (k_beta + b), epsilon)
+
 
 def loop_best_split(X, y, feat_idx, min_leaf):
     """One feature and one threshold at a time, strict improvement; tied

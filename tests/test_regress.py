@@ -903,6 +903,9 @@ def test_store_roundtrip_all_engines(tmp_path):
         loaded = load_model(path)
         assert loaded.technique == model.technique
         np.testing.assert_array_equal(loaded.predict(X), model.predict(X))
+        # every stored field comes back as the attribute that saving reads
+        save_model(loaded, tmp_path / f"again{i}.json")
+        assert (tmp_path / f"again{i}.json").read_bytes() == path.read_bytes(), i
 
 
 def plain_json(value):
