@@ -165,9 +165,11 @@ class Setting(NamedTuple):
         kwargs = {"dest": self.name, "help": f"{self.help} (default: {shown})"}
         if self.kind is bool:
             kwargs.update(action="store_const", const=not self.default)
-        elif isinstance(self.kind, tuple):
-            kwargs.update(choices=self.kind)
-        elif self.kind in (int, float) and not self.words:  # resolve converts a words text
+        elif isinstance(self.kind, tuple):  # argparse strips before it checks the choices
+            kwargs.update(type=str.strip, choices=self.kind)
+        elif self.words:  # stripped as a config value is; resolve converts it
+            kwargs.update(type=str.strip)
+        elif self.kind in (int, float):
             kwargs.update(type=self.kind)
         group.add_argument(self.option, **kwargs)
 

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import chain, repeat
 from typing import Collection, Iterable, Sequence
 
 import numpy as np
@@ -172,7 +171,7 @@ class _Columns:
         fixtures = sorted(dataset.fixtures, key=kickoff_order)
         kickoffs = np.array([f.kickoff for f in fixtures], dtype="datetime64[us]")
         self.kickoffs = kickoffs[np.append(True, kickoffs[1:] != kickoffs[:-1])]  # distinct
-        self.span = len(self.kickoffs) + 1  # stride of a player's track keys
+        self.span = len(self.kickoffs) + 1  # above every kickoff rank
 
         stats = dataset.stats
         self.player_ids, self.group_names = stats.player_ids, stats.group_names
@@ -187,23 +186,17 @@ class _Columns:
         rank = {f.fixture_id: i for i, f in enumerate(fixtures)}
         fixture = np.array([rank[fid] for fid in stats.fixture_ids], dtype=np.int64)[stats.fixture]
 
-        # a record counts for the team whose lineup names its player, home first:
-        # each record reads the last lineup entry of its (fixture, player) key,
-        # entries going away before home, after one that no key matches
-        sides = [(f.away_lineup or (), f.away_team) for f in fixtures] \
-            + [(f.home_lineup or (), f.home_team) for f in fixtures]
-        teams = sorted({team for _lineup, team in sides})
+        # a record counts for the team whose lineup names its player in its
+        # fixture: owner[fixture, player] is written away, then home, so home
+        # wins where both lineups name the player; a lineup player without
+        # records writes the last column, which no record reads
+        teams = sorted({team for f in fixtures for team in (f.home_team, f.away_team)})
         index = {team: i for i, team in enumerate(teams)}
-        sizes = np.fromiter((len(lineup) for lineup, _team in sides), np.int64, len(sides))
-        named = np.fromiter(map(self.player_index.get, chain.from_iterable(
-            lineup for lineup, _team in sides), repeat(-1)), np.int64, int(sizes.sum()))
-        stride = len(self.player_ids) + 1  # a lineup player without records keys as no record
-        keys = np.append(-1, np.repeat(np.tile(np.arange(len(fixtures)), 2), sizes) * stride + named)
-        owner = np.append(-1, np.repeat([index[team] for _lineup, team in sides], sizes))
-        order = np.argsort(keys, kind="stable")
-        wanted = fixture * stride + stats.player
-        entry = order[np.searchsorted(keys[order], wanted, side="right") - 1]
-        team = np.where(keys[entry] == wanted, owner[entry], -1)
+        owner = np.full((len(fixtures), len(self.player_ids) + 1), -1, dtype=np.int32)
+        for row, f in zip(owner, fixtures):
+            for lineup, club in ((f.away_lineup, f.away_team), (f.home_lineup, f.home_team)):
+                row[[self.player_index.get(p, -1) for p in lineup or ()]] = index[club]
+        team = owner[fixture, stats.player]
         present = np.unique(team[team >= 0])
         self.team_index = {teams[t]: i for i, t in enumerate(present.tolist())}
 
@@ -319,18 +312,13 @@ class _Track:
         if self._squads is None:
             archive = self.archive
             recs = self.pair[archive.team[self.pair] >= 0]
-            stride = max(1, len(archive.player_ids))
-            key = archive.team[recs].astype(np.int64) * stride + archive.player[recs]
-            order = np.argsort(key, kind="stable")  # by team and player, kickoff order within
-            first = order[np.append(True, key[order][1:] != key[order][:-1])]
-            key = key[first]
-            team, player = np.divmod(key, stride)
-            sizes = np.bincount(team, minlength=len(archive.team_index))
-            slot = np.arange(len(key)) - (np.cumsum(sizes) - sizes)[team]
-            shape = (len(archive.team_index), max(1, sizes.max(initial=0)))
-            players, since = np.full(shape, -1), np.full(shape, archive.span)
-            players[team, slot] = player
-            since[team, slot] = archive.time[recs[first]]
+            since = np.full((len(archive.team_index), len(archive.player_ids)), archive.span)
+            np.minimum.at(since, (archive.team[recs], archive.player[recs]), archive.time[recs])
+            known = since < archive.span
+            width = max(1, known.sum(axis=1).max(initial=0))
+            order = np.argsort(~known, axis=1, kind="stable")[:, :width]  # squad first, id order
+            players = np.where(np.take_along_axis(known, order, axis=1), order, -1)
+            since = np.take_along_axis(since, order, axis=1)
             self._squads = (players, since)
         return self._squads
 
@@ -402,14 +390,10 @@ class FeatureBuilder:
 
     def _pools(self, pools: Sequence[Sequence[str]]) -> np.ndarray:
         """Each pool's player indices in pool order, padded with -1."""
-        sizes = np.array([len(pool) for pool in pools], dtype=np.int64)
-        matrix = np.full((len(pools), max(1, sizes.max(initial=0))), -1)
-        names = list(chain.from_iterable(pools))
-        rows = np.repeat(np.arange(len(pools)), sizes)
         index = self._columns().player_index
-        matrix[rows, np.arange(len(names)) - (np.cumsum(sizes) - sizes)[rows]] = np.fromiter(
-            map(index.get, names, repeat(-1)), np.int64, len(names))
-        return matrix
+        width = max(1, max(map(len, pools), default=0))
+        return np.array([[index.get(p, -1) for p in pool] + [-1] * (width - len(pool))
+                         for pool in pools], dtype=np.int64).reshape(len(pools), width)
 
     def _code(self, group: str) -> int:
         return self._columns().group_index.get(group, -2)  # -2 matches no row, cold or not

@@ -211,16 +211,19 @@ def test_config_file_errors(tmp_path, capsys):
 
 
 WORDS_TEXTS = (
-    [("forest_features", text) for text in ("sqrt", "all", "7", "+7", "7.0", "0", "abc")]
+    [("forest_features", text) for text in ("sqrt", "all", "7", "+7", "7.0", "0", "abc",
+                                            " sqrt", "all ", " 7 ")]
     + [("svr_gamma", text) for text in ("scale", "1", "0.5", "1e-300", "-0.5", "nan", "inf",
-                                        "wide")])
+                                        "wide", " scale", "0.5 ")]
+    + [("approach", text) for text in ("team_stats", " team_stats", "lineup_stats ")])
 
 
 @pytest.mark.parametrize("key, text", WORDS_TEXTS, ids=[f"{k}={t}" for k, t in WORDS_TEXTS])
 def test_words_setting_reads_alike_from_flag_and_config(tmp_path, key, text):
-    """A setting that takes a keyword or a number resolves a text to the
-    same type and value, or rejects it, whether given as a flag or as a
-    config line: the type enters the config hash, so 1 and 1.0 differ."""
+    """A setting that takes a keyword or a number, or one of a set of
+    choices, resolves a text to the same type and value, or rejects it,
+    whether given as a flag or as a config line: the type enters the config
+    hash, so 1 and 1.0 differ, and surrounding spaces are dropped both ways."""
     conf = tmp_path / "run.conf"
     conf.write_text(f"{key} = {text}\n", encoding="utf-8")
     option = cli.SETTINGS[key].option

@@ -736,6 +736,49 @@ def test_chronological_pass_matches_scans_bitwise():
     assert {reference._group_of("a5", f.kickoff, 2020) for f in dataset.fixtures} >= {"MF", "FW"}
 
 
+def test_team_membership_edge_cases_match_scans():
+    """Three attribution cases in a four-club season, built as the scans
+    build them: ``b10`` is named in both lineups of ``R4DB``, and the record
+    there counts for the home club D; ``c9`` moves from C to D after round
+    3 and belongs to both squads, each from their first record for it;
+    ``ghost`` is in D's round-6 lineup but has no records."""
+    rng = random.Random(7)
+    schema = default_schema()
+    groups = ["GK"] + ["DF"] * 4 + ["MF"] * 4 + ["FW"] * 2
+    pairings = [(("A", "B"), ("C", "D")), (("A", "C"), ("B", "D")), (("A", "D"), ("B", "C"))]
+    fixtures, records = [], []
+    for r in range(9):
+        pairs = [(a, h) for h, a in pairings[r % 3]] if r // 3 == 1 else pairings[r % 3]
+        for home, away in pairs:
+            fid = f"R{r}{home}{away}"
+            sides = [[f"{team.lower()}{i}" for i in range(11)] for team in (home, away)]
+            for team, lineup in zip((home, away), sides):
+                if r >= 4 and team in "CD":
+                    lineup[9] = {"C": "c11", "D": "c9"}[team]
+                if team == "D" and r == 6:
+                    lineup[5] = "ghost"
+            if fid == "R4DB":
+                sides[0][10] = sides[1][10]
+            fixtures.append(fx(fid, 7 * r, home, away, rng.randint(0, 3), rng.randint(0, 3),
+                               home_lineup=sides[0], away_lineup=sides[1]))
+            for pid, group in dict.fromkeys(zip(sides[0] + sides[1], groups * 2)):
+                names = list(schema.offensive.get(group, ())) + list(schema.defensive.get(group, ()))
+                if pid != "ghost":
+                    records.append(rec(pid, fid, group,
+                                       **{name: rng.random() * 4 for name in dict.fromkeys(names)}))
+    dataset = mini_dataset(fixtures, records)
+    assert len(dataset.fixtures) == 18
+    builder, reference = FeatureBuilder(dataset), ScanBuilder(dataset)
+    for approach in ("lineup_stats", "team_stats"):
+        for side in SIDES:
+            assert_same_matrix(builder.build_matrix(dataset.fixtures, approach, side),
+                               reference.build_matrix(dataset.fixtures, approach, side))
+    end = dataset.fixtures[-1].kickoff + timedelta(days=1)
+    squads = {team: reference._squad(team, end, 2020) for team in "ABCD"}
+    assert {"b10", "c9"} <= set(squads["D"]) and "c9" in squads["C"]
+    assert not any("ghost" in squad for squad in squads.values())
+
+
 # ---------------------------------------------- one build, cut at the split
 
 

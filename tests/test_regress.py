@@ -1132,6 +1132,13 @@ MALFORMED_FORESTS = {
                    "tree node 0 has a child that does not lie after it within the tree"),
     "lengths differ": (lambda p: p["trees"][0]["n"].pop(),
                        "a tree's node arrays differ in shape"),
+    # an earlier tree's error comes first, whichever check finds it
+    "nan in tree 0, lengths differ in tree 2": (
+        lambda p: (_set_first_leaf(p["trees"][0], value=float("nan")), p["trees"][2]["n"].pop()),
+        "a tree node has value nan"),
+    "lengths differ in tree 0, nan in tree 2": (
+        lambda p: (p["trees"][0]["n"].pop(), _set_first_leaf(p["trees"][2], value=float("nan"))),
+        "a tree's node arrays differ in shape"),
     "leaf with a child": (lambda p: _set_first_leaf(p["trees"][0], left=0),
                           "is a leaf with a child: feature -1, children 0 and -1"),
     "feature out of range": (lambda p: _set_first_split(p["trees"][1], feature=3),
