@@ -36,11 +36,19 @@ class BadParameter(RegressError, ValueError):
 
 
 def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column training mean and standard deviation (population)."""
+    """Per-column training mean and standard deviation (population);
+    NonFiniteInput names the first column whose either overflows float64."""
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
         raise DimensionMismatch("cannot standardize an empty matrix")
-    return X.mean(axis=0), X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = X.mean(axis=0), X.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        col = bad[0]
+        raise NonFiniteInput(f"column {col} is too large to standardize: "
+                             f"mean {mean[col]}, std {std[col]}")
+    return mean, std
 
 
 def standardize_apply(scaler: tuple, X: np.ndarray) -> np.ndarray:
@@ -87,7 +95,10 @@ class ModelBase:
         return X
 
     def predict(self, X) -> np.ndarray:
-        return self._predict(self._check_input(X))
+        X = self._check_input(X)
+        # an overflow shows as a non-finite prediction, which the caller reports
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return self._predict(X)
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError

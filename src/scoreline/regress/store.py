@@ -104,68 +104,51 @@ def _numbers(key: str, value, ndim: int) -> np.ndarray:
 
 
 def _trees(key: str, blobs, got: dict) -> list[Tree]:
-    """The trees, as many as ``params.n_trees`` if read and else one, checked
-    so that predict can neither index outside them nor loop. Shapes, element
-    types and emptiness are checked tree by tree; values and links once, on
-    the joined arrays. An error names the first tree's first failing check."""
+    """The trees, as many as ``params.n_trees`` if read and else one, each
+    checked by :func:`_tree` in file order, so an error names the first
+    faulty tree's first failing check."""
     if not isinstance(blobs, list):
         raise BadArtifact(f"{key} is {reprlib.repr(blobs)}, expected a JSON array")
     n_trees = got.get("params.n_trees")
     if len(blobs) != (n_trees or 1):
         raise BadArtifact(f"the forest holds {len(blobs)} trees, params.n_trees is {n_trees}"
                           if n_trees else f"the tree model holds {len(blobs)} trees, not 1")
-    cols_of = []
-    for blob in blobs:
-        try:  # a missing array reads as False, which is not a list
-            cols = [_numbers(f"a tree's {name}", isinstance(blob, dict) and blob.get(name), 1)
-                    for name in Tree._fields]
-            if len({col.shape for col in cols}) != 1:
-                raise BadArtifact("a tree's node arrays differ in shape: "
-                                  f"{[col.shape for col in cols]}")
-            if not cols[0].size:
-                raise BadArtifact("a tree has no nodes")
-            for name, col, fill in zip(Tree._fields, cols, LEAF):
-                if col.dtype.kind not in ("if" if isinstance(fill, float) else "i"):
-                    raise BadArtifact(f"a tree's {name} holds {col.dtype} values")
-        except BadArtifact:
-            _check_nodes(cols_of, got["n_features"])  # an earlier tree's error comes first
-            raise
-        cols_of.append(cols)
-    return _check_nodes(cols_of, got["n_features"])
+    return [_tree(blob, got["n_features"]) for blob in blobs]
 
 
-def _check_nodes(cols_of: list, n_features: int) -> list[Tree]:
-    """The trees of ``cols_of`` (each a list of node arrays), after checking
-    their values and links on the joined arrays."""
-    if not cols_of:
-        return []
-    sizes = np.array([len(cols[0]) for cols in cols_of])
-    joined = Tree(*(np.concatenate(col).astype(type(fill))
-                    for col, fill in zip(zip(*cols_of), LEAF)))
-    tree = np.repeat(np.arange(len(sizes)), sizes)
-    starts = np.cumsum(sizes) - sizes
-    node = np.arange(len(tree)) - starts[tree]  # index within its tree
-    feature, left, right = joined.feature, joined.left, joined.right
-    split = feature != -1
-    checks = [~np.isfinite(joined.value), ~np.isfinite(joined.threshold),
+def _tree(blob, n_features: int) -> Tree:
+    """One stored tree, checked so that predict can neither index outside
+    it nor loop: its shapes, emptiness and element types, then its values
+    and links. An error names the first failing check at its first node."""
+    # a missing array reads as False, which is not a list
+    cols = [_numbers(f"a tree's {name}", isinstance(blob, dict) and blob.get(name), 1)
+            for name in Tree._fields]
+    if len({col.shape for col in cols}) != 1:
+        raise BadArtifact(f"a tree's node arrays differ in shape: {[col.shape for col in cols]}")
+    if not cols[0].size:
+        raise BadArtifact("a tree has no nodes")
+    for name, col, fill in zip(Tree._fields, cols, LEAF):
+        if col.dtype.kind not in ("if" if isinstance(fill, float) else "i"):
+            raise BadArtifact(f"a tree's {name} holds {col.dtype} values")
+    tree = Tree(*(col.astype(type(fill), copy=False) for col, fill in zip(cols, LEAF)))
+    feature, left, right = tree.feature, tree.left, tree.right
+    node, split = np.arange(len(feature)), feature != -1
+    checks = [~np.isfinite(tree.value), ~np.isfinite(tree.threshold),
               split & ((feature < 0) | (feature >= n_features)),
-              split & ((np.minimum(left, right) <= node)
-                       | (np.maximum(left, right) >= sizes[tree])),
+              split & ((np.minimum(left, right) <= node) | (np.maximum(left, right) >= len(node))),
               ~split & ((left != -1) | (right != -1))]
-    firsts = [(tree[at[0]], k, at[0]) for k, bad in enumerate(checks)
-              for at in (np.flatnonzero(bad),) if len(at)]
-    if firsts:
-        _, k, at = min(firsts)
-        if k < 2:
-            name = ("value", "threshold")[k]
-            raise BadArtifact(f"a tree node has {name} {getattr(joined, name)[at]}")
-        problem = (f"splits on a feature outside 0..{n_features - 1}",
-                   "has a child that does not lie after it within the tree",
-                   "is a leaf with a child")[k - 2]
-        raise BadArtifact(f"tree node {node[at]} {problem}: feature {feature[at]}, "
-                          f"children {left[at]} and {right[at]}")
-    return [Tree(*(col[start:start + size] for col in joined))
-            for start, size in zip(starts.tolist(), sizes.tolist())]
+    for k, bad in enumerate(checks):
+        if bad.any():
+            at = np.flatnonzero(bad)[0]
+            if k < 2:
+                name = ("value", "threshold")[k]
+                raise BadArtifact(f"a tree node has {name} {getattr(tree, name)[at]}")
+            problem = (f"splits on a feature outside 0..{n_features - 1}",
+                       "has a child that does not lie after it within the tree",
+                       "is a leaf with a child")[k - 2]
+            raise BadArtifact(f"tree node {at} {problem}: feature {feature[at]}, "
+                              f"children {left[at]} and {right[at]}")
+    return tree
 
 
 # A kind reads one stored value: ``kind(key, value, got)`` returns what the

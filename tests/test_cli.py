@@ -439,6 +439,24 @@ def test_predict_rejects_corrupted_artifact(tmp_path, case, capsys):
     assert "model_home.json" in err
 
 
+def test_predict_overflowing_model_reports_one_error(tmp_path, capsys):
+    """A stored forest whose finite leaf values overflow when averaged is
+    reported by its non-finite prediction alone, with no NumPy warning."""
+    artifacts = tmp_path / "artifacts"
+    assert run("train", *base_args(artifacts), "--approach", "team_stats",
+               "--technique", "rfr", "--forest-trees", 5) == 0
+    path = artifacts / "model_home.json"
+    blob = json.loads(path.read_text())
+    for tree in blob["payload"]["trees"]:
+        tree["value"] = [1e308 if feature == -1 else value
+                         for feature, value in zip(tree["feature"], tree["value"])]
+    path.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert run("predict", "--out-dir", tmp_path, "--artifacts", artifacts,
+               "--fixtures", Path(SAMPLE_DIR) / "upcoming.csv") == 1
+    assert capsys.readouterr().err == "error: cannot round non-finite prediction inf\n"
+
+
 MALFORMED_MANIFESTS = {
     "a list": ("[1]", "is not a JSON object"),
     "an empty object": ("{}", "lacks a valid label, approach, config_hash, seed, config"),

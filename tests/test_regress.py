@@ -1075,6 +1075,34 @@ def test_store_refuses_every_mutated_field(tmp_path, saved_engines, engine):
     assert not escaped, escaped
 
 
+# each engine form as a technique and its hyperparameters
+ENGINE_FORMS = {"lr": ("lr", {}), "knn": ("knn", {"k": 3}),
+                "dtr": ("dtr", {"max_depth": 3, "min_leaf": 2}),
+                "rfr": ("rfr", {"n_trees": 5, "min_leaf": 2, "seed": 1}),
+                "svr": ("svr", {"max_iter": 500}),
+                "svr-rbf": ("svr", {"max_iter": 500, "kernel": "rbf"})}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e100, 1e200])
+@pytest.mark.parametrize("engine", list(ENGINE_FORMS))
+def test_every_fit_loads_back(tmp_path, engine, scale):
+    """A fit on a column of any finite scale raises a RegressError, or its
+    model file loads back and predicts bit for bit as the fitted model."""
+    rng = np.random.default_rng(55)
+    X, y = rng.normal(size=(30, 4)), rng.normal(size=30)
+    X[:, 1] *= scale
+    technique, params = ENGINE_FORMS[engine]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NotConvergedWarning)
+            model = fit_model(technique, X, y, params)
+    except RegressError:
+        return
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert np.array_equal(load_model(path).predict(X), model.predict(X))
+
+
 def test_store_rejects_garbage(tmp_path):
     from scoreline.regress import BadArtifact
 
@@ -1138,6 +1166,12 @@ MALFORMED_FORESTS = {
         "a tree node has value nan"),
     "lengths differ in tree 0, nan in tree 2": (
         lambda p: (p["trees"][0]["n"].pop(), _set_first_leaf(p["trees"][2], value=float("nan"))),
+        "a tree's node arrays differ in shape"),
+    "child out of range in tree 1, lengths differ in tree 2": (
+        lambda p: (_set_first_split(p["trees"][1], right=10**6), p["trees"][2]["n"].pop()),
+        "does not lie after it within the tree"),
+    "lengths differ in tree 1, child out of range in tree 2": (
+        lambda p: (p["trees"][1]["n"].pop(), _set_first_split(p["trees"][2], right=10**6)),
         "a tree's node arrays differ in shape"),
     "leaf with a child": (lambda p: _set_first_leaf(p["trees"][0], left=0),
                           "is a leaf with a child: feature -1, children 0 and -1"),
