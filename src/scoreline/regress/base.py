@@ -35,9 +35,10 @@ class BadParameter(RegressError, ValueError):
     """An engine argument outside its range, or an unknown name."""
 
 
-def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def standardize_fit(X: np.ndarray, feature_names=None) -> tuple[np.ndarray, np.ndarray]:
     """Per-column training mean and standard deviation (population);
-    NonFiniteInput names the first column whose either overflows float64."""
+    NonFiniteInput names the first column whose either overflows float64,
+    by its index and, given ``feature_names``, its name."""
     X = np.asarray(X, dtype=np.float64)
     if X.size == 0:
         raise DimensionMismatch("cannot standardize an empty matrix")
@@ -46,7 +47,8 @@ def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
     if bad.size:
         col = bad[0]
-        raise NonFiniteInput(f"column {col} is too large to standardize: "
+        named = f" ({feature_names[col]})" if feature_names else ""
+        raise NonFiniteInput(f"column {col}{named} is too large to standardize: "
                              f"mean {mean[col]}, std {std[col]}")
     return mean, std
 

@@ -35,6 +35,6 @@ def fit_knn(X, y, k: int = 5, feature_names=None) -> KnnModel:
         raise KTooLarge(f"k must be at least 1, got {k}")
     if k > X.shape[0]:
         raise KTooLarge(f"k={k} exceeds the {X.shape[0]} training rows")
-    scaler = standardize_fit(X)
+    scaler = standardize_fit(X, feature_names)
     Xs = standardize_apply(scaler, X)
     return KnnModel(Xs, y, k, scaler, feature_names=feature_names)

@@ -87,7 +87,7 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
     if max_iter < 1:
         raise BadParameter(f"max_iterations must be at least 1, got {max_iter}")
 
-    scaler = standardize_fit(X)
+    scaler = standardize_fit(X, feature_names)
     Xs = np.ascontiguousarray(standardize_apply(scaler, X))
     yc = np.ascontiguousarray(y)
 

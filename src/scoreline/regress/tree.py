@@ -37,59 +37,97 @@ LEAF = Tree(feature=-1, threshold=0.0, value=0.0, n=0, left=-1, right=-1)
 def grow_trees(X: np.ndarray, y: np.ndarray, roots_rows, rngs, *,
                max_depth: int, min_leaf: int, max_features: int) -> list[Tree]:
     """Grow one tree per item of the iterable ``roots_rows`` (indices into
-    X / y), in lockstep.
+    X / y), all trees one depth level at a time.
 
-    Tree t draws its feature subsets from ``rngs[t]``, or scans every
-    column when ``max_features`` covers them all; a tree that scans every
-    column never consults its generator, so it is bitwise independent of
-    the RNG. Each tree keeps its own preorder stack
-    (node, left subtree, right subtree), and a tree that draws takes one
-    split node a round, so each generator sees the draws in preorder, as
-    in a tree grown alone. Each round scores the split nodes of every tree
-    in one :func:`best_split` call. A node's two children are appended to
-    its tree's arrays when it splits.
+    A level is held in arrays: its nodes' rows end to end, one segment a
+    node, tree by tree, and each node's tree and index in that tree. One
+    :func:`best_split` call scores the level's split nodes across all
+    trees. Tree t draws the feature subsets of its split nodes at a level
+    from ``rngs[t]`` in one call, in level order: a node scans the
+    ``max_features`` columns whose uniform draws are smallest. A tree that
+    scans every column never consults its generator. So a tree depends on
+    its own roots and generator alone, never on the other trees.
+
+    The children come from one stable partition of the splitting nodes'
+    rows, so each child keeps its parent's row order. A level's splits
+    number their children in level order, left before right, and the next
+    level takes the splits in reverse: the order in which a depth-first
+    stack would take them, so a tree that draws nothing is numbered as one
+    grown node by node from a stack.
     """
     p = X.shape[1]
     ranks = dense_ranks(X)
-    full = np.arange(p, dtype=np.int64)
-    draws = max_features < p
-    # no list of the root rows outlives this: each is freed once it splits
-    stacks = [[(0, rows, 0)] for rows in roots_rows]
-    trees = [Tree(*([fill] for fill in LEAF)) for _ in stacks]
-    while True:
-        batch = []
-        for tree, stack, rng in zip(trees, stacks, rngs):
-            while stack:
-                node, node_rows, depth = stack.pop()
-                node_y = y[node_rows]
-                n = tree.n[node] = node_rows.shape[0]
-                tree.value[node] = float(np.add.reduce(node_y)) / n  # bitwise .mean()
-                if depth >= max_depth or n < 2 * min_leaf or (node_y == node_y[0]).all():
-                    continue
-                feat_idx = full
-                if draws:
-                    feat_idx = rng.choice(p, size=max_features, replace=False)
-                    feat_idx.sort()
-                batch.append((tree, stack, node, node_rows, depth, feat_idx))
-                if draws:
-                    break
-        if not batch:
-            return [Tree(*(np.array(col, dtype=type(fill)) for col, fill in zip(tree, LEAF)))
-                    for tree in trees]
-        feats, thrs, _sse = best_split(X, y, np.array([b[5] for b in batch]), min_leaf,
-                                       [b[3] for b in batch], ranks)
-        for (tree, stack, node, node_rows, depth, _), feat, thr in zip(batch, feats.tolist(),
-                                                                         thrs.tolist()):
-            if feat < 0:
-                continue
-            go_left = X[node_rows, feat] <= thr
-            child = len(tree.feature)
-            tree.feature[node], tree.threshold[node] = feat, thr
-            tree.left[node], tree.right[node] = child, child + 1
-            for col, fill in zip(tree, LEAF):
-                col += (fill, fill)
-            stack.append((child + 1, node_rows[~go_left], depth + 1))
-            stack.append((child, node_rows[go_left], depth + 1))
+    roots = list(roots_rows)
+    n_trees = len(roots)
+    rows = np.concatenate(roots, dtype=ranks.dtype)  # int32 where every row index fits
+    sizes = np.array([r.shape[0] for r in roots], dtype=np.int64)
+    del roots  # each root's rows now live in the level's segments alone
+    tree_of, index = np.arange(n_trees), np.zeros(n_trees, dtype=np.int64)
+    count = np.ones(n_trees, dtype=np.int64)  # nodes numbered so far, per tree
+    levels = []
+    for depth in range(max_depth + 1):
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        ys = y[rows]
+        nodes = Tree(*(np.full(sizes.shape[0], fill) for fill in LEAF))
+        nodes.value[:] = [float(np.add.reduce(ys[a:b])) / (b - a)  # bitwise .mean()
+                          for a, b in zip(starts.tolist(), ends.tolist())]
+        nodes.n[:] = sizes
+        levels.append((tree_of, index, nodes))
+        split = np.flatnonzero((sizes >= 2 * min_leaf) & (
+            np.minimum.reduceat(ys, starts) != np.maximum.reduceat(ys, starts)))
+        del ys
+        if depth == max_depth or not split.shape[0]:
+            break
+        if max_features < p:
+            drawn = np.bincount(tree_of[split], minlength=n_trees).tolist()
+            feat_idx = np.concatenate([
+                np.argpartition(rng.random((k, p)), max_features - 1)[:, :max_features]
+                for rng, k in zip(rngs, drawn) if k])
+            feat_idx.sort()
+        else:
+            feat_idx = np.broadcast_to(np.arange(p), (split.shape[0], p))
+        feats, thrs, _sse = best_split(X, y, feat_idx, min_leaf,
+                                       [rows[a:b] for a, b in zip(starts[split].tolist(),
+                                                                  ends[split].tolist())],
+                                       ranks)
+        found = feats >= 0
+        split = split[found]
+        if not split.shape[0]:
+            break
+        nodes.feature[split], nodes.threshold[split] = feats[found], thrs[found]
+        # each tree's splits take their tree's next node numbers in level order
+        split_tree = tree_of[split]
+        per_tree = np.bincount(split_tree, minlength=n_trees)
+        first = np.cumsum(per_tree) - per_tree
+        rank = np.arange(split.shape[0]) - first[split_tree]
+        nodes.left[split] = count[split_tree] + 2 * rank
+        nodes.right[split] = nodes.left[split] + 1
+        count += 2 * per_tree
+        # the next level, tree by tree: the splits in reverse, each left child then right
+        slot = 2 * (first[split_tree] + per_tree[split_tree] - 1 - rank)
+        tree_of = np.empty(2 * split.shape[0], dtype=np.int64)
+        tree_of[slot] = tree_of[slot + 1] = split_tree
+        index = np.empty_like(tree_of)
+        index[slot], index[slot + 1] = nodes.left[split], nodes.right[split]
+        split_sizes = sizes[split]
+        splitting = np.zeros(sizes.shape[0], dtype=bool)
+        splitting[split] = True
+        rows = rows[np.repeat(splitting, sizes)]
+        # a child's slot, plus one for rows that go right; a stable argsort
+        # of 16-bit keys is a radix sort
+        key = np.repeat(slot.astype(np.uint16 if tree_of.shape[0] <= 1 << 16 else np.int64),
+                        split_sizes)
+        key += X[rows, np.repeat(nodes.feature[split], split_sizes)] > np.repeat(
+            nodes.threshold[split], split_sizes)
+        rows = rows[np.argsort(key, kind="stable")]
+        sizes = np.bincount(key, minlength=tree_of.shape[0])
+        del key  # before the next level's split search
+    tree_of, index, nodes = zip(*levels)
+    order = np.lexsort((np.concatenate(index), np.concatenate(tree_of)))
+    bounds = np.cumsum(count)[:-1]
+    return [Tree(*cols) for cols in zip(*(np.split(np.concatenate(col)[order], bounds)
+                                          for col in zip(*nodes)))]
 
 
 def predict_trees(trees: list[Tree], X: np.ndarray) -> np.ndarray:
@@ -174,14 +212,17 @@ def fit_rfr(X, y, n_trees: int = 100, max_depth: int = 6, min_leaf: int = 5,
     growing at ``max_depth``, when a node cannot give both children
     ``min_leaf`` rows, or when targets are constant.
 
-    Each tree draws from its own generator, spawned from the seed, in a
-    fixed order: bootstrap rows first, then per-split feature subsets in
-    preorder. With one tree, no bootstrap and a full feature subset, no
-    random draw happens at all: that fit is :func:`fit_dtr`.
+    Each tree draws from its own generator, spawned from the seed: its
+    bootstrap rows first, then level by level one draw of the feature
+    subsets of the level's split nodes (see :func:`grow_trees`). So a tree
+    is the same whatever the other trees are: the first k trees of a
+    forest are the forest of k trees with that seed. A forest with no
+    bootstrap and a full feature subset draws nothing and makes no
+    generator: with one tree, that fit is :func:`fit_dtr`.
 
-    Every tree grows in this process, all in one lockstep. A command that
-    fits several models spreads whole fits over the CPUs instead (see
-    ``scoreline.cli.run_fits``).
+    Every tree grows in this process, all trees level by level together. A
+    command that fits several models spreads whole fits over the CPUs
+    instead (see ``scoreline.cli.run_fits``).
     """
     X, y = as_xy(X, y)
     if max_depth < 1:
@@ -199,7 +240,9 @@ def fit_rfr(X, y, n_trees: int = 100, max_depth: int = 6, min_leaf: int = 5,
     m_feat = resolve_max_features(max_features, p)
     sample_size = max(1, int(round(n * bootstrap_fraction)))
 
-    rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(n_trees)]
+    rngs = [None] * n_trees
+    if bootstrap or m_feat < p:
+        rngs = [np.random.default_rng(seq) for seq in np.random.SeedSequence(seed).spawn(n_trees)]
     all_rows = np.arange(n, dtype=np.int64)
 
     trees = grow_trees(

@@ -76,6 +76,47 @@ def test_train_rerun_byte_identical(tmp_path, monkeypatch):
             assert (tmp_path / n).read_bytes() == first[n], (cpus, n)
 
 
+# sha256 of model_home.json and model_away.json from train on the sample
+# league (test 8), for the tree fits that draw no feature subsets. Their
+# node arrays, numbering included, are those of the depth-first grower that
+# level-by-level growth replaced.
+UNDRAWN_TREE_SHA256 = {
+    ("players", "dtr"): ("c48ad5a4670d0f601c0d57c3d8dfde56eb93d02433ec7fdcfeafd19cdfba6d31",
+                         "da92c3dfa9a39d364aaa2111022868734ef8a1fe0d04e5d93c1c896c6eda6f51"),
+    ("players", "all"): ("ffc2655442242a33ec69e890df3bd3560958ed075f47ca6fb96a5060e2f83166",
+                         "a8eaa780df846d71e907ac4fa1dd9eacd3af108c35da4427969ee4b4ec82fb4a"),
+    ("players", "all-no-bootstrap"): (
+        "d10dfacef90de5752145511096e8a0482a92e8c0b629f842050bb5213015f86a",
+        "42c94536e298f133b45bd0d023ce8318cd516f77a01b097d83a1c86ac0cee35d"),
+    ("lineup_stats", "dtr"): ("ce1c2fa457828350f343ac87d2d16b69d99e9ca9166a4f46ae09e14dd76e1ee5",
+                              "95b2d7c0ecb0283cc1557eead86706245d7ba7fce3eb577d3420d0bef7e33469"),
+    ("lineup_stats", "all"): ("4215ff0c14b7bd48a28763970e024eeaad8217fa7f45fbf85f40cbd1dc3760c9",
+                              "196baff9ccc247c762ba5d3711847d1110e5ea9321f4201764be165f2c497788"),
+    ("lineup_stats", "all-no-bootstrap"): (
+        "8d24842a00c21c88586b39f0801a16fb656cb41cdeecea1a174c4a89419432c9",
+        "dc86d0110b3453e4f6a61ce1cda593d0c4194fe9864dd2302cb4da79019ba68c"),
+    ("team_stats", "dtr"): ("7df8e4c6983ce6d1055e3403403db8b1306e9cc57c100881187371f31d1369dc",
+                            "791d11520adfeeea063fe161788aaa1e7d76e78c6edc3943325879957c64a738"),
+    ("team_stats", "all"): ("205a7e72cc67d5ce84589c15e344e8a044847b147c859ef50d6ca3b2460cc37b",
+                            "e23bb601bd4f025886588da274eda3174c84fb1ef52b6ddcc84d3742dc0ed497"),
+    ("team_stats", "all-no-bootstrap"): (
+        "98fec1826b4cb88f7e91057474d72c3d2bedd68bfb2659575df31608330f3004",
+        "ea0fe102de84d5f50204e0f0c37f88f8ec07f57ca2b37056efdc10e1ee2c4563"),
+}
+UNDRAWN_TREE_FLAGS = {"dtr": ["--technique", "dtr"],
+                      "all": ["--technique", "rfr", "--forest-features", "all"],
+                      "all-no-bootstrap": ["--technique", "rfr", "--forest-features", "all",
+                                           "--forest-no-bootstrap"]}
+
+
+@pytest.mark.parametrize("approach, fit", sorted(UNDRAWN_TREE_SHA256))
+def test_trees_that_draw_nothing_keep_their_bytes(tmp_path, approach, fit):
+    assert run("train", *base_args(tmp_path), "--approach", approach,
+               *UNDRAWN_TREE_FLAGS[fit]) == 0
+    assert tuple(hashlib.sha256((tmp_path / f"model_{side}.json").read_bytes()).hexdigest()
+                 for side in SIDES) == UNDRAWN_TREE_SHA256[approach, fit]
+
+
 def test_data_fingerprint_is_sha256_over_whole_files():
     sha = hashlib.sha256()
     for name in ("fixtures.csv", "player_stats.csv", "odds.csv"):

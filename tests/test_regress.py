@@ -48,7 +48,7 @@ from scoreline.regress import (
     workers,
 )
 from scoreline.regress.kernels import best_split, dense_ranks
-from scoreline.regress.tree import Tree, predict_trees, tree_size
+from scoreline.regress.tree import Tree, predict_trees, resolve_max_features, tree_size
 
 # --------------------------------------------------------- standardization
 
@@ -71,6 +71,23 @@ def test_standardize_recenters():
     out = standardize_apply(standardize_fit(X), X)
     assert np.abs(out.mean(axis=0)).max() < 1e-12
     np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("technique, params", [("knn", {"k": 1}), ("svr", {}),
+                                               ("svr", {"kernel": "rbf"})])
+def test_standardize_names_the_refused_column(technique, params):
+    """A column whose spread overflows is refused by index, and by name
+    where the fit has feature names."""
+    X = np.array([[1.0, 1e308], [2.0, -1e308], [3.0, 0.0]])
+    y = np.array([0.0, 1.0, 2.0])
+    text = "column 1{} is too large to standardize: mean 0.0, std inf"
+    for names, named in ((["shots", "home d_Gls"], " (home d_Gls)"), (None, "")):
+        with pytest.raises(NonFiniteInput) as caught:
+            fit_model(technique, X, y, params, feature_names=names)
+        assert str(caught.value) == text.format(named)
+    with pytest.raises(NonFiniteInput) as caught:
+        standardize_fit(X)
+    assert str(caught.value) == text.format("")
 
 
 # ------------------------------------------------------------------------ LR
@@ -411,13 +428,14 @@ TREE_FITS = {
     "dtr_min_leaf_1": (fit_dtr, dict(max_depth=9, min_leaf=1)),
 }
 
-# sha256 of the payload JSON in its nested format-1 form, taken from the
-# per-node recursive grower that the lockstep one replaced
+# sha256 of the payload JSON in its nested format-1 form. The forests that
+# draw were taken from the level-by-level grower; the others date from the
+# per-node recursive grower, and level growth left them as they were
 TREE_GOLDENS = {
-    "rfr_seed_0": "af5030c3c160f6b245ddeea530863ab5572b3f60e83874fcfacbfc3454d9cf71",
-    "rfr_seed_1": "dbc5800d44b2c6d5c59ab67fb66a1987d22c17c8f5f517a9d28ba15fe3ac76bf",
-    "rfr_seed_23": "fb5915616bbdaba56d45c6fca16608d046eb976e0bf460dd3ea2e4c5f2432f94",
-    "rfr_subset_3_fraction": "17a0fad28f217b0ff0b0f2cd628f4cc745ff01a053ae9bfbbd71ed961a61c841",
+    "rfr_seed_0": "776a056de863f3251c15ca575f72e13cdd44910e324e61577d3c54b7505f229b",
+    "rfr_seed_1": "624f3bc2d9f1b841b9f1a306c99bfbe8e718133ea5ec7cb416ef3caa6db69fd3",
+    "rfr_seed_23": "da7ca6fdcbee4a6fc3842afbb9432139eeea7b7e303bd86cc0a3aba71158be3e",
+    "rfr_subset_3_fraction": "f7771c09ba5ac5a2338dd65c0d5dc657cebb696339c833c1c8dd5cab16b8e499",
     "rfr_all_features_no_bootstrap":
         "be6704fd24e6cfbc69c4920a1a5594a1ed3fc4c68a50fd102b24f61dc00d49ad",
     "dtr": "9cdfcb36707866e58127e654dacd3c3391c3324e70e348e8fafa0477a1362e1a",
@@ -451,29 +469,37 @@ def test_tree_and_forest_goldens(name):
 
 
 def reference_tree(X, y, rows, *, max_depth, min_leaf, max_features, rng):
-    """One tree grown alone, node by node in preorder, each node scored by
-    a batch-of-one best_split; nested node dicts as nested_tree gives."""
+    """One tree grown alone, level by level and one node at a time, each
+    node scored by a batch-of-one best_split; nested node dicts as
+    nested_tree gives. A level's split nodes draw their subsets in one
+    call, in level order: each scans the columns of its row's smallest
+    draws. The next level takes the splits in reverse, left child first."""
     p = X.shape[1]
     ranks = dense_ranks(X)
-
-    def grow(node_rows, depth):
-        node_y = y[node_rows]
-        node = {"value": float(node_y.mean()), "n": int(node_rows.shape[0])}
-        if depth >= max_depth or node["n"] < 2 * min_leaf or np.all(node_y == node_y[0]):
-            return node
-        feat_idx = np.arange(p)
-        if rng is not None and max_features < p:
-            feat_idx = np.sort(rng.choice(p, size=max_features, replace=False))
-        feats, thrs, _ = best_split(X, y, feat_idx[None, :], min_leaf, [node_rows], ranks)
-        if feats[0] < 0:
-            return node
-        go_left = X[node_rows, feats[0]] <= thrs[0]
-        node.update(feature=int(feats[0]), threshold=float(thrs[0]),
-                    left=grow(node_rows[go_left], depth + 1),
-                    right=grow(node_rows[~go_left], depth + 1))
-        return node
-
-    return grow(rows, 0)
+    root = {}
+    level = [(root, rows)]
+    for depth in range(max_depth + 1):
+        splitting = []
+        for node, node_rows in level:
+            node_y = y[node_rows]
+            node.update(value=float(node_y.mean()), n=int(node_rows.shape[0]))
+            if depth < max_depth and node["n"] >= 2 * min_leaf and not np.all(node_y == node_y[0]):
+                splitting.append((node, node_rows))
+        subsets = [np.arange(p)] * len(splitting)
+        if splitting and max_features < p:
+            draws = rng.random((len(splitting), p))
+            subsets = [np.sort(np.argsort(row)[:max_features]) for row in draws]
+        children = []
+        for (node, node_rows), feat_idx in zip(splitting, subsets):
+            feats, thrs, _ = best_split(X, y, feat_idx[None, :], min_leaf, [node_rows], ranks)
+            if feats[0] < 0:
+                continue
+            go_left = X[node_rows, feats[0]] <= thrs[0]
+            node.update(feature=int(feats[0]), threshold=float(thrs[0]), left={}, right={})
+            children.append([(node["left"], node_rows[go_left]),
+                             (node["right"], node_rows[~go_left])])
+        level = [child for pair in reversed(children) for child in pair]
+    return root
 
 
 def reference_forest_trees(X, y, *, n_trees, max_depth, min_leaf, max_features,
@@ -512,6 +538,44 @@ def test_lockstep_growth_equals_growing_each_tree_alone(targets, cpus, monkeypat
     tree = fit_dtr(X, y, max_depth=7, min_leaf=2)
     alone = reference_tree(X, y, np.arange(70), max_depth=7, min_leaf=2, max_features=9, rng=None)
     assert json.dumps(nested_payload(tree)["root"], sort_keys=True) == json.dumps(alone, sort_keys=True)
+
+
+@pytest.mark.parametrize("name, cpus", [case for name in sorted(TREE_FITS)
+                                         for case in with_cpus(name, (1, 2, 3))])
+def test_tree_fits_equal_the_level_order_oracle(name, cpus, monkeypatch):
+    X, y = tied_goal_data()
+    fit, params = TREE_FITS[name]
+    force_cpus(monkeypatch, cpus, None)
+    models = workers.run_groups(lambda group: fit(X, y, **params), workers.split(3))
+    grown = models[0].params
+    if fit is fit_dtr:
+        key, expected = "root", reference_tree(X, y, np.arange(X.shape[0]), **grown,
+                                               max_features=X.shape[1], rng=None)
+    else:
+        key, expected = "trees", reference_forest_trees(X, y, **{
+            **grown, "max_features": resolve_max_features(grown["max_features"], X.shape[1])})
+    for model in models:
+        assert json.dumps(nested_payload(model)[key], sort_keys=True) == json.dumps(
+            expected, sort_keys=True)
+
+
+@pytest.mark.parametrize("targets, cpus", with_cpus("float", (1, 2, 3))
+                         + with_cpus("goals", (1, 2, 3)))
+def test_a_tree_does_not_depend_on_the_rest_of_its_forest(targets, cpus, monkeypatch):
+    """The first 7 trees of a 20-tree forest are the 7-tree forest of the
+    same seed, node array for node array, in every group of a run."""
+    rng = np.random.default_rng(62)
+    X = np.round(rng.normal(size=(80, 10)), 1)
+    y = rng.normal(size=80) if targets == "float" else rng.poisson(1.3, size=80) * 1.0
+    force_cpus(monkeypatch, cpus, None)
+    runs = workers.run_groups(lambda group: [fit_rfr(X, y, n_trees=n, min_leaf=2, seed=3)
+                                             for n in (7, 20)], workers.split(3))
+    for few, many in runs:
+        assert len(few.trees) == 7 and len(many.trees) == 20
+        for t, (alone, within) in enumerate(zip(few.trees, many.trees)):
+            for field, got, want in zip(Tree._fields, within, alone):
+                assert got.dtype == want.dtype, (t, field)
+                np.testing.assert_array_equal(got, want, err_msg=f"tree {t}, {field}")
 
 
 def tied_fit_run(techniques, approaches=("first", "second"), argv=()):
@@ -1153,7 +1217,7 @@ MALFORMED_FORESTS = {
     "-inf split value": (lambda p: _set_first_split(p["trees"][2], value=float("-inf")),
                          "a tree node has value -inf"),
     "child index out of range": (lambda p: _set_first_split(p["trees"][0], right=10**6),
-                                 "does not lie after it within the tree: feature 0, children 1 and 1000000"),
+                                 "does not lie after it within the tree: feature 2, children 1 and 1000000"),
     "backward child": (lambda p: _set_last_split(p["trees"][1], right=1),
                        "has a child that does not lie after it within the tree"),
     "self child": (lambda p: _set_first_split(p["trees"][2], left=0),
