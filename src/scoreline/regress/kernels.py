@@ -58,13 +58,14 @@ def dense_ranks(X):
     return ranks
 
 
-def best_split(X, y, feat_idx, min_leaf, rows, ranks):
+def best_split(X, y, feat_idx, min_leaf, rows, starts, sizes, ranks):
     """Exhaustive CART split search for a batch of nodes.
 
-    Node k holds the rows ``rows[k]`` of X and y (repeats allowed) and scans
-    the features ``feat_idx[k]``, a row of the ``(nodes, m)`` array
-    ``feat_idx``; ``ranks`` is :func:`dense_ranks` of X. A single node is a
-    batch of one.
+    Node k holds the rows ``rows[starts[k]:starts[k] + sizes[k]]`` of X and
+    y (repeats allowed): segments of one row array, in any order, with any
+    rows between them. It scans the features ``feat_idx[k]``, a row of the
+    ``(nodes, m)`` array ``feat_idx``; ``ranks`` is :func:`dense_ranks` of
+    X. A single node is a batch of one.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
     values of each scanned feature. For each node, the result holds the
@@ -77,30 +78,29 @@ def best_split(X, y, feat_idx, min_leaf, rows, ranks):
 
     Equal values keep the node's row order (a stable sort by rank), and
     the cumulative sums add each node's targets in that order. Nodes are
-    scored in blocks of one power-of-two width, padded at the tail with the
-    sentinel row (top rank, target 0): a padded node sorts as it would
-    alone, so every sum it gets is the one it would get alone. A block
-    holds at most ``SPLIT_CELLS`` cells, or one node.
+    scored in blocks of one power-of-two width, each gathered from its
+    segments at once and padded at the tail with the sentinel row (top
+    rank, target 0): a padded node sorts as it would alone, so every sum it
+    gets is the one it would get alone. A block holds at most
+    ``SPLIT_CELLS`` cells, or one node.
     """
     n_nodes, m = feat_idx.shape
-    sizes = np.array([r.shape[0] for r in rows], dtype=np.int64)
     sses = np.full(n_nodes, np.inf)
     feats = np.full(n_nodes, -1, dtype=np.int64)
     pair = np.zeros((n_nodes, 2), dtype=np.intp)  # the rows either side of the split
-    by_width = {}
-    for k, size in enumerate(sizes.tolist()):
-        if size >= 2 * min_leaf:  # else no split keeps min_leaf rows a side
-            by_width.setdefault(1 << (size - 1).bit_length(), []).append(k)
+    scored = np.flatnonzero(sizes >= 2 * min_leaf)  # else no split keeps min_leaf rows a side
+    widths = 2 ** np.frexp(sizes[scored] - 1)[1].astype(np.int64)  # least power of 2 >= size
+    rows = np.append(rows, ranks.shape[1] - 1)  # the sentinel row, at index -1
     y_pad = np.append(y, 0.0)
-    for width, ks in by_width.items():
+    for width in np.unique(widths).tolist():
+        ks = scored[widths == width]
         per = max(1, SPLIT_CELLS // (width * m))
-        for start in range(0, len(ks), per):
-            block = np.array(ks[start:start + per])
-            idx = np.full((block.shape[0], width), ranks.shape[1] - 1, dtype=np.intp)
-            for r, k in enumerate(block.tolist()):
-                idx[r, :sizes[k]] = rows[k]
+        lane = np.arange(width)
+        for start in range(0, ks.shape[0], per):
+            block = ks[start:start + per]
+            at = np.where(lane < sizes[block, None], starts[block, None] + lane, -1)
             sses[block], feats[block], pair[block] = _score_block(
-                y_pad, ranks, idx, sizes[block], feat_idx[block], min_leaf)
+                y_pad, ranks, rows[at], sizes[block], feat_idx[block], min_leaf)
     found = sses < np.inf
     feats[~found] = -1
     thrs = np.zeros(n_nodes)
@@ -321,4 +321,5 @@ def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     a2 = np.sum(A * A, axis=1)[:, None]
     b2 = np.sum(B * B, axis=1)[None, :]
     d2 = np.maximum(a2 + b2 - 2.0 * (A @ B.T), 0.0)
-    return np.exp(-gamma * d2)
+    with np.errstate(over="ignore"):  # a huge gamma overflows to -inf, and exp(-inf) = 0
+        return np.exp(-gamma * d2)

@@ -42,8 +42,9 @@ def grow_trees(X: np.ndarray, y: np.ndarray, roots_rows, rngs, *,
     A level is held in arrays: its nodes' rows end to end, one segment a
     node, tree by tree, and each node's tree and index in that tree. One
     :func:`best_split` call scores the level's split nodes across all
-    trees. Tree t draws the feature subsets of its split nodes at a level
-    from ``rngs[t]`` in one call, in level order: a node scans the
+    trees, each read from its segment of the row array by start and size.
+    Tree t draws the feature subsets of its split nodes at a level from
+    ``rngs[t]`` in one call, in level order: a node scans the
     ``max_features`` columns whose uniform draws are smallest. A tree that
     scans every column never consults its generator. So a tree depends on
     its own roots and generator alone, never on the other trees.
@@ -87,10 +88,8 @@ def grow_trees(X: np.ndarray, y: np.ndarray, roots_rows, rngs, *,
             feat_idx.sort()
         else:
             feat_idx = np.broadcast_to(np.arange(p), (split.shape[0], p))
-        feats, thrs, _sse = best_split(X, y, feat_idx, min_leaf,
-                                       [rows[a:b] for a, b in zip(starts[split].tolist(),
-                                                                  ends[split].tolist())],
-                                       ranks)
+        feats, thrs, _sse = best_split(X, y, feat_idx, min_leaf, rows, starts[split],
+                                       sizes[split], ranks)
         found = feats >= 0
         split = split[found]
         if not split.shape[0]:

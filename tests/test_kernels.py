@@ -220,8 +220,9 @@ GOLDEN_OBJECTIVE = {
 
 def run_split(X, y, feat_idx, min_leaf):
     """best_split on one node holding every row of X: a batch of one."""
-    feats, thrs, sses = best_split(X, y, feat_idx[None, :], min_leaf,
-                                   [np.arange(X.shape[0])], dense_ranks(X))
+    feats, thrs, sses = best_split(X, y, feat_idx[None, :], min_leaf, np.arange(X.shape[0]),
+                                   np.zeros(1, dtype=np.int64), np.array([X.shape[0]]),
+                                   dense_ranks(X))
     return [int(feats[0]), float(thrs[0]).hex(), float(sses[0]).hex()]
 
 
@@ -265,18 +266,26 @@ def test_integer_targets_split_alike_under_any_row_order():
 
 def test_a_batch_scores_each_node_as_alone(monkeypatch):
     """Nodes of several widths, some split over several blocks and some
-    too small to split, on float targets: each gets the split it gets in a
-    batch of one, bit for bit."""
+    too small to split (sizes 1 and 3), on float targets: each gets the
+    split it gets in a batch of one, bit for bit. The nodes are segments
+    of one row array, as a level's are, scored out of array order with
+    unscored rows between them; the last segment ends the array, so its
+    padded lanes must read the sentinel row."""
     monkeypatch.setattr(kernels, "SPLIT_CELLS", 64)
     rng = np.random.default_rng(17)
     X = np.round(rng.normal(size=(70, 6)), 1)
     y = rng.normal(size=70)
     ranks = dense_ranks(X)
-    rows = [rng.integers(0, 70, size=int(s)) for s in [1, 3, *rng.integers(4, 70, size=28)]]
-    feat_idx = np.sort(np.array([rng.choice(6, size=3, replace=False) for _ in rows]), axis=1)
-    got = np.column_stack(best_split(X, y, feat_idx, 2, rows, ranks))
-    alone = np.vstack([np.column_stack(best_split(X, y, f[None, :], 2, [r], ranks))
-                       for f, r in zip(feat_idx, rows)])
+    sizes = np.array([1, 3, *rng.integers(4, 70, size=27), 45])  # the last pads to 64
+    starts = np.cumsum(rng.integers(1, 6, size=sizes.shape[0]) + sizes) - sizes
+    rows = rng.integers(0, 70, size=int(starts[-1] + sizes[-1]))
+    order = rng.permutation(sizes.shape[0])
+    starts, sizes = starts[order], sizes[order]
+    feat_idx = np.sort(np.array([rng.choice(6, size=3, replace=False) for _ in sizes]), axis=1)
+    got = np.column_stack(best_split(X, y, feat_idx, 2, rows, starts, sizes, ranks))
+    alone = np.vstack([np.column_stack(best_split(
+        X, y, f[None, :], 2, rows[a:a + n].copy(), np.zeros(1, dtype=np.int64), np.array([n]),
+        ranks)) for f, a, n in zip(feat_idx, starts, sizes)])
     assert got.tobytes() == alone.tobytes()
     assert (got[:, 0] >= 0).sum() > 20 and (got[:, 0] < 0).any()
 

@@ -491,7 +491,9 @@ def reference_tree(X, y, rows, *, max_depth, min_leaf, max_features, rng):
             subsets = [np.sort(np.argsort(row)[:max_features]) for row in draws]
         children = []
         for (node, node_rows), feat_idx in zip(splitting, subsets):
-            feats, thrs, _ = best_split(X, y, feat_idx[None, :], min_leaf, [node_rows], ranks)
+            feats, thrs, _ = best_split(X, y, feat_idx[None, :], min_leaf, node_rows,
+                                        np.zeros(1, dtype=np.int64),
+                                        np.array([node_rows.shape[0]]), ranks)
             if feats[0] < 0:
                 continue
             go_left = X[node_rows, feats[0]] <= thrs[0]
@@ -826,6 +828,21 @@ def test_svr_rbf_cap_warns_with_kkt_gap():
         model = fit_svr(X, y, kernel="rbf", max_iter=3)
     assert not model.status["converged"] and model.status["iterations"] == 3
     assert model.status["gap"] > model.params["tol"]
+
+
+def test_svr_rbf_at_a_huge_width_warns_nothing():
+    """At gamma 1e308 every distinct pair's -gamma * d2 overflows to -inf,
+    whose kernel value exp(-inf) = 0 is meant: the fit and its predictions
+    raise no NumPy RuntimeWarning, and a new row is predicted as the bias."""
+    rng = np.random.default_rng(51)
+    X = rng.normal(size=(20, 3))
+    y = rng.normal(size=20)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = fit_svr(X, y, kernel="rbf", gamma=1e308)
+        new = model.predict(rng.normal(size=(4, 3)))
+    assert caught == []
+    assert model.params["gamma"] == 1e308 and np.all(new == model.b)
 
 
 def test_svr_validation():
