@@ -76,15 +76,18 @@ class ModelBase:
     """Train/predict contract shared by all five engines.
 
     A trained model is immutable, remembers the feature layout it was fit
-    on, and refuses to predict on rows of any other shape.
+    on, and refuses to predict on rows of any other shape. Its fields are
+    its technique's row of ``store.PAYLOADS``, passed by name: a fit and
+    ``load_model`` build it the same way.
     """
 
     technique = "?"
 
-    def __init__(self, n_features: int, feature_names=None):
+    def __init__(self, n_features: int, feature_names=None, **fields):
         self.n_features = int(n_features)
         self.feature_names = tuple(feature_names) if feature_names else None
         self.fingerprint = fingerprint_features(self.n_features, self.feature_names)
+        vars(self).update(fields)
 
     def _check_input(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

@@ -10,13 +10,6 @@ from .base import ModelBase, as_xy
 class LinearModel(ModelBase):
     technique = "lr"
 
-    def __init__(self, coef: np.ndarray, intercept: float, rank: int,
-                 feature_names=None):
-        super().__init__(coef.shape[0], feature_names)
-        self.coef = np.asarray(coef, dtype=np.float64)
-        self.intercept = float(intercept)
-        self.rank = int(rank)
-
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return X @ self.coef + self.intercept
 
@@ -32,5 +25,5 @@ def fit_lr(X, y, feature_names=None) -> LinearModel:
     n, p = X.shape
     Xa = np.hstack([X, np.ones((n, 1))])
     theta, _, rank, _ = np.linalg.lstsq(Xa, y, rcond=None)
-    return LinearModel(coef=theta[:p], intercept=theta[p], rank=rank,
-                       feature_names=feature_names)
+    return LinearModel(p, feature_names, coef=theta[:p], intercept=float(theta[p]),
+                       rank=int(rank))

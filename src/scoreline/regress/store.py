@@ -2,9 +2,10 @@
 
 The format is the table ``ENVELOPE`` and, per technique, ``PAYLOADS``: each
 key, which names the model attribute that holds it, and its kind. Saving
-writes the attributes; loading reads each key through its kind. A stored
-number is a finite JSON number, never a bool or null, and an integer where
-a count or an index belongs."""
+writes the attributes; loading reads each key through its kind and builds
+the model from those fields, as a fit does. A stored number is a finite
+JSON number, never a bool or null, and an integer where a count or an index
+belongs."""
 
 from __future__ import annotations
 
@@ -232,9 +233,8 @@ def _read(blob: dict, key: str, kind, got: dict):
 
 
 def _model_from(envelope: dict) -> ModelBase:
-    """The model whose attributes are the envelope's fields, each read
-    through its kind and set under its undotted key; the model class's
-    __init__ is not run."""
+    """The model built from the envelope's fields, each read through its
+    kind and passed by its undotted key, as a fit passes them."""
     got = {}
     for key, kind in ENVELOPE:
         _read(envelope, key, kind, got)
@@ -243,10 +243,8 @@ def _model_from(envelope: dict) -> ModelBase:
         table = table[_read(payload, "kernel", KERNEL, got)]
     for key, kind in table:
         _read(payload, key, kind, got)
-    model = MODELS[got["technique"]].__new__(MODELS[got["technique"]])
-    ModelBase.__init__(model, got["n_features"], got["feature_names"])
-    vars(model).update((key, got[key]) for key, _kind in table if "." not in key)
-    return model
+    return MODELS[got["technique"]](got["n_features"], got["feature_names"],
+                                    **{key: got[key] for key, _kind in table if "." not in key})
 
 
 def load_model(path) -> ModelBase:

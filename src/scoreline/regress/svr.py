@@ -27,16 +27,6 @@ class NotConvergedWarning(RuntimeWarning):
 class SvrModel(ModelBase):
     technique = "svr"
 
-    def __init__(self, kernel: str, scaler: tuple, params: dict, status: dict,
-                 n_features: int, feature_names=None, *,
-                 w=None, b=0.0, beta=None, train_X=None, gamma=None):
-        super().__init__(n_features, feature_names)
-        self.kernel = kernel
-        self.scaler_mean, self.scaler_std = scaler
-        self.params = dict(params)
-        self.status = dict(status)
-        self.w, self.b, self.beta, self.train_X, self.gamma = w, float(b), beta, train_X, gamma
-
     def _predict(self, X: np.ndarray) -> np.ndarray:
         Xs = standardize_apply((self.scaler_mean, self.scaler_std), X)
         if self.kernel == "linear":
@@ -87,8 +77,8 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
     if max_iter < 1:
         raise BadParameter(f"max_iterations must be at least 1, got {max_iter}")
 
-    scaler = standardize_fit(X, feature_names)
-    Xs = np.ascontiguousarray(standardize_apply(scaler, X))
+    mean, std = standardize_fit(X, feature_names)
+    Xs = np.ascontiguousarray(standardize_apply((mean, std), X))
     yc = np.ascontiguousarray(y)
 
     params = {
@@ -120,5 +110,5 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
         warnings.warn(f"SVR stopped after {iters} of max_iterations={max_iter} steps "
                       f"with duality gap {gap:.6g} above tol={float(tol):g}",
                       NotConvergedWarning, stacklevel=2)
-    return SvrModel(kernel, scaler, params, status, X.shape[1],
-                    feature_names=feature_names, b=b, **solved)
+    return SvrModel(X.shape[1], feature_names, kernel=kernel, params=params, status=status,
+                    b=float(b), scaler_mean=mean, scaler_std=std, **solved)

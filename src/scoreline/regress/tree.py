@@ -172,12 +172,6 @@ class TreeModel(ModelBase):
 
     technique = "dtr"
 
-    def __init__(self, trees: list[Tree], n_features: int, params: dict,
-                 feature_names=None):
-        super().__init__(n_features, feature_names)
-        self.trees = list(trees)
-        self.params = dict(params)
-
     def _predict(self, X: np.ndarray) -> np.ndarray:
         return predict_trees(self.trees, X)
 
@@ -189,15 +183,18 @@ class ForestModel(TreeModel):
 
 
 def resolve_max_features(spec, p: int) -> int:
-    """Feature-subset size per split: "sqrt" (ceil), an int, or None for all."""
+    """Feature-subset size per split: "sqrt" (ceil), "all" or None for all,
+    or an integer in 1..p, a NumPy one too; a bool is not an integer."""
     if spec is None or spec == "all":
         return p
     if spec == "sqrt":
         return math.ceil(math.sqrt(p))
-    m = int(spec)
-    if not 1 <= m <= p:
-        raise BadParameter(f"feature subset size {m} outside 1..{p}")
-    return m
+    if isinstance(spec, bool) or not isinstance(spec, (int, np.integer)):
+        raise BadParameter('feature subset size must be "sqrt", "all", None or an integer, '
+                           f"got {spec!r}")
+    if not 1 <= spec <= p:
+        raise BadParameter(f"feature subset size {spec} outside 1..{p}")
+    return int(spec)
 
 
 def fit_rfr(X, y, n_trees: int = 100, max_depth: int = 6, min_leaf: int = 5,
@@ -257,7 +254,7 @@ def fit_rfr(X, y, n_trees: int = 100, max_depth: int = 6, min_leaf: int = 5,
         "bootstrap_fraction": float(bootstrap_fraction),
         "seed": int(seed),
     }
-    return ForestModel(trees, p, params, feature_names=feature_names)
+    return ForestModel(p, feature_names, trees=trees, params=params)
 
 
 def fit_dtr(X, y, max_depth: int = 6, min_leaf: int = 5,
@@ -267,6 +264,5 @@ def fit_dtr(X, y, max_depth: int = 6, min_leaf: int = 5,
     :func:`fit_rfr` for the split and stopping rules)."""
     forest = fit_rfr(X, y, n_trees=1, max_depth=max_depth, min_leaf=min_leaf,
                      max_features="all", bootstrap=False, feature_names=feature_names)
-    return TreeModel(forest.trees, forest.n_features,
-                     {"max_depth": int(max_depth), "min_leaf": int(min_leaf)},
-                     feature_names=feature_names)
+    return TreeModel(forest.n_features, feature_names, trees=forest.trees,
+                     params={"max_depth": int(max_depth), "min_leaf": int(min_leaf)})

@@ -86,8 +86,8 @@ def test_criterion_1_worked_example_goldens(capsys, dataset):
         assert (host_eighth.pred_home, host_eighth.pred_away) == (0, 1)
 
         # random forest: leaves 0.8/1.2/1.5/0.9/1.1 average 1.1, round 1
-        forest = ForestModel([leaf_tree(v) for v in (0.8, 1.2, 1.5, 0.9, 1.1)],
-                             n_features=1, params={})
+        forest = ForestModel(1, trees=[leaf_tree(v) for v in (0.8, 1.2, 1.5, 0.9, 1.1)],
+                             params={})
         raw = forest.predict(np.array([[0.0]]))[0]
         assert raw == 1.1
         assert round_goals(raw) == 1

@@ -319,7 +319,7 @@ def test_dtr_min_leaf_respected():
 def test_rfr_ensemble_mean_golden():
     """Five stub trees predicting 0.8/1.2/1.5/0.9/1.1 average to 1.1."""
     trees = [leaf_tree(v) for v in (0.8, 1.2, 1.5, 0.9, 1.1)]
-    forest = ForestModel(trees, n_features=1, params={})
+    forest = ForestModel(1, trees=trees, params={})
     out = forest.predict(np.array([[0.0]]))
     assert out[0] == pytest.approx(1.1)
 
@@ -364,6 +364,15 @@ def test_rfr_bootstrap_and_subsets_change_trees():
     assert any(not np.array_equal(single[0], other) for other in single[1:])
 
 
+def test_rfr_takes_numpy_integer_max_features():
+    rng = np.random.default_rng(9)
+    X, y = rng.normal(size=(40, 3)), rng.normal(size=40)
+    forest = fit_rfr(X, y, n_trees=3, max_features=np.int64(2), seed=2)
+    same = fit_rfr(X, y, n_trees=3, max_features=2, seed=2)
+    assert type(forest.params["max_features"]) is int and forest.params == same.params
+    assert np.array_equal(forest.predict(X), same.predict(X))
+
+
 def test_rfr_param_validation():
     X, y = np.ones((12, 2)), np.ones(12)
     with pytest.raises(ValueError):
@@ -374,9 +383,11 @@ def test_rfr_param_validation():
         fit_rfr(X, y, max_features=9)
 
 
-ENGINE = {"dtr": fit_dtr, "rfr": fit_rfr, "svr": fit_svr,
+ENGINE = {"knn": fit_knn, "dtr": fit_dtr, "rfr": fit_rfr, "svr": fit_svr,
           "unknown": lambda X, y, **kwargs: fit_model("gbm", X, y, kwargs)}
 ENGINE_ARGUMENT_ERRORS = [
+    ("knn", {"k": 0}, "k must be at least 1, got 0"),
+    ("knn", {"k": -1}, "k must be at least 1, got -1"),
     ("dtr", {"max_depth": 0}, "max_depth must be at least 1, got 0"),
     ("rfr", {"max_depth": 0}, "max_depth must be at least 1, got 0"),
     ("dtr", {"min_leaf": 0}, "min_leaf must be at least 1, got 0"),
@@ -384,6 +395,12 @@ ENGINE_ARGUMENT_ERRORS = [
     ("rfr", {"n_trees": 0}, "n_trees must be at least 1, got 0"),
     ("rfr", {"bootstrap_fraction": 1.5}, "bootstrap fraction 1.5 outside (0, 1]"),
     ("rfr", {"max_features": 3}, "feature subset size 3 outside 1..2"),
+    ("rfr", {"max_features": 1.5},
+     'feature subset size must be "sqrt", "all", None or an integer, got 1.5'),
+    ("rfr", {"max_features": "foo"},
+     'feature subset size must be "sqrt", "all", None or an integer, got \'foo\''),
+    ("rfr", {"max_features": True},
+     'feature subset size must be "sqrt", "all", None or an integer, got True'),
     ("svr", {"C": 0.0}, "C must be a finite positive number, got 0.0"),
     ("svr", {"epsilon": -0.1}, "epsilon must be a finite non-negative number, got -0.1"),
     ("svr", {"tol": -1e-6}, "tol must be a finite non-negative number, got -1e-06"),
@@ -394,9 +411,18 @@ ENGINE_ARGUMENT_ERRORS = [
 ]
 
 
+def argument_ids(rows):
+    """Each row's engine and argument names; a later row with the same
+    names adds its argument values."""
+    ids = []
+    for engine, kwargs, _ in rows:
+        name = f"{engine}-{'-'.join(kwargs) or 'technique'}"
+        ids.append(f"{name}={'-'.join(map(str, kwargs.values()))}" if name in ids else name)
+    return ids
+
+
 @pytest.mark.parametrize("engine, kwargs, message", ENGINE_ARGUMENT_ERRORS,
-                         ids=[f"{engine}-{'-'.join(kwargs) or 'technique'}"
-                              for engine, kwargs, _ in ENGINE_ARGUMENT_ERRORS])
+                         ids=argument_ids(ENGINE_ARGUMENT_ERRORS))
 def test_engine_argument_errors_are_typed(engine, kwargs, message):
     """Every engine argument check raises BadParameter, a RegressError the
     command line reports as a data error and a ValueError as before."""
@@ -1164,11 +1190,30 @@ ENGINE_FORMS = {"lr": ("lr", {}), "knn": ("knn", {"k": 3}),
                 "svr-rbf": ("svr", {"max_iter": 500, "kernel": "rbf"})}
 
 
+def assert_same_field(key, loaded, fitted):
+    """Equal type, and equal value: an array in dtype, shape and bytes, a
+    list of Trees array by array."""
+    assert type(loaded) is type(fitted), (key, type(loaded), type(fitted))
+    if isinstance(fitted, np.ndarray):
+        assert (loaded.dtype, loaded.shape) == (fitted.dtype, fitted.shape), key
+        assert loaded.tobytes() == fitted.tobytes(), key
+    elif isinstance(fitted, list):
+        assert len(loaded) == len(fitted), key
+        for i, (ours, theirs) in enumerate(zip(loaded, fitted)):
+            assert type(ours) is type(theirs) is Tree, (key, i)
+            for name in Tree._fields:
+                assert_same_field(f"{key}[{i}].{name}", getattr(ours, name), getattr(theirs, name))
+    else:
+        assert loaded == fitted, key
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e100, 1e200])
 @pytest.mark.parametrize("engine", list(ENGINE_FORMS))
 def test_every_fit_loads_back(tmp_path, engine, scale):
     """A fit on a column of any finite scale raises a RegressError, or its
-    model file loads back and predicts bit for bit as the fitted model."""
+    model file loads back holding the fitted model's fields, field for
+    field, and predicts bit for bit as the fitted model. The standardizing
+    engines refuse a column of scale 1e200, whose spread overflows."""
     rng = np.random.default_rng(55)
     X, y = rng.normal(size=(30, 4)), rng.normal(size=30)
     X[:, 1] *= scale
@@ -1178,10 +1223,15 @@ def test_every_fit_loads_back(tmp_path, engine, scale):
             warnings.simplefilter("ignore", NotConvergedWarning)
             model = fit_model(technique, X, y, params)
     except RegressError:
+        assert engine in ("knn", "svr", "svr-rbf") and scale == 1e200
         return
     path = tmp_path / "model.json"
     save_model(model, path)
-    assert np.array_equal(load_model(path).predict(X), model.predict(X))
+    loaded = load_model(path)
+    assert vars(loaded).keys() == vars(model).keys()
+    for key, fitted in vars(model).items():
+        assert_same_field(key, vars(loaded)[key], fitted)
+    assert np.array_equal(loaded.predict(X), model.predict(X))
 
 
 def test_store_rejects_garbage(tmp_path):
