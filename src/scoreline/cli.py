@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import itertools
 import json
-import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -51,8 +51,9 @@ from .predict import (
     prediction_rows,
     save_predictions_csv,
 )
-from .regress import (BadArtifact, RegressError, StoreError, fit_model, load_model, save_model,
-                      workers)
+from .regress import (_FITS, BadArtifact, BadParameter, RegressError, StoreError, fit_model,
+                      load_model, save_model, workers)
+from .regress.base import ARGUMENTS, AT_LEAST_1, POSITIVE, check
 from .regress.store import read_json
 from .regress.tree import tree_size
 from .schema import FeatureSchema, SchemaError, default_schema, load_schema
@@ -109,52 +110,34 @@ class Setting(NamedTuple):
     """One run setting. Its config key is ``name`` and its flag is ``flag``,
     by default ``--`` plus the name with ``-`` for ``_``.
 
-    ``kind`` is int, float, bool or str, or a tuple of choices; ``words``
-    are the keywords an int or float setting takes in place of a number.
-    ``valid`` is a (predicate, "what the value must be") pair. ``engine``
+    ``kind``, ``valid`` and ``words``, fields 1-3, are its rule, as an
+    engine argument's ARGUMENTS row (see ``regress.base.check``). ``engine``
     maps each technique the setting feeds to its fit keyword. ``commands``
     name the subcommands that read it and so take its flag.
     """
 
     name: str
     kind: object = str
-    default: object = None
     valid: tuple | None = None
+    words: tuple = ()
+    default: object = None
     engine: dict = {}
     help: str = ""
     flag: str | None = None
     commands: tuple = ("train", "evaluate")
-    words: tuple = ()
 
     def read(self, raw: str):
         """A config file's text as this setting's type, or as one of its words."""
-        if raw in self.words:
+        if raw in self.words or self.kind not in (int, float, bool):
             return raw
-        if self.kind in (int, float):
-            return self.kind(raw)
-        if self.kind is bool:
-            return _parse_bool(raw)
-        return raw
+        return _parse_bool(raw) if self.kind is bool else self.kind(raw)
 
     def resolve(self, value):
-        """The merged value, a words setting's flag text converted, range-checked."""
-        if isinstance(self.kind, tuple):
-            if value is not None and value not in self.kind:
-                raise UsageError(f"{self.name} must be one of {self.kind}, got {value!r}")
-        elif value in self.words:
-            return value
-        elif self.words and isinstance(value, str):  # a flag's text
-            try:
-                value = self.kind(value)
-            except ValueError:
-                raise UsageError(
-                    f"{self.name} must be {', '.join(map(json.dumps, self.words))} or "
-                    f"{'an integer' if self.kind is int else 'a number'}, got {value!r}") from None
-        if self.kind is float and not math.isfinite(value):
-            raise UsageError(f"{self.name} must be a finite number, got {value!r}")
-        if self.valid is not None and not self.valid[0](value):
-            raise UsageError(f"{self.name} must be {self.valid[1]}, got {value!r}")
-        return value
+        """The merged value checked as an engine argument is; None is unset."""
+        try:
+            return value if value is None else check(self.name, value, *self[1:4])
+        except BadParameter as exc:
+            raise UsageError(str(exc)) from None
 
     @property
     def option(self) -> str:
@@ -174,52 +157,54 @@ class Setting(NamedTuple):
         group.add_argument(self.option, **kwargs)
 
 
-_AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
-_POSITIVE = (lambda v: v > 0, "positive")
-_NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
-_TREES = ("dtr", "rfr")
-_SVRS = ("svr", "svr-rbf")
 _DATA = ("train", "evaluate", "importance", "bet")  # commands that load a data_dir
 _BETS = ("evaluate", "bet")
+# each technique's fit keywords and their defaults
+_KEYWORDS = {technique: inspect.signature(_FITS[engine]).parameters
+             for technique, (engine, _fixed) in TECHNIQUE_ENGINES.items()}
+
+
+def _engine_setting(name: str, keyword: str, help: str, **options) -> Setting:
+    """The setting feeding fit keyword ``keyword`` to each technique whose
+    fit takes it, with the keyword's ARGUMENTS rule and the fit's default."""
+    engine = {technique: keyword for technique, params in _KEYWORDS.items() if keyword in params}
+    default = _KEYWORDS[next(iter(engine))][keyword].default
+    return Setting(name, *ARGUMENTS[keyword], default=default, engine=engine, help=help, **options)
+
 
 RUN_SETTINGS = (
     Setting("data_dir", help="directory holding fixtures.csv, player_stats.csv, odds.csv",
             commands=_DATA),
     Setting("out_dir", default="runs", help="output directory", commands=("predict", *_DATA)),
-    Setting("test_size", int, 100, _AT_LEAST_1, help="fixtures held out for testing",
+    Setting("test_size", int, AT_LEAST_1, default=100, help="fixtures held out for testing",
             commands=_DATA),
     Setting("approach", APPROACHES, help="feature approach", commands=("train", "importance")),
     Setting("technique", ML_TECHNIQUES, help="regression technique", commands=("train",)),
     Setting("model", HEURISTICS, help="heuristic model", commands=("train", *_BETS)),
-    Setting("seed", int, 0, _NON_NEGATIVE, {"rfr": "seed"}, "random seed"),
+    _engine_setting("seed", "seed", "random seed"),
     Setting("schema", help="feature schema JSON; unset means the bundled one", commands=_DATA),
-    Setting("stake", float, 1.0, _POSITIVE, help="stake per bet", commands=_BETS),
-    Setting("missing_odds", MISSING_ODDS_POLICIES, "skip",
+    Setting("stake", float, POSITIVE, default=1.0, help="stake per bet", commands=_BETS),
+    Setting("missing_odds", MISSING_ODDS_POLICIES, default="skip",
             help="policy for a predicted scoreline without odds", commands=_BETS),
 )
 HYPERPARAMETERS = (
-    Setting("knn_k", int, 5, _AT_LEAST_1, {"knn": "k"}, "neighbours averaged"),
-    Setting("tree_depth", int, 6, _AT_LEAST_1, dict.fromkeys(_TREES, "max_depth"),
-            "maximum tree depth"),
-    Setting("tree_min_leaf", int, 5, _AT_LEAST_1, dict.fromkeys(_TREES, "min_leaf"),
-            "minimum rows per leaf"),
-    Setting("forest_trees", int, 100, _AT_LEAST_1, {"rfr": "n_trees"}, "trees per forest"),
-    Setting("forest_features", int, "sqrt", _AT_LEAST_1, {"rfr": "max_features"},
-            'per-split feature subset: "sqrt", "all" or an int', words=("sqrt", "all")),
-    Setting("forest_bootstrap", bool, True, None, {"rfr": "bootstrap"},
-            "turn off bootstrap sampling of each tree's rows",
-            flag="--forest-no-bootstrap"),
-    Setting("forest_fraction", float, 1.0, (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-            {"rfr": "bootstrap_fraction"}, "bootstrap sample size as a fraction of the rows"),
-    Setting("svr_c", float, 1.0, _POSITIVE, dict.fromkeys(_SVRS, "C"), "SVR penalty C"),
-    Setting("svr_epsilon", float, 0.1, _NON_NEGATIVE, dict.fromkeys(_SVRS, "epsilon"),
-            "half-width of the insensitive tube"),
-    Setting("svr_tol", float, 1e-6, _NON_NEGATIVE, dict.fromkeys(_SVRS, "tol"),
-            "stopping tolerance: the duality gap relative to max(1, objective)"),
-    Setting("svr_max_iter", int, 50_000, _AT_LEAST_1, dict.fromkeys(_SVRS, "max_iter"),
-            "cap on the interior-point solver's Newton steps"),
-    Setting("svr_gamma", float, "scale", _POSITIVE, {"svr-rbf": "gamma"},
-            'RBF width: "scale" or a positive float', words=("scale",)),
+    _engine_setting("knn_k", "k", "neighbours averaged"),
+    _engine_setting("tree_depth", "max_depth", "maximum tree depth"),
+    _engine_setting("tree_min_leaf", "min_leaf", "minimum rows per leaf"),
+    _engine_setting("forest_trees", "n_trees", "trees per forest"),
+    _engine_setting("forest_features", "max_features",
+                    'per-split feature subset: "sqrt", "all" or an int'),
+    _engine_setting("forest_bootstrap", "bootstrap",
+                    "turn off bootstrap sampling of each tree's rows",
+                    flag="--forest-no-bootstrap"),
+    _engine_setting("forest_fraction", "bootstrap_fraction",
+                    "bootstrap sample size as a fraction of the rows"),
+    _engine_setting("svr_c", "C", "SVR penalty C"),
+    _engine_setting("svr_epsilon", "epsilon", "half-width of the insensitive tube"),
+    _engine_setting("svr_tol", "tol",
+                    "stopping tolerance: the duality gap relative to max(1, objective)"),
+    _engine_setting("svr_max_iter", "max_iter", "cap on the interior-point solver's Newton steps"),
+    _engine_setting("svr_gamma", "gamma", 'RBF width: "scale" or a positive float'),
 )
 SETTINGS = {s.name: s for s in RUN_SETTINGS + HYPERPARAMETERS}
 # the settings a trained pair's manifest does not fix: an --artifacts run
@@ -414,9 +399,9 @@ def _train_manifest(cfg: RunConfig, label: str, models: dict, matrices: dict,
     }
     if matrices["home"].coverage is not None:
         manifest["coverage"] = {side: m.coverage for side, m in matrices.items()}
-    if cfg.technique in _SVRS:
+    if cfg.technique in ("svr", "svr-rbf"):
         manifest["svr_status"] = {side: m.status for side, m in models.items()}
-    if cfg.technique in _TREES:
+    if cfg.technique in ("dtr", "rfr"):
         manifest["tree_size"] = {side: tree_size(m.trees) for side, m in models.items()}
     return manifest
 

@@ -164,7 +164,8 @@ class _Columns:
     are ``layouts[kind[i]]``, and its values, in the same order, start at
     ``value[start[i]]``; both are the archive's own. ``place[kind[i], col]``
     is a stat column's position among them, or -1 where the record leaves
-    the stat unmeasured.
+    the stat unmeasured, as every record does the last column's: a stat
+    outside the archive reads that one.
     """
 
     def __init__(self, dataset: Dataset):
@@ -180,7 +181,7 @@ class _Columns:
         self.stat_index = {n: i for i, n in enumerate(stats.stat_names)}
         self.layouts = [list(layout) for layout in stats.layouts]
         self.value = stats.value
-        self.place = np.full((len(self.layouts), len(self.stat_index)), -1, dtype=np.int32)
+        self.place = np.full((len(self.layouts), len(self.stat_index) + 1), -1, dtype=np.int32)
         for row, layout in zip(self.place, self.layouts):
             row[layout] = np.arange(len(layout))
         rank = {f.fixture_id: i for i, f in enumerate(fixtures)}
@@ -254,11 +255,9 @@ class _Track:
         self._forms: dict[tuple, dict[int, np.ndarray]] = {}  # by group code and columns
         self._pair_column = archive.reader(self.pair)
 
-    def league(self, col: int | None, times: np.ndarray) -> np.ndarray:
+    def league(self, col: int, times: np.ndarray) -> np.ndarray:
         """The league mean of stat column ``col`` over the pair's records
         before each kickoff rank in ``times``; NaN where there is none."""
-        if col is None:
-            return np.full(len(times), np.nan)
         if col not in self._league:
             # the running sum and count over the pair in kickoff order, read
             # off before each kickoff
@@ -277,12 +276,12 @@ class _Track:
         end = np.searchsorted(self.keys, base + times[:, None])
         return np.where((players >= 0) & (end > np.searchsorted(self.keys, base)), end - 1, -1)
 
-    def forms(self, code: int, cols: Sequence[int | None]) -> dict[int, np.ndarray]:
+    def forms(self, code: int, cols: Sequence[int]) -> dict[int, np.ndarray]:
         """The form averages of stat columns ``cols`` at each row of group
         ``code``: the player's per-stat sums over their rows up to it,
         divided by the stat's count; NaN where unmeasured. Readers index
         the arrays, which copies, and never write to them."""
-        cols = tuple(dict.fromkeys(col for col in cols if col is not None))
+        cols = tuple(dict.fromkeys(cols))
         if (code, cols) in self._forms:
             return self._forms[code, cols]
         width = len(cols)
@@ -322,7 +321,7 @@ class _Track:
             self._squads = (players, since)
         return self._squads
 
-    def group_values(self, latest: np.ndarray, code: int, cols: Sequence[int | None],
+    def group_values(self, latest: np.ndarray, code: int, cols: Sequence[int],
                      times: np.ndarray, forms: dict[int, np.ndarray]
                      ) -> tuple[np.ndarray, np.ndarray]:
         """One group's values for pools whose members' latest rows are
@@ -335,8 +334,6 @@ class _Track:
         values = np.full((len(latest), len(cols)), np.nan)
         fell = np.ones(values.shape, dtype=bool)
         for j, col in enumerate(cols if member.any() else ()):
-            if col is None:
-                continue
             form = forms[col][slot]
             measured = ~np.isnan(form)
             measured &= member
@@ -398,8 +395,9 @@ class FeatureBuilder:
     def _code(self, group: str) -> int:
         return self._columns().group_index.get(group, -2)  # -2 matches no row, cold or not
 
-    def _stat_cols(self, stat_names: Sequence[str]) -> list[int | None]:
-        return [self._columns().stat_index.get(s) for s in stat_names]
+    def _stat_cols(self, stat_names: Sequence[str]) -> list[int]:
+        index = self._columns().stat_index  # one outside it reads the column after its last
+        return [index.get(s, len(index)) for s in stat_names]
 
     # -- row assembly -----------------------------------------------------
 

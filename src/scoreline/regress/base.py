@@ -1,8 +1,11 @@
-"""Shared contracts for the regression engines: errors, scaling, metadata."""
+"""Shared contracts for the regression engines: errors, argument checks, scaling, metadata."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import json
+import math
 
 import numpy as np
 
@@ -33,6 +36,61 @@ class NonFiniteInput(RegressError):
 
 class BadParameter(RegressError, ValueError):
     """An engine argument outside its range, or an unknown name."""
+
+
+AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+POSITIVE = (lambda v: v > 0, "a finite positive number")
+NON_NEGATIVE = (lambda v: v >= 0, "a finite non-negative number")
+# each engine keyword's (kind, valid, words), the last two optional, for check
+ARGUMENTS = {
+    "k": (int, AT_LEAST_1),
+    "max_depth": (int, AT_LEAST_1),
+    "min_leaf": (int, AT_LEAST_1),
+    "n_trees": (int, AT_LEAST_1),
+    "max_features": (int, AT_LEAST_1, ("sqrt", "all")),
+    "bootstrap": (bool,),
+    "bootstrap_fraction": (float, (lambda v: 0.0 < v <= 1.0, "in (0, 1]")),
+    "seed": (int, NON_NEGATIVE),
+    "C": (float, POSITIVE),
+    "epsilon": (float, NON_NEGATIVE),
+    "tol": (float, NON_NEGATIVE),
+    "max_iter": (int, AT_LEAST_1),
+    "gamma": (float, POSITIVE, ("scale",)),
+    "kernel": (("linear", "rbf"),),
+}
+# the values of each kind, and its name in a message; a bool is no number
+TYPES = {int: ((int, np.integer), "an integer"), bool: ((bool, np.bool_), "a boolean"),
+         float: ((int, float, np.integer, np.floating), "a number"), str: (str, "a string")}
+
+
+def check(name: str, value, kind=str, valid=None, words=()):
+    """``value`` as argument ``name`` takes it, or BadParameter. ``kind`` is
+    int, float, bool or str, or a tuple of choices; ``words`` are keywords
+    an int or float takes in place of a number, whose text it reads too;
+    ``valid`` is a (predicate, "what the value must be") pair. A number comes
+    back a plain int or float, a bool a bool, a word or choice as given."""
+    if value in (kind if isinstance(kind, tuple) else words):
+        return value
+    if isinstance(kind, tuple):
+        raise BadParameter(f"{name} must be one of {kind}, got {value!r}")
+    if words and isinstance(value, str):  # a number's text, as a flag gives it
+        with contextlib.suppress(ValueError):
+            value = kind(value)
+    types, noun = TYPES[kind]
+    if not isinstance(value, types) or isinstance(value, bool) and kind is not bool:
+        either = f"{', '.join(map(json.dumps, words))} or " if words else ""
+        raise BadParameter(f"{name} must be {either}{noun}, got {value!r}")
+    value = kind(value)
+    if kind is float and not math.isfinite(value):
+        raise BadParameter(f"{name} must be a finite number, got {value!r}")
+    if valid is not None and not valid[0](value):
+        raise BadParameter(f"{name} must be {valid[1]}, got {value!r}")
+    return value
+
+
+def checked(**values) -> dict:
+    """Each engine argument by name, checked by its ARGUMENTS rule."""
+    return {name: check(name, value, *ARGUMENTS[name]) for name, value in values.items()}
 
 
 def standardize_fit(X: np.ndarray, feature_names=None) -> tuple[np.ndarray, np.ndarray]:

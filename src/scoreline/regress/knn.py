@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import (BadParameter, KTooLarge, ModelBase, as_xy, standardize_apply,
+from .base import (ARGUMENTS, KTooLarge, ModelBase, as_xy, check, standardize_apply,
                    standardize_fit)
 from .kernels import knn_neighbor_means
 
@@ -24,11 +24,10 @@ def fit_knn(X, y, k: int = 5, feature_names=None) -> KnnModel:
     distance keep the earlier training row.
     """
     X, y = as_xy(X, y)
-    if k < 1:
-        raise BadParameter(f"k must be at least 1, got {k}")
+    k = check("k", k, *ARGUMENTS["k"])
     if k > X.shape[0]:
         raise KTooLarge(f"k={k} exceeds the {X.shape[0]} training rows")
     mean, std = standardize_fit(X, feature_names)
     Xs = standardize_apply((mean, std), X)
     return KnnModel(X.shape[1], feature_names, train_X=np.ascontiguousarray(Xs),
-                    train_y=np.ascontiguousarray(y), k=int(k), scaler_mean=mean, scaler_std=std)
+                    train_y=np.ascontiguousarray(y), k=k, scaler_mean=mean, scaler_std=std)

@@ -14,8 +14,8 @@ import warnings
 
 import numpy as np
 
-from .base import (BadParameter, ModelBase, RegressError, TooFewRows, as_xy,
-                   standardize_apply, standardize_fit)
+from .base import (ModelBase, RegressError, TooFewRows, as_xy, checked, standardize_apply,
+                   standardize_fit)
 from .kernels import rbf_kernel, svr_train
 
 
@@ -33,19 +33,6 @@ class SvrModel(ModelBase):
             return Xs @ self.w + self.b
         K = rbf_kernel(Xs, self.train_X, self.gamma)
         return K @ self.beta + self.b
-
-
-def resolve_gamma(gamma, Xs: np.ndarray) -> float:
-    """RBF width; "scale" mirrors the common 1 / (p * var) heuristic."""
-    if gamma == "scale":
-        var = float(Xs.var())
-        if var <= 0.0:
-            var = 1.0
-        return 1.0 / (Xs.shape[1] * var)
-    g = float(gamma)
-    if not (np.isfinite(g) and g > 0.0):
-        raise BadParameter(f"gamma must be a finite positive number, got {g}")
-    return g
 
 
 def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
@@ -66,35 +53,25 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
     X, y = as_xy(X, y)
     if X.shape[0] < 2:
         raise TooFewRows(f"SVR needs at least 2 rows, got {X.shape[0]}")
-    if not (np.isfinite(C) and C > 0.0):
-        raise BadParameter(f"C must be a finite positive number, got {C}")
-    if not (np.isfinite(epsilon) and epsilon >= 0.0):
-        raise BadParameter(f"epsilon must be a finite non-negative number, got {epsilon}")
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise BadParameter(f"tol must be a finite non-negative number, got {tol}")
-    if kernel not in ("linear", "rbf"):
-        raise BadParameter(f"unknown kernel {kernel!r}")
-    if max_iter < 1:
-        raise BadParameter(f"max_iterations must be at least 1, got {max_iter}")
+    C, epsilon, kernel, tol, max_iter, gamma = checked(
+        C=C, epsilon=epsilon, kernel=kernel, tol=tol, max_iter=max_iter, gamma=gamma).values()
 
     mean, std = standardize_fit(X, feature_names)
     Xs = np.ascontiguousarray(standardize_apply((mean, std), X))
     yc = np.ascontiguousarray(y)
 
-    params = {
-        "C": float(C), "epsilon": float(epsilon), "kernel": kernel,
-        "tol": float(tol), "max_iterations": int(max_iter),
-    }
+    params = {"C": C, "epsilon": epsilon, "kernel": kernel, "tol": tol,
+              "max_iterations": max_iter}
     K = None  # a linear design with p < n: the Newton systems stay p x p
     if kernel == "rbf":
-        params["gamma"] = resolve_gamma(gamma, Xs)
+        params["gamma"] = (gamma if gamma != "scale"  # the common 1 / (p * var) heuristic
+                           else 1.0 / (Xs.shape[1] * (float(Xs.var()) or 1.0)))
         K = rbf_kernel(Xs, Xs, params["gamma"])
     elif Xs.shape[1] >= Xs.shape[0]:
         K = Xs @ Xs.T
     try:  # an overflow or a 0/0 shows in the objective and gap checked below
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            coef, b, obj, iters, converged, gap = svr_train(
-                Xs, yc, float(C), float(epsilon), int(max_iter), float(tol), K=K)
+            coef, b, obj, iters, converged, gap = svr_train(Xs, yc, C, epsilon, max_iter, tol, K=K)
     except np.linalg.LinAlgError as exc:
         raise RegressError(f"the {kernel} SVR at C={C:g} cannot be solved: {exc}") from exc
     if not (np.isfinite(obj) and np.isfinite(gap)):
@@ -108,7 +85,7 @@ def fit_svr(X, y, C: float = 1.0, epsilon: float = 0.1, kernel: str = "linear",
               "objective": float(obj), "gap": gap}
     if not converged:
         warnings.warn(f"SVR stopped after {iters} of max_iterations={max_iter} steps "
-                      f"with duality gap {gap:.6g} above tol={float(tol):g}",
+                      f"with duality gap {gap:.6g} above tol={tol:g}",
                       NotConvergedWarning, stacklevel=2)
     return SvrModel(X.shape[1], feature_names, kernel=kernel, params=params, status=status,
                     b=float(b), scaler_mean=mean, scaler_std=std, **solved)

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import BadParameter, ModelBase, TooFewRows, as_xy
+from .base import ARGUMENTS, BadParameter, ModelBase, TooFewRows, as_xy, check, checked
 from .kernels import best_split, dense_ranks
 
 
@@ -183,18 +183,14 @@ class ForestModel(TreeModel):
 
 
 def resolve_max_features(spec, p: int) -> int:
-    """Feature-subset size per split: "sqrt" (ceil), "all" or None for all,
-    or an integer in 1..p, a NumPy one too; a bool is not an integer."""
-    if spec is None or spec == "all":
-        return p
-    if spec == "sqrt":
-        return math.ceil(math.sqrt(p))
-    if isinstance(spec, bool) or not isinstance(spec, (int, np.integer)):
-        raise BadParameter('feature subset size must be "sqrt", "all", None or an integer, '
-                           f"got {spec!r}")
-    if not 1 <= spec <= p:
+    """Feature-subset size per split: "sqrt" (ceil), "all", or an integer
+    in 1..p, a NumPy one too; a bool is not an integer."""
+    spec = check("max_features", spec, *ARGUMENTS["max_features"])
+    if spec in ("all", "sqrt"):
+        return p if spec == "all" else math.ceil(math.sqrt(p))
+    if spec > p:
         raise BadParameter(f"feature subset size {spec} outside 1..{p}")
-    return int(spec)
+    return spec
 
 
 def fit_rfr(X, y, n_trees: int = 100, max_depth: int = 6, min_leaf: int = 5,
@@ -221,20 +217,16 @@ def fit_rfr(X, y, n_trees: int = 100, max_depth: int = 6, min_leaf: int = 5,
     instead (see ``scoreline.cli.run_fits``).
     """
     X, y = as_xy(X, y)
-    if max_depth < 1:
-        raise BadParameter(f"max_depth must be at least 1, got {max_depth}")
-    if min_leaf < 1:
-        raise BadParameter(f"min_leaf must be at least 1, got {min_leaf}")
-    if n_trees < 1:
-        raise BadParameter(f"n_trees must be at least 1, got {n_trees}")
-    if not 0.0 < bootstrap_fraction <= 1.0:
-        raise BadParameter(f"bootstrap fraction {bootstrap_fraction} outside (0, 1]")
+    params = checked(n_trees=n_trees, max_depth=max_depth, min_leaf=min_leaf,
+                     max_features=max_features, bootstrap=bootstrap,
+                     bootstrap_fraction=bootstrap_fraction, seed=seed)
+    n_trees, max_depth, min_leaf, max_features, bootstrap, fraction, seed = params.values()
     n, p = X.shape
     if n < 2 * min_leaf:
         raise TooFewRows(
             f"need at least {2 * min_leaf} rows for min_leaf={min_leaf}, got {n}")
     m_feat = resolve_max_features(max_features, p)
-    sample_size = max(1, int(round(n * bootstrap_fraction)))
+    sample_size = max(1, int(round(n * fraction)))
 
     rngs = [None] * n_trees
     if bootstrap or m_feat < p:
@@ -244,16 +236,6 @@ def fit_rfr(X, y, n_trees: int = 100, max_depth: int = 6, min_leaf: int = 5,
     trees = grow_trees(
         X, y, (rng.integers(0, n, size=sample_size) if bootstrap else all_rows for rng in rngs),
         rngs, max_depth=max_depth, min_leaf=min_leaf, max_features=m_feat)
-
-    params = {
-        "n_trees": n_trees,
-        "max_depth": max_depth,
-        "min_leaf": min_leaf,
-        "max_features": max_features if isinstance(max_features, str) or max_features is None else int(max_features),
-        "bootstrap": bool(bootstrap),
-        "bootstrap_fraction": float(bootstrap_fraction),
-        "seed": int(seed),
-    }
     return ForestModel(p, feature_names, trees=trees, params=params)
 
 
@@ -265,4 +247,4 @@ def fit_dtr(X, y, max_depth: int = 6, min_leaf: int = 5,
     forest = fit_rfr(X, y, n_trees=1, max_depth=max_depth, min_leaf=min_leaf,
                      max_features="all", bootstrap=False, feature_names=feature_names)
     return TreeModel(forest.n_features, feature_names, trees=forest.trees,
-                     params={"max_depth": int(max_depth), "min_leaf": int(min_leaf)})
+                     params={key: forest.params[key] for key in ("max_depth", "min_leaf")})

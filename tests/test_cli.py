@@ -23,7 +23,7 @@ from scoreline import cli, ingest, regress
 from scoreline.cli import data_fingerprint, main
 from scoreline.features import APPROACHES, SIDES, FeatureBuilder
 from scoreline.regress import workers
-from scoreline.schema import default_schema
+from scoreline.schema import default_schema, load_schema
 
 from conftest import SAMPLE_DIR
 from helpers import assert_no_child_left, forest_children_fail, nested_tree, open_fd_count
@@ -178,6 +178,24 @@ def test_malformed_schema_returns_1(tmp_path, capsys, case, command):
     assert reason in err, err
 
 
+def test_schema_stat_no_record_measures_builds_no_row(tmp_path, capsys):
+    """A schema stat that no record measures has neither a form average nor
+    a league mean: every row that builds with the bundled schema is skipped
+    naming it, so train builds no row and exits 1 with one error line."""
+    path = tmp_path / "schema.json"
+    path.write_text(_schema_with_first_name("d_NotAStat"), encoding="utf-8")
+    assert run("train", *base_args(tmp_path / "out"), "--approach", "lineup_stats",
+               "--technique", "lr", "--schema", path) == 1
+    assert capsys.readouterr().err == "error: no lineup_stats/home rows could be built\n"
+    dataset = ingest.load_dataset(SAMPLE_DIR, 8)
+    built = set(FeatureBuilder(dataset).build_matrix(dataset.train_fixtures, "lineup_stats",
+                                                     "home").fixture_ids())
+    renamed = FeatureBuilder(dataset, load_schema(path))
+    assert {str(skip) for skip in renamed._stats_rows(
+        [f for f in dataset.train_fixtures if f.fixture_id in built], "lineup_stats", "home")
+    } == {"no DF data and no league fallback for stat 'd_NotAStat'"}
+
+
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts open files in /proc")
 @pytest.mark.parametrize("how", ["exits", "killed"])
 def test_dead_forest_worker_returns_1(tmp_path, monkeypatch, capsys, how):
@@ -249,6 +267,12 @@ def test_config_file_errors(tmp_path, capsys):
         conf.write_text(f"{key} = {text}\n", encoding="utf-8")
         assert run("train", "--config", conf) == 2
         assert capsys.readouterr().err == f"usage error: {conf}:1: bad value for {key}: {text!r}\n"
+    # a choice outside its set is read, then refused by the setting's check
+    conf = tmp_path / "approach.conf"
+    conf.write_text("approach = bogus\n", encoding="utf-8")
+    assert run("train", "--config", conf) == 2
+    assert capsys.readouterr().err == (f"usage error: approach must be one of {APPROACHES}, "
+                                       "got 'bogus'\n")
 
 
 WORDS_TEXTS = (
@@ -791,7 +815,8 @@ def test_every_benchmark_hook_target_resolves(tmp_path, monkeypatch):
 
 def test_unreadable_csv_returns_1(tmp_path, capsys):
     """A CSV field over the csv module's size limit is a data error naming
-    its row, not a traceback."""
+    its row, not a traceback: an odds cell, or a cell of a plain stats
+    file's header, which sends the file to csv.reader."""
     data = tmp_path / "data"
     shutil.copytree(SAMPLE_DIR, data)
     lines = (data / "odds.csv").read_text(encoding="utf-8").splitlines(keepends=True)
@@ -801,6 +826,39 @@ def test_unreadable_csv_returns_1(tmp_path, capsys):
                "--out-dir", tmp_path / "out", "--model", "home-win") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: row 3: unreadable odds file: field larger than field limit"), err
+    shutil.copy(SAMPLE_DIR / "odds.csv", data)
+    stats = (data / "player_stats.csv").read_text(encoding="utf-8")
+    assert stats.startswith("player_id,fixture_id,position_group,stat_name,value")
+    (data / "player_stats.csv").write_text(
+        stats.replace("value", "value," + "x" * 200_000, 1), encoding="utf-8")
+    assert run("evaluate", "--data-dir", data, "--test-size", 8,
+               "--out-dir", tmp_path / "out", "--model", "home-win") == 1
+    assert capsys.readouterr().err == (
+        "error: row 1: unreadable stats file: field larger than field limit (131072)\n")
+
+
+# each broken odds cell or line of a copy of the sample league: the row to
+# change (0 is the header), its new text, and the error line it gives
+MALFORMED_ODDS = {
+    "fractional goals": (1, "F001,1.5,0,22.02", "row 2: scoreline goals must be integers"),
+    "negative goals": (1, "F001,0,-1,22.02", "row 2: scoreline (0,-1) has negative goals"),
+    "odds not a number": (1, "F001,0,0,abc", "row 2: odds 'abc' is not a number"),
+    "repeated quote": (2, "F001,0,0,22.02", "row 3: duplicate quote for 'F001' scoreline (0,0)"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_ODDS)
+def test_malformed_odds_returns_1(tmp_path, capsys, case):
+    index, text, message = MALFORMED_ODDS[case]
+    data = tmp_path / "data"
+    shutil.copytree(SAMPLE_DIR, data)
+    lines = (data / "odds.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1] == "F001,0,0,22.02"
+    lines[index] = text
+    (data / "odds.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run("bet", "--data-dir", data, "--test-size", 8, "--out-dir", tmp_path / "out",
+               "--model", "home-win") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ------------------------------------------ odds: read only where bets are placed

@@ -183,6 +183,10 @@ def _reversed_columns():
                  [("F1", 2020, "X", "Y", 1, 0, True)], id="padded-cells-stripped"),
     pytest.param(FIXTURE_HEADER + row("F1", "2020-09-05T15:00:00").replace(",2020,", ", x20 ,")
                  + "\n", "row 2: season ' x20 ' is not an integer", id="message-quotes-raw-cell"),
+    pytest.param(FIXTURE_HEADER + row("F1", "yesterday") + "\n",
+                 "row 2: kickoff 'yesterday' is not ISO 8601", id="kickoff-not-a-date"),
+    pytest.param(FIXTURE_HEADER + row("F1", "2020-09-05T15:00:00", hg="x") + "\n",
+                 "row 2: home_goals 'x' is not an integer", id="goals-not-an-integer"),
 ])
 def test_reader_contract(tmp_path, text, expected):
     """How a fixtures file's rows map to records: by header name, blank
@@ -541,18 +545,18 @@ def test_stats_byte_order_mark_quoted(tmp_path, two_fixtures):
 
 
 @pytest.mark.parametrize("form, ranges", with_ranges(["plain", "quoted"]))
-@pytest.mark.parametrize("where", ["first record", "last record"])
+@pytest.mark.parametrize("where", ["first record", "last record", "header"])
 def test_stats_not_utf8_whatever_rows_come_first(tmp_path, two_fixtures, where, form, ranges,
                                                  monkeypatch):
     """The stats file is decoded whole before any row is checked, so a bad
     byte fails as NotUtf8 even after a row that fails a check, in the first
-    byte range or the last."""
+    byte range or the last; so does one in the header."""
     force_ranges(monkeypatch, ranges)
     quoted = form == "quoted"
     rows = [_cells(fid="F9"), *[GOOD_ROW] * 2000, _cells(stat="d_Tkl")]
     path = stats_file(tmp_path, rows, quoted)
     raw = path.read_bytes()
-    at = raw.index(b"F9") if where == "first record" else len(raw) - 3
+    at = {"first record": raw.index(b"F9"), "last record": len(raw) - 3, "header": 3}[where]
     path.write_bytes(raw[:at] + b"\xff" + raw[at:])
     with pytest.raises(NotUtf8) as exc:
         load_player_stats(path, two_fixtures)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import threading
 import time
 import tracemalloc
@@ -393,20 +394,31 @@ ENGINE_ARGUMENT_ERRORS = [
     ("dtr", {"min_leaf": 0}, "min_leaf must be at least 1, got 0"),
     ("rfr", {"min_leaf": 0}, "min_leaf must be at least 1, got 0"),
     ("rfr", {"n_trees": 0}, "n_trees must be at least 1, got 0"),
-    ("rfr", {"bootstrap_fraction": 1.5}, "bootstrap fraction 1.5 outside (0, 1]"),
+    ("rfr", {"bootstrap_fraction": 1.5}, "bootstrap_fraction must be in (0, 1], got 1.5"),
     ("rfr", {"max_features": 3}, "feature subset size 3 outside 1..2"),
-    ("rfr", {"max_features": 1.5},
-     'feature subset size must be "sqrt", "all", None or an integer, got 1.5'),
+    ("rfr", {"max_features": 1.5}, 'max_features must be "sqrt", "all" or an integer, got 1.5'),
     ("rfr", {"max_features": "foo"},
-     'feature subset size must be "sqrt", "all", None or an integer, got \'foo\''),
-    ("rfr", {"max_features": True},
-     'feature subset size must be "sqrt", "all", None or an integer, got True'),
+     'max_features must be "sqrt", "all" or an integer, got \'foo\''),
+    ("rfr", {"max_features": True}, 'max_features must be "sqrt", "all" or an integer, got True'),
     ("svr", {"C": 0.0}, "C must be a finite positive number, got 0.0"),
     ("svr", {"epsilon": -0.1}, "epsilon must be a finite non-negative number, got -0.1"),
     ("svr", {"tol": -1e-6}, "tol must be a finite non-negative number, got -1e-06"),
-    ("svr", {"kernel": "poly"}, "unknown kernel 'poly'"),
-    ("svr", {"max_iter": 0}, "max_iterations must be at least 1, got 0"),
+    ("svr", {"kernel": "poly"}, "kernel must be one of ('linear', 'rbf'), got 'poly'"),
+    ("svr", {"max_iter": 0}, "max_iter must be at least 1, got 0"),
     ("svr", {"kernel": "rbf", "gamma": 0.0}, "gamma must be a finite positive number, got 0.0"),
+    # a value of the wrong type, NumPy numbers aside
+    ("knn", {"k": 2.5}, "k must be an integer, got 2.5"),
+    ("knn", {"k": True}, "k must be an integer, got True"),
+    ("rfr", {"n_trees": 2.5}, "n_trees must be an integer, got 2.5"),
+    ("rfr", {"max_depth": 2.5}, "max_depth must be an integer, got 2.5"),
+    ("rfr", {"min_leaf": 1.5}, "min_leaf must be an integer, got 1.5"),
+    ("rfr", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ("rfr", {"seed": -1}, "seed must be a finite non-negative number, got -1"),
+    ("rfr", {"bootstrap": "no"}, "bootstrap must be a boolean, got 'no'"),
+    ("svr", {"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+    ("svr", {"C": "1"}, "C must be a number, got '1'"),
+    ("svr", {"kernel": "rbf", "gamma": "wide"}, 'gamma must be "scale" or a number, got \'wide\''),
+    ("svr", {"kernel": "rbf", "gamma": True}, 'gamma must be "scale" or a number, got True'),
     ("unknown", {}, "unknown technique 'gbm'; expected one of ('lr', 'knn', 'dtr', 'rfr', 'svr')"),
 ]
 
@@ -1182,10 +1194,13 @@ def test_store_refuses_every_mutated_field(tmp_path, saved_engines, engine):
     assert not escaped, escaped
 
 
-# each engine form as a technique and its hyperparameters
+# each engine form as a technique and its hyperparameters, NumPy integers too
 ENGINE_FORMS = {"lr": ("lr", {}), "knn": ("knn", {"k": 3}),
                 "dtr": ("dtr", {"max_depth": 3, "min_leaf": 2}),
                 "rfr": ("rfr", {"n_trees": 5, "min_leaf": 2, "seed": 1}),
+                "rfr-numpy": ("rfr", {key: np.int64(value) for key, value in
+                                      {"n_trees": 5, "max_depth": 4, "min_leaf": 2,
+                                       "max_features": 3, "seed": 1}.items()}),
                 "svr": ("svr", {"max_iter": 500}),
                 "svr-rbf": ("svr", {"max_iter": 500, "kernel": "rbf"})}
 
@@ -1240,6 +1255,9 @@ def test_store_rejects_garbage(tmp_path):
     path = tmp_path / "m.json"
     path.write_text("{not json")
     with pytest.raises(BadArtifact):
+        load_model(path)
+    path.write_text("[1, 2]")
+    with pytest.raises(BadArtifact, match=f"^{re.escape(str(path))} is not a model artifact$"):
         load_model(path)
 
 
