@@ -200,8 +200,8 @@ def bet_run(predictions: Sequence[ScorelinePrediction],
     if missing_policy not in MISSING_ODDS_POLICIES:
         raise EvaluateError(
             f"missing-odds policy must be one of {MISSING_ODDS_POLICIES}, got {missing_policy!r}")
-    if stake <= 0.0:
-        raise EvaluateError(f"stake must be positive, got {stake}")
+    if not (math.isfinite(stake) and stake > 0.0):
+        raise EvaluateError(f"stake must be a finite positive number, got {stake}")
     ledger = BettingLedger(stake=float(stake), policy=missing_policy)
     for p in predictions:
         if p.actual_home is None or p.actual_away is None:

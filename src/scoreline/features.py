@@ -5,8 +5,8 @@ Three matrix flavours share one builder:
 * ``players``: sparse membership encoding, +1 for home starters, -1 for
   away starters, 0 otherwise, over the training-set player universe.
 * ``lineup_stats``: per-position-group means of the starters' form
-  averages, 40 offensive + 12 defensive = 52 features.
-* ``team_stats``: same 52-feature layout, averaged over every player with
+  averages, in the 52-feature layout of ``schema.LAYOUT``.
+* ``team_stats``: the same layout, averaged over every player with
   an archive appearance for the team inside the aggregation window instead
   of the starting eleven.
 
@@ -60,7 +60,7 @@ from typing import Collection, Iterable, Sequence
 import numpy as np
 
 from .ingest import LINEUP_SIZE, Dataset, Fixture, kickoff_order
-from .schema import DEFENSIVE_GROUPS, OFFENSIVE_GROUPS, FeatureSchema, default_schema
+from .schema import FeatureSchema, default_schema
 
 APPROACHES = ("players", "lineup_stats", "team_stats")
 SIDES = ("home", "away")
@@ -406,10 +406,7 @@ class FeatureBuilder:
         each row, from its own and opposing pools. A group's own and opposing
         blocks read the same form averages, which the track keeps."""
         latest = {"own": track.latest(own, times), "opp": track.latest(opp, times)}
-        blocks = [(label, group, stats)  # in row order
-                  for label, groups, names in (("own", OFFENSIVE_GROUPS, self.schema.offensive),
-                                               ("opp", DEFENSIVE_GROUPS, self.schema.defensive))
-                  for group in groups for stats in (names[group],)]
+        blocks = [(part.pool, group, stats) for part, group, stats in self.schema.blocks()]
         results: list = [None] * len(blocks)
         for group in dict.fromkeys(group for _label, group, _stats in blocks):
             code = self._code(group)

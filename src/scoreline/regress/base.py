@@ -80,7 +80,11 @@ def check(name: str, value, kind=str, valid=None, words=()):
     if not isinstance(value, types) or isinstance(value, bool) and kind is not bool:
         either = f"{', '.join(map(json.dumps, words))} or " if words else ""
         raise BadParameter(f"{name} must be {either}{noun}, got {value!r}")
-    value = kind(value)
+    try:
+        value = kind(value)
+    except OverflowError:  # float() of an int past the float range
+        raise BadParameter(f"{name} must be a finite number, got an integer too large "
+                           "for a float") from None
     if kind is float and not math.isfinite(value):
         raise BadParameter(f"{name} must be a finite number, got {value!r}")
     if valid is not None and not valid[0](value):

@@ -1,11 +1,10 @@
 """The 52-feature stat schema shared by the lineup and team approaches.
 
 A model row carries the scoring side's offensive position-group averages
-(13 defender + 14 midfielder + 13 attacker stats) followed by the opposing
-side's defensive averages (5 goalkeeper + 7 defender stats). The exact stat
-names are configuration, not code: the default lives in
-``data/default_schema.json`` and any file with the same shape can be passed
-via ``--schema``.
+followed by the opposing side's defensive averages, in the layout that
+``LAYOUT`` alone declares. The exact stat names are configuration, not code:
+the default lives in ``data/default_schema.json`` and any file with the same
+shape can be passed via ``--schema``.
 """
 
 from __future__ import annotations
@@ -15,16 +14,30 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
-OFFENSIVE_GROUPS = ("DF", "MF", "FW")
-DEFENSIVE_GROUPS = ("GK", "DF")
-OFFENSIVE_COUNTS = {"DF": 13, "MF": 14, "FW": 13}
-DEFENSIVE_COUNTS = {"GK": 5, "DF": 7}
-TOTAL_FEATURES = 52
+
+# The row's parts in row order. Each names a schema field (and JSON key), the
+# pool its groups average over, the scoring side's players (own) or the
+# opponent's (opp), and each group's stat count, in row order.
+Part = NamedTuple("Part", [("name", str), ("pool", str), ("counts", dict)])
+LAYOUT = (Part("offensive", "own", {"DF": 13, "MF": 14, "FW": 13}),
+          Part("defensive", "opp", {"GK": 5, "DF": 7}))
 
 
 class SchemaError(Exception):
     pass
+
+
+def _blocks(parts) -> Iterator[tuple[Part, str, object]]:
+    """Each (part, group, the group's entry in ``parts[part.name]`` or ()) in
+    row order; a part whose entry is not a dict raises SchemaError."""
+    for part in LAYOUT:
+        groups = parts.get(part.name)
+        if not isinstance(groups, dict):
+            raise SchemaError(f"no {part.name} object")
+        for group in part.counts:
+            yield part, group, groups.get(group, ())
 
 
 @dataclass(frozen=True)
@@ -35,23 +48,17 @@ class FeatureSchema:
     defensive: dict[str, tuple[str, ...]]
 
     def __post_init__(self):
-        for group, count in OFFENSIVE_COUNTS.items():
-            names = self.offensive.get(group, ())
+        for part, group, names in self.blocks():
+            count = part.counts[group]
             if len(names) != count:
-                raise SchemaError(f"offensive {group} needs {count} stats, got {len(names)}")
-        for group, count in DEFENSIVE_COUNTS.items():
-            names = self.defensive.get(group, ())
-            if len(names) != count:
-                raise SchemaError(f"defensive {group} needs {count} stats, got {len(names)}")
-        all_names = self.offensive_names() + self.defensive_names()
-        if len(set(all_names)) != TOTAL_FEATURES:
+                raise SchemaError(f"{part.name} {group} needs {count} stats, got {len(names)}")
+        names = [name for _part, _group, stats in self.blocks() for name in stats]
+        if len(set(names)) != len(names):
             raise SchemaError("schema stat names must be unique across all groups")
 
-    def offensive_names(self) -> tuple[str, ...]:
-        return tuple(s for g in OFFENSIVE_GROUPS for s in self.offensive[g])
-
-    def defensive_names(self) -> tuple[str, ...]:
-        return tuple(s for g in DEFENSIVE_GROUPS for s in self.defensive[g])
+    def blocks(self) -> Iterator[tuple[Part, str, tuple[str, ...]]]:
+        """Each (part, group, stat names) of a row, in row order."""
+        return _blocks(vars(self))
 
     def feature_names(self, side: str) -> tuple[str, ...]:
         """Column names for one side's matrix, 52 in fixture perspective.
@@ -60,21 +67,16 @@ class FeatureSchema:
         the away team, whichever side the row models. Layout is the scoring
         side's offensive block then the opponent's defensive block.
         """
-        if side == "home":
-            own, opp = "", "away "
-        elif side == "away":
-            own, opp = "away ", ""
-        else:
+        if side not in ("home", "away"):
             raise SchemaError(f"side must be 'home' or 'away', got {side!r}")
-        offensive = [own + s for s in self.offensive_names()]
-        defensive = [opp + s for s in self.defensive_names()]
-        return tuple(offensive + defensive)
+        away = "own" if side == "away" else "opp"  # the away team's pool
+        return tuple(("away " if part.pool == away else "") + name
+                     for part, _group, names in self.blocks() for name in names)
 
     def fingerprint(self) -> str:
-        payload = {
-            "offensive": {g: list(self.offensive[g]) for g in OFFENSIVE_GROUPS},
-            "defensive": {g: list(self.defensive[g]) for g in DEFENSIVE_GROUPS},
-        }
+        payload = {}
+        for part, group, names in self.blocks():
+            payload.setdefault(part.name, {})[group] = list(names)
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -85,16 +87,10 @@ def _from_mapping(raw) -> FeatureSchema:
     if not isinstance(raw, dict):
         raise SchemaError(f"the top level must be a JSON object, not {type(raw).__name__}")
     parts = {}
-    for part, groups in (("offensive", OFFENSIVE_GROUPS), ("defensive", DEFENSIVE_GROUPS)):
-        section = raw.get(part)
-        if not isinstance(section, dict):
-            raise SchemaError(f"no {part} object")
-        for group in groups:
-            names = section.get(group)
-            if not (isinstance(names, list)
-                    and all(isinstance(name, str) and name for name in names)):
-                raise SchemaError(f"{part} {group} must be a list of non-empty stat names")
-        parts[part] = {group: tuple(section[group]) for group in groups}
+    for part, group, names in _blocks(raw):
+        if not (isinstance(names, list) and all(isinstance(name, str) and name for name in names)):
+            raise SchemaError(f"{part.name} {group} must be a list of non-empty stat names")
+        parts.setdefault(part.name, {})[group] = tuple(names)
     return FeatureSchema(**parts)
 
 

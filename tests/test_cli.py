@@ -147,11 +147,21 @@ def test_bad_data_dir_returns_1(tmp_path):
                "--technique", "lr") == 1
 
 
-def _schema_with_first_name(name) -> str:
+def _bundled_schema() -> dict:
     schema = default_schema()
-    raw = {"offensive": {g: list(v) for g, v in schema.offensive.items()},
-           "defensive": {g: list(v) for g, v in schema.defensive.items()}}
+    return {"offensive": {g: list(v) for g, v in schema.offensive.items()},
+            "defensive": {g: list(v) for g, v in schema.defensive.items()}}
+
+
+def _schema_with_first_name(name) -> str:
+    raw = _bundled_schema()
     raw["offensive"]["DF"][0] = name
+    return json.dumps(raw)
+
+
+def _schema_edited(edit) -> str:
+    raw = _bundled_schema()
+    edit(raw)
     return json.dumps(raw)
 
 
@@ -160,6 +170,12 @@ MALFORMED_SCHEMAS = {
     "list name": (_schema_with_first_name(["xG"]), "offensive DF must be a list of non-empty"),
     "too deep": ("[" * 200_000, "is not valid JSON"),
     "top-level list": ("[1, 2]", "top level must be a JSON object, not list"),
+    "MF a stat short": (_schema_edited(lambda raw: raw["offensive"]["MF"].pop()),
+                        ": offensive MF needs 14 stats, got 13\n"),
+    "stat in two groups": (_schema_with_first_name(default_schema().defensive["GK"][0]),
+                           ": schema stat names must be unique across all groups\n"),
+    "no defensive object": (_schema_edited(lambda raw: raw.pop("defensive")),
+                            ": no defensive object\n"),
 }
 
 

@@ -383,6 +383,12 @@ def test_bet_validation():
         bet_run([], {}, missing_policy="refund")
 
 
+@pytest.mark.parametrize("stake", [float("nan"), float("inf"), -float("inf")])
+def test_bet_refuses_a_stake_that_is_not_finite(stake):
+    with pytest.raises(EvaluateError, match="stake must be a finite positive number"):
+        bet_run([], {}, stake=stake)
+
+
 # ---------------------------------------------------------- chi2 importance
 
 

@@ -21,26 +21,15 @@ from scoreline.features import (
     UnknownTeam,
     _Track,
 )
-from scoreline.schema import (
-    DEFENSIVE_COUNTS,
-    DEFENSIVE_GROUPS,
-    OFFENSIVE_COUNTS,
-    OFFENSIVE_GROUPS,
-    SchemaError,
-    FeatureSchema,
-    default_schema,
-    load_schema,
-)
+from scoreline.schema import SchemaError, FeatureSchema, default_schema, load_schema
 
 # ------------------------------------------------------------------ schema
 
 
 def test_schema_group_counts():
     schema = default_schema()
-    for group, count in OFFENSIVE_COUNTS.items():
-        assert len(schema.offensive[group]) == count
-    for group, count in DEFENSIVE_COUNTS.items():
-        assert len(schema.defensive[group]) == count
+    assert {g: len(v) for g, v in schema.offensive.items()} == {"DF": 13, "MF": 14, "FW": 13}
+    assert {g: len(v) for g, v in schema.defensive.items()} == {"GK": 5, "DF": 7}
     names = schema.feature_names("home")
     assert len(names) == 52
     assert len(set(names)) == 52
@@ -88,6 +77,23 @@ def test_schema_file_roundtrip(tmp_path):
     loaded = load_schema(path)
     assert loaded.feature_names("home") == schema.feature_names("home")
     assert loaded.fingerprint() == schema.fingerprint()
+
+
+def test_schema_file_key_order_is_immaterial(tmp_path):
+    """A schema file with its parts and groups in reverse key order names
+    the same columns, in the same row order, and has the same fingerprint."""
+    import json
+
+    schema = default_schema()
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps({
+        "defensive": {g: list(schema.defensive[g]) for g in ("DF", "GK")},
+        "offensive": {g: list(schema.offensive[g]) for g in ("FW", "MF", "DF")},
+    }), encoding="utf-8")
+    loaded = load_schema(path)
+    for side in ("home", "away"):
+        assert loaded.feature_names(side) == schema.feature_names(side)
+    assert loaded.fingerprint() == schema.fingerprint() == "f3c472cd191f6b7f"
 
 
 # --------------------------------------------------------- form averaging
@@ -602,8 +608,10 @@ class ScanBuilder(FeatureBuilder):
 
     def _assemble_stats_row(self, fixture, side, own_pool, opp_pool):
         values, fallbacks = [], []
-        parts = (("own", own_pool, OFFENSIVE_GROUPS, self.schema.offensive),
-                 ("opp", opp_pool, DEFENSIVE_GROUPS, self.schema.defensive))
+        # the row layout spelled out, so that the reference and the builder
+        # do not share it
+        parts = (("own", own_pool, ("DF", "MF", "FW"), self.schema.offensive),
+                 ("opp", opp_pool, ("GK", "DF"), self.schema.defensive))
         for label, pool, groups, names in parts:
             for group in groups:
                 vec, fell = self.group_aggregate(pool, group, fixture.kickoff, fixture.season,

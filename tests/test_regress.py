@@ -419,6 +419,10 @@ ENGINE_ARGUMENT_ERRORS = [
     ("svr", {"C": "1"}, "C must be a number, got '1'"),
     ("svr", {"kernel": "rbf", "gamma": "wide"}, 'gamma must be "scale" or a number, got \'wide\''),
     ("svr", {"kernel": "rbf", "gamma": True}, 'gamma must be "scale" or a number, got True'),
+    # an integer past the float range, which float() overflows on
+    ("svr", {"C": 10**400}, "C must be a finite number, got an integer too large for a float"),
+    ("svr", {"epsilon": 10**400},
+     "epsilon must be a finite number, got an integer too large for a float"),
     ("unknown", {}, "unknown technique 'gbm'; expected one of ('lr', 'knn', 'dtr', 'rfr', 'svr')"),
 ]
 
@@ -429,7 +433,9 @@ def argument_ids(rows):
     ids = []
     for engine, kwargs, _ in rows:
         name = f"{engine}-{'-'.join(kwargs) or 'technique'}"
-        ids.append(f"{name}={'-'.join(map(str, kwargs.values()))}" if name in ids else name)
+        values = [str(v) if len(str(v)) <= 20 else f"{str(v)[:3]}..{len(str(v))}chars"
+                  for v in kwargs.values()]
+        ids.append(f"{name}={'-'.join(values)}" if name in ids else name)
     return ids
 
 
