@@ -511,48 +511,40 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid_prediction_sets(cfg: RunConfig, dataset: Dataset, train: dict,
-                          test: dict) -> list[PredictionSet]:
-    """Heuristics, then every approach x technique; ``train`` and ``test``
-    hold each approach's matrices by side. Each fit returns only its raw
-    predictions of the test matrix: no model outlives its fit or crosses a pipe."""
-    psets = []
-    for name in HEURISTICS:
-        predictor = HeuristicPredictor(name, dataset.train_fixtures,
-                                       history=dataset.fixtures)
-        psets.append(predictor.predict(dataset.test_fixtures))
-
-    def predict_test(job, model):
-        side, approach, _technique = job
-        return model.predict(test[approach][side].X())
-
-    raw = run_fits(cfg, train, APPROACHES, ML_TECHNIQUES, predict_test)
-    for approach in APPROACHES:
-        for technique in ML_TECHNIQUES:
-            psets.append(pair_scorelines(
-                f"{approach}+{technique}", dataset.test_fixtures, test[approach],
-                {side: raw[side, approach, technique] for side in SIDES}))
-    return psets
-
-
-def _single_prediction_set(cfg: RunConfig, args: argparse.Namespace):
-    """One PredictionSet, its dataset, the training matrices to rank, and the
-    run record for the manifest, per CLI selection; a trained pair keeps its
-    train manifest's record, since that config made its predictions."""
+def _prediction_sets(cfg: RunConfig, args: argparse.Namespace):
+    """The prediction sets of the CLI selection, their dataset, the training
+    matrices to rank and the run record: ``--all`` gives every heuristic,
+    then every approach x technique, ``--model`` one heuristic, and
+    ``--artifacts`` a trained pair with the record of the train manifest
+    whose config made its predictions. A grid fit returns only its raw test
+    predictions: no model outlives its fit or crosses a pipe."""
+    grid, pair = getattr(args, "all", False), None  # bet takes no --all
     if getattr(args, "artifacts", None):
         manifest, pair, dataset, schema = _load_artifacts(args, odds=True)
-        approach = manifest["approach"]
-        train, test = split_pairs(dataset, schema, [approach])
-        pset = pair.predict(dataset.test_fixtures, test[approach])
-        importance = {approach: train[approach]} if approach in STATS_APPROACHES else {}
         record = {key: manifest[key] for key in ("config", "config_hash", "seed")}
-        return [pset], dataset, importance, record
-    if cfg.model is not None:
-        dataset, _schema = load_context(cfg.data_dir, cfg.test_size, cfg.schema, odds=True)
-        predictor = HeuristicPredictor(cfg.model, dataset.train_fixtures,
-                                       history=dataset.fixtures)
-        return [predictor.predict(dataset.test_fixtures)], dataset, {}, run_record(cfg)
-    raise UsageError("evaluate needs --all, --model NAME, or --artifacts DIR")
+        approaches, names = [manifest["approach"]], ()
+    elif grid or cfg.model is not None:
+        dataset, schema = load_context(cfg.data_dir, cfg.test_size, cfg.schema, odds=True)
+        record = run_record(cfg)
+        approaches, names = (APPROACHES, HEURISTICS) if grid else ((), (cfg.model,))
+    else:
+        raise UsageError("evaluate needs --all, --model NAME, or --artifacts DIR")
+    train, test = split_pairs(dataset, schema, approaches) if approaches else ({}, {})
+    psets = [HeuristicPredictor(name, dataset.train_fixtures, history=dataset.fixtures)
+             .predict(dataset.test_fixtures) for name in names]
+    if pair is not None:
+        psets.append(pair.predict(dataset.test_fixtures, test[approaches[0]]))
+    elif grid:
+        def predict_test(job, model):
+            side, approach, _technique = job
+            return model.predict(test[approach][side].X())
+
+        raw = run_fits(cfg, train, APPROACHES, ML_TECHNIQUES, predict_test)
+        psets += [pair_scorelines(f"{approach}+{technique}", dataset.test_fixtures,
+                                  test[approach],
+                                  {side: raw[side, approach, technique] for side in SIDES})
+                  for approach in APPROACHES for technique in ML_TECHNIQUES]
+    return psets, dataset, {a: train[a] for a in STATS_APPROACHES if a in train}, record
 
 
 def _importance_rows(train: dict) -> list[list]:
@@ -607,8 +599,9 @@ def _model_reports(cfg: RunConfig, dataset: Dataset, by_id: dict,
 
 
 def _evaluate_bundle(cfg: RunConfig, dataset: Dataset, psets: list,
-                     out_dir: Path, seed: int) -> str:
-    """Write the full report bundle; returns the summary text."""
+                     out_dir: Path, record: dict) -> str:
+    """Write the full report bundle; returns the summary text. ``record``
+    names the data directory the run read and its seed."""
     by_id = {f.fixture_id: f for f in dataset.fixtures}
     model_rows, model_values, model_notes = zip(
         *(_model_reports(cfg, dataset, by_id, pset) for pset in psets))
@@ -624,9 +617,9 @@ def _evaluate_bundle(cfg: RunConfig, dataset: Dataset, psets: list,
 
     summary = [
         "scoreline evaluation summary",
-        f"data: {cfg.data_dir or 'per train manifest'} "
+        f"data: {record['config']['data_dir']} "
         f"({len(dataset.train_fixtures)} train / {len(dataset.test_fixtures)} test fixtures)",
-        f"seed {seed}, stake {cfg.stake:g}, missing-odds policy {cfg.missing_odds}",
+        f"seed {record['seed']}, stake {cfg.stake:g}, missing-odds policy {cfg.missing_odds}",
         "",
         "model ranking (rank sum over six scenarios, lower is better):",
     ]
@@ -648,17 +641,11 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
                                           ("--model", args.model)) if given]
         if clash:
             raise UsageError(f"--all cannot be combined with {' or '.join(clash)}")
-        dataset, schema = load_context(cfg.data_dir, cfg.test_size, cfg.schema, odds=True)
-        train, test = split_pairs(dataset, schema, APPROACHES)
-        psets = _grid_prediction_sets(cfg, dataset, train, test)
-        importance = {a: train[a] for a in STATS_APPROACHES}
-        record = run_record(cfg)
-    else:
-        psets, dataset, importance, record = _single_prediction_set(cfg, args)
+    psets, dataset, importance, record = _prediction_sets(cfg, args)
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = _evaluate_bundle(cfg, dataset, psets, out_dir, record["seed"])
+    summary = _evaluate_bundle(cfg, dataset, psets, out_dir, record)
     if importance:
         write_csv(out_dir / "importance.csv", IMPORTANCE_COLUMNS,
                   _importance_rows(importance))
@@ -692,7 +679,7 @@ def cmd_importance(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_bet(cfg: RunConfig, args: argparse.Namespace) -> int:
-    psets, dataset, _importance, _record = _single_prediction_set(cfg, args)
+    psets, dataset, _importance, _record = _prediction_sets(cfg, args)
     pset = psets[0]
     ledger = bet_run(pset.predictions, dataset.odds, cfg.stake, cfg.missing_odds)
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "betting_ledger.csv"

@@ -1,19 +1,21 @@
 """Baseline predictors: Home Win, Tradition and Recency.
 
 All three produce integer scorelines directly, no features or training
-beyond what a league table or result history gives them. Tradition's
-table, ``actual_standings``, is also the evaluation's real table.
+beyond what a league table or result history gives them. Each is one row
+of ``RULES``: its name and the factory of its per-fixture rule, from the
+train fixtures and the history Recency reads. Tradition's table,
+``actual_standings``, is also the evaluation's real table.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from .ingest import Fixture, kickoff_order
 
-HEURISTICS = ("home-win", "tradition", "recency")
 DEBUT_GOALS = 1  # Recency's prediction for a team with no earlier match
 
 
@@ -23,6 +25,11 @@ class HeuristicError(Exception):
 
 class EmptyTrainingSet(HeuristicError):
     pass
+
+
+class UnknownHeuristic(HeuristicError, ValueError):
+    def __init__(self, name: str):
+        super().__init__(f"unknown heuristic {name!r}; expected one of {HEURISTICS}")
 
 
 class UnknownTeam(HeuristicError):
@@ -146,3 +153,12 @@ def recency_predict(fixture: Fixture, history: Sequence[Fixture]) -> tuple[int, 
     """
     return (last_goals_before(fixture.home_team, fixture.kickoff, history),
             last_goals_before(fixture.away_team, fixture.kickoff, history))
+
+
+# each heuristic's factory of its per-fixture rule, from train fixtures and history
+RULES = {
+    "home-win": lambda train, history: home_win_predict,
+    "tradition": lambda train, history: partial(tradition_predict, table=actual_standings(train)),
+    "recency": lambda train, history: partial(recency_predict, history=list(history)),
+}
+HEURISTICS = tuple(RULES)

@@ -4,16 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Sequence
 
-from .heuristics import (
-    HEURISTICS,
-    actual_standings,
-    home_win_predict,
-    recency_predict,
-    tradition_predict,
-)
+from .heuristics import RULES, UnknownHeuristic
 from .ingest import Fixture, kickoff_order, write_csv
 from .regress.base import ModelBase, SchemaMismatch
 
@@ -130,20 +123,14 @@ def pair_scorelines(label: str, fixtures: Sequence[Fixture], matrices: dict,
 
 
 class HeuristicPredictor:
-    """Home Win / Tradition / Recency behind the same predict interface."""
+    """A ``RULES`` heuristic behind the same predict interface."""
 
     def __init__(self, name: str, train_fixtures: Sequence[Fixture],
                  history: Sequence[Fixture] | None = None):
-        if name not in HEURISTICS:
-            raise ValueError(f"unknown heuristic {name!r}; expected one of {HEURISTICS}")
+        if name not in RULES:
+            raise UnknownHeuristic(name)
         self.label = name
-        if name == "home-win":
-            self._rule = home_win_predict
-        elif name == "tradition":
-            self._rule = partial(tradition_predict, table=actual_standings(train_fixtures))
-        else:
-            self._rule = partial(recency_predict, history=list(
-                history if history is not None else train_fixtures))
+        self._rule = RULES[name](train_fixtures, train_fixtures if history is None else history)
 
     def predict(self, fixtures: Sequence[Fixture]) -> PredictionSet:
         fixtures = sorted(fixtures, key=kickoff_order)

@@ -628,12 +628,18 @@ def test_evaluate_artifacts_records_trained_config(tmp_path):
     assert run("train", *base_args(artifacts), "--approach", "team_stats",
                "--technique", "rfr", "--forest-trees", 10, "--seed", 7) == 0
     trained = json.loads((artifacts / "train_manifest.json").read_text())
-    assert run("evaluate", "--artifacts", artifacts, "--out-dir", tmp_path / "eval") == 0
+    # a config file's data_dir names no directory the run reads: the summary
+    # names the train manifest's, whose files the manifest fingerprints
+    conf = tmp_path / "elsewhere.conf"
+    conf.write_text(f"data_dir = {tmp_path / 'elsewhere'}\n", encoding="utf-8")
+    assert run("evaluate", "--artifacts", artifacts, "--config", conf,
+               "--out-dir", tmp_path / "eval") == 0
     manifest = json.loads((tmp_path / "eval" / "evaluate_manifest.json").read_text())
     assert manifest["config"]["forest_trees"] == 10
     assert manifest["config"]["technique"] == "rfr"
     assert (manifest["config_hash"], manifest["seed"]) == (trained["config_hash"], 7)
     summary = (tmp_path / "eval" / "summary.txt").read_text()
+    assert f"\ndata: {SAMPLE_DIR} (32 train / 8 test fixtures)\n" in summary
     assert "seed 7, stake 1, missing-odds policy skip" in summary
     assert manifest["data_fingerprint"] == trained["data_fingerprint"]
     # the train manifest fixes the data, split, seed, schema and every
@@ -700,6 +706,13 @@ HEURISTIC_BUNDLE_SHA256 = {
         "zones.csv": "e9e65ce4da4d7b8491efb31b366ef493f6488e127a626bfc5ee6b1e4af2c5620",
         "summary.txt": "6ce0585f9ceddbda0f344e31c9edf6097306bdf5590f5e31d3b734524cabc293",
     },
+}
+
+# sha256 of each heuristic's `bet --model` ledger on the sample league (test 8)
+HEURISTIC_LEDGER_SHA256 = {
+    "home-win": "6b862d4d486adc337a633168ea9dcf86047f506f95a13fe4b19b20948ebeed63",
+    "tradition": "3bbf2662109bcbf5d02cf71b2ab6fec850e8908599a769b13d60c7684f55f0b9",
+    "recency": "eb518d9cbb9d4ba0b2cd93fc8f46f142833a77be815f869defd5759c838d32ca",
 }
 
 
@@ -775,6 +788,13 @@ def test_heuristic_bundle_bytes(tmp_path, monkeypatch, capsys, request, model, l
     assert capsys.readouterr().out.endswith((tmp_path / "summary.txt").read_text())
 
 
+@pytest.mark.parametrize("model", HEURISTIC_LEDGER_SHA256)
+def test_heuristic_ledger_bytes(tmp_path, model):
+    assert run("bet", *base_args(tmp_path), "--model", model) == 0
+    assert hashlib.sha256((tmp_path / "betting_ledger.csv").read_bytes()).hexdigest() == (
+        HEURISTIC_LEDGER_SHA256[model])
+
+
 def test_summary_notes_zones_unavailable(tmp_path):
     """One test fixture makes a two-team table: no top-4 or bottom-3 zone,
     so the zone cells are empty and the summary says why."""
@@ -827,6 +847,23 @@ def test_every_benchmark_hook_target_resolves(tmp_path, monkeypatch):
     assert tracer.unmeasured == []
     # fitness x2, both standings, tau, zones x2, bet_run, rank_models x6, rank_sum_overview
     assert sum(span.name == "evaluate.metrics_s" for span in tracer.spans) == 15
+
+    # bet and a trained pair's evaluation predict through the hooked methods too
+    trained = tmp_path / "trained"
+    assert run("train", *base_args(trained), "--approach", "team_stats",
+               "--technique", "dtr") == 0
+    for argv, layer in ((["bet", *base_args(tmp_path / "bet"), "--model", "recency"],
+                         "heuristics.predict_s"),
+                        (["evaluate", "--artifacts", trained, "--out-dir", tmp_path / "pair"],
+                         "predict.pair_s")):
+        tracer = spans.Tracer()
+        try:
+            spans.install(tracer)
+            assert run(*argv) == 0
+        finally:
+            tracer.unhook()
+        assert tracer.unmeasured == []
+        assert sum(span.name == layer for span in tracer.spans) == 1, argv
 
 
 def test_unreadable_csv_returns_1(tmp_path, capsys):
@@ -993,6 +1030,18 @@ def test_grid_bundle_complete(grid_dir):
     manifest = json.loads((grid_dir / "evaluate_manifest.json").read_text())
     assert len(manifest["models"]) == 21
     assert manifest["config_hash"]
+
+
+@pytest.mark.parametrize("model", HEURISTIC_BUNDLE_SHA256)
+def test_grid_heuristic_rows_match_model_bundle(grid_dir, tmp_path, model):
+    """`--all` and `--model` make a heuristic's prediction set alike."""
+    assert run("evaluate", *base_args(tmp_path), "--model", model) == 0
+    for name in ("fitness.csv", "standings.csv", "tau.csv", "zones.csv",
+                 "betting.csv", "predictions.csv"):
+        header, rows = read_csv(tmp_path / name)
+        column = header.index("model")
+        _, grid_rows = read_csv(grid_dir / name)
+        assert rows and rows == [row for row in grid_rows if row[column] == model], name
 
 
 def test_grid_builds_each_matrix_once(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from scoreline.features import SIDES
+from scoreline.heuristics import HeuristicError
 from scoreline.predict import (
     EmptyTestSet,
     HeuristicPredictor,
@@ -147,6 +148,8 @@ def test_home_win_through_interface(dataset):
 
 def test_unknown_heuristic_rejected(dataset):
     with pytest.raises(ValueError):
+        HeuristicPredictor("oracle", dataset.train_fixtures)
+    with pytest.raises(HeuristicError, match="unknown heuristic 'oracle'"):
         HeuristicPredictor("oracle", dataset.train_fixtures)
 
 
